@@ -28,8 +28,10 @@ from .simulate import (
     empirical_mean_path,
     empirical_stationary_mean,
     simulate_component_paths,
+    simulate_empirical_mean_paths,
     simulate_exact_gaussian,
     simulate_limit_path,
+    simulate_limit_paths,
     simulate_stationary_paths,
     y_minus_s_at_zero,
 )
@@ -79,8 +81,10 @@ __all__ = [
     "resolvent_l2_norm",
     "sample_alphas",
     "simulate_component_paths",
+    "simulate_empirical_mean_paths",
     "simulate_exact_gaussian",
     "simulate_limit_path",
+    "simulate_limit_paths",
     "simulate_stationary_paths",
     "stationary_variance",
     "tail_variance_bound",

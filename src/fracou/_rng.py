@@ -59,7 +59,8 @@ def uniforms(seed: int, tags: tuple, start: int, count: int) -> np.ndarray:
 
 
 def worker_count() -> int:
-    """Worker threads for row-parallel fills, from FRACOU_THREADS (default 1).
+    """Worker threads for row-parallel fills, from FRACOU_THREADS (default 1),
+    clamped to [1, os.cpu_count()].
 
     Affects runtime only: every row is derived from its own (seed, tags, row)
     stream and written to its own slice, so output bits never depend on the
@@ -71,7 +72,7 @@ def worker_count() -> int:
         n = int(os.environ.get("FRACOU_THREADS", "1"))
     except ValueError:
         n = 1
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def normal_rows(seed: int, tags: tuple, n_rows: int, n_cols: int,

@@ -34,19 +34,13 @@ EXIT_FAIL = 5
 EXIT_INCONCLUSIVE = 6
 
 
-def _write_table(path: str, xs, ys, config: dict) -> None:
-    lines = ["x,value"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{float(x)!r},{float(y)!r}")
-    body = "\n".join(lines) + "\n"
+def _emit(path: str, body: str) -> None:
+    """Write body to the file at path, or to stdout for "-"."""
     if path == "-":
         sys.stdout.write(body)
     else:
         with open(path, "w") as fh:
             fh.write(body)
-        with open(path.rsplit(".", 1)[0] + ".json", "w") as fh:
-            json.dump(config, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def cmd_eval(args) -> int:
@@ -54,6 +48,7 @@ def cmd_eval(args) -> int:
         print("eval requires 0 <= xmin < xmax and points >= 2",
               file=sys.stderr)
         return EXIT_USAGE
+    side = None if args.out == "-" else sim.sidecar_path(args.out)
     rho = float(FractionalOrder(args.rho))
     xs = np.linspace(args.xmin, args.xmax, args.points)
     if args.function == "ml":
@@ -70,7 +65,10 @@ def cmd_eval(args) -> int:
     config = {"command": "eval", "function": args.function, "rho": args.rho,
               "mu": args.mu, "lam": args.lam, "xmin": args.xmin,
               "xmax": args.xmax, "points": args.points}
-    _write_table(args.out, xs, ys, config)
+    _emit(args.out, "x,value\n" + "".join(f"{float(x)!r},{float(y)!r}\n"
+                                          for x, y in zip(xs, ys)))
+    if side is not None:
+        _emit(side, json.dumps(config, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -91,16 +89,12 @@ def cmd_mixing(args) -> int:
     for rho in args.rho:
         out["condition_mu_gt_half_inv_rho"][str(rho)] = \
             check_condition(params, rho)
-    body = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out == "-":
-        sys.stdout.write(body)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+    _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    sim.sidecar_path(args.out)  # reject a clashing --out before simulating
     grid = sim.TimeGrid(0.0, args.T, args.steps)
     mix = GammaMixing(args.mu, args.lam)
     mk = MeanKernel(args.rho, mix)
@@ -108,43 +102,25 @@ def cmd_simulate(args) -> int:
               "mu": args.mu, "lam": args.lam, "T": args.T,
               "steps": args.steps, "paths": args.paths, "seed": args.seed,
               "n_components": args.n_components, "tol": args.tol}
+    if args.process in ("component", "empirical", "xi"):
+        alphas = sample_alphas(mix, args.n_components, args.seed)
 
     if args.process == "component":
-        alphas = sample_alphas(mix, args.n_components, args.seed)
         ens = sim.simulate_component_paths(alphas, args.rho, grid, args.seed)
     elif args.process == "empirical":
-        alphas = sample_alphas(mix, args.n_components, args.seed)
-        values = np.empty((args.paths, grid.n_steps + 1))
-        for r in range(args.paths):
-            e = sim.simulate_component_paths(alphas, args.rho, grid,
-                                             args.seed, rep=r)
-            values[r] = sim.empirical_mean_path(e)
-        ens = sim.PathEnsemble(grid, values,
-                               [{"process": "empirical", "rep": r}
-                                for r in range(args.paths)],
-                               "increment_quadrature",
-                               {"process": "empirical", "seed": args.seed})
+        ens = sim.simulate_empirical_mean_paths(alphas, args.rho, grid,
+                                                args.seed, args.paths)
     elif args.process == "limit":
-        values = np.stack([sim.simulate_limit_path(mk, grid, args.seed, rep=r)
-                           for r in range(args.paths)])
-        ens = sim.PathEnsemble(grid, values,
-                               [{"process": "limit", "rep": r}
-                                for r in range(args.paths)],
-                               "increment_quadrature",
-                               {"process": "limit", "seed": args.seed})
+        ens = sim.simulate_limit_paths(mk, grid, args.seed, args.paths)
     elif args.process == "stationary":
         ens = sim.simulate_stationary_paths(mk, grid, args.seed, args.tol,
                                             n_paths=args.paths)
-        config["t_trunc"] = ens.meta["t_trunc"]
-        config["tail_bound"] = ens.meta["tail_bound"]
-    elif args.process == "xi":
-        alphas = sample_alphas(mix, args.n_components, args.seed)
+    else:  # xi; argparse restricts the choices
         ens = sim.simulate_stationary_paths(alphas, grid, args.seed, args.tol,
                                             rho=args.rho)
-        config["t_trunc"] = ens.meta["t_trunc"]
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
-
+    # the certified truncation of the two-sided processes
+    config.update({k: ens.meta[k] for k in ("t_trunc", "tail_bound")
+                   if k in ens.meta})
     ens.meta["config"] = config
     ens.to_csv(args.out)
     return EXIT_OK
@@ -174,11 +150,8 @@ def cmd_diagnose(args) -> int:
     else:  # pragma: no cover
         return EXIT_USAGE
 
-    if args.out == "-":
-        sys.stdout.write(rep.to_json())
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(rep.to_json())
+    _emit(args.out, rep.to_json())
+    if args.out != "-":
         sys.stdout.write(rep.to_text())
     if rep.verdict == "pass":
         return EXIT_OK

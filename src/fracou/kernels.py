@@ -214,8 +214,8 @@ def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
     """f_n on a whole grid of times; chunked over the (n_alpha x n_t) product."""
     alphas = np.asarray(alphas, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    if alphas.size == 0:
-        raise DomainError("alphas must be nonempty")
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise DomainError("alphas must be a nonempty 1-d array")
     rho = float(FractionalOrder(rho))
     tp = ts**rho
     out = np.zeros(ts.shape)

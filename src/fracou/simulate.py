@@ -18,13 +18,14 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import fft as sp_fft, integrate
 
 from . import _rng
 from .errors import AccuracyError, DomainError, TruncationError
 from .kernels import (
     MeanKernel,
     bound_m,
+    empirical_kernel_values,
     mean_kernel_values,
     tail_variance_bound,
 )
@@ -37,7 +38,9 @@ __all__ = [
     "brownian_increments",
     "simulate_component_paths",
     "empirical_mean_path",
+    "simulate_empirical_mean_paths",
     "simulate_limit_path",
+    "simulate_limit_paths",
     "simulate_exact_gaussian",
     "y_minus_s_at_zero",
     "simulate_stationary_paths",
@@ -47,6 +50,8 @@ __all__ = [
 # direct convolution below this work estimate, FFT above; fixed rule so the
 # choice never depends on the environment
 _FFT_CUTOVER = 1 << 15
+# driver cells convolved at once by the shared-kernel ensembles; bounds memory
+_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,17 @@ class TimeGrid:
         return self.t0 + np.arange(self.n_steps + 1) * self.dt
 
 
+def sidecar_path(path: str) -> str:
+    """The JSON sidecar of a data file: its path with the extension replaced
+    by .json.  A data path ending in .json would be overwritten by its own
+    sidecar and is rejected."""
+    root, ext = os.path.splitext(path)
+    if ext == ".json":
+        raise DomainError(f"data path {path!r} would be overwritten by its "
+                          "own JSON sidecar")
+    return root + ".json"
+
+
 @dataclass
 class PathEnsemble:
     """Trajectories on a shared grid plus provenance.
@@ -92,6 +108,7 @@ class PathEnsemble:
     def to_csv(self, path: str, sidecar: bool = True) -> None:
         """CSV with columns t, path_0..path_{m-1}; floats in shortest
         round-trip form.  The sidecar JSON holds the full provenance."""
+        side_path = sidecar_path(path) if sidecar else None
         times = self.grid.times()
         header = ",".join(["t"] + [f"path_{i}" for i in range(self.n_paths)])
         lines = [header]
@@ -108,7 +125,7 @@ class PathEnsemble:
                 "labels": self.labels,
                 "meta": self.meta,
             }
-            with open(os.path.splitext(path)[0] + ".json", "w") as fh:
+            with open(side_path, "w") as fh:
                 json.dump(side, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
@@ -120,8 +137,7 @@ def brownian_increments(grid: TimeGrid, seed: int, rep: int = 0,
     kind selects the driver namespace ("w" forward, "wtilde" backward); rep
     indexes independent replications of the whole driver.
     """
-    z = _rng.normal_rows(seed, (kind,), 1, grid.n_steps, row_offset=rep)[0]
-    return z * math.sqrt(grid.dt)
+    return _increment_matrix(seed, kind, 1, grid.n_steps, grid.dt, rep)[0]
 
 
 def _increment_matrix(seed: int, kind: str, n_reps: int, n_steps: int,
@@ -160,7 +176,9 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
     if method == "auto":
         method = "fft" if kern.shape[1] * n >= _FFT_CUTOVER else "direct"
     if method == "fft":
-        full = signal.fftconvolve(kern, dw, mode="full", axes=1)
+        size = sp_fft.next_fast_len(kern.shape[1] + n - 1, real=True)
+        full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1)
+                            * sp_fft.rfft(dw, size, axis=1), size, axis=1)
     elif method == "direct":
         full = np.empty((rows, kern.shape[1] + n - 1))
         for r in range(rows):
@@ -187,13 +205,17 @@ def _resolvent_lag_rows(alphas: np.ndarray, rho: float,
     return out
 
 
-def _require_simulatable(rho: float) -> float:
+def _require_simulatable(rho: float, grid: TimeGrid) -> float:
+    """rho as a float, once paths on grid can be simulated with it; grids
+    start at t0 = 0, so their times double as kernel lags."""
     rho = float(FractionalOrder(rho))
     if rho < 1.0:
         raise DomainError(
             "path simulation is limited to rho >= 1; below that the kernel "
             "derivative is unbounded at the origin and the left-endpoint "
             "scheme loses its error control")
+    if grid.t0 != 0.0:
+        raise DomainError("path grids are laid out from t0 = 0")
     return rho
 
 
@@ -206,11 +228,8 @@ def simulate_component_paths(alphas, rho, grid: TimeGrid, seed: int,
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0 or np.any(alphas < 0):
         raise DomainError("alphas must be a nonempty 1-d array of rates >= 0")
-    rho = _require_simulatable(rho)
-    if grid.t0 != 0.0:
-        raise DomainError("component processes start at t = 0; need t0 = 0")
-    lags = np.arange(grid.n_steps + 1) * grid.dt
-    kern = _resolvent_lag_rows(alphas, rho, lags)
+    rho = _require_simulatable(rho, grid)
+    kern = _resolvent_lag_rows(alphas, rho, grid.times())
     dw = brownian_increments(grid, seed, rep=rep)
     values = _convolve_rows(kern, dw[None, :], method=method)
     labels = [{"process": "component", "alpha": float(a), "rep": rep}
@@ -225,17 +244,52 @@ def empirical_mean_path(ensemble: PathEnsemble) -> np.ndarray:
     return ensemble.values.mean(axis=0)
 
 
+def _shared_kernel_paths(process: str, kern: np.ndarray, grid: TimeGrid,
+                         seed: int, n_paths: int, rep0: int, method: str):
+    """One kernel row against driver replications rep0 .. rep0+n_paths-1;
+    path r sees the driver brownian_increments(grid, seed, rep0 + r)."""
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    values = np.empty((n_paths, grid.n_steps + 1))
+    chunk = max(1, _CHUNK_CELLS // grid.n_steps)
+    for r0 in range(0, n_paths, chunk):
+        r1 = min(r0 + chunk, n_paths)
+        dw = _increment_matrix(seed, "w", r1 - r0, grid.n_steps, grid.dt,
+                               rep0=rep0 + r0)
+        values[r0:r1] = _convolve_rows(kern[None, :], dw, method=method)
+    labels = [{"process": process, "rep": rep0 + r} for r in range(n_paths)]
+    return PathEnsemble(grid, values, labels, "increment_quadrature",
+                        {"process": process, "seed": seed})
+
+
+def simulate_empirical_mean_paths(alphas, rho, grid: TimeGrid, seed: int,
+                                  n_paths: int = 1, rep0: int = 0,
+                                  method: str = "auto") -> PathEnsemble:
+    """Empirical means Y_n of the component ensembles of replications
+    rep0 .. rep0+n_paths-1.  Convolution is bilinear, so Y_n is the driver
+    convolved with f_n = mean_k s_{alpha_k}, up to the order of the sums."""
+    rho = _require_simulatable(rho, grid)
+    kern = empirical_kernel_values(alphas, rho, grid.times())
+    return _shared_kernel_paths("empirical", kern, grid, seed, n_paths, rep0,
+                                method)
+
+
+def simulate_limit_paths(mk: MeanKernel, grid: TimeGrid, seed: int,
+                         n_paths: int = 1, rep0: int = 0,
+                         method: str = "auto") -> PathEnsemble:
+    """Aggregated-limit paths: the mean kernel convolved with replications
+    rep0 .. rep0+n_paths-1 of the driver namespace a component ensemble with
+    this seed uses."""
+    _require_simulatable(mk.rho, grid)
+    kern = mean_kernel_values(mk, grid.times())
+    return _shared_kernel_paths("limit", kern, grid, seed, n_paths, rep0,
+                                method)
+
+
 def simulate_limit_path(mk: MeanKernel, grid: TimeGrid, seed: int,
                         rep: int = 0, method: str = "auto") -> np.ndarray:
-    """Aggregated-limit path: the mean kernel convolved with the same driver
-    namespace a component ensemble with this seed uses."""
-    rho = _require_simulatable(mk.rho)
-    if grid.t0 != 0.0:
-        raise DomainError("the limit process starts at t = 0; need t0 = 0")
-    lags = np.arange(grid.n_steps + 1) * grid.dt
-    kern = mean_kernel_values(mk, lags)
-    dw = brownian_increments(grid, seed, rep=rep)
-    return _convolve_rows(kern[None, :], dw[None, :], method=method)[0]
+    """One aggregated-limit path, driven by replication rep."""
+    return simulate_limit_paths(mk, grid, seed, 1, rep, method).values[0]
 
 
 def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
@@ -333,11 +387,11 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    if grid.t0 != 0.0:
-        raise DomainError("stationary grids are laid out from t0 = 0")
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     dt = grid.dt
     if isinstance(kernel, MeanKernel):
-        rho = _require_simulatable(kernel.rho)
+        rho = _require_simulatable(kernel.rho, grid)
         if not check_condition(kernel.mixing, rho):
             raise DomainError(
                 "stationary aggregate needs mu > 1/(2 rho); "
@@ -345,15 +399,10 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
         t_hist = _certified_history(kernel, grid, tol)
         n_hist = int(math.ceil(t_hist / dt))
         lags = np.arange(n_hist + grid.n_steps + 1) * dt
-        kern = mean_kernel_values(kernel, lags)[None, :]
-        dw = _two_sided_increments(seed, n_paths, n_hist, grid.n_steps,
-                                   dt, rep0=rep)
-        full = _convolve_rows(kern, dw, method=method)
-        values = full[:, n_hist : n_hist + grid.n_steps + 1]
+        kern, n_reps = mean_kernel_values(kernel, lags)[None, :], n_paths
         labels = [{"process": "eta", "rep": rep + r} for r in range(n_paths)]
-        meta = {"process": "eta", "rho": rho, "mu": kernel.mixing.mu,
-                "lam": kernel.mixing.lam, "seed": seed, "tol": tol,
-                "t_trunc": n_hist * dt,
+        meta = {"process": "eta", "mu": kernel.mixing.mu,
+                "lam": kernel.mixing.lam,
                 "tail_bound": tail_variance_bound(kernel, n_hist * dt)}
     else:
         alphas = np.asarray(kernel, dtype=float)
@@ -361,25 +410,23 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
             raise DomainError("stationary component rates must be positive")
         if rho is None:
             raise DomainError("rho is required with explicit rates")
-        rho = _require_simulatable(rho)
+        rho = _require_simulatable(rho, grid)
         t_hist = _certified_history((rho, alphas), grid, tol)
         n_hist = int(math.ceil(t_hist / dt))
         lags = np.arange(n_hist + grid.n_steps + 1) * dt
-        kern = _resolvent_lag_rows(alphas, rho, lags)
-        dw = _two_sided_increments(seed, 1, n_hist, grid.n_steps,
-                                   dt, rep0=rep)
-        full = _convolve_rows(kern, dw, method=method)
-        values = full[:, n_hist : n_hist + grid.n_steps + 1]
+        kern, n_reps = _resolvent_lag_rows(alphas, rho, lags), 1
         labels = [{"process": "xi", "alpha": float(a), "rep": rep}
                   for a in alphas]
-        meta = {"process": "xi", "rho": rho, "seed": seed, "tol": tol,
-                "t_trunc": n_hist * dt}
+        meta = {"process": "xi"}
+    dw = _two_sided_increments(seed, n_reps, n_hist, grid.n_steps, dt,
+                               rep0=rep)
+    values = _convolve_rows(kern, dw, method=method)[:, n_hist:]
+    meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt)
     return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
 
 
-def empirical_stationary_mean(ensemble: PathEnsemble) -> np.ndarray:
-    """Average of stationary component paths sharing one driver."""
-    return ensemble.values.mean(axis=0)
+# the average of stationary component paths sharing one driver
+empirical_stationary_mean = empirical_mean_path
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,14 @@ def test_diagnose_exit_codes(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "pass"
 
 
-def test_invalid_parameters_exit_two():
+def test_invalid_parameters_exit_two(tmp_path):
     assert cli.main(["eval", "ml", "--rho", "3.5", "--xmax", "5",
                      "--out", "-"]) == 2
+    for proc in ("limit", "empirical", "stationary"):
+        assert cli.main(["simulate", "--process", proc, "--rho", "1.9",
+                         "--mu", "4", "--lambda", "1", "--T", "0.5",
+                         "--steps", "20", "--paths", "0", "--seed", "1",
+                         "--out", str(tmp_path / "p.csv")]) == 2
 
 
 def test_unknown_flag_exits_two_with_stderr():
@@ -146,9 +151,12 @@ def test_truncation_maps_to_exit_four(tmp_path):
 def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):
     common = ["--rho", "1.9", "--mu", "4", "--lambda", "1", "--seed", "9"]
     runs = {
-        "limit": ["simulate", "--process", "limit", "--T", "1", "--steps",
-                  "100", "--paths", "4", *common],
         # 64 paths: one normal_rows call of 64 rows, enough to start the pool
+        "limit": ["simulate", "--process", "limit", "--T", "1", "--steps",
+                  "100", "--paths", "64", *common],
+        "empirical": ["simulate", "--process", "empirical", "--T", "1",
+                      "--steps", "100", "--paths", "64", "--n-components",
+                      "20", *common],
         "stationary": ["simulate", "--process", "stationary", "--T", "0.5",
                        "--steps", "50", "--paths", "64", "--tol", "1e-3",
                        *common],
@@ -167,3 +175,31 @@ def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):
 def test_eval_rejects_gml_without_mu(capsys):
     assert cli.main(["eval", "gml", "--rho", "1.9", "--xmax", "5",
                      "--out", "-"]) == 2
+
+
+SIDECAR_RUNS = {
+    "eval": ["eval", "ml", "--rho", "1.9", "--xmax", "2", "--points", "5"],
+    "simulate": ["simulate", "--process", "limit", "--rho", "1", "--mu", "4",
+                 "--lambda", "1", "--T", "1", "--steps", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(SIDECAR_RUNS))
+def test_sidecar_next_to_data_file_in_dotted_directory(tmp_path, sub):
+    folder = tmp_path / "a.b"
+    folder.mkdir()
+    out = folder / "noext"
+    assert cli.main(SIDECAR_RUNS[sub] + ["--out", str(out)]) == 0
+    side = json.loads((folder / "noext.json").read_text())
+    assert (side["command"] if sub == "eval"
+            else side["meta"]["config"]["command"]) == sub
+    assert out.read_text().count("\n") > 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.b"]
+
+
+@pytest.mark.parametrize("sub", sorted(SIDECAR_RUNS))
+def test_out_ending_in_json_exits_two(tmp_path, sub, capsys):
+    out = tmp_path / "x.json"
+    assert cli.main(SIDECAR_RUNS[sub] + ["--out", str(out)]) == 2
+    assert "sidecar" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
+from fracou import _rng
 from fracou import simulate as sim
 from fracou.errors import DomainError, TruncationError
 from fracou.kernels import (
@@ -51,11 +55,25 @@ def test_brownian_increments_stats_and_determinism():
 
 
 def test_thread_env_does_not_change_bits(monkeypatch):
+    # report 8 cores, so the clamp keeps the 4- and 8-worker pools
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     g = sim.TimeGrid(0.0, 1.0, 256)
     ref = sim._increment_matrix(5, "w", 128, 256, g.dt)
     for n in ("4", "8"):
         monkeypatch.setenv("FRACOU_THREADS", n)
         assert np.array_equal(sim._increment_matrix(5, "w", 128, 256, g.dt), ref)
+
+
+def test_worker_count_clamped_to_cpu_count(monkeypatch):
+    # only the count is computed: no pool is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for env, want in (("100000", 3), ("3", 3), ("2", 2), ("0", 1), ("-4", 1),
+                      ("many", 1)):
+        monkeypatch.setenv("FRACOU_THREADS", env)
+        assert _rng.worker_count() == want
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("FRACOU_THREADS", "8")
+    assert _rng.worker_count() == 1
 
 
 def test_zero_rate_component_is_brownian():
@@ -149,6 +167,50 @@ def test_limit_path_shares_driver_and_variance():
     samples = sim.marginal_samples(kern, [1000], n_mc, 31, g.dt)
     target = variance_integral(MK19, 2.0)
     assert abs(samples.var(ddof=1) - target) < 3.0 * var_se(target, n_mc) + 2e-3
+
+
+@pytest.mark.parametrize("n_steps", [50, 400])  # direct and FFT branches
+def test_vectorized_paths_match_per_replication_reference(n_steps,
+                                                         monkeypatch):
+    g = sim.TimeGrid(0.0, 2.0, n_steps)
+    alphas = sample_alphas(MIX, 30, 6)
+    # two-row chunks, so the driver matrix is drawn in several pieces
+    monkeypatch.setattr(sim, "_CHUNK_CELLS", 2 * n_steps)
+    emp = sim.simulate_empirical_mean_paths(alphas, 1.9, g, 6, n_paths=5,
+                                            rep0=2)
+    lim = sim.simulate_limit_paths(MK19, g, 6, n_paths=5, rep0=2)
+    assert emp.labels == [{"process": "empirical", "rep": r}
+                          for r in range(2, 7)]
+    assert lim.meta == {"process": "limit", "seed": 6}
+    dw_matrix = sim._increment_matrix(6, "w", 5, n_steps, g.dt, rep0=2)
+    kern = mean_kernel_values(MK19, g.times())
+    for r in range(5):
+        dw = sim.brownian_increments(g, 6, rep=2 + r)
+        assert np.array_equal(dw_matrix[r], dw)
+        # Y_n the long way: a rates x lags table per replication, averaged
+        ens = sim.simulate_component_paths(alphas, 1.9, g, 6, rep=2 + r)
+        assert np.max(np.abs(emp.values[r] - sim.empirical_mean_path(ens))) < 1e-12
+        # the limit the long way: the mean kernel rebuilt for every path and
+        # convolved as before, so the same arithmetic gives the same bits
+        conv = (signal.fftconvolve if n_steps**2 >= sim._FFT_CUTOVER
+                else np.convolve)
+        ref = conv(mean_kernel_values(MK19, g.times())[1:], dw)
+        assert lim.values[r, 0] == 0.0
+        assert np.array_equal(lim.values[r, 1:], ref[:n_steps])
+        assert np.array_equal(sim.simulate_limit_path(MK19, g, 6, rep=2 + r),
+                              lim.values[r])
+    whole = sim._convolve_rows(kern[None, :], dw_matrix)
+    assert np.array_equal(lim.values, whole)
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded(cli_env):
+    code = ("import sys, fracou; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
+            "if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=cli_env("1"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_exact_gaussian_sampler():
@@ -260,6 +322,10 @@ def test_csv_and_sidecar_roundtrip(tmp_path):
     out2 = tmp_path / "paths2.csv"
     ens2.to_csv(str(out2))
     assert out.read_text() == out2.read_text()
+    # a data file ending in .json would be overwritten by its own sidecar
+    with pytest.raises(DomainError):
+        ens.to_csv(str(tmp_path / "clash.json"))
+    assert not (tmp_path / "clash.json").exists()
 
 
 def test_stationary_mean_gap_matches_kernel_gap_integral():
