@@ -94,7 +94,8 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sim.sidecar_path(args.out)  # reject a clashing --out before simulating
+    if args.paths < 1:
+        raise DomainError(f"--paths must be >= 1, got {args.paths}")
     grid = sim.TimeGrid(0.0, args.T, args.steps)
     mix = GammaMixing(args.mu, args.lam)
     mk = MeanKernel(args.rho, mix)

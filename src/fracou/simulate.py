@@ -50,8 +50,6 @@ __all__ = [
 # direct convolution below this work estimate, FFT above; fixed rule so the
 # choice never depends on the environment
 _FFT_CUTOVER = 1 << 15
-# driver cells convolved at once by the shared-kernel ensembles; bounds memory
-_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -248,30 +246,22 @@ def _shared_kernel_paths(process: str, kern: np.ndarray, grid: TimeGrid,
                          seed: int, n_paths: int, rep0: int, method: str):
     """One kernel row against driver replications rep0 .. rep0+n_paths-1;
     path r sees the driver brownian_increments(grid, seed, rep0 + r)."""
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    values = np.empty((n_paths, grid.n_steps + 1))
-    chunk = max(1, _CHUNK_CELLS // grid.n_steps)
-    for r0 in range(0, n_paths, chunk):
-        r1 = min(r0 + chunk, n_paths)
-        dw = _increment_matrix(seed, "w", r1 - r0, grid.n_steps, grid.dt,
-                               rep0=rep0 + r0)
-        values[r0:r1] = _convolve_rows(kern[None, :], dw, method=method)
+    dw = _increment_matrix(seed, "w", n_paths, grid.n_steps, grid.dt, rep0)
+    values = _convolve_rows(kern[None, :], dw, method=method)
     labels = [{"process": process, "rep": rep0 + r} for r in range(n_paths)]
     return PathEnsemble(grid, values, labels, "increment_quadrature",
                         {"process": process, "seed": seed})
 
 
 def simulate_empirical_mean_paths(alphas, rho, grid: TimeGrid, seed: int,
-                                  n_paths: int = 1, rep0: int = 0,
-                                  method: str = "auto") -> PathEnsemble:
+                                  n_paths: int = 1) -> PathEnsemble:
     """Empirical means Y_n of the component ensembles of replications
-    rep0 .. rep0+n_paths-1.  Convolution is bilinear, so Y_n is the driver
+    0 .. n_paths-1.  Convolution is bilinear, so Y_n is the driver
     convolved with f_n = mean_k s_{alpha_k}, up to the order of the sums."""
     rho = _require_simulatable(rho, grid)
     kern = empirical_kernel_values(alphas, rho, grid.times())
-    return _shared_kernel_paths("empirical", kern, grid, seed, n_paths, rep0,
-                                method)
+    return _shared_kernel_paths("empirical", kern, grid, seed, n_paths, 0,
+                                "auto")
 
 
 def simulate_limit_paths(mk: MeanKernel, grid: TimeGrid, seed: int,
@@ -387,8 +377,6 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     dt = grid.dt
     if isinstance(kernel, MeanKernel):
         rho = _require_simulatable(kernel.rho, grid)

@@ -152,6 +152,7 @@ def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):
     common = ["--rho", "1.9", "--mu", "4", "--lambda", "1", "--seed", "9"]
     runs = {
         # 64 paths: one normal_rows call of 64 rows, enough to start the pool
+        # when the child has min(FRACOU_THREADS, os.cpu_count()) >= 2 workers
         "limit": ["simulate", "--process", "limit", "--T", "1", "--steps",
                   "100", "--paths", "64", *common],
         "empirical": ["simulate", "--process", "empirical", "--T", "1",
@@ -161,6 +162,11 @@ def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):
                        "--steps", "50", "--paths", "64", "--tol", "1e-3",
                        *common],
     }
+    # pooled and single-threaded fills are compared only where
+    # os.cpu_count() >= 2 (4 and 8 both give 2 workers on 2 cores); on one
+    # core every run fills its rows in one thread and this checks reruns only.
+    # test_simulate.py::test_thread_env_does_not_change_bits runs 4- and
+    # 8-worker fills on any host
     for name, args in runs.items():
         blobs = []
         for threads in ("1", "4", "8"):

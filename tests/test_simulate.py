@@ -170,25 +170,21 @@ def test_limit_path_shares_driver_and_variance():
 
 
 @pytest.mark.parametrize("n_steps", [50, 400])  # direct and FFT branches
-def test_vectorized_paths_match_per_replication_reference(n_steps,
-                                                         monkeypatch):
+def test_vectorized_paths_match_per_replication_reference(n_steps):
     g = sim.TimeGrid(0.0, 2.0, n_steps)
     alphas = sample_alphas(MIX, 30, 6)
-    # two-row chunks, so the driver matrix is drawn in several pieces
-    monkeypatch.setattr(sim, "_CHUNK_CELLS", 2 * n_steps)
-    emp = sim.simulate_empirical_mean_paths(alphas, 1.9, g, 6, n_paths=5,
-                                            rep0=2)
-    lim = sim.simulate_limit_paths(MK19, g, 6, n_paths=5, rep0=2)
+    emp = sim.simulate_empirical_mean_paths(alphas, 1.9, g, 6, n_paths=5)
+    lim = sim.simulate_limit_paths(MK19, g, 6, n_paths=5)
     assert emp.labels == [{"process": "empirical", "rep": r}
-                          for r in range(2, 7)]
+                          for r in range(5)]
     assert lim.meta == {"process": "limit", "seed": 6}
-    dw_matrix = sim._increment_matrix(6, "w", 5, n_steps, g.dt, rep0=2)
+    dw_matrix = sim._increment_matrix(6, "w", 5, n_steps, g.dt)
     kern = mean_kernel_values(MK19, g.times())
     for r in range(5):
-        dw = sim.brownian_increments(g, 6, rep=2 + r)
+        dw = sim.brownian_increments(g, 6, rep=r)
         assert np.array_equal(dw_matrix[r], dw)
         # Y_n the long way: a rates x lags table per replication, averaged
-        ens = sim.simulate_component_paths(alphas, 1.9, g, 6, rep=2 + r)
+        ens = sim.simulate_component_paths(alphas, 1.9, g, 6, rep=r)
         assert np.max(np.abs(emp.values[r] - sim.empirical_mean_path(ens))) < 1e-12
         # the limit the long way: the mean kernel rebuilt for every path and
         # convolved as before, so the same arithmetic gives the same bits
@@ -197,10 +193,14 @@ def test_vectorized_paths_match_per_replication_reference(n_steps,
         ref = conv(mean_kernel_values(MK19, g.times())[1:], dw)
         assert lim.values[r, 0] == 0.0
         assert np.array_equal(lim.values[r, 1:], ref[:n_steps])
-        assert np.array_equal(sim.simulate_limit_path(MK19, g, 6, rep=2 + r),
+        assert np.array_equal(sim.simulate_limit_path(MK19, g, 6, rep=r),
                               lim.values[r])
     whole = sim._convolve_rows(kern[None, :], dw_matrix)
     assert np.array_equal(lim.values, whole)
+    # an ensemble starting at replication 2 holds rows 2.. of this one
+    later = sim.simulate_limit_paths(MK19, g, 6, n_paths=3, rep0=2)
+    assert later.labels == [{"process": "limit", "rep": r} for r in (2, 3, 4)]
+    assert np.array_equal(later.values, lim.values[2:])
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded(cli_env):
