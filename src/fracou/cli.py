@@ -22,9 +22,9 @@ import numpy as np
 from . import diagnostics as diag
 from . import simulate as sim
 from .errors import AccuracyError, DomainError, TruncationError
-from .kernels import MeanKernel
+from .kernels import MeanKernel, mean_kernel_values
 from .mixing import GammaMixing, check_condition, moment_frac, moment_int, sample_alphas
-from .special_functions import FractionalOrder, g_rho_quadrature, ml_one_values
+from .special_functions import FractionalOrder, ml_one_values
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,10 +58,9 @@ def cmd_eval(args) -> int:
             print("eval gml requires --mu", file=sys.stderr)
             return EXIT_USAGE
         # the table axis is the function argument: column two is G(-x),
-        # reached through the mixing integral at t = (lam x)^(1/rho)
-        ts = (args.lam * xs) ** (1.0 / rho)
-        ys = np.array([g_rho_quadrature(rho, args.mu, args.lam, float(t)).value
-                       for t in ts])
+        # the mean kernel at t = (lam x)^(1/rho)
+        mk = MeanKernel(rho, GammaMixing(args.mu, args.lam))
+        ys = mean_kernel_values(mk, (args.lam * xs) ** (1.0 / rho))
     config = {"command": "eval", "function": args.function, "rho": args.rho,
               "mu": args.mu, "lam": args.lam, "xmin": args.xmin,
               "xmax": args.xmax, "points": args.points}

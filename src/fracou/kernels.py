@@ -26,6 +26,7 @@ from .errors import AccuracyError, DomainError
 from .mixing import GammaMixing, check_condition
 from .special_functions import (
     FractionalOrder,
+    _cache_lock,
     _g_quadrature_many,
     _g_series_many,
     _laguerre_rule,
@@ -246,8 +247,8 @@ def _g_series_range(rho: float, mu: float) -> float:
         if guard[0] or est[0] > 1e-9:
             break
         zmax = float(z)
-    _series_range_cache[key] = zmax
-    return zmax
+    with _cache_lock:
+        return _series_range_cache.setdefault(key, zmax)
 
 
 def mean_kernel(mk: MeanKernel, t: float) -> float:

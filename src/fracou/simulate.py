@@ -108,13 +108,11 @@ class PathEnsemble:
         round-trip form.  The sidecar JSON holds the full provenance."""
         side_path = sidecar_path(path) if sidecar else None
         times = self.grid.times()
-        header = ",".join(["t"] + [f"path_{i}" for i in range(self.n_paths)])
-        lines = [header]
-        for j, t in enumerate(times):
-            row = [repr(float(t))] + [repr(float(v)) for v in self.values[:, j]]
-            lines.append(",".join(row))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(["t"] + [f"path_{i}" for i in range(self.n_paths)]) + "\n")
+            for j, t in enumerate(times):
+                row = [repr(float(t))] + [repr(float(v)) for v in self.values[:, j]]
+                fh.write(",".join(row) + "\n")
         if sidecar:
             side = {
                 "grid": {"t0": self.grid.t0, "T": self.grid.T,

@@ -78,7 +78,8 @@ class EvalResult:
     """
 
     value: float
-    method: str  # "series" | "asymptotic" | "closed_form" | "quadrature"
+    # "series" | "asymptotic" | "interpolant" | "closed_form" | "quadrature"
+    method: str
     terms_used: int
     est_abs_error: float
 
@@ -253,12 +254,24 @@ def _hp_value(rho: float, beta: float, x: float) -> float:
         return float(s)
 
 
-class _GapInterpolant:
-    def __init__(self, coef, lo, hi, est):
-        self.coef = coef
-        self.lo = lo  # bounds in log x
+class _ChebLog:
+    """Chebyshev interpolant in log x over [e^lo, e^hi] and its certified error.
+
+    f maps an array of x to reference values; it is sampled at the n
+    first-kind Chebyshev nodes.  est is set by the builder once the fit has
+    been checked against the reference at nodes it was not fitted on.
+    """
+
+    def __init__(self, f, lo: float, hi: float, n: int):
+        self.lo = lo
         self.hi = hi
-        self.est = est
+        nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+        self.coef = np.polynomial.chebyshev.chebfit(nodes, f(self.points(nodes)), n - 1)
+        self.est = 0.0
+
+    def points(self, u: np.ndarray) -> np.ndarray:
+        """Map u in [-1, 1] to x."""
+        return np.exp(0.5 * (u * (self.hi - self.lo) + self.hi + self.lo))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         xi = (2.0 * np.log(x) - (self.lo + self.hi)) / (self.hi - self.lo)
@@ -291,11 +304,10 @@ def _regime_thresholds(rho: float, beta: float):
             break
     x_asym = float(xs[good_from]) if good_from < xs.size else float("inf")
     with _cache_lock:
-        _threshold_cache.setdefault(key, (x_series, x_asym))
-    return _threshold_cache[key]
+        return _threshold_cache.setdefault(key, (x_series, x_asym))
 
 
-def _gap_interpolant(rho: float, beta: float) -> _GapInterpolant:
+def _gap_interpolant(rho: float, beta: float) -> _ChebLog:
     key = (rho, beta)
     got = _interp_cache.get(key)
     if got is not None:
@@ -305,31 +317,28 @@ def _gap_interpolant(rho: float, beta: float) -> _GapInterpolant:
         raise AccuracyError(
             f"no certified large-x regime found for rho={rho}, beta={beta}")
     lo, hi = math.log(x_series * 0.995), math.log(x_asym * 1.005)
+
+    def reference(xs):
+        return np.array([_hp_value(rho, beta, v) for v in xs])
+
     n = 65
     while True:
-        nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        xi = np.exp(0.5 * (nodes * (hi - lo) + hi + lo))
-        vals = np.array([_hp_value(rho, beta, v) for v in xi])
-        coef = np.polynomial.chebyshev.chebfit(nodes, vals, n - 1)
-        interp = _GapInterpolant(coef, lo, hi, 0.0)
-        check_nodes = np.cos(np.pi * (np.arange(2 * n) + 0.5) / (2 * n))
-        xc = np.exp(0.5 * (check_nodes * (hi - lo) + hi + lo))
-        ref = np.array([_hp_value(rho, beta, v) for v in xc])
-        err = float(np.max(np.abs(interp(xc) - ref)))
+        interp = _ChebLog(reference, lo, hi, n)
+        xc = interp.points(np.cos(np.pi * (np.arange(2 * n) + 0.5) / (2 * n)))
+        err = float(np.max(np.abs(interp(xc) - reference(xc))))
         if err <= 3e-12 or n >= 513:
             interp.est = 10.0 * err + 1e-13
             break
         n = 2 * n - 1
     with _cache_lock:
-        _interp_cache.setdefault(key, interp)
-    return _interp_cache[key]
+        return _interp_cache.setdefault(key, interp)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_METHODS = ("series", "asymptotic", "closed_form", "quadrature")
+_METHODS = ("series", "asymptotic", "closed_form", "quadrature", "interpolant")
 
 
 def _closed_form_many(rho: float, beta: float, x: np.ndarray):
@@ -387,7 +396,7 @@ def _evaluate_many(rho: float, beta: float, x: np.ndarray):
         values[mid] = interp(x[mid])
         ests[mid] = interp.est
         terms[mid] = interp.coef.size
-        methods[mid] = _METHODS.index("series")
+        methods[mid] = _METHODS.index("interpolant")
 
     worst = float(ests.max())
     if worst > ACCURACY_FLOOR:
@@ -615,62 +624,58 @@ def _mixing_integral_scalar(rho: float, mu: float, scale: float,
     return total, est
 
 
-class _MixInterp:
-    """Chebyshev model of the mixing integral in log(t^rho/lam) > log 8."""
+# Panel k of the mixing integral covers scale in [8 * 16^k, 8 * 16^(k+1)).
+# Panels are fixed, so a value depends only on (rho, mu, scale), never on
+# which arguments were requested earlier in the process.
+_PANEL_BASE = 8.0
+_PANEL_RATIO = 16.0
+_PANEL_TOL = 3e-11
+_PANEL_MAX_NODES = 513
 
-    def __init__(self, coef, lo, hi, est):
-        self.coef = coef
-        self.lo = lo
-        self.hi = hi
-        self.est = est
-
-    def __call__(self, scale: np.ndarray) -> np.ndarray:
-        xi = (2.0 * np.log(scale) - (self.lo + self.hi)) / (self.hi - self.lo)
-        return np.polynomial.chebyshev.chebval(xi, self.coef)
+_panel_cache: dict = {}
 
 
-_mix_interp_cache: dict = {}
+def _mixing_panel(rho: float, mu: float, k: int) -> _ChebLog:
+    """Certified interpolant of the mixing integral over panel k.
 
-
-def _mixing_interpolant(rho: float, mu: float, w_need: float) -> _MixInterp:
-    """Build (or extend) the certified interpolant covering scale <= w_need."""
-    key = (rho, mu)
-    got = _mix_interp_cache.get(key)
-    if got is not None and math.log(w_need) <= got.hi:
+    Fitted to the refine-2 panel quadrature and checked at staggered nodes.
+    The estimate adds the node quadrature's own error, 3 |refine2 - refine1|
+    plus its floor, to ten times the interpolation check error.
+    """
+    key = (rho, mu, k)
+    got = _panel_cache.get(key)
+    if got is not None:
         return got
-    w_hi = max(w_need * 1.3, 1e5)
-    lo, hi = math.log(8.0 * 0.97), math.log(w_hi)
-    n = 129
-    while True:
-        nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        ws = np.exp(0.5 * (nodes * (hi - lo) + hi + lo))
-        vals = np.array([_mixing_integral_scalar(rho, mu, float(w), 2)[0]
+    lo = math.log(_PANEL_BASE) + k * math.log(_PANEL_RATIO)
+    hi = lo + math.log(_PANEL_RATIO)
+
+    def quadrature(ws, refine):
+        return np.array([_mixing_integral_scalar(rho, mu, float(w), refine)
                          for w in ws])
-        coef = np.polynomial.chebyshev.chebfit(nodes, vals, n - 1)
-        interp = _MixInterp(coef, lo, hi, 0.0)
-        check = np.cos(np.pi * np.arange(1, n) / n)  # staggered
-        wc = np.exp(0.5 * (check * (hi - lo) + hi + lo))
-        ref = np.array([_mixing_integral_scalar(rho, mu, float(w), 2)[0]
-                        for w in wc])
-        err = float(np.max(np.abs(interp(wc) - ref)))
-        if err <= 3e-11 or n >= 2049:
-            interp.est = 10.0 * err + 1e-12
+
+    n = 17
+    while True:
+        panel = _ChebLog(lambda ws: quadrature(ws, 2)[:, 0], lo, hi, n)
+        wc = panel.points(np.cos(np.pi * np.arange(1, n) / n))  # staggered
+        fine = quadrature(wc, 2)
+        err = float(np.max(np.abs(panel(wc) - fine[:, 0])))
+        if err <= _PANEL_TOL or n >= _PANEL_MAX_NODES:
             break
         n = 2 * n - 1
+    coarse = quadrature(wc, 1)[:, 0]
+    node_err = float(np.max(3.0 * np.abs(fine[:, 0] - coarse) + fine[:, 1]))
+    panel.est = 10.0 * err + node_err + 1e-12
     with _cache_lock:
-        _mix_interp_cache[key] = interp
-    return interp
+        return _panel_cache.setdefault(key, panel)
 
 
-def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
-                       order: int = 128, interpolate: bool = True):
+def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray):
     """Gamma-mixing integral of E_rho(-y t^rho) against the Gamma(mu, lam)
     density: G_rho(-t^rho/lam).  Valid for every rho in (0, 2].
 
     Small t^rho/lam goes through generalized Gauss-Laguerre after z = lam y
-    with an order-halving error estimate; larger arguments use the
-    oscillation-resolving panel scheme, served through a certified
-    interpolant when many points are requested.
+    with an order-halving error estimate; larger arguments are read from the
+    certified log-scale panels of the oscillation-resolving panel scheme.
     """
     t = np.asarray(t, dtype=float)
     scale = t**float(rho) / lam
@@ -678,11 +683,11 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
     ests = np.zeros(t.shape)
     values[scale == 0.0] = 1.0
 
-    small = (scale > 0.0) & (scale <= 8.0)
+    small = (scale > 0.0) & (scale <= _PANEL_BASE)
     if small.any():
         s = scale[small]
         ref = None
-        for n in (order // 2, order):
+        for n in (64, 128):
             nodes, weights = _laguerre_rule(n, mu)
             args = nodes[None, :] * s[:, None]
             ev = ml_one_values(rho, args.ravel()).reshape(args.shape)
@@ -692,22 +697,16 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
         values[small] = q
         ests[small] = 3.0 * np.abs(q - ref) + 1e-15 * (1.0 + np.abs(q))
 
-    big = scale > 8.0
-    n_big = int(np.count_nonzero(big))
-    if n_big:
-        if interpolate and n_big > 8:
-            interp = _mixing_interpolant(float(rho), mu, float(scale[big].max()))
-            values[big] = interp(scale[big])
-            ests[big] = interp.est
-        else:
-            idx = np.nonzero(big)[0]
-            for i in idx:
-                coarse, _ = _mixing_integral_scalar(float(rho), mu,
-                                                    float(scale[i]), 1)
-                fine, floor = _mixing_integral_scalar(float(rho), mu,
-                                                      float(scale[i]), 2)
-                values[i] = fine
-                ests[i] = 3.0 * abs(fine - coarse) + floor + 1e-13
+    big = scale > _PANEL_BASE
+    if big.any():
+        panel_of = np.full(t.shape, -1.0)
+        panel_of[big] = np.floor(np.log(scale[big] / _PANEL_BASE)
+                                 / math.log(_PANEL_RATIO))
+        for k in np.unique(panel_of[big]):
+            sel = panel_of == k
+            panel = _mixing_panel(float(rho), float(mu), int(k))
+            values[sel] = panel(scale[sel])
+            ests[sel] = panel.est
     return values, ests
 
 

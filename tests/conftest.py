@@ -1,6 +1,7 @@
 """Shared test oracles, kept independent of the library's evaluation paths,
 and the scrubbed environment for CLI child processes."""
 
+import math
 import os
 
 import mpmath as mp
@@ -33,6 +34,41 @@ def oracle_ml(rho: float, x: float, beta: float = 1.0, digits: int = 30) -> floa
 @pytest.fixture(scope="session")
 def ml_oracle():
     return oracle_ml
+
+
+def oracle_gml(rho: float, mu: float, w: float, digits: int = 30) -> float:
+    """Reference value of G_rho(-w) = sum_k (mu)_k (-w)^k / Gamma(rho k + 1).
+
+    The working precision covers the largest term, located in double
+    precision from log-gamma, so the cancelling sum keeps `digits` digits.
+    """
+    logw = math.log(w)
+    peak, k_peak, k = 0.0, 0, 0
+    while k < 2 * k_peak + 10:
+        k += 1
+        log_term = (math.lgamma(mu + k) - math.lgamma(mu) + k * logw
+                    - math.lgamma(rho * k + 1.0))
+        if log_term > peak:
+            peak, k_peak = log_term, k
+    with mp.workdps(digits + 10 + int(peak / math.log(10.0))):
+        z = -mp.mpf(w)
+        r, m = mp.mpf(rho), mp.mpf(mu)
+        total = mp.mpf(0)
+        k = 0
+        tiny = mp.mpf(10) ** (-(digits + 10))
+        while True:
+            term = mp.rf(m, k) * mp.power(z, k) / mp.gamma(r * k + 1)
+            total += term
+            if k > k_peak and abs(term) < tiny * max(1, abs(total)):
+                return float(total)
+            k += 1
+            if k > 100000:
+                raise RuntimeError("oracle did not converge")
+
+
+@pytest.fixture(scope="session")
+def gml_oracle():
+    return oracle_gml
 
 
 def child_env(threads: str) -> dict:

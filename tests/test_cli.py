@@ -108,6 +108,9 @@ def test_diagnose_exit_codes(tmp_path):
 def test_invalid_parameters_exit_two(tmp_path):
     assert cli.main(["eval", "ml", "--rho", "3.5", "--xmax", "5",
                      "--out", "-"]) == 2
+    for bad in (["--mu", "-1"], ["--mu", "4", "--lambda", "0"]):
+        assert cli.main(["eval", "gml", "--rho", "1.9", "--xmax", "5", *bad,
+                         "--out", "-"]) == 2
     for proc in ("limit", "empirical", "stationary"):
         assert cli.main(["simulate", "--process", proc, "--rho", "1.9",
                          "--mu", "4", "--lambda", "1", "--T", "0.5",
@@ -133,7 +136,10 @@ def test_accuracy_error_maps_to_exit_three(monkeypatch):
         raise AccuracyError("forced")
 
     monkeypatch.setattr(cli, "ml_one_values", boom)
+    monkeypatch.setattr(cli, "mean_kernel_values", boom)
     assert cli.main(["eval", "ml", "--rho", "1.9", "--xmax", "5",
+                     "--out", "-"]) == 3
+    assert cli.main(["eval", "gml", "--rho", "1.9", "--mu", "4", "--xmax", "5",
                      "--out", "-"]) == 3
 
 

@@ -314,6 +314,12 @@ def test_csv_and_sidecar_roundtrip(tmp_path):
     parsed = np.array([[float(v) for v in row.split(",")]
                        for row in lines[1:]])
     assert np.array_equal(parsed[:, 1:], ens.values.T)
+    # the streamed rows are byte-equal to the whole file built by one join
+    joined = "\n".join(
+        ["t,path_0,path_1"]
+        + [",".join([repr(float(t))] + [repr(float(v)) for v in ens.values[:, j]])
+           for j, t in enumerate(g.times())]) + "\n"
+    assert out.read_bytes() == joined.encode()
     side = json.loads((tmp_path / "paths.json").read_text())
     assert side["grid"]["n_steps"] == 8
     assert side["labels"][1]["alpha"] == 2.0

@@ -1,15 +1,20 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
+from fracou import special_functions as sf
 from fracou.errors import AccuracyError, DomainError
+from fracou.kernels import MeanKernel, mean_kernel, mean_kernel_values
+from fracou.mixing import GammaMixing
 from fracou.special_functions import (
     FractionalOrder,
     _asym_many,
+    _g_quadrature_many,
     _regime_thresholds,
     _series_many,
     g_rho_quadrature,
@@ -81,6 +86,7 @@ def test_ml_one_est_is_honest(ml_oracle):
             r = ml_one(rho, x)
             assert abs(r.value - ml_oracle(rho, x)) <= max(r.est_abs_error, 1e-14)
             assert r.est_abs_error <= 1e-8
+        assert ml_one(rho, math.sqrt(lo * hi)).method == "interpolant"
 
 
 def test_ml_one_series_regime_certifies_target():
@@ -221,6 +227,46 @@ def test_g_rho_quadrature_rho_one_closed_form():
         r = g_rho_quadrature(1.0, mu, lam, t)
         assert r.value == pytest.approx((lam / (t + lam)) ** mu,
                                         abs=max(r.est_abs_error, 1e-12))
+
+
+def test_mixing_values_do_not_depend_on_call_history(monkeypatch):
+    monkeypatch.setattr(sf, "_panel_cache", {})
+    rho, mu = 1.9, 4.0
+    mk = MeanKernel(rho, GammaMixing(mu, 1.0))
+    lags = np.linspace(0.0, 30.0, 301)
+    before = mean_kernel_values(mk, lags)
+    assert 2000.0**rho >= 1e6
+    mean_kernel_values(mk, np.linspace(0.0, 2000.0, 2001))
+    assert mean_kernel_values(mk, lags).tobytes() == before.tobytes()
+    # one point at a time or inside a batch: the same bits past scale 8
+    batch, _ = _g_quadrature_many(rho, mu, 1.0, lags)
+    for t, v in zip(lags, batch):
+        if t**rho > 8.0:
+            assert g_rho_quadrature(rho, mu, 1.0, t).value == v
+    # below it the series term count follows the batch's largest argument
+    for t, v in zip(lags[:40], before[:40]):
+        assert mean_kernel(mk, t) == pytest.approx(v, abs=1e-9)
+
+
+def _mixing_oracle_cases(gml_oracle):
+    ws = np.geomspace(8.5, 1e6, 25)
+    for mu in (0.4, 1.0, 4.0):
+        yield 1.0, mu, ws, lambda w, mu=mu: (1.0 + w) ** -mu
+    for mu in (0.4, 4.0):
+        yield 2.0, mu, ws, lambda w, mu=mu: float(mp.hyp1f1(mu, 0.5, -w / 4.0))
+    # the series oracle needs about 1000 digits at rho = 1.5, mu = 0.4
+    yield 1.9, 4.0, np.geomspace(8.5, 127.0, 15), lambda w: gml_oracle(1.9, 4.0, w)
+
+
+def test_mixing_estimates_hold_against_oracles(gml_oracle):
+    for rho, mu, ws, oracle in _mixing_oracle_cases(gml_oracle):
+        ts = ws ** (1.0 / rho)
+        ref = np.array([oracle(w) for w in ts**rho])
+        values, ests = _g_quadrature_many(rho, mu, 1.0, ts)
+        assert np.all(np.abs(values - ref) <= ests), (rho, mu)
+        for t, r in zip(ts, ref):
+            one = g_rho_quadrature(rho, mu, 1.0, t)
+            assert abs(one.value - r) <= one.est_abs_error, (rho, mu, t)
 
 
 def test_g_rho_quadrature_domain():
