@@ -248,18 +248,16 @@ def test_mixing_values_do_not_depend_on_call_history(monkeypatch):
         assert mean_kernel(mk, t) == pytest.approx(v, abs=1e-9)
 
 
-def _mixing_oracle_cases(gml_oracle):
-    ws = np.geomspace(8.5, 1e6, 25)
-    for mu in (0.4, 1.0, 4.0):
-        yield 1.0, mu, ws, lambda w, mu=mu: (1.0 + w) ** -mu
-    for mu in (0.4, 4.0):
-        yield 2.0, mu, ws, lambda w, mu=mu: float(mp.hyp1f1(mu, 0.5, -w / 4.0))
-    # the series oracle needs about 1000 digits at rho = 1.5, mu = 0.4
-    yield 1.9, 4.0, np.geomspace(8.5, 127.0, 15), lambda w: gml_oracle(1.9, 4.0, w)
-
-
 def test_mixing_estimates_hold_against_oracles(gml_oracle):
-    for rho, mu, ws, oracle in _mixing_oracle_cases(gml_oracle):
+    wide = np.geomspace(8.5, 1e6, 25)
+    cases = [(1.0, mu, wide, lambda w, mu=mu: (1.0 + w) ** -mu)
+             for mu in (0.4, 1.0, 4.0)]
+    cases += [(2.0, mu, wide, lambda w, mu=mu: float(mp.hyp1f1(mu, 0.5, -w / 4.0)))
+              for mu in (0.4, 4.0)]
+    # the series oracle would need about 1000 digits at rho = 1.5, mu = 0.4
+    cases.append((1.9, 4.0, np.geomspace(8.5, 127.0, 15),
+                  lambda w: gml_oracle(1.9, 4.0, w)))
+    for rho, mu, ws, oracle in cases:
         ts = ws ** (1.0 / rho)
         ref = np.array([oracle(w) for w in ts**rho])
         values, ests = _g_quadrature_many(rho, mu, 1.0, ts)
