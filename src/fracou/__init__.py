@@ -26,7 +26,6 @@ from .simulate import (
     TimeGrid,
     brownian_increments,
     empirical_mean_path,
-    empirical_stationary_mean,
     simulate_component_paths,
     simulate_empirical_mean_paths,
     simulate_exact_gaussian,
@@ -64,7 +63,6 @@ __all__ = [
     "check_condition",
     "empirical_kernel",
     "empirical_mean_path",
-    "empirical_stationary_mean",
     "g_rho_quadrature",
     "g_rho_series",
     "mean_kernel",

@@ -30,8 +30,6 @@ from .special_functions import (
     _g_quadrature_many,
     _g_series_many,
     _laguerre_rule,
-    g_rho_quadrature,
-    g_rho_series,
     ml_one,
     ml_one_values,
     ml_two,
@@ -145,17 +143,22 @@ def deriv_bound_constant(rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _times(ts) -> np.ndarray:
+    """Kernel lags as a float array, once all are finite and >= 0."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise DomainError("times must be finite and >= 0")
+    return ts
+
+
 def resolvent(k: ResolventKernel, t: float) -> float:
-    """s_alpha(t) = E_rho(-alpha t^rho); equals 1 identically when alpha = 0."""
-    if not np.isfinite(t) or t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    if k.alpha == 0.0:
-        return 1.0
-    return ml_one(k.rho, k.alpha * t**k.rho).value
+    """s_alpha(t): resolvent_values at one point."""
+    return float(resolvent_values(k, [t])[0])
 
 
 def resolvent_values(k: ResolventKernel, ts: np.ndarray) -> np.ndarray:
-    ts = np.asarray(ts, dtype=float)
+    """s_alpha(t) = E_rho(-alpha t^rho); equals 1 identically when alpha = 0."""
+    ts = _times(ts)
     if k.alpha == 0.0:
         return np.ones_like(ts)
     return ml_one_values(k.rho, k.alpha * ts**k.rho)
@@ -201,32 +204,29 @@ def resolvent_deriv(k: ResolventKernel, t: float) -> float:
 
 
 def empirical_kernel(alphas, rho, t: float) -> float:
-    """f_n(t): arithmetic mean of s_alpha(t) over the given rates."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size == 0:
-        raise DomainError("alphas must be nonempty")
-    if not np.isfinite(t) or t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    rho = float(FractionalOrder(rho))
-    return float(np.mean(ml_one_values(rho, alphas * t**rho)))
+    """f_n(t): empirical_kernel_values at one point."""
+    return float(empirical_kernel_values(alphas, rho, [t])[0])
 
 
 def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
-    """f_n on a whole grid of times; chunked over the (n_alpha x n_t) product."""
+    """f_n, the arithmetic mean of s_alpha over the given rates, on a grid.
+
+    Chunked over lags; all rates of one lag are summed in one row reduce, so
+    a lag's value does not depend on the other lags of the grid.
+    """
     alphas = np.asarray(alphas, dtype=float)
-    ts = np.asarray(ts, dtype=float)
+    ts = _times(ts)
     if alphas.ndim != 1 or alphas.size == 0:
         raise DomainError("alphas must be a nonempty 1-d array")
     rho = float(FractionalOrder(rho))
-    tp = ts**rho
-    out = np.zeros(ts.shape)
-    chunk = max(1, int(4e6) // max(ts.size, 1))
-    for a in range(0, alphas.size, chunk):
-        block = alphas[a : a + chunk]
-        args = block[:, None] * tp[None, :]
-        out += np.add.reduce(ml_one_values(rho, args.ravel()).reshape(args.shape),
-                             axis=0)
-    return out / alphas.size
+    tp = ts.ravel() ** rho
+    out = np.empty(tp.shape)
+    chunk = max(1, int(4e6) // alphas.size)
+    for a in range(0, tp.size, chunk):
+        args = tp[a : a + chunk, None] * alphas[None, :]
+        out[a : a + chunk] = np.add.reduce(
+            ml_one_values(rho, args.ravel()).reshape(args.shape), axis=1)
+    return (out / alphas.size).reshape(ts.shape)
 
 
 _series_range_cache: dict = {}
@@ -252,27 +252,18 @@ def _g_series_range(rho: float, mu: float) -> float:
 
 
 def mean_kernel(mk: MeanKernel, t: float) -> float:
-    """G(t) = mean of s_alpha(t) under the mixing law.
-
-    Routed through the direct series where it certifies (rho > 1, moderate
-    t), otherwise through the mixing-integral quadrature, which covers every
-    rho in (0, 2].
-    """
-    if not np.isfinite(t) or t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    mu, lam = mk.mixing.mu, mk.mixing.lam
-    z = t**mk.rho / lam
-    if mk.rho > 1.0 and z <= _g_series_range(mk.rho, mu):
-        try:
-            return g_rho_series(mk.rho, mu, -z).value
-        except AccuracyError:
-            pass
-    return g_rho_quadrature(mk.rho, mu, lam, t).value
+    """G(t): mean_kernel_values at one point."""
+    return float(mean_kernel_values(mk, [t])[0])
 
 
 def mean_kernel_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
-    """Vectorized mean kernel with the same series/quadrature routing."""
-    ts = np.asarray(ts, dtype=float)
+    """G(t) = mean of s_alpha(t) under the mixing law, on a grid.
+
+    Each point goes through the direct series where it certifies (rho > 1,
+    moderate t), otherwise through the mixing-integral quadrature, which
+    covers every rho in (0, 2].
+    """
+    ts = _times(ts)
     mu, lam = mk.mixing.mu, mk.mixing.lam
     z = ts**mk.rho / lam
     out = np.empty(ts.shape)
@@ -295,23 +286,20 @@ def mean_kernel_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
 
 
 def mean_kernel_deriv(mk: MeanKernel, t: float) -> float:
-    """d/dt G(t) = -t^(rho-1) E[alpha E_{rho,rho}(-alpha t^rho)].
+    """d/dt G(t): mean_kernel_deriv_values at one point."""
+    return float(mean_kernel_deriv_values(mk, [t])[0])
+
+
+def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
+    """d/dt G(t) = -t^(rho-1) E[alpha E_{rho,rho}(-alpha t^rho)] on a grid.
 
     Computed by generalized Gauss-Laguerre against the mixing density with an
     order-doubling error check.  Defined for rho >= 1, where the uniform
     derivative envelope is integrable against the mixing law.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
-    if mk.rho < 1.0:
-        raise DomainError("mean kernel derivative requires rho >= 1")
-    return float(mean_kernel_deriv_values(mk, np.array([t]))[0])
-
-
-def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0.0):
-        raise DomainError("all times must be > 0")
+    if not np.all(np.isfinite(ts) & (ts > 0.0)):
+        raise DomainError("all times must be finite and > 0")
     if mk.rho < 1.0:
         raise DomainError("mean kernel derivative requires rho >= 1")
     mu, lam = mk.mixing.mu, mk.mixing.lam
@@ -321,7 +309,7 @@ def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
         nodes, weights = _laguerre_rule(order, mu)
         args = nodes[None, :] * scale[:, None]
         ev = ml_two_values(mk.rho, args.ravel()).reshape(args.shape)
-        q = (ev * nodes[None, :]) @ weights / lam
+        q = np.add.reduce(ev * nodes * weights, axis=1) / lam  # row by row
         if prev is None:
             prev = q
     if float(np.abs(q - prev).max(initial=0.0)) > 1e-7:

@@ -44,7 +44,6 @@ __all__ = [
     "simulate_exact_gaussian",
     "y_minus_s_at_zero",
     "simulate_stationary_paths",
-    "empirical_stationary_mean",
 ]
 
 # direct convolution below this work estimate, FFT above; fixed rule so the
@@ -409,10 +408,6 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     values = _convolve_rows(kern, dw, method=method)[:, n_hist:]
     meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt)
     return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
-
-
-# the average of stationary component paths sharing one driver
-empirical_stationary_mean = empirical_mean_path
 
 
 # ---------------------------------------------------------------------------

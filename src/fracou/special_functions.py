@@ -9,7 +9,9 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
 
 * small x: compensated power series in double precision.  Certification
   fails once the largest series term makes rounding exceed 1e-10; the
-  crossover is calibrated once per rho and cached.
+  crossover is calibrated once per rho and cached.  The term count is fixed
+  per power-of-two band of x (all x < 1 share one), so a value never depends
+  on the batch it is evaluated in.
 * large x: complete asymptotics = exponentially damped oscillatory branch
   pair (present for 1 < rho < 2) plus the reciprocal-gamma power tail with
   optimal truncation.  The power tail alone is wrong by the size of the
@@ -103,66 +105,96 @@ def pochhammer(mu: float, k: int) -> float:
 # double-precision series core
 # ---------------------------------------------------------------------------
 
+# the first term past the hump below e^_LOG_TERM_FLOOR sets the term count
+_LOG_TERM_FLOOR = -42.0
+_MAX_TERMS = 1 << 17
 
-def _series_kmax(rho: float, beta: float, xmax: float) -> int:
-    """Smallest k past the term hump with log|term| < -42 at xmax."""
-    if xmax <= 0.0:
-        return 4
-    logx = math.log(xmax)
-    k, hump_passed = 1, False
-    prev = -math.lgamma(beta)
-    while k < 100000:
-        cur = k * logx - math.lgamma(rho * k + beta)
-        if cur < prev:
-            hump_passed = True
-        if hump_passed and cur < -42.0:
-            return k + 1
-        prev = cur
-        k += 1
-    raise AccuracyError(f"series does not decay for x={xmax}, rho={rho}")
+_terms_cache: dict = {}
+_cache_lock = threading.Lock()
+
+
+def _band_terms(key, logc, band: int):
+    """(k, log|c_k|, (-1)^k) for the terms shared by every 0 < x < 2^band.
+
+    The terms run through the first one past the hump whose log magnitude at
+    x = 2^band is below the floor, plus one; the last k only feeds the
+    truncation estimate.  Memoized per (key, band), so a value never depends
+    on the other points of its batch.
+    """
+    got = _terms_cache.get((key, band))
+    if got is not None:
+        return got
+    logx = band * math.log(2.0)
+    n = 64
+    while True:
+        cur = np.arange(n) * logx + logc(np.arange(n))
+        down = np.flatnonzero(np.diff(cur) < 0.0)
+        past = np.flatnonzero(cur[down[0] + 1:] < _LOG_TERM_FLOOR) if down.size else down
+        if past.size:
+            break
+        if n >= _MAX_TERMS:
+            raise AccuracyError(f"series {key} does not decay for x up to 2^{band}")
+        n *= 2
+    k = np.arange(int(down[0] + past[0]) + 4)
+    got = (k, logc(k), np.where(k % 2 == 0, 1.0, -1.0))
+    with _cache_lock:
+        return _terms_cache.setdefault((key, band), got)
+
+
+def _alt_series(key, logc, x: np.ndarray):
+    """Alternating series sum_k (-1)^k exp(logc(k)) x^k for a batch of x >= 0.
+
+    Returns (values, ests, terms_used, guard_tripped).  Every point takes the
+    term count of its power-of-two band of x, all x < 1 that of x = 1.
+    Terms are produced in log form per k (no recursion, so no error
+    accumulation across terms) and each point sums its own terms pairwise;
+    the rounding model charges each term eps times the size of its exponent.
+    """
+    x = np.asarray(x, dtype=float)
+    values, ests = np.empty(x.size), np.empty(x.size)
+    terms = np.ones(x.size, dtype=int)
+    guard = np.zeros(x.size, dtype=bool)
+    zero = x == 0.0
+    values[zero] = math.exp(logc(0))
+    ests[zero] = 2.0 * _EPS
+    pos = np.flatnonzero(~zero)
+    if pos.size == 0:
+        return values, ests, terms, guard
+    # x < 1 needs few terms, and each band costs a fixed pass: they share one
+    band = np.maximum(np.frexp(x[pos])[1], 0)
+    order = np.argsort(band, kind="stable")
+    pos, band = pos[order], band[order]
+    logx = np.log(x[pos])
+    val, rnd, peak, trunc = (np.empty(pos.size) for _ in range(4))
+    edges = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), pos.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        k, lc, sign = _band_terms(key, logc, int(band[lo]))
+        terms[pos[lo:hi]] = k.size - 1
+        chunk = max(1, int(4e6) // k.size)  # bounds the (points x terms) intermediates
+        for a in range(lo, hi, chunk):
+            rows = slice(a, min(a + chunk, hi))
+            expo = np.multiply.outer(logx[rows], k)
+            expo += lc
+            mag = np.exp(expo)
+            t = mag[:, :-1] * sign[:-1]
+            val[rows] = np.add.reduce(t, axis=1)
+            partial = np.add.accumulate(t, axis=1)
+            peak[rows] = np.maximum.reduce(np.abs(partial, out=partial), axis=1)
+            weight = np.abs(expo[:, :-1])
+            weight += 4.0
+            weight *= mag[:, :-1]
+            rnd[rows] = np.add.reduce(weight, axis=1)
+            trunc[rows] = mag[:, -1]
+    values[pos] = val
+    ests[pos] = TRUNC_SAFETY * trunc + rnd * _EPS
+    # written so that overflowed (inf or NaN) sums trip the guard too
+    guard[pos] = ~(peak <= CANCEL_GUARD * np.maximum(np.abs(val), 1e-300))
+    return values, ests, terms, guard
 
 
 def _series_many(rho: float, beta: float, x: np.ndarray):
-    """Alternating series sum_k (-x)^k / Gamma(rho k + beta) for a batch.
-
-    Returns (values, ests, terms_used, guard_tripped).  Terms are produced in
-    log form per k (no recursion, so no error accumulation across terms) and
-    summed pairwise; the rounding model charges each term eps times the size
-    of its exponent.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n == 0:
-        return (np.empty(0), np.empty(0), np.empty(0, dtype=int),
-                np.empty(0, dtype=bool))
-    kmax = _series_kmax(rho, beta, float(x.max()))
-    k = np.arange(kmax + 1)
-    lg = sc.gammaln(rho * k + beta)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-
-    values = np.empty(n)
-    ests = np.empty(n)
-    guard = np.zeros(n, dtype=bool)
-    zero = x == 0.0
-    values[zero] = math.exp(-math.lgamma(beta))
-    ests[zero] = 2.0 * _EPS
-    pos = np.nonzero(~zero)[0]
-    # chunk to bound the (n x kmax) intermediate
-    chunk = max(1, int(4e6) // (kmax + 1))
-    for a in range(0, pos.size, chunk):
-        idx = pos[a : a + chunk]
-        logx = np.log(x[idx])
-        expo = k[None, :] * logx[:, None] - lg[None, :]
-        t = sign[None, :] * np.exp(expo)
-        s = np.add.reduce(t, axis=1)
-        partial_peak = np.max(np.abs(np.cumsum(t, axis=1)), axis=1)
-        trunc = TRUNC_SAFETY * np.exp((kmax + 1) * logx - sc.gammaln(rho * (kmax + 1) + beta))
-        rounding = np.add.reduce(np.abs(t) * (np.abs(expo) + 4.0), axis=1) * _EPS
-        values[idx] = s
-        ests[idx] = trunc + rounding
-        guard[idx] = partial_peak > CANCEL_GUARD * np.maximum(np.abs(s), 1e-300)
-    terms = np.full(n, kmax + 1, dtype=int)
-    return values, ests, terms, guard
+    """sum_k (-x)^k / Gamma(rho k + beta) for x >= 0; see _alt_series."""
+    return _alt_series(("E", rho, beta), lambda k: -sc.gammaln(rho * k + beta), x)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +312,6 @@ class _ChebLog:
 
 _threshold_cache: dict = {}
 _interp_cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def _regime_thresholds(rho: float, beta: float):
@@ -423,23 +454,13 @@ def _eval_scalar(rho, beta, x) -> EvalResult:
 
 
 def ml_one(rho, x: float) -> EvalResult:
-    """E_rho(-x) for x >= 0, 0 < rho <= 2."""
-    rho = FractionalOrder(rho)
-    if not np.isfinite(x) or x < 0.0:
-        raise DomainError(f"ml_one requires x >= 0, got {x}")
-    if x == 0.0:
-        return EvalResult(1.0, "series", 1, 0.0)
+    """E_rho(-x) for x >= 0, 0 < rho <= 2: ml_one_values at one point."""
     return _eval_scalar(rho, 1.0, x)
 
 
 def ml_two(rho, x: float) -> EvalResult:
-    """E_{rho,rho}(-x) for x >= 0, 0 < rho <= 2."""
-    rho = FractionalOrder(rho)
-    if not np.isfinite(x) or x < 0.0:
-        raise DomainError(f"ml_two requires x >= 0, got {x}")
-    if x == 0.0:
-        return EvalResult(1.0 / math.gamma(rho), "series", 1, 0.0)
-    return _eval_scalar(rho, float(rho), x)
+    """E_{rho,rho}(-x) for x >= 0, 0 < rho <= 2: ml_two_values at one point."""
+    return _eval_scalar(rho, float(FractionalOrder(rho)), x)
 
 
 def ml_one_deriv(rho, x: float) -> float:
@@ -473,52 +494,11 @@ def ml_asymptotic(rho: float, x: float, m: int) -> float:
 
 
 def _g_series_many(rho: float, mu: float, z: np.ndarray):
-    """G_rho(z) batch for z <= 0, rho > 1; returns (values, ests, terms, guard)."""
-    z = np.asarray(z, dtype=float)
-    a = np.abs(z)
-    amax = float(a.max()) if a.size else 0.0
-    # locate the term count at the largest |z|
-    logamax = math.log(amax) if amax > 0 else 0.0
-    kmax, hump, prev = 1, False, math.lgamma(mu) - math.lgamma(mu)
-    while amax > 0.0 and kmax < 200000:
-        cur = (math.lgamma(mu + kmax) - math.lgamma(mu)
-               - math.lgamma(rho * kmax + 1.0) + kmax * logamax)
-        if cur < prev:
-            hump = True
-        if hump and cur < -42.0:
-            break
-        prev = cur
-        kmax += 1
-    if kmax >= 200000:
-        raise AccuracyError(
-            f"series for |z| up to {amax:g} needs too many terms; "
-            "use the quadrature path")
-    k = np.arange(kmax + 2)
-    lg = sc.gammaln(mu + k) - math.lgamma(mu) - sc.gammaln(rho * k + 1.0)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-
-    n = z.size
-    values, ests = np.empty(n), np.empty(n)
-    guard = np.zeros(n, dtype=bool)
-    zero = a == 0.0
-    values[zero] = 1.0
-    ests[zero] = 2.0 * _EPS
-    pos = np.nonzero(~zero)[0]
-    chunk = max(1, int(4e6) // (kmax + 2))
-    for i in range(0, pos.size, chunk):
-        idx = pos[i : i + chunk]
-        la = np.log(a[idx])
-        expo = k[None, :] * la[:, None] + lg[None, :]
-        t = sign[None, :] * np.exp(expo)
-        s = np.add.reduce(t[:, :-1], axis=1)
-        peak = np.max(np.abs(np.cumsum(t[:, :-1], axis=1)), axis=1)
-        trunc = TRUNC_SAFETY * np.abs(t[:, -1])
-        rounding = np.add.reduce(np.abs(t[:, :-1]) * (np.abs(expo[:, :-1]) + 4.0),
-                                 axis=1) * _EPS
-        values[idx] = s
-        ests[idx] = trunc + rounding
-        guard[idx] = peak > CANCEL_GUARD * np.maximum(np.abs(s), 1e-300)
-    return values, ests, np.full(n, kmax + 1, dtype=int), guard
+    """G_rho(z) batch for z <= 0, rho > 1; see _alt_series."""
+    return _alt_series(
+        ("G", rho, mu),
+        lambda k: sc.gammaln(mu + k) - sc.gammaln(mu) - sc.gammaln(rho * k + 1.0),
+        np.abs(np.asarray(z, dtype=float)))
 
 
 def g_rho_series(rho: float, mu: float, z: float) -> EvalResult:
@@ -534,8 +514,6 @@ def g_rho_series(rho: float, mu: float, z: float) -> EvalResult:
         raise DomainError(f"mu must be positive, got {mu}")
     if z > 0.0 or not np.isfinite(z):
         raise DomainError(f"series path requires z <= 0, got {z}")
-    if z == 0.0:
-        return EvalResult(1.0, "series", 1, 0.0)
     values, ests, terms, guard = _g_series_many(rho, mu, np.array([z]))
     if guard[0]:
         raise AccuracyError(
@@ -691,7 +669,7 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray):
             nodes, weights = _laguerre_rule(n, mu)
             args = nodes[None, :] * s[:, None]
             ev = ml_one_values(rho, args.ravel()).reshape(args.shape)
-            q = ev @ weights
+            q = np.add.reduce(ev * weights, axis=1)  # row by row: batch-free bits
             if ref is None:
                 ref = q
         values[small] = q
@@ -717,8 +695,6 @@ def g_rho_quadrature(rho, mu: float, lam: float, t: float) -> EvalResult:
         raise DomainError(f"mixing parameters must be positive, got mu={mu}, lam={lam}")
     if not np.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return EvalResult(1.0, "quadrature", 0, 0.0)
     values, ests = _g_quadrature_many(rho, mu, lam, np.array([t]))
     if float(ests[0]) > 1e-7:
         raise AccuracyError(

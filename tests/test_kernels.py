@@ -95,7 +95,7 @@ def test_mean_kernel_routes_and_closed_form():
     ts = np.geomspace(1e-3, 300.0, 60)
     vec = mean_kernel_values(MK19, ts)
     scal = np.array([mean_kernel(MK19, float(t)) for t in ts])
-    assert np.max(np.abs(vec - scal)) < 1e-9
+    assert np.array_equal(vec, scal)
 
 
 def test_mean_kernel_deriv_closed_form_and_fd():
@@ -202,7 +202,7 @@ def test_empirical_kernel_values_matches_scalar():
     ts = np.linspace(0.0, 3.0, 7)
     vec = empirical_kernel_values(alphas, 1.9, ts)
     scal = np.array([empirical_kernel(alphas, 1.9, float(t)) for t in ts])
-    assert np.max(np.abs(vec - scal)) < 1e-13
+    assert np.array_equal(vec, scal)
 
 
 def test_uniform_lln_kernel_gap():

@@ -289,7 +289,7 @@ def test_empirical_stationary_mean_converges():
         for rep in range(reps):
             ens = sim.simulate_stationary_paths(alphas[:n], g, 77, 1e-2,
                                                 rho=1.9, rep=rep)
-            eta_n = sim.empirical_stationary_mean(ens)
+            eta_n = sim.empirical_mean_path(ens)
             eta = sim.simulate_stationary_paths(MK19, g, 77, 1e-2, n_paths=1,
                                                 rep=rep)
             acc += float(np.mean((eta_n - eta.values[0]) ** 2))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
+from fracou import kernels as kn
 from fracou import special_functions as sf
 from fracou.errors import AccuracyError, DomainError
 from fracou.kernels import MeanKernel, mean_kernel, mean_kernel_values
@@ -15,6 +16,7 @@ from fracou.special_functions import (
     FractionalOrder,
     _asym_many,
     _g_quadrature_many,
+    _g_series_many,
     _regime_thresholds,
     _series_many,
     g_rho_quadrature,
@@ -24,6 +26,7 @@ from fracou.special_functions import (
     ml_one_deriv,
     ml_one_values,
     ml_two,
+    ml_two_values,
     pochhammer,
 )
 
@@ -201,6 +204,13 @@ def test_g_rho_series_basics():
         g_rho_series(1.9, 4.0, -500.0)  # cancellation guard
 
 
+def test_g_rho_series_raises_where_terms_overflow():
+    # the largest terms at |z| = 3000 overflow double precision; the value
+    # comes out NaN, which must trip the guard rather than be returned
+    with np.errstate(all="ignore"), pytest.raises(AccuracyError):
+        g_rho_series(1.9, 4.0, -3000.0)
+
+
 def test_g_rho_series_vs_quadrature():
     gs = g_rho_series(1.9, 4.0, -3.0)
     t = 3.0 ** (1.0 / 1.9)
@@ -238,14 +248,11 @@ def test_mixing_values_do_not_depend_on_call_history(monkeypatch):
     assert 2000.0**rho >= 1e6
     mean_kernel_values(mk, np.linspace(0.0, 2000.0, 2001))
     assert mean_kernel_values(mk, lags).tobytes() == before.tobytes()
-    # one point at a time or inside a batch: the same bits past scale 8
+    # one point at a time or inside a batch: the same bits
     batch, _ = _g_quadrature_many(rho, mu, 1.0, lags)
-    for t, v in zip(lags, batch):
-        if t**rho > 8.0:
-            assert g_rho_quadrature(rho, mu, 1.0, t).value == v
-    # below it the series term count follows the batch's largest argument
-    for t, v in zip(lags[:40], before[:40]):
-        assert mean_kernel(mk, t) == pytest.approx(v, abs=1e-9)
+    one = [g_rho_quadrature(rho, mu, 1.0, t).value for t in lags]
+    assert np.array(one).tobytes() == batch.tobytes()
+    assert np.array([mean_kernel(mk, t) for t in lags]).tobytes() == before.tobytes()
 
 
 def test_mixing_estimates_hold_against_oracles(gml_oracle):
@@ -265,6 +272,53 @@ def test_mixing_estimates_hold_against_oracles(gml_oracle):
         for t, r in zip(ts, ref):
             one = g_rho_quadrature(rho, mu, 1.0, t)
             assert abs(one.value - r) <= one.est_abs_error, (rho, mu, t)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@given(st.sampled_from((1.0, 1.2, 1.5, 1.9, 2.0)),
+       st.lists(st.floats(min_value=-6.0, max_value=3.0), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_one_point_calls_return_their_batch_bits(rho, logs):
+    # x = 0 and t = 0 lead every batch; 10^3 reaches past the gap
+    # interpolant into the asymptotic regime for every rho
+    xs = np.concatenate([[0.0], 10.0 ** np.array(logs)])
+    # the series regime ends below x = 100 for every rho here; far past it
+    # the series terms overflow
+    near = xs[xs <= 100.0]
+    batches = [(_series_many, rho, 1.0, near), (_series_many, rho, rho, near)]
+    if rho > 1.0:
+        zs = -xs[xs <= kn._g_series_range(rho, 4.0)]
+        batches.append((_g_series_many, rho, 4.0, zs))
+    for fn, r, p, pts in batches:
+        whole = fn(r, p, pts)
+        for i, x in enumerate(pts):
+            one = fn(r, p, np.array([x]))
+            assert all(_same_bits(f[i], g[0]) for f, g in zip(whole, one)), (fn, x)
+    for scalar, values in ((ml_one, ml_one_values), (ml_two, ml_two_values)):
+        batch = values(rho, xs)
+        assert _same_bits([scalar(rho, x).value for x in xs], batch)
+
+    # lam = 10 keeps the mixing scale t^rho / lam below 100, where the
+    # derivative quadrature stabilizes; it still crosses scale 8
+    ts = xs ** (1.0 / rho)
+    mk = MeanKernel(rho, GammaMixing(4.0, 10.0))
+    rk = kn.ResolventKernel(0.7, rho)
+    alphas = np.array([0.3, 1.0, 2.5, 7.0])
+    pairs = [
+        (lambda t: kn.resolvent(rk, t), kn.resolvent_values(rk, ts), ts),
+        (lambda t: kn.empirical_kernel(alphas, rho, t),
+         kn.empirical_kernel_values(alphas, rho, ts), ts),
+        (lambda t: mean_kernel(mk, t), mean_kernel_values(mk, ts), ts),
+        (lambda t: kn.mean_kernel_deriv(mk, t),
+         kn.mean_kernel_deriv_values(mk, ts[1:]), ts[1:]),
+        (lambda t: g_rho_quadrature(rho, 4.0, 10.0, t).value,
+         _g_quadrature_many(rho, 4.0, 10.0, ts)[0], ts),
+    ]
+    for scalar, batch, points in pairs:
+        assert _same_bits([scalar(t) for t in points], batch)
 
 
 def test_g_rho_quadrature_domain():
