@@ -312,8 +312,12 @@ def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
         q = np.add.reduce(ev * nodes * weights, axis=1) / lam  # row by row
         if prev is None:
             prev = q
-    if float(np.abs(q - prev).max(initial=0.0)) > 1e-7:
-        raise AccuracyError("derivative quadrature did not stabilize")
+    gap = float(np.abs(q - prev).max(initial=0.0))
+    if gap > 1e-7:
+        raise AccuracyError(
+            f"derivative quadrature did not stabilize: order-doubling gap "
+            f"{gap:.2e} with t^rho/lam up to {float(scale.max()):.6g}",
+            est_abs_error=gap)
     return -(ts ** (mk.rho - 1.0)) * q
 
 

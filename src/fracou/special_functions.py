@@ -19,7 +19,12 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   and dominates far beyond the first few hundred x when rho is near 2.
 * in between: neither path certifies 1e-10 in double precision.  A per-rho
   Chebyshev interpolant in log x, built from an adaptive-precision reference
-  summation, bridges the band with ~1e-12 certified error.
+  summation, bridges the band with ~1e-12 certified error.  Each build
+  shares one sweep of the series coefficients among all its nodes.
+
+The Gamma-mixing integral past scale 8 is read from memoized Chebyshev
+panels in log scale; each panel fit evaluates every distinct E_rho argument
+of all its scales once.
 """
 
 from __future__ import annotations
@@ -236,28 +241,42 @@ def _asym_envelope(rho: float, beta: float, m_cap: int = 50) -> np.ndarray:
     return np.exp(sc.gammaln(k * rho - beta + 1.0)) / math.pi
 
 
+# rows per pass of _asym_many: keeps its (rows x 50) temporaries in cache
+_ASYM_BLOCK = 2048
+
+
 def _asym_many(rho: float, beta: float, x: np.ndarray):
-    """Optimally truncated power tail plus oscillatory branch term."""
+    """Optimally truncated power tail plus oscillatory branch term.
+
+    Rows are worked through in blocks of _ASYM_BLOCK with per-row
+    operations only, so a value does not depend on its block.
+    """
     x = np.asarray(x, dtype=float)
     coeff = _asym_coeffs(rho, beta)
     env = _asym_envelope(rho, beta)
     m_cap = coeff.size
     k = np.arange(1, m_cap + 1)
-    with np.errstate(divide="ignore"):
-        logx = np.log(x)
-    t = coeff[None, :] * np.exp(-k[None, :] * logx[:, None])
-    env_t = env[None, :] * np.exp(-k[None, :] * logx[:, None])
-    # envelope magnitudes are log-convex in k: truncate at their argmin
-    stop = np.argmin(env_t, axis=1)  # first excluded column
-    keep = np.arange(m_cap)[None, :] < stop[:, None]
-    vals = np.add.reduce(np.where(keep, t, 0.0), axis=1)
-    env_omitted = env_t[np.arange(x.size), stop]
-    osc, osc_round = _osc_many(rho, beta, x)
-    vals = vals + osc
-    ests = (4.0 * env_omitted
+    vals, ests = np.empty(x.size), np.empty(x.size)
+    stop = np.empty(x.size, dtype=int)
+    for a in range(0, x.size, _ASYM_BLOCK):
+        rows = slice(a, a + _ASYM_BLOCK)
+        xb = x[rows]
+        with np.errstate(divide="ignore"):
+            logx = np.log(xb)
+        t = coeff[None, :] * np.exp(-k[None, :] * logx[:, None])
+        env_t = env[None, :] * np.exp(-k[None, :] * logx[:, None])
+        # envelope magnitudes are log-convex in k: truncate at their argmin
+        cut = np.argmin(env_t, axis=1)  # first excluded column
+        keep = np.arange(m_cap)[None, :] < cut[:, None]
+        env_omitted = env_t[np.arange(xb.size), cut]
+        osc, osc_round = _osc_many(rho, beta, xb)
+        vals[rows] = np.add.reduce(np.where(keep, t, 0.0), axis=1) + osc
+        ests[rows] = (
+            4.0 * env_omitted
             + np.add.reduce(np.where(keep, np.abs(t), 0.0), axis=1) * 16.0 * _EPS
             + osc_round)
-    return vals, ests, stop.astype(int)
+        stop[rows] = cut
+    return vals, ests, stop
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +284,37 @@ def _asym_many(rho: float, beta: float, x: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _hp_value(rho: float, beta: float, x: float) -> float:
-    """Reference summation with working precision scaled to the term hump."""
-    X = x ** (1.0 / rho)
-    dps = 30 + int(0.45 * X)
-    with mp.workdps(dps):
-        z = -mp.mpf(x)
+def _hp_values(rho: float, beta: float, xs: np.ndarray) -> np.ndarray:
+    """Reference summations of sum_k (-x)^k / Gamma(rho k + beta) at each x.
+
+    An x with term hump X = x^(1/rho) needs 30 + 0.45 X digits.  The
+    coefficients 1/Gamma(rho k + beta) are shared by every x, so they are
+    computed once, at the precision of the largest x; each x then sums with
+    a running power and stops by its own rule (k > X and a term below
+    10^-(digits - 4) of the partial sum).
+    """
+    humps = [float(x) ** (1.0 / rho) for x in xs]
+    out = np.empty(len(humps))
+    with mp.workdps(30 + int(0.45 * max(humps))):
         r, b = mp.mpf(rho), mp.mpf(beta)
-        s = mp.mpf(0)
-        tiny = mp.mpf(10) ** (-dps + 4)
-        kk = 0
-        while True:
-            t = mp.power(z, kk) / mp.gamma(r * kk + b) if kk else 1 / mp.gamma(b)
-            s += t
-            if kk > X and abs(t) < tiny * max(1, abs(s)):
-                break
-            kk += 1
-            if kk > 200000:
-                raise AccuracyError("reference series did not converge")
-        return float(s)
+        coef = []
+        for i, (x, X) in enumerate(zip(xs, humps)):
+            z = -mp.mpf(float(x))
+            tiny = mp.mpf(10) ** (-(30 + int(0.45 * X)) + 4)
+            s, power, kk = mp.mpf(0), mp.mpf(1), 0
+            while True:
+                if kk == len(coef):
+                    coef.append(1 / mp.gamma(r * kk + b))
+                t = power * coef[kk]
+                s += t
+                if kk > X and abs(t) < tiny * max(1, abs(s)):
+                    break
+                kk += 1
+                if kk > 200000:
+                    raise AccuracyError("reference series did not converge")
+                power *= z
+            out[i] = float(s)
+    return out
 
 
 class _ChebLog:
@@ -349,14 +380,11 @@ def _gap_interpolant(rho: float, beta: float) -> _ChebLog:
             f"no certified large-x regime found for rho={rho}, beta={beta}")
     lo, hi = math.log(x_series * 0.995), math.log(x_asym * 1.005)
 
-    def reference(xs):
-        return np.array([_hp_value(rho, beta, v) for v in xs])
-
     n = 65
     while True:
-        interp = _ChebLog(reference, lo, hi, n)
+        interp = _ChebLog(lambda xs: _hp_values(rho, beta, xs), lo, hi, n)
         xc = interp.points(np.cos(np.pi * (np.arange(2 * n) + 0.5) / (2 * n)))
-        err = float(np.max(np.abs(interp(xc) - reference(xc))))
+        err = float(np.max(np.abs(interp(xc) - _hp_values(rho, beta, xc))))
         if err <= 3e-12 or n >= 513:
             interp.est = 10.0 * err + 1e-13
             break
@@ -543,14 +571,16 @@ def _panel_nodes(edges: np.ndarray):
     return nodes, weights
 
 
-def _mixing_integral_scalar(rho: float, mu: float, scale: float,
-                            refine: int = 1) -> float:
-    """integral over z of z^(mu-1) e^-z E_rho(-z*scale) / Gamma(mu), scale > 8.
+def _mixing_pieces(rho: float, mu: float, scale: float, refine: int):
+    """Quadrature plan of the mixing integral at one scale > 8.
 
-    The Gauss-Laguerre rule breaks down here: for 1 < rho < 2 the integrand
-    oscillates with phase sin(pi/rho) (z scale)^(1/rho), far too fast for any
-    practical fixed order, and for mu < 1 the dominant mass sits in a
-    boundary layer z ~ 1/scale below the smallest node.  Instead:
+    Returns (strip value, strip and tail estimate, [(z_nodes, z_weights)]):
+    the integrand's E_rho(-z scale) factor is left to the caller, who
+    evaluates it for many scales at once.  The Gauss-Laguerre rule breaks
+    down here: for 1 < rho < 2 the integrand oscillates with phase
+    sin(pi/rho) (z scale)^(1/rho), far too fast for any practical fixed
+    order, and for mu < 1 the dominant mass sits in a boundary layer
+    z ~ 1/scale below the smallest node.  Instead:
 
     * an analytic two-term strip over z in [0, eps/scale];
     * for rho > 1, panels in s = (z scale)^(1/rho), where the phase is
@@ -566,12 +596,7 @@ def _mixing_integral_scalar(rho: float, mu: float, scale: float,
     total = (z0**mu / mu - (scale / math.gamma(rho + 1.0) + 1.0)
              * z0 ** (mu + 1.0) / (mu + 1.0)) / gm
     est = (z0**mu) * 2e-8 / gm
-
-    def add_piece(z_nodes, z_weights):
-        vals = ml_one_values(rho, z_nodes * scale)
-        return float(np.sum(z_weights * z_nodes ** (mu - 1.0)
-                            * np.exp(-z_nodes) * vals)) / gm
-
+    pieces = []
     z_b = z0
     if rho > 1.0:
         aa = math.cos(math.pi / rho)
@@ -591,15 +616,40 @@ def _mixing_integral_scalar(rho: float, mu: float, scale: float,
             s_nodes, s_weights = _panel_nodes(s_edges)
             z_nodes = s_nodes**rho / scale
             z_weights = s_weights * rho * s_nodes ** (rho - 1.0) / scale
-            total += add_piece(z_nodes, z_weights)
+            pieces.append((z_nodes, z_weights))
             z_b = s_top**rho / scale
     if z_b < z_cut:
         n_log = max(24, int(6.0 * math.log(z_cut / z_b))) * refine
         edges = np.geomspace(z_b, z_cut, n_log + 1)
-        total += add_piece(*_panel_nodes(edges))
+        pieces.append(_panel_nodes(edges))
     # truncated far tail, |E| bounded by a small constant
     est += 1.3 * float(sc.gammaincc(mu, z_cut))
-    return total, est
+    return total, est, pieces
+
+
+def _mixing_integrals(rho: float, mu: float, ws, refine: int) -> np.ndarray:
+    """(value, est) rows of the integral over z of z^(mu-1) e^-z E_rho(-z w)
+    / Gamma(mu) at each scale w > 8.
+
+    The E_rho arguments of all scales are evaluated in one call, each
+    distinct one once; values do not depend on their batch, so every row has
+    the bits of its scale integrated alone.
+    """
+    plans = [(float(w), *_mixing_pieces(rho, mu, float(w), refine)) for w in ws]
+    args = [z * w for w, _, _, pieces in plans for z, _ in pieces]
+    uniq, inverse = np.unique(np.concatenate(args), return_inverse=True)
+    vals = ml_one_values(rho, uniq)[inverse]
+    gm = math.gamma(mu)
+    out = np.empty((len(plans), 2))
+    at = 0
+    for i, (_, total, est, pieces) in enumerate(plans):
+        for z_nodes, z_weights in pieces:
+            piece = vals[at:at + z_nodes.size]
+            at += z_nodes.size
+            total += float(np.sum(z_weights * z_nodes ** (mu - 1.0)
+                                  * np.exp(-z_nodes) * piece)) / gm
+        out[i] = total, est
+    return out
 
 
 # Panel k of the mixing integral covers scale in [8 * 16^k, 8 * 16^(k+1)).
@@ -627,20 +677,17 @@ def _mixing_panel(rho: float, mu: float, k: int) -> _ChebLog:
     lo = math.log(_PANEL_BASE) + k * math.log(_PANEL_RATIO)
     hi = lo + math.log(_PANEL_RATIO)
 
-    def quadrature(ws, refine):
-        return np.array([_mixing_integral_scalar(rho, mu, float(w), refine)
-                         for w in ws])
-
     n = 17
     while True:
-        panel = _ChebLog(lambda ws: quadrature(ws, 2)[:, 0], lo, hi, n)
+        panel = _ChebLog(lambda ws: _mixing_integrals(rho, mu, ws, 2)[:, 0],
+                         lo, hi, n)
         wc = panel.points(np.cos(np.pi * np.arange(1, n) / n))  # staggered
-        fine = quadrature(wc, 2)
+        fine = _mixing_integrals(rho, mu, wc, 2)
         err = float(np.max(np.abs(panel(wc) - fine[:, 0])))
         if err <= _PANEL_TOL or n >= _PANEL_MAX_NODES:
             break
         n = 2 * n - 1
-    coarse = quadrature(wc, 1)[:, 0]
+    coarse = _mixing_integrals(rho, mu, wc, 1)[:, 0]
     node_err = float(np.max(3.0 * np.abs(fine[:, 0] - coarse) + fine[:, 1]))
     panel.est = 10.0 * err + node_err + 1e-12
     with _cache_lock:

@@ -118,15 +118,16 @@ def test_invalid_parameters_exit_two(tmp_path):
                          "--out", str(tmp_path / "p.csv")]) == 2
 
 
-def test_unknown_flag_exits_two_with_stderr():
-    r = run_cli(["eval", "ml", "--rho", "1", "--xmax", "5", "--frobnicate"])
+def test_unknown_flag_exits_two_with_stderr(cli_env):
+    r = run_cli(["eval", "ml", "--rho", "1", "--xmax", "5", "--frobnicate"],
+                env=cli_env("1"))
     assert r.returncode == 2
     assert r.stderr.strip()
 
 
 @pytest.mark.parametrize("sub", ["eval", "mixing", "simulate", "diagnose"])
-def test_help_exits_zero(sub):
-    r = run_cli([sub, "--help"])
+def test_help_exits_zero(sub, cli_env):
+    r = run_cli([sub, "--help"], env=cli_env("1"))
     assert r.returncode == 0
     assert r.stdout.strip()
 

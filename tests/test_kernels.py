@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fracou.errors import DomainError
+from fracou.errors import AccuracyError, DomainError
 from fracou.kernels import (
     MeanKernel,
     ResolventKernel,
@@ -16,6 +16,7 @@ from fracou.kernels import (
     empirical_kernel_values,
     mean_kernel,
     mean_kernel_deriv,
+    mean_kernel_deriv_values,
     mean_kernel_values,
     resolvent,
     resolvent_deriv,
@@ -118,6 +119,17 @@ def test_mean_kernel_deriv_closed_form_and_fd():
     assert np.max(np.abs(dvals)) <= limit
     with pytest.raises(DomainError):
         mean_kernel_deriv(MeanKernel(0.9, GammaMixing(4.0, 1.0)), 1.0)
+
+
+def test_mean_kernel_deriv_failure_reports_gap_and_scale():
+    # past scale ~100 at rho = 1.9 the Laguerre rule cannot follow the
+    # oscillating integrand; the error says how far off and where
+    ts = np.linspace(0.0, 30.0, 301)[1:]
+    with pytest.raises(AccuracyError) as info:
+        mean_kernel_deriv_values(MK19, ts)
+    assert info.value.est_abs_error > 1e-7
+    assert f"{30.0**1.9:.6g}" in str(info.value)
+    assert f"{info.value.est_abs_error:.2e}" in str(info.value)
 
 
 def test_variance_integral():

@@ -278,6 +278,56 @@ def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
+def _cheb_nodes(n: int) -> np.ndarray:
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
+def test_bulk_reference_matches_oracle(ml_oracle):
+    # every 13th of the gap interpolant's fit and check nodes
+    for rho, beta in ((1.5, 1.0), (1.9, 1.9)):
+        interp = sf._gap_interpolant(rho, beta)
+        n = interp.coef.size
+        xs = interp.points(np.concatenate([_cheb_nodes(n), _cheb_nodes(2 * n)]))[::13]
+        want = [ml_oracle(rho, float(x), beta) for x in xs]
+        assert np.array_equal(sf._hp_values(rho, beta, xs), want), (rho, beta)
+
+
+def test_gap_build_computes_each_coefficient_once_per_sweep(monkeypatch):
+    cached = sf._gap_interpolant(1.9, 1.0)
+    calls = []
+    gamma = mp.gamma
+    monkeypatch.setattr(mp, "gamma", lambda *a: calls.append(a) or gamma(*a))
+    monkeypatch.setattr(sf, "_interp_cache", {})
+    rebuilt = sf._gap_interpolant(1.9, 1.0)
+    # one gamma call per term and sweep, not per term and node (over 10^4)
+    assert 0 < len(calls) < 500
+    assert _same_bits(rebuilt.coef, cached.coef) and rebuilt.est == cached.est
+
+
+def test_mixing_integrals_do_not_depend_on_their_batch():
+    rho, mu = 1.9, 4.0
+    panel = sf._mixing_panel(rho, mu, 2)
+    n = panel.coef.size
+    ws = panel.points(np.concatenate([_cheb_nodes(n),
+                                      np.cos(np.pi * np.arange(1, n) / n)]))
+    assert ws.size == 33
+    for refine in (1, 2):
+        whole = sf._mixing_integrals(rho, mu, ws, refine)
+        alone = [sf._mixing_integrals(rho, mu, [w], refine)[0] for w in ws]
+        assert _same_bits(whole, alone), refine
+
+
+def test_asym_many_does_not_depend_on_its_block():
+    for rho, beta in ((1.9, 1.0), (1.5, 1.5)):
+        x_asym = _regime_thresholds(rho, beta)[1]
+        x = np.random.default_rng(5).uniform(x_asym, 1e5, 5000)
+        assert x.size > 2 * sf._ASYM_BLOCK
+        whole = _asym_many(rho, beta, x)
+        for i in (0, 2047, 2048, 4999):
+            one = _asym_many(rho, beta, x[i:i + 1])
+            assert all(_same_bits(f[i], g[0]) for f, g in zip(whole, one)), (rho, i)
+
+
 @given(st.sampled_from((1.0, 1.2, 1.5, 1.9, 2.0)),
        st.lists(st.floats(min_value=-6.0, max_value=3.0), min_size=1, max_size=8))
 @settings(max_examples=40, deadline=None)
