@@ -112,8 +112,6 @@ def test_mean_kernel_deriv_closed_form_and_fd():
     from fracou.mixing import moment_frac
 
     ts = np.linspace(1e-3, 5.0, 200)
-    from fracou.kernels import mean_kernel_deriv_values
-
     dvals = mean_kernel_deriv_values(MK19, ts)
     limit = deriv_bound_constant(1.9) * moment_frac(MK19.mixing, 1.0 / 1.9)
     assert np.max(np.abs(dvals)) <= limit
