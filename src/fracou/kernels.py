@@ -208,6 +208,12 @@ def empirical_kernel(alphas, rho, t: float) -> float:
     return float(empirical_kernel_values(alphas, rho, [t])[0])
 
 
+# cells (rates x lags) per ml_one_values call of a kernel table; it bounds
+# the evaluator's per-point arrays.  Each cell is evaluated on its own and
+# each lag reduced in one row, so the chunk size changes no bit.
+_TABLE_CELLS = 1 << 18
+
+
 def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
     """f_n, the arithmetic mean of s_alpha over the given rates, on a grid.
 
@@ -221,7 +227,7 @@ def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
     rho = float(FractionalOrder(rho))
     tp = ts.ravel() ** rho
     out = np.empty(tp.shape)
-    chunk = max(1, int(4e6) // alphas.size)
+    chunk = max(1, _TABLE_CELLS // alphas.size)
     for a in range(0, tp.size, chunk):
         args = tp[a : a + chunk, None] * alphas[None, :]
         out[a : a + chunk] = np.add.reduce(

@@ -23,6 +23,7 @@ from scipy import fft as sp_fft, integrate
 from . import _rng
 from .errors import AccuracyError, DomainError, TruncationError
 from .kernels import (
+    _TABLE_CELLS,
     MeanKernel,
     bound_m,
     empirical_kernel_values,
@@ -192,7 +193,7 @@ def _resolvent_lag_rows(alphas: np.ndarray, rho: float,
     """Matrix s_alpha(lag) for every (alpha, lag) pair, chunked."""
     out = np.empty((alphas.size, lags.size))
     lp = lags**rho
-    chunk = max(1, int(4e6) // max(lags.size, 1))
+    chunk = max(1, _TABLE_CELLS // max(lags.size, 1))
     for a in range(0, alphas.size, chunk):
         block = alphas[a : a + chunk]
         args = block[:, None] * lp[None, :]

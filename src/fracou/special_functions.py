@@ -7,11 +7,12 @@ estimate and raises AccuracyError rather than returning an uncertified value.
 
 Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
 
-* small x: compensated power series in double precision.  Certification
-  fails once the largest series term makes rounding exceed 1e-10; the
-  crossover is calibrated once per rho and cached.  The term count is fixed
-  per power-of-two band of x (all x < 1 share one), so a value never depends
-  on the batch it is evaluated in.
+* small x: Horner sum in x/2^band with a running rounding bound, in double
+  precision.  Certification fails once the bound exceeds 1e-10 or the
+  Horner partial sums reach 1e6 times the value; the crossover is
+  calibrated once per rho and cached.  The term count and the scaled
+  coefficients are fixed per power-of-two band of x (all x < 1 share one),
+  so a value never depends on the batch it is evaluated in.
 * large x: complete asymptotics = exponentially damped oscillatory branch
   pair (present for 1 < rho < 2) plus the reciprocal-gamma power tail with
   optimal truncation.  The power tail alone is wrong by the size of the
@@ -79,9 +80,10 @@ class FractionalOrder(float):
 class EvalResult:
     """Value plus provenance: which path produced it and how accurate it is.
 
-    est_abs_error is an a-posteriori bound: truncation (first neglected term
-    times a safety factor) plus a rounding allowance proportional to the
-    summed term magnitudes.
+    est_abs_error is an a-posteriori bound.  On the series path it is the
+    first neglected term times a safety factor plus the running rounding
+    bound of the Horner sum, coefficient rounding included; the other paths
+    add their own truncation and rounding allowances.
     """
 
     value: float
@@ -113,18 +115,45 @@ def pochhammer(mu: float, k: int) -> float:
 # the first term past the hump below e^_LOG_TERM_FLOOR sets the term count
 _LOG_TERM_FLOOR = -42.0
 _MAX_TERMS = 1 << 17
+# points per pass of the Horner loop; a band with fewer than _SCALAR_POINTS
+# points of a batch runs it in Python floats, one point at a time
+_SERIES_BLOCK = 16384
+_SCALAR_POINTS = 32
 
+# a private 30-digit context: no caller's working precision reaches the
+# series coefficients
+_mpc = mp.MPContext()
+_mpc.dps = 30
+
+_coef_cache: dict = {}
 _terms_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _band_terms(key, logc, band: int):
-    """(k, log|c_k|, (-1)^k) for the terms shared by every 0 < x < 2^band.
+def _exact_coeffs(key, coef, n: int) -> tuple:
+    """c_0 .. c_{n-1} of series key to 30 digits.
 
-    The terms run through the first one past the hump whose log magnitude at
-    x = 2^band is below the floor, plus one; the last k only feeds the
-    truncation estimate.  Memoized per (key, band), so a value never depends
-    on the other points of its batch.
+    coef(n) computes the first n; the longest list computed so far is kept
+    per key, and a longer request computes at least twice as many.
+    """
+    got = _coef_cache.get(key, ())
+    if len(got) < n:
+        got = tuple(coef(max(n, 2 * len(got))))
+        with _cache_lock:
+            if len(_coef_cache.get(key, ())) < len(got):
+                _coef_cache[key] = got
+    return got[:n]
+
+
+def _band_terms(key, logc, coef, band: int) -> tuple:
+    """a_k = (-1)^k c_k 2^(band k), the term sizes at x = 2^band, for the
+    terms shared by every 0 < x < 2^band.
+
+    The terms run through the first one past the hump whose log magnitude
+    log|c_k| + k band log 2 is below the floor, plus one; the last a_k only
+    feeds the truncation estimate.  Each a_k is rounded once to double from
+    its 30-digit value (an overflow gives inf).  Memoized per (key, band),
+    so a value never depends on the other points of its batch.
     """
     got = _terms_cache.get((key, band))
     if got is not None:
@@ -140,66 +169,97 @@ def _band_terms(key, logc, band: int):
         if n >= _MAX_TERMS:
             raise AccuracyError(f"series {key} does not decay for x up to 2^{band}")
         n *= 2
-    k = np.arange(int(down[0] + past[0]) + 4)
-    got = (k, logc(k), np.where(k % 2 == 0, 1.0, -1.0))
+    exact = _exact_coeffs(key, coef, int(down[0] + past[0]) + 4)
+    got = tuple(float(_mpc.ldexp(-c if k % 2 else c, band * k))
+                for k, c in enumerate(exact))
     with _cache_lock:
         return _terms_cache.setdefault((key, band), got)
 
 
-def _alt_series(key, logc, x: np.ndarray):
-    """Alternating series sum_k (-1)^k exp(logc(k)) x^k for a batch of x >= 0.
+def _alt_series(key, logc, coef, x: np.ndarray):
+    """Alternating series sum_k (-1)^k c_k x^k for a batch of x >= 0.
 
+    logc(k) gives log c_k in double precision and sets the term count;
+    coef(n) gives c_0 .. c_{n-1} as 30-digit mpmath numbers.
     Returns (values, ests, terms_used, guard_tripped).  Every point takes the
-    term count of its power-of-two band of x, all x < 1 that of x = 1.
-    Terms are produced in log form per k (no recursion, so no error
-    accumulation across terms) and each point sums its own terms pairwise;
-    the rounding model charges each term eps times the size of its exponent.
+    term count K of its power-of-two band of x, all x < 1 that of x = 1, and
+    is summed by Horner's rule in u = x / 2^band, which is exact, over the
+    band's scaled coefficients a_k.  The estimate is
+
+        TRUNC_SAFETY |a_K| u^K + eps (2 mu - |s|) + eps mu,
+
+    with mu = sum_k |s_k| u^k over the Horner partial values s_k (starting
+    from |a_(K-1)|).  The second term is twice the running rounding bound of
+    Horner's rule (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Alg. 5.1), which covers its second-order terms; the third
+    covers the coefficients' own rounding, eps/2 sum_k |a_k| u^k, since
+    |a_k| <= (1 + eps)(|s_k| + u |s_(k+1)|).  Each band's points are worked
+    through in blocks of _SERIES_BLOCK with elementwise operations only.
     """
     x = np.asarray(x, dtype=float)
-    values, ests = np.empty(x.size), np.empty(x.size)
-    terms = np.ones(x.size, dtype=int)
-    guard = np.zeros(x.size, dtype=bool)
-    zero = x == 0.0
-    values[zero] = math.exp(logc(0))
-    ests[zero] = 2.0 * _EPS
-    pos = np.flatnonzero(~zero)
-    if pos.size == 0:
-        return values, ests, terms, guard
-    # x < 1 needs few terms, and each band costs a fixed pass: they share one
-    band = np.maximum(np.frexp(x[pos])[1], 0)
-    order = np.argsort(band, kind="stable")
-    pos, band = pos[order], band[order]
-    logx = np.log(x[pos])
-    val, rnd, peak, trunc = (np.empty(pos.size) for _ in range(4))
-    edges = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), pos.size]
+    u, values, mu, top = (np.empty(x.size) for _ in range(4))
+    terms = np.empty(x.size, dtype=int)
+    # points are summed in band order, each band over one slice; x < 1
+    # needs few terms, and each band costs a fixed pass: they share one
+    band = np.maximum(np.frexp(x)[1], 0).astype(np.int16)
+    order = np.argsort(band, kind="stable")  # a radix sort for int16
+    x, band = x[order], band[order]
+    edges = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), x.size]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        k, lc, sign = _band_terms(key, logc, int(band[lo]))
-        terms[pos[lo:hi]] = k.size - 1
-        chunk = max(1, int(4e6) // k.size)  # bounds the (points x terms) intermediates
-        for a in range(lo, hi, chunk):
-            rows = slice(a, min(a + chunk, hi))
-            expo = np.multiply.outer(logx[rows], k)
-            expo += lc
-            mag = np.exp(expo)
-            t = mag[:, :-1] * sign[:-1]
-            val[rows] = np.add.reduce(t, axis=1)
-            partial = np.add.accumulate(t, axis=1)
-            peak[rows] = np.maximum.reduce(np.abs(partial, out=partial), axis=1)
-            weight = np.abs(expo[:, :-1])
-            weight += 4.0
-            weight *= mag[:, :-1]
-            rnd[rows] = np.add.reduce(weight, axis=1)
-            trunc[rows] = mag[:, -1]
-    values[pos] = val
-    ests[pos] = TRUNC_SAFETY * trunc + rnd * _EPS
+        b = int(band[lo])
+        a = _band_terms(key, logc, coef, b)
+        K = len(a) - 1
+        np.ldexp(x[lo:hi], -b, out=u[lo:hi])
+        terms[lo:hi], top[lo:hi] = K, a[K]
+        if hi - lo < _SCALAR_POINTS:
+            for i, ui in enumerate(u[lo:hi].tolist(), lo):
+                values[i], mu[i] = _horner(a, ui)
+            continue
+        for start in range(lo, hi, _SERIES_BLOCK):
+            rows = slice(start, min(start + _SERIES_BLOCK, hi))
+            ub, s, m = u[rows], values[rows], mu[rows]
+            s[:] = a[K - 1]
+            np.abs(s, out=m)
+            size = np.empty(s.size)
+            for c in a[K - 2::-1]:
+                s *= ub
+                s += c
+                m *= ub
+                m += np.abs(s, out=size)
+    ests = TRUNC_SAFETY * np.abs(top) * u**terms + _EPS * (3.0 * mu - np.abs(values))
+    terms[x == 0.0] = 1
     # written so that overflowed (inf or NaN) sums trip the guard too
-    guard[pos] = ~(peak <= CANCEL_GUARD * np.maximum(np.abs(val), 1e-300))
-    return values, ests, terms, guard
+    guard = ~((mu <= CANCEL_GUARD * np.abs(values)) & np.isfinite(mu))
+    out = values, ests, terms, guard
+    for v in out:
+        v[order] = v.copy()
+    return out
+
+
+def _horner(a: tuple, u: float):
+    """(s, mu) of _alt_series's Horner loop at one point, in Python floats.
+
+    The same IEEE double operations in the same order, so the same bits,
+    without numpy's fixed cost per call on a few points.
+    """
+    s = a[-2]
+    m = abs(s)
+    for c in a[-3::-1]:
+        s = s * u + c
+        m = m * u + abs(s)
+    return s, m
 
 
 def _series_many(rho: float, beta: float, x: np.ndarray):
     """sum_k (-x)^k / Gamma(rho k + beta) for x >= 0; see _alt_series."""
-    return _alt_series(("E", rho, beta), lambda k: -sc.gammaln(rho * k + beta), x)
+    return _alt_series(("E", rho, beta), lambda k: -sc.gammaln(rho * k + beta),
+                       lambda n: _e_coeffs(rho, beta, n), x)
+
+
+def _e_coeffs(rho: float, beta: float, n: int) -> list:
+    """1 / Gamma(rho k + beta) for k < n, to 30 digits."""
+    r = _mpc.mpf(rho)
+    return [_mpc.rgamma(r * k + beta) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +323,9 @@ def _asym_many(rho: float, beta: float, x: np.ndarray):
         xb = x[rows]
         with np.errstate(divide="ignore"):
             logx = np.log(xb)
-        t = coeff[None, :] * np.exp(-k[None, :] * logx[:, None])
-        env_t = env[None, :] * np.exp(-k[None, :] * logx[:, None])
+        power = np.exp(-k[None, :] * logx[:, None])
+        t = coeff[None, :] * power
+        env_t = env[None, :] * power
         # envelope magnitudes are log-convex in k: truncate at their argmin
         cut = np.argmin(env_t, axis=1)  # first excluded column
         keep = np.arange(m_cap)[None, :] < cut[:, None]
@@ -521,12 +582,22 @@ def ml_asymptotic(rho: float, x: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _g_coeffs(rho: float, mu: float, n: int) -> list:
+    """(mu)_k / Gamma(rho k + 1) for k < n, to 30 digits."""
+    r, m = _mpc.mpf(rho), _mpc.mpf(mu)
+    out, poch = [], _mpc.mpf(1)
+    for k in range(n):
+        out.append(poch * _mpc.rgamma(r * k + 1))
+        poch *= m + k
+    return out
+
+
 def _g_series_many(rho: float, mu: float, z: np.ndarray):
     """G_rho(z) batch for z <= 0, rho > 1; see _alt_series."""
     return _alt_series(
         ("G", rho, mu),
         lambda k: sc.gammaln(mu + k) - sc.gammaln(mu) - sc.gammaln(rho * k + 1.0),
-        np.abs(np.asarray(z, dtype=float)))
+        lambda n: _g_coeffs(rho, mu, n), np.abs(np.asarray(z, dtype=float)))
 
 
 def g_rho_series(rho: float, mu: float, z: float) -> EvalResult:

@@ -148,6 +148,22 @@ def test_single_path_mean_identity():
     assert np.array_equal(sim.empirical_mean_path(ens), ens.values[0])
 
 
+def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
+    from fracou import kernels as kn
+
+    alphas = sample_alphas(MIX, 40, seed=2)
+    lags = np.linspace(0.0, 30.0, 301)  # series, gap and asymptotic regimes
+    assert alphas.size * lags.size <= kn._TABLE_CELLS
+    whole = (kn.empirical_kernel_values(alphas, 1.9, lags),
+             sim._resolvent_lag_rows(alphas, 1.9, lags))
+    monkeypatch.setattr(kn, "_TABLE_CELLS", 7 * alphas.size + 3)
+    monkeypatch.setattr(sim, "_TABLE_CELLS", 5 * lags.size + 1)
+    chunked = (kn.empirical_kernel_values(alphas, 1.9, lags),
+               sim._resolvent_lag_rows(alphas, 1.9, lags))
+    for a, b in zip(whole, chunked):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_fft_matches_direct():
     g = sim.TimeGrid(0.0, 2.0, 700)
     alphas = [0.5, 1.0, 4.0]

@@ -209,6 +209,35 @@ def test_g_rho_series_raises_where_terms_overflow():
     # comes out NaN, which must trip the guard rather than be returned
     with np.errstate(all="ignore"), pytest.raises(AccuracyError):
         g_rho_series(1.9, 4.0, -3000.0)
+    # at x = 1e6 the scaled coefficients c_k 2^(20 k) themselves overflow
+    with np.errstate(all="ignore"):
+        values, ests, _, guard = _series_many(1.9, 1.0, np.array([1e6]))
+    assert guard[0]
+    assert not (np.isfinite(values[0]) and ests[0] <= sf.ACCURACY_FLOOR)
+
+
+def _band_probe_points(top: float) -> np.ndarray:
+    """Both sides of every band edge 2^b up to top, and geometric interior
+    points from 1e-3 to top."""
+    edges = 2.0 ** np.arange(0, math.floor(math.log2(top)) + 1)
+    return np.concatenate([edges, np.nextafter(edges, 0.0),
+                           np.geomspace(1e-3, top, 24)])
+
+
+def test_series_estimates_hold_at_band_edges(ml_oracle, gml_oracle):
+    for rho in (1.1, 1.2, 1.5, 1.9):
+        for beta in (1.0, rho):
+            xs = _band_probe_points(_regime_thresholds(rho, beta)[0])
+            values, ests, _, _ = _series_many(rho, beta, xs)
+            ref = np.array([ml_oracle(rho, float(x), beta) for x in xs])
+            assert np.all(np.abs(values - ref) <= ests), (rho, beta)
+            assert ests.max() <= 1e-10, (rho, beta)
+    for rho, mu in ((1.9, 0.4), (1.9, 4.0), (1.5, 4.0)):
+        zs = _band_probe_points(kn._g_series_range(rho, mu))
+        values, ests, _, _ = _g_series_many(rho, mu, -zs)
+        ref = np.array([gml_oracle(rho, mu, float(z)) for z in zs])
+        assert np.all(np.abs(values - ref) <= ests), (rho, mu)
+        assert ests.max() <= 1e-9, (rho, mu)
 
 
 def test_g_rho_series_vs_quadrature():
@@ -326,6 +355,22 @@ def test_asym_many_does_not_depend_on_its_block():
         for i in (0, 2047, 2048, 4999):
             one = _asym_many(rho, beta, x[i:i + 1])
             assert all(_same_bits(f[i], g[0]) for f, g in zip(whole, one)), (rho, i)
+
+
+def test_series_loops_agree_bit_for_bit(monkeypatch):
+    # about 100 points per band run the blocked numpy loop, a lone point the
+    # Python-float one; 64-point blocks split every band
+    x = 2.0 ** np.random.default_rng(4).uniform(-2.0, 6.5, 850)
+    batches = [(_series_many, 1.9, 1.0, x), (_series_many, 1.5, 1.5, x[x < 23.0]),
+               (_g_series_many, 1.9, 4.0, -x[x < 14.0])]
+    for fn, r, p, pts in batches:
+        whole = fn(r, p, pts)
+        monkeypatch.setattr(sf, "_SERIES_BLOCK", 64)
+        assert all(_same_bits(f, g) for f, g in zip(whole, fn(r, p, pts))), fn
+        monkeypatch.undo()
+        for i in range(0, pts.size, 37):
+            one = fn(r, p, pts[i:i + 1])
+            assert all(_same_bits(f[i], g[0]) for f, g in zip(whole, one)), (fn, i)
 
 
 @given(st.sampled_from((1.0, 1.2, 1.5, 1.9, 2.0)),
