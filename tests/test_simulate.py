@@ -9,6 +9,7 @@ import pytest
 from scipy import signal, stats
 
 from fracou import _rng
+from fracou import kernels as kn
 from fracou import simulate as sim
 from fracou.errors import DomainError, TruncationError
 from fracou.kernels import (
@@ -149,8 +150,6 @@ def test_single_path_mean_identity():
 
 
 def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
-    from fracou import kernels as kn
-
     alphas = sample_alphas(MIX, 40, seed=2)
     lags = np.linspace(0.0, 30.0, 301)  # series, gap and asymptotic regimes
     assert alphas.size * lags.size <= kn._TABLE_CELLS
