@@ -31,6 +31,7 @@ from .simulate import (
     simulate_exact_gaussian,
     simulate_limit_path,
     simulate_limit_paths,
+    simulate_stationary_mean_paths,
     simulate_stationary_paths,
     y_minus_s_at_zero,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "simulate_exact_gaussian",
     "simulate_limit_path",
     "simulate_limit_paths",
+    "simulate_stationary_mean_paths",
     "simulate_stationary_paths",
     "stationary_variance",
     "tail_variance_bound",

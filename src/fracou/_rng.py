@@ -17,6 +17,9 @@ import numpy as np
 # Draws are produced in fixed-size blocks keyed by (seed, tags, block index),
 # so any chunked/parallel producer reassembles bit-identical output.
 BLOCK = 4096
+# normal_rows fills calls of fewer normals in the calling thread, where a
+# pool's start-up would cost about as much as the whole fill
+POOL_NORMALS = 1 << 12
 
 
 def _key(seed: int, tags: tuple) -> np.ndarray:
@@ -59,12 +62,12 @@ def uniforms(seed: int, tags: tuple, start: int, count: int) -> np.ndarray:
 
 
 def worker_count() -> int:
-    """Worker threads for row-parallel fills, from FRACOU_THREADS (default 1),
-    clamped to [1, os.cpu_count()].
+    """Worker threads for row-parallel fills and FFTs, from FRACOU_THREADS
+    (default 1), clamped to [1, os.cpu_count()].
 
     Affects runtime only: every row is derived from its own (seed, tags, row)
-    stream and written to its own slice, so output bits never depend on the
-    schedule.
+    stream and written to its own slice, and every FFT row is transformed
+    alone with one plan, so output bits never depend on the schedule.
     """
     import os
 
@@ -80,7 +83,9 @@ def normal_rows(seed: int, tags: tuple, n_rows: int, n_cols: int,
     """Matrix of standard normals with one independent stream per row.
 
     Row r of the result equals row 0 of a call with row_offset=r, so row-wise
-    chunking or threading cannot change any value.
+    chunking or threading cannot change any value.  Rows are split over the
+    worker threads once the call fills POOL_NORMALS normals, so a few long
+    rows are threaded as well as many short ones.
     """
     out = np.empty((n_rows, n_cols))
 
@@ -89,8 +94,8 @@ def normal_rows(seed: int, tags: tuple, n_rows: int, n_cols: int,
             out[r] = stream(seed, *tags, "row",
                             row_offset + r).standard_normal(n_cols)
 
-    workers = worker_count()
-    if workers == 1 or n_rows < 64:
+    workers = min(worker_count(), n_rows)
+    if workers == 1 or n_rows * n_cols < POOL_NORMALS:
         fill(0, n_rows)
     else:
         from concurrent.futures import ThreadPoolExecutor

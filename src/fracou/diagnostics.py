@@ -130,11 +130,9 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
         done = n
         diff_kernels[n] = running / n - gk
 
-    chunk = max(1, int(2e7) // max(grid.n_steps, 1))
-    for r0 in range(0, n_mc, chunk):
-        r1 = min(r0 + chunk, n_mc)
-        dw = simulate._increment_matrix(seed, "w", r1 - r0, grid.n_steps,
-                                        grid.dt, rep0=r0)
+    for r0, r1, _, z in simulate._driver_blocks(seed, ("w",), n_mc, 0,
+                                                grid.n_steps):
+        dw = z * math.sqrt(grid.dt)
         for n in n_list:
             paths = simulate._convolve_rows(diff_kernels[n][None, :], dw)
             sup_sq[n][r0:r1] = np.max(np.abs(paths), axis=1) ** 2

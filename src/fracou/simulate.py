@@ -45,11 +45,15 @@ __all__ = [
     "simulate_exact_gaussian",
     "y_minus_s_at_zero",
     "simulate_stationary_paths",
+    "simulate_stationary_mean_paths",
 ]
 
 # direct convolution below this work estimate, FFT above; fixed rule so the
 # choice never depends on the environment
 _FFT_CUTOVER = 1 << 15
+# driver cells (replications x cells) and gathered kernel weights (cells x
+# times) that a marginal sampler holds at once
+_DRIVER_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -151,30 +155,55 @@ def _two_sided_increments(seed: int, n_reps: int, n_hist: int, n_steps: int,
     every overlapping cell; this is what couples processes across truncation
     choices.
     """
-    back = _rng.normal_rows(seed, ("w2s-b",), n_reps, n_hist,
-                            row_offset=rep0)[:, ::-1]
-    fwd = _rng.normal_rows(seed, ("w2s-f",), n_reps, n_steps, row_offset=rep0)
-    return np.concatenate([back, fwd], axis=1) * math.sqrt(dt)
+    # filled and scaled in place: each block of draws is freed once copied
+    dw = np.empty((n_reps, n_hist + n_steps))
+    dw[:, :n_hist] = _rng.normal_rows(seed, ("w2s-b",), n_reps, n_hist,
+                                      row_offset=rep0)[:, ::-1]
+    dw[:, n_hist:] = _rng.normal_rows(seed, ("w2s-f",), n_reps, n_steps,
+                                      row_offset=rep0)
+    dw *= math.sqrt(dt)
+    return dw
+
+
+def _driver_blocks(seed: int, tags: tuple, n_reps: int, n_hist: int,
+                   n_steps: int, rep0: int = 0):
+    """Blocks (r0, r1, back, fwd) of at most _DRIVER_CELLS normals of driver
+    replications rep0 + r0 .. rep0 + r1 - 1: back is the "w2s-b" history,
+    fwd the cells 0 .. n_steps-1 of the stream tags, None where empty."""
+    step = max(1, _DRIVER_CELLS // max(n_hist + n_steps, 1))
+    for r0 in range(0, n_reps, step):
+        r1 = min(r0 + step, n_reps)
+        back, fwd = (_rng.normal_rows(seed, t, r1 - r0, n,
+                                      row_offset=rep0 + r0) if n else None
+                     for t, n in ((("w2s-b",), n_hist), (tags, n_steps)))
+        yield r0, r1, back, fwd
 
 
 def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
-                   method: str = "auto") -> np.ndarray:
-    """Row-wise causal convolutions sum_m kernels[., m+1] dw[., j-m].
+                   method: str = "auto", start: int = 0) -> np.ndarray:
+    """Row-wise causal convolutions sum_m kernels[., m+1] dw[., j-m], kept
+    from path index start (0 <= start <= N) on.
 
     kernels has shape (K, L) with lag-0 entry unused; dw has shape (R, N);
-    either K == R, K == 1 or R == 1.  Returns paths of shape
-    (max(K, R), N+1) with a zero first column.
+    either K == R, K == 1 or R == 1.  Returns the path columns start..N,
+    shape (max(K, R), N+1-start); path column 0 is zero.  The FFT is
+    circular over just enough points that no kept output wraps
+    (overlap-save), so a late start shortens it.
     """
     kern = np.atleast_2d(np.asarray(kernels, dtype=float))[:, 1:]
     dw = np.atleast_2d(np.asarray(dw, dtype=float))
     n = dw.shape[1]
     rows = max(kern.shape[0], dw.shape[0])
+    lo = max(start, 1) - 1  # first kept index of the linear convolution
     if method == "auto":
         method = "fft" if kern.shape[1] * n >= _FFT_CUTOVER else "direct"
     if method == "fft":
-        size = sp_fft.next_fast_len(kern.shape[1] + n - 1, real=True)
-        full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1)
-                            * sp_fft.rfft(dw, size, axis=1), size, axis=1)
+        size = sp_fft.next_fast_len(max(kern.shape[1] + n - 1 - lo, n),
+                                    real=True)
+        workers = _rng.worker_count()
+        full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1, workers=workers)
+                            * sp_fft.rfft(dw, size, axis=1, workers=workers),
+                            size, axis=1, workers=workers)
     elif method == "direct":
         full = np.empty((rows, kern.shape[1] + n - 1))
         for r in range(rows):
@@ -183,8 +212,8 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
             full[r] = np.convolve(a, b)
     else:
         raise DomainError(f"unknown convolution method {method!r}")
-    out = np.zeros((rows, n + 1))
-    out[:, 1:] = full[:, :n]
+    out = np.zeros((rows, n + 1 - start))
+    out[:, int(start == 0):] = full[:, lo:n]
     return out
 
 
@@ -345,22 +374,26 @@ def y_minus_s_at_zero(mk: MeanKernel, s: float, n_paths: int, seed: int,
 
 
 def _certified_history(mk_or_pairs, grid: TimeGrid, tol: float) -> float:
-    """Shortest truncation depth whose certified tail variance is below tol."""
-    T = max(8.0 * grid.dt, 8.0)
-    while True:
+    """Shortest truncation depth, to T/64, whose certified tail variance is
+    below tol: doubling from max(8 dt, 8) brackets it in (T/2, T], then
+    bisection runs over the multiples of T/64."""
+    def tail(T):
         if isinstance(mk_or_pairs, MeanKernel):
-            tail = tail_variance_bound(mk_or_pairs, T)
-        else:
-            rho, alphas = mk_or_pairs
-            m = bound_m(rho)
-            a_min = float(np.min(alphas))
-            tail = (m * m / (a_min * a_min)) * T ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
-        if tail < tol:
-            return T
-        T *= 2.0
+            return tail_variance_bound(mk_or_pairs, T)
+        rho, alphas = mk_or_pairs
+        m, a_min = bound_m(rho), float(np.min(alphas))
+        return (m * m / (a_min * a_min)) * T ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
+
+    T, lo, hi = max(8.0 * grid.dt, 8.0), 64, 64  # in units of T/64
+    while not tail(T) < tol:
+        T, lo = 2.0 * T, 32
         if T > 1e7:
             raise TruncationError(
                 f"history truncation cannot certify tol={tol} below T=1e7")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid * T / 64) < tol else (mid, hi)
+    return hi * T / 64
 
 
 def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
@@ -373,6 +406,27 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     a single shared driver; requires rho).  History is truncated where the
     corresponding tail bound drops below tol.
     """
+    return _stationary(kernel, grid, seed, tol, rho, n_paths, rep, method,
+                       False)
+
+
+def simulate_stationary_mean_paths(alphas, rho: float, grid: TimeGrid,
+                                   seed: int, tol: float, n_paths: int = 1,
+                                   rep: int = 0) -> PathEnsemble:
+    """Stationary empirical means of replications rep .. rep+n_paths-1.
+
+    Path r is the mean of the component paths that
+    simulate_stationary_paths(alphas, ..., rep=rep + r) draws on the same
+    history; by bilinearity it is one f_n row convolved with each driver.
+    """
+    return _stationary(np.asarray(alphas, dtype=float), grid, seed, tol, rho,
+                       n_paths, rep, "auto", True)
+
+
+def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
+                n_paths: int, rep: int, method: str, mean: bool):
+    """Kernel rows over lags 0 .. (n_hist + n_steps) dt against two-sided
+    drivers, only the grid window convolved out."""
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     dt = grid.dt
@@ -385,7 +439,7 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
         t_hist = _certified_history(kernel, grid, tol)
         n_hist = int(math.ceil(t_hist / dt))
         lags = np.arange(n_hist + grid.n_steps + 1) * dt
-        kern, n_reps = mean_kernel_values(kernel, lags)[None, :], n_paths
+        kern = mean_kernel_values(kernel, lags)[None, :]
         labels = [{"process": "eta", "rep": rep + r} for r in range(n_paths)]
         meta = {"process": "eta", "mu": kernel.mixing.mu,
                 "lam": kernel.mixing.lam,
@@ -400,13 +454,18 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
         t_hist = _certified_history((rho, alphas), grid, tol)
         n_hist = int(math.ceil(t_hist / dt))
         lags = np.arange(n_hist + grid.n_steps + 1) * dt
-        kern, n_reps = _resolvent_lag_rows(alphas, rho, lags), 1
-        labels = [{"process": "xi", "alpha": float(a), "rep": rep}
-                  for a in alphas]
-        meta = {"process": "xi"}
-    dw = _two_sided_increments(seed, n_reps, n_hist, grid.n_steps, dt,
+        if mean:
+            kern = empirical_kernel_values(alphas, rho, lags)[None, :]
+            labels = [{"process": "xi_mean", "rep": rep + r}
+                      for r in range(n_paths)]
+        else:
+            kern, n_paths = _resolvent_lag_rows(alphas, rho, lags), 1
+            labels = [{"process": "xi", "alpha": float(a), "rep": rep}
+                      for a in alphas]
+        meta = {"process": "xi_mean" if mean else "xi"}
+    dw = _two_sided_increments(seed, n_paths, n_hist, grid.n_steps, dt,
                                rep0=rep)
-    values = _convolve_rows(kern, dw, method=method)[:, n_hist:]
+    values = _convolve_rows(kern, dw, method=method, start=n_hist)
     meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt)
     return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
 
@@ -416,42 +475,56 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
 # ---------------------------------------------------------------------------
 
 
+def _lag_weights(kern: np.ndarray, j: np.ndarray, n_hist: int,
+                 n_steps: int):
+    """Kernel weights of the output times j over the history cells (row k
+    is cell -1 - k, lag j + k + 1) and the forward cells (row i, lag j - i,
+    zero unless i < j)."""
+    lag = j[None, :] - np.arange(n_steps)[:, None]
+    return (kern[j[None, :] + np.arange(1, n_hist + 1)[:, None]],
+            np.where(lag > 0, kern[np.maximum(lag, 0)], 0.0))
+
+
+def _sampled_convolution(kernel_lags: np.ndarray, t_indices, n_hist: int,
+                         n_paths: int, seed: int, dt: float, tags: tuple,
+                         rep0: int) -> np.ndarray:
+    """sum over cells p in [-n_hist, j) of kernel_lags[j - p] dW_p at the
+    grid indices j of t_indices, one row per driver replication rep0 ..
+
+    Each block of _driver_blocks meets the kernel weights of the requested
+    times in one GEMM, back @ W_back + fwd @ W_fwd; only the result is
+    scaled by sqrt(dt).  A weight block holds at most _DRIVER_CELLS cells.
+    """
+    kern = np.asarray(kernel_lags, dtype=float)
+    t_indices = np.asarray(t_indices, dtype=int)
+    n_steps = int(t_indices.max())
+    cols = max(1, _DRIVER_CELLS // max(n_hist + n_steps, 1))
+    out = np.empty((n_paths, t_indices.size))
+    for r0, r1, back, fwd in _driver_blocks(seed, tags, n_paths, n_hist,
+                                            n_steps, rep0):
+        for c0 in range(0, t_indices.size, cols):
+            w = _lag_weights(kern, t_indices[c0 : c0 + cols], n_hist, n_steps)
+            out[r0:r1, c0 : c0 + cols] = sum(
+                z @ wz for z, wz in zip((back, fwd), w) if z is not None)
+    return out * math.sqrt(dt)
+
+
 def marginal_samples(kernel_lags: np.ndarray, t_indices, n_paths: int,
                      seed: int, dt: float, kind: str = "w",
                      rep0: int = 0) -> np.ndarray:
     """Samples of the convolution process at selected grid indices.
 
     Returns shape (n_paths, len(t_indices)); row r uses driver replication
-    rep0 + r.  Chunked over replications to bound memory.
+    rep0 + r of the namespace kind, as simulate_limit_paths does.
     """
-    t_indices = np.asarray(t_indices, dtype=int)
-    n_steps = int(t_indices.max())
-    out = np.empty((n_paths, t_indices.size))
-    # reversed-kernel dot per requested time
-    weights = [kernel_lags[1 : j + 1][::-1] if j > 0 else np.empty(0)
-               for j in t_indices]
-    chunk = max(1, int(2e7) // max(n_steps, 1))
-    for r0 in range(0, n_paths, chunk):
-        r1 = min(r0 + chunk, n_paths)
-        dw = _increment_matrix(seed, kind, r1 - r0, n_steps, dt, rep0=rep0 + r0)
-        for col, (j, w) in enumerate(zip(t_indices, weights)):
-            out[r0:r1, col] = dw[:, :j] @ w if j > 0 else 0.0
-    return out
+    return _sampled_convolution(kernel_lags, t_indices, 0, n_paths, seed, dt,
+                                (kind,), rep0)
 
 
 def stationary_marginal_samples(kernel_lags: np.ndarray, t_indices,
                                 n_hist: int, n_paths: int, seed: int,
                                 dt: float, rep0: int = 0) -> np.ndarray:
-    """Marginals of a two-sided convolution with n_hist history steps."""
-    t_indices = np.asarray(t_indices, dtype=int)
-    n_steps = n_hist + int(t_indices.max())
-    out = np.empty((n_paths, t_indices.size))
-    weights = [kernel_lags[1 : n_hist + j + 1][::-1] for j in t_indices]
-    chunk = max(1, int(2e7) // max(n_steps, 1))
-    for r0 in range(0, n_paths, chunk):
-        r1 = min(r0 + chunk, n_paths)
-        dw = _two_sided_increments(seed, r1 - r0, n_hist,
-                                   int(t_indices.max()), dt, rep0=rep0 + r0)
-        for col, (j, w) in enumerate(zip(t_indices, weights)):
-            out[r0:r1, col] = dw[:, : n_hist + j] @ w
-    return out
+    """Marginals of a two-sided convolution with n_hist history steps, on
+    the drivers simulate_stationary_paths uses."""
+    return _sampled_convolution(kernel_lags, t_indices, n_hist, n_paths, seed,
+                                dt, ("w2s-f",), rep0)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import signal, stats
+from scipy import fft as sp_fft, signal, stats
 
 from fracou import _rng
 from fracou import kernels as kn
@@ -298,18 +298,28 @@ def test_empirical_stationary_mean_converges():
     g = sim.TimeGrid(0.0, 1.0, 50)
     alphas = sample_alphas(MIX, 100, 8)
     gaps = {}
+    reps = 40
+    eta = sim.simulate_stationary_paths(MK19, g, 77, 1e-2, n_paths=reps)
     for n in (10, 100):
-        acc = 0.0
-        reps = 40
-        for rep in range(reps):
-            ens = sim.simulate_stationary_paths(alphas[:n], g, 77, 1e-2,
-                                                rho=1.9, rep=rep)
-            eta_n = sim.empirical_mean_path(ens)
-            eta = sim.simulate_stationary_paths(MK19, g, 77, 1e-2, n_paths=1,
-                                                rep=rep)
-            acc += float(np.mean((eta_n - eta.values[0]) ** 2))
-        gaps[n] = acc / reps
+        eta_n = sim.simulate_stationary_mean_paths(alphas[:n], 1.9, g, 77,
+                                                   1e-2, n_paths=reps)
+        gaps[n] = float(np.mean(np.mean((eta_n.values - eta.values) ** 2,
+                                        axis=1)))
     assert gaps[100] < gaps[10]
+
+
+def test_stationary_mean_paths_are_means_of_component_paths():
+    g = sim.TimeGrid(0.0, 0.5, 25)
+    alphas = sample_alphas(MIX, 7, 3)
+    batch = sim.simulate_stationary_mean_paths(alphas, 1.9, g, 11, 1e-2,
+                                               n_paths=3, rep=2)
+    assert batch.labels == [{"process": "xi_mean", "rep": r} for r in (2, 3, 4)]
+    for r in range(3):
+        ens = sim.simulate_stationary_paths(alphas, g, 11, 1e-2, rho=1.9,
+                                            rep=2 + r)
+        assert ens.meta["t_trunc"] == batch.meta["t_trunc"]
+        assert np.max(np.abs(batch.values[r] - sim.empirical_mean_path(ens))) \
+            < 1e-12 * np.max(np.abs(ens.values))
 
 
 def test_truncation_error_raised():
@@ -368,3 +378,109 @@ def test_stationary_mean_gap_matches_kernel_gap_integral():
     mc = float(samples[:, 0].var(ddof=1))
     det = float(np.trapezoid((fn - gk) ** 2, lags))
     assert abs(mc - det) < 3.0 * var_se(det, n_mc) + 1e-3
+
+
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_windowed_convolution_matches_np_convolve(method):
+    rng = np.random.default_rng(4)
+    for _ in range(12):
+        n = int(rng.integers(1, 300))
+        n_kern, n_dw = [(1, int(rng.integers(1, 5))), (3, 3),
+                        (int(rng.integers(1, 5)), 1)][int(rng.integers(3))]
+        kern = rng.standard_normal((n_kern, int(rng.integers(2, 2 * n + 3))))
+        dw = rng.standard_normal((n_dw, n))
+        start = int(rng.integers(0, n + 1))
+        got = sim._convolve_rows(kern, dw, method=method, start=start)
+        assert got.shape == (max(n_kern, n_dw), n + 1 - start)
+        for r in range(got.shape[0]):
+            full = np.concatenate([[0.0], np.convolve(
+                kern[min(r, n_kern - 1), 1:], dw[min(r, n_dw - 1)])[:n]])
+            scale = np.max(np.abs(full)) + 1.0
+            assert np.max(np.abs(got[r] - full[start:])) < 1e-12 * scale
+
+
+def test_unwindowed_fft_keeps_the_full_length_transform():
+    # start=0 transforms at the full linear-convolution length, as paths
+    # started at t = 0 always have
+    rng = np.random.default_rng(5)
+    kern, dw = rng.standard_normal((1, 401)), rng.standard_normal((3, 400))
+    size = sp_fft.next_fast_len(400 + 400 - 1, real=True)
+    ref = sp_fft.irfft(sp_fft.rfft(kern[:, 1:], size, axis=1)
+                       * sp_fft.rfft(dw, size, axis=1), size, axis=1)
+    got = sim._convolve_rows(kern, dw, method="fft")
+    assert np.all(got[:, 0] == 0.0)
+    assert got[:, 1:].tobytes() == ref[:, :400].tobytes()
+
+
+def test_engine_bits_do_not_depend_on_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(6)
+    kern, dw = rng.standard_normal((1, 5001)), rng.standard_normal((7, 5000))
+    runs = []
+    for n in ("1", "2"):
+        monkeypatch.setenv("FRACOU_THREADS", n)
+        runs.append((_rng.normal_rows(3, ("w",), 10, 2**18).tobytes(),
+                     sim._convolve_rows(kern, dw, start=1200).tobytes(),
+                     sim._convolve_rows(kern, dw).tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_marginal_samples_read_the_simulated_paths():
+    g = sim.TimeGrid(0.0, 1.0, 100)
+    idx = [0, 1, 37, 100]
+    ens = sim.simulate_stationary_paths(MK19, g, 12, 1e-2, n_paths=6, rep=3)
+    n_hist = int(round(ens.meta["t_trunc"] / g.dt))
+    kern = mean_kernel_values(MK19, np.arange(n_hist + 101) * g.dt)
+    eta = sim.stationary_marginal_samples(kern, idx, n_hist, 6, 12, g.dt,
+                                          rep0=3)
+    assert np.max(np.abs(eta - ens.values[:, idx])) < 1e-12
+    lim = sim.simulate_limit_paths(MK19, g, 12, n_paths=6, rep0=3)
+    y = sim.marginal_samples(mean_kernel_values(MK19, g.times()), idx, 6, 12,
+                             g.dt, rep0=3)
+    assert np.max(np.abs(y - lim.values[:, idx])) < 1e-12
+
+
+def test_many_index_marginals_stay_inside_the_cell_bound(monkeypatch):
+    kern = mean_kernel_values(MK19, np.arange(301) * 0.01)
+    idx = np.arange(0, 101, 3)  # 34 times
+    whole = sim.stationary_marginal_samples(kern, idx, 200, 25, 8, 0.01)
+    blocks = []
+    lag_weights = sim._lag_weights
+
+    def counted(kern, j, n_hist, n_steps):
+        w = lag_weights(kern, j, n_hist, n_steps)
+        blocks.append(w[0].size + w[1].size)
+        return w
+
+    rows = []
+    normal_rows = _rng.normal_rows
+
+    def counted_rows(seed, tags, n_rows, n_cols, row_offset=0):
+        rows.append(n_rows * (200 + 99))
+        return normal_rows(seed, tags, n_rows, n_cols, row_offset=row_offset)
+
+    monkeypatch.setattr(sim, "_DRIVER_CELLS", 3000)
+    monkeypatch.setattr(sim, "_lag_weights", counted)
+    monkeypatch.setattr(_rng, "normal_rows", counted_rows)
+    chunked = sim.stationary_marginal_samples(kern, idx, 200, 25, 8, 0.01)
+    # 299 cells: 10 replications and 10 times per block
+    assert len(rows) == 2 * 3 and max(rows) <= 3000
+    assert len(blocks) == 3 * 4 and max(blocks) <= 3000
+    assert np.max(np.abs(chunked - whole)) < 1e-13 * np.max(np.abs(whole))
+
+
+def test_certified_history_is_the_shortest_certified_64th():
+    g = sim.TimeGrid(0.0, 2.0, 200)
+    m = kn.bound_m(1.9)
+
+    def pair_tail(T):
+        return m * m * T ** (1.0 - 3.8) / 2.8
+
+    cases = [(MK19, 5e-3, lambda T: kn.tail_variance_bound(MK19, T)),
+             (MK19, 1e-4, lambda T: kn.tail_variance_bound(MK19, T)),
+             ((1.9, np.array([1.0, 3.0])), 2.5e-3, pair_tail)]
+    for kernel, tol, tail in cases:
+        depth = sim._certified_history(kernel, g, tol)
+        bracket = 8.0 * 2.0 ** math.ceil(math.log2(depth / 8.0))
+        assert depth / (bracket / 64) == int(depth / (bracket / 64))
+        assert tail(depth) < tol <= tail(depth - bracket / 64)
