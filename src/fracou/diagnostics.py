@@ -25,6 +25,7 @@ from .kernels import (
     bound_m3,
     deriv_bound_constant,
     empirical_kernel,
+    empirical_kernel_values,
     mean_kernel_deriv_values,
     mean_kernel_values,
     stationary_variance,
@@ -121,14 +122,8 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
     gk = mean_kernel_values(MeanKernel(rho, mix), lags)
     sup_sq = {n: np.empty(n_mc) for n in n_list}
 
-    diff_kernels = {}
-    running = np.zeros_like(lags)
-    done = 0
-    for n in n_list:
-        block = simulate._resolvent_lag_rows(alphas[done:n], rho, lags)
-        running = running + block.sum(axis=0)
-        done = n
-        diff_kernels[n] = running / n - gk
+    diff_kernels = {n: empirical_kernel_values(alphas[:n], rho, lags) - gk
+                    for n in n_list}
 
     for r0, r1, _, z in simulate._driver_blocks(seed, ("w",), n_mc, 0,
                                                 grid.n_steps):
@@ -196,8 +191,7 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
     idx = np.array([[a, b] if a != b else [a, min(b + 1, grid.n_steps)]
                     for a, b in idx])
     times_needed = np.unique(idx)
-    f_n = simulate._resolvent_lag_rows(alphas[:n_big], rho,
-                                       grid.times()).mean(axis=0)
+    f_n = empirical_kernel_values(alphas[:n_big], rho, grid.times())
     samples = simulate.marginal_samples(f_n, times_needed, n_mc, seed, grid.dt)
     col = {j: c for c, j in enumerate(times_needed)}
 

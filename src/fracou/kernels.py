@@ -5,7 +5,9 @@ convolution identity s + alpha (g * s) = 1 with the power memory kernel
 g(t) = t^(rho-1)/Gamma(rho).  Averaging s_alpha over a Gamma(mu, lam) law in
 alpha gives the mean kernel G(t), the deterministic object behind the
 aggregated process: its square integrates to path variances, and its tail
-controls how much history a stationary simulation must keep.
+controls how much history a stationary simulation must keep.  G and its
+derivative G' are one Gamma-mixing integral at two parameter sets, evaluated
+by the same series, quadrature and panel paths.
 
 Bound constants: the envelope constants M (for E_rho), M2 (for E_{rho,rho})
 and M3 (for the derivative of the unit resolvent) are estimated once per rho
@@ -25,11 +27,11 @@ from scipy import integrate
 from .errors import AccuracyError, DomainError
 from .mixing import GammaMixing, check_condition
 from .special_functions import (
+    _TABLE_CELLS,
     FractionalOrder,
     _cache_lock,
     _g_quadrature_many,
     _g_series_many,
-    _laguerre_rule,
     ml_one,
     ml_one_values,
     ml_two,
@@ -208,12 +210,6 @@ def empirical_kernel(alphas, rho, t: float) -> float:
     return float(empirical_kernel_values(alphas, rho, [t])[0])
 
 
-# cells (rates x lags) per ml_one_values call of a kernel table; it bounds
-# the evaluator's per-point arrays.  Each cell is evaluated on its own and
-# each lag reduced in one row, so the chunk size changes no bit.
-_TABLE_CELLS = 1 << 18
-
-
 def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
     """f_n, the arithmetic mean of s_alpha over the given rates, on a grid.
 
@@ -238,16 +234,16 @@ def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
 _series_range_cache: dict = {}
 
 
-def _g_series_range(rho: float, mu: float) -> float:
+def _g_series_range(rho: float, mu: float, beta: float = 1.0) -> float:
     """Largest |z| for which the direct series self-certifies 1e-9."""
-    key = (rho, mu)
+    key = (rho, beta, mu)
     got = _series_range_cache.get(key)
     if got is not None:
         return got
     zmax = 0.5
     for z in np.geomspace(0.5, 1e5, 80):
         try:
-            _, est, _, guard = _g_series_many(rho, mu, np.array([-z]))
+            _, est, _, guard = _g_series_many(rho, mu, np.array([-z]), beta)
         except AccuracyError:
             break
         if guard[0] or est[0] > 1e-9:
@@ -257,38 +253,39 @@ def _g_series_range(rho: float, mu: float) -> float:
         return _series_range_cache.setdefault(key, zmax)
 
 
+def _mixed_values(rho: float, beta: float, nu: float, lam: float,
+                  ts: np.ndarray) -> np.ndarray:
+    """H_{rho,beta,nu}(t^rho/lam) on a grid: the direct series where it
+    certifies (rho > 1, moderate t), else the mixing-integral quadrature,
+    which covers every rho in (0, 2]."""
+    z = ts**rho / lam
+    out = np.empty(ts.shape)
+    done = np.zeros(ts.shape, dtype=bool)
+    if rho > 1.0:
+        sel = np.nonzero(z <= _g_series_range(rho, nu, beta))[0]
+        if sel.size:
+            vals, ests, _, guard = _g_series_many(rho, nu, -z[sel], beta)
+            ok = ~guard & (ests <= 1e-9)
+            out[sel[ok]] = vals[ok]
+            done[sel[ok]] = True
+    rest = ~done
+    if rest.any():
+        vals, ests = _g_quadrature_many(rho, nu, lam, ts[rest], beta)
+        if float(ests.max(initial=0.0)) > 1e-7:
+            raise AccuracyError(
+                f"mixing quadrature disagreement {float(ests.max()):.2e} > 1e-7")
+        out[rest] = vals
+    return out
+
+
 def mean_kernel(mk: MeanKernel, t: float) -> float:
     """G(t): mean_kernel_values at one point."""
     return float(mean_kernel_values(mk, [t])[0])
 
 
 def mean_kernel_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
-    """G(t) = mean of s_alpha(t) under the mixing law, on a grid.
-
-    Each point goes through the direct series where it certifies (rho > 1,
-    moderate t), otherwise through the mixing-integral quadrature, which
-    covers every rho in (0, 2].
-    """
-    ts = _times(ts)
-    mu, lam = mk.mixing.mu, mk.mixing.lam
-    z = ts**mk.rho / lam
-    out = np.empty(ts.shape)
-    done = np.zeros(ts.shape, dtype=bool)
-    if mk.rho > 1.0:
-        sel = np.nonzero(z <= _g_series_range(mk.rho, mu))[0]
-        if sel.size:
-            vals, ests, _, guard = _g_series_many(mk.rho, mu, -z[sel])
-            ok = ~guard & (ests <= 1e-9)
-            out[sel[ok]] = vals[ok]
-            done[sel[ok]] = True
-    rest = ~done
-    if rest.any():
-        vals, ests = _g_quadrature_many(mk.rho, mu, lam, ts[rest])
-        if float(ests.max(initial=0.0)) > 1e-7:
-            raise AccuracyError(
-                f"mixing quadrature disagreement {float(ests.max()):.2e} > 1e-7")
-        out[rest] = vals
-    return out
+    """G(t) = H_{rho,1,mu}(t^rho/lam), the mixing-law mean of s_alpha(t), on a grid."""
+    return _mixed_values(mk.rho, 1.0, mk.mixing.mu, mk.mixing.lam, _times(ts))
 
 
 def mean_kernel_deriv(mk: MeanKernel, t: float) -> float:
@@ -299,9 +296,11 @@ def mean_kernel_deriv(mk: MeanKernel, t: float) -> float:
 def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
     """d/dt G(t) = -t^(rho-1) E[alpha E_{rho,rho}(-alpha t^rho)] on a grid.
 
-    Computed by generalized Gauss-Laguerre against the mixing density with an
-    order-doubling error check.  Defined for rho >= 1, where the uniform
-    derivative envelope is integrable against the mixing law.
+    alpha times the Gamma(mu, lam) density is mu/lam times the
+    Gamma(mu + 1, lam) density, so G'(t) = -(mu/lam) t^(rho-1)
+    H_{rho,rho,mu+1}(t^rho/lam): the mixing integral of G at beta = rho and
+    shape mu + 1.  Defined for rho >= 1, where the uniform derivative
+    envelope is integrable against the mixing law.
     """
     ts = np.asarray(ts, dtype=float)
     if not np.all(np.isfinite(ts) & (ts > 0.0)):
@@ -309,22 +308,8 @@ def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
     if mk.rho < 1.0:
         raise DomainError("mean kernel derivative requires rho >= 1")
     mu, lam = mk.mixing.mu, mk.mixing.lam
-    scale = ts**mk.rho / lam
-    prev = None
-    for order in (64, 128):
-        nodes, weights = _laguerre_rule(order, mu)
-        args = nodes[None, :] * scale[:, None]
-        ev = ml_two_values(mk.rho, args.ravel()).reshape(args.shape)
-        q = np.add.reduce(ev * nodes * weights, axis=1) / lam  # row by row
-        if prev is None:
-            prev = q
-    gap = float(np.abs(q - prev).max(initial=0.0))
-    if gap > 1e-7:
-        raise AccuracyError(
-            f"derivative quadrature did not stabilize: order-doubling gap "
-            f"{gap:.2e} with t^rho/lam up to {float(scale.max()):.6g}",
-            est_abs_error=gap)
-    return -(ts ** (mk.rho - 1.0)) * q
+    return (-(mu / lam) * ts ** (mk.rho - 1.0)
+            * _mixed_values(mk.rho, mk.rho, mu + 1.0, lam, ts))
 
 
 # ---------------------------------------------------------------------------

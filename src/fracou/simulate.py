@@ -23,7 +23,6 @@ from scipy import fft as sp_fft, integrate
 from . import _rng
 from .errors import AccuracyError, DomainError, TruncationError
 from .kernels import (
-    _TABLE_CELLS,
     MeanKernel,
     bound_m,
     empirical_kernel_values,
@@ -31,7 +30,7 @@ from .kernels import (
     tail_variance_bound,
 )
 from .mixing import check_condition
-from .special_functions import FractionalOrder, ml_one_values
+from .special_functions import _TABLE_CELLS, FractionalOrder, ml_one_values
 
 __all__ = [
     "TimeGrid",

@@ -1,9 +1,10 @@
 """Mittag-Leffler family on the negative real axis, with certified accuracy.
 
-Evaluates E_rho(-x), E_{rho,rho}(-x) and the Pochhammer-weighted series
-G_rho(z) = sum_k (mu)_k z^k / Gamma(k rho + 1), plus the Gamma-mixing integral
-behind G_rho.  Every public evaluation returns an a-posteriori absolute error
-estimate and raises AccuracyError rather than returning an uncertified value.
+Evaluates E_rho(-x), E_{rho,rho}(-x), the Pochhammer-weighted series
+H_{rho,beta,nu}(w) = sum_k (nu)_k (-w)^k / Gamma(rho k + beta) (G_rho(-w) at
+beta = 1) and its Gamma-mixing integral E[E_{rho,beta}(-z w)], z ~ Gamma(nu, 1).
+Every public evaluation returns an a-posteriori absolute error estimate and
+raises AccuracyError rather than returning an uncertified value.
 
 Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
 
@@ -24,8 +25,8 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   shares one sweep of the series coefficients among all its nodes.
 
 The Gamma-mixing integral past scale 8 is read from memoized Chebyshev
-panels in log scale; each panel fit evaluates every distinct E_rho argument
-of all its scales once.
+panels in log scale; each panel fit evaluates every distinct E_{rho,beta}
+argument of all its scales once.
 """
 
 from __future__ import annotations
@@ -582,22 +583,22 @@ def ml_asymptotic(rho: float, x: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _g_coeffs(rho: float, mu: float, n: int) -> list:
-    """(mu)_k / Gamma(rho k + 1) for k < n, to 30 digits."""
+def _g_coeffs(rho: float, mu: float, n: int, beta: float = 1.0) -> list:
+    """(mu)_k / Gamma(rho k + beta) for k < n, to 30 digits."""
     r, m = _mpc.mpf(rho), _mpc.mpf(mu)
     out, poch = [], _mpc.mpf(1)
     for k in range(n):
-        out.append(poch * _mpc.rgamma(r * k + 1))
+        out.append(poch * _mpc.rgamma(r * k + beta))
         poch *= m + k
     return out
 
 
-def _g_series_many(rho: float, mu: float, z: np.ndarray):
-    """G_rho(z) batch for z <= 0, rho > 1; see _alt_series."""
+def _g_series_many(rho: float, mu: float, z: np.ndarray, beta: float = 1.0):
+    """H_{rho,beta,mu}(-z) batch for z <= 0, rho > 1; see _alt_series."""
     return _alt_series(
-        ("G", rho, mu),
-        lambda k: sc.gammaln(mu + k) - sc.gammaln(mu) - sc.gammaln(rho * k + 1.0),
-        lambda n: _g_coeffs(rho, mu, n), np.abs(np.asarray(z, dtype=float)))
+        ("G", rho, mu, beta),
+        lambda k: sc.gammaln(mu + k) - sc.gammaln(mu) - sc.gammaln(rho * k + beta),
+        lambda n: _g_coeffs(rho, mu, n, beta), np.abs(np.asarray(z, dtype=float)))
 
 
 def g_rho_series(rho: float, mu: float, z: float) -> EvalResult:
@@ -642,11 +643,11 @@ def _panel_nodes(edges: np.ndarray):
     return nodes, weights
 
 
-def _mixing_pieces(rho: float, mu: float, scale: float, refine: int):
+def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float = 1.0):
     """Quadrature plan of the mixing integral at one scale > 8.
 
     Returns (strip value, strip and tail estimate, [(z_nodes, z_weights)]):
-    the integrand's E_rho(-z scale) factor is left to the caller, who
+    the integrand's E_{rho,beta}(-z scale) factor is left to the caller, who
     evaluates it for many scales at once.  The Gauss-Laguerre rule breaks
     down here: for 1 < rho < 2 the integrand oscillates with phase
     sin(pi/rho) (z scale)^(1/rho), far too fast for any practical fixed
@@ -663,8 +664,10 @@ def _mixing_pieces(rho: float, mu: float, scale: float, refine: int):
     eps_arg = 1e-4
     z0 = min(eps_arg / scale, z_cut)
     gm = math.gamma(mu)
-    # strip: E(-w) = 1 - w/Gamma(rho+1) + O(w^2), e^-z = 1 + O(z)
-    total = (z0**mu / mu - (scale / math.gamma(rho + 1.0) + 1.0)
+    # strip: E(-w) = a - w/Gamma(rho+beta) + O(w^2) with a = 1/Gamma(beta),
+    # e^-z = 1 - z + O(z^2); a is exactly 1 for beta = 1
+    a = 1.0 / math.gamma(beta)
+    total = (a * z0**mu / mu - (scale / math.gamma(rho + beta) + a)
              * z0 ** (mu + 1.0) / (mu + 1.0)) / gm
     est = (z0**mu) * 2e-8 / gm
     pieces = []
@@ -693,23 +696,26 @@ def _mixing_pieces(rho: float, mu: float, scale: float, refine: int):
         n_log = max(24, int(6.0 * math.log(z_cut / z_b))) * refine
         edges = np.geomspace(z_b, z_cut, n_log + 1)
         pieces.append(_panel_nodes(edges))
-    # truncated far tail, |E| bounded by a small constant
+    # truncated far tail; needs |E_{rho,beta}| <= 1.3 on the half line:
+    # |E_rho| <= 1 for every rho, and E_{rho,rho} for 1 <= rho <= 2 peaks at
+    # x = 0 with 1/Gamma(rho) <= 1.129.  Other (rho, beta) must be checked.
     est += 1.3 * float(sc.gammaincc(mu, z_cut))
     return total, est, pieces
 
 
-def _mixing_integrals(rho: float, mu: float, ws, refine: int) -> np.ndarray:
-    """(value, est) rows of the integral over z of z^(mu-1) e^-z E_rho(-z w)
-    / Gamma(mu) at each scale w > 8.
+def _mixing_integrals(rho: float, mu: float, ws, refine: int,
+                      beta: float = 1.0) -> np.ndarray:
+    """(value, est) rows of the integral over z of z^(mu-1) e^-z
+    E_{rho,beta}(-z w) / Gamma(mu) at each scale w > 8.
 
-    The E_rho arguments of all scales are evaluated in one call, each
+    The E_{rho,beta} arguments of all scales are evaluated in one call, each
     distinct one once; values do not depend on their batch, so every row has
     the bits of its scale integrated alone.
     """
-    plans = [(float(w), *_mixing_pieces(rho, mu, float(w), refine)) for w in ws]
+    plans = [(float(w), *_mixing_pieces(rho, mu, float(w), refine, beta)) for w in ws]
     args = [z * w for w, _, _, pieces in plans for z, _ in pieces]
     uniq, inverse = np.unique(np.concatenate(args), return_inverse=True)
-    vals = ml_one_values(rho, uniq)[inverse]
+    vals = _evaluate_many(rho, beta, uniq)[0][inverse]
     gm = math.gamma(mu)
     out = np.empty((len(plans), 2))
     at = 0
@@ -724,8 +730,8 @@ def _mixing_integrals(rho: float, mu: float, ws, refine: int) -> np.ndarray:
 
 
 # Panel k of the mixing integral covers scale in [8 * 16^k, 8 * 16^(k+1)).
-# Panels are fixed, so a value depends only on (rho, mu, scale), never on
-# which arguments were requested earlier in the process.
+# Panels are fixed, so a value depends only on (rho, beta, mu, scale), never
+# on which arguments were requested earlier in the process.
 _PANEL_BASE = 8.0
 _PANEL_RATIO = 16.0
 _PANEL_TOL = 3e-11
@@ -734,14 +740,14 @@ _PANEL_MAX_NODES = 513
 _panel_cache: dict = {}
 
 
-def _mixing_panel(rho: float, mu: float, k: int) -> _ChebLog:
+def _mixing_panel(rho: float, mu: float, k: int, beta: float = 1.0) -> _ChebLog:
     """Certified interpolant of the mixing integral over panel k.
 
     Fitted to the refine-2 panel quadrature and checked at staggered nodes.
     The estimate adds the node quadrature's own error, 3 |refine2 - refine1|
     plus its floor, to ten times the interpolation check error.
     """
-    key = (rho, mu, k)
+    key = (rho, beta, mu, k)
     got = _panel_cache.get(key)
     if got is not None:
         return got
@@ -750,48 +756,59 @@ def _mixing_panel(rho: float, mu: float, k: int) -> _ChebLog:
 
     n = 17
     while True:
-        panel = _ChebLog(lambda ws: _mixing_integrals(rho, mu, ws, 2)[:, 0],
+        panel = _ChebLog(lambda ws: _mixing_integrals(rho, mu, ws, 2, beta)[:, 0],
                          lo, hi, n)
         wc = panel.points(np.cos(np.pi * np.arange(1, n) / n))  # staggered
-        fine = _mixing_integrals(rho, mu, wc, 2)
+        fine = _mixing_integrals(rho, mu, wc, 2, beta)
         err = float(np.max(np.abs(panel(wc) - fine[:, 0])))
         if err <= _PANEL_TOL or n >= _PANEL_MAX_NODES:
             break
         n = 2 * n - 1
-    coarse = _mixing_integrals(rho, mu, wc, 1)[:, 0]
+    coarse = _mixing_integrals(rho, mu, wc, 1, beta)[:, 0]
     node_err = float(np.max(3.0 * np.abs(fine[:, 0] - coarse) + fine[:, 1]))
     panel.est = 10.0 * err + node_err + 1e-12
     with _cache_lock:
         return _panel_cache.setdefault(key, panel)
 
 
-def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray):
-    """Gamma-mixing integral of E_rho(-y t^rho) against the Gamma(mu, lam)
-    density: G_rho(-t^rho/lam).  Valid for every rho in (0, 2].
+# cells (points x nodes) per _evaluate_many call of a table: it bounds the
+# evaluator's per-point arrays.  Each cell is evaluated on its own and each
+# point reduced in one row, so the chunk size changes no bit.
+_TABLE_CELLS = 1 << 18
+
+
+def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
+                       beta: float = 1.0):
+    """Gamma-mixing integral of E_{rho,beta}(-y t^rho) against the
+    Gamma(mu, lam) density: H_{rho,beta,mu}(t^rho/lam), which is
+    G_rho(-t^rho/lam) at beta = 1.  Valid for every rho in (0, 2].
 
     Small t^rho/lam goes through generalized Gauss-Laguerre after z = lam y
-    with an order-halving error estimate; larger arguments are read from the
-    certified log-scale panels of the oscillation-resolving panel scheme.
+    with an order-halving error estimate, in chunks of _TABLE_CELLS // 128
+    points; larger arguments are read from the certified log-scale panels of
+    the oscillation-resolving panel scheme.
     """
     t = np.asarray(t, dtype=float)
     scale = t**float(rho) / lam
     values = np.empty(t.shape)
     ests = np.zeros(t.shape)
-    values[scale == 0.0] = 1.0
+    values[scale == 0.0] = 1.0 / math.gamma(beta)
 
-    small = (scale > 0.0) & (scale <= _PANEL_BASE)
-    if small.any():
-        s = scale[small]
+    small = np.flatnonzero((scale > 0.0) & (scale <= _PANEL_BASE))
+    chunk = max(1, _TABLE_CELLS // 128)
+    for a in range(0, small.size, chunk):
+        sel = small[a : a + chunk]
+        s = scale.ravel()[sel]
         ref = None
         for n in (64, 128):
             nodes, weights = _laguerre_rule(n, mu)
             args = nodes[None, :] * s[:, None]
-            ev = ml_one_values(rho, args.ravel()).reshape(args.shape)
+            ev = _evaluate_many(rho, beta, args.ravel())[0].reshape(args.shape)
             q = np.add.reduce(ev * weights, axis=1)  # row by row: batch-free bits
             if ref is None:
                 ref = q
-        values[small] = q
-        ests[small] = 3.0 * np.abs(q - ref) + 1e-15 * (1.0 + np.abs(q))
+        values.flat[sel] = q
+        ests.flat[sel] = 3.0 * np.abs(q - ref) + 1e-15 * (1.0 + np.abs(q))
 
     big = scale > _PANEL_BASE
     if big.any():
@@ -800,7 +817,7 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray):
                                  / math.log(_PANEL_RATIO))
         for k in np.unique(panel_of[big]):
             sel = panel_of == k
-            panel = _mixing_panel(float(rho), float(mu), int(k))
+            panel = _mixing_panel(float(rho), float(mu), int(k), float(beta))
             values[sel] = panel(scale[sel])
             ests[sel] = panel.est
     return values, ests

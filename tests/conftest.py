@@ -36,28 +36,32 @@ def ml_oracle():
     return oracle_ml
 
 
-def oracle_gml(rho: float, mu: float, w: float, digits: int = 30) -> float:
-    """Reference value of G_rho(-w) = sum_k (mu)_k (-w)^k / Gamma(rho k + 1).
+def oracle_gml(rho: float, mu: float, w: float, beta: float = 1.0,
+               digits: int = 30) -> float:
+    """Reference value of sum_k (mu)_k (-w)^k / Gamma(rho k + beta), which is
+    G_rho(-w) at beta = 1.
 
     The working precision covers the largest term, located in double
     precision from log-gamma, so the cancelling sum keeps `digits` digits.
+    rho k + beta is formed in mpmath: rounded to a double first, it would
+    carry an error that the cancellation amplifies far past the result.
     """
     logw = math.log(w)
     peak, k_peak, k = 0.0, 0, 0
     while k < 2 * k_peak + 10:
         k += 1
         log_term = (math.lgamma(mu + k) - math.lgamma(mu) + k * logw
-                    - math.lgamma(rho * k + 1.0))
+                    - math.lgamma(rho * k + beta))
         if log_term > peak:
             peak, k_peak = log_term, k
     with mp.workdps(digits + 10 + int(peak / math.log(10.0))):
         z = -mp.mpf(w)
-        r, m = mp.mpf(rho), mp.mpf(mu)
+        r, m, b = mp.mpf(rho), mp.mpf(mu), mp.mpf(beta)
         total = mp.mpf(0)
         k = 0
         tiny = mp.mpf(10) ** (-(digits + 10))
         while True:
-            term = mp.rf(m, k) * mp.power(z, k) / mp.gamma(r * k + 1)
+            term = mp.rf(m, k) * mp.power(z, k) / mp.gamma(r * k + b)
             total += term
             if k > k_peak and abs(term) < tiny * max(1, abs(total)):
                 return float(total)

@@ -11,6 +11,7 @@ from scipy import fft as sp_fft, signal, stats
 from fracou import _rng
 from fracou import kernels as kn
 from fracou import simulate as sim
+from fracou import special_functions as sf
 from fracou.errors import DomainError, TruncationError
 from fracou.kernels import (
     MeanKernel,
@@ -159,6 +160,16 @@ def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
     monkeypatch.setattr(sim, "_TABLE_CELLS", 5 * lags.size + 1)
     chunked = (kn.empirical_kernel_values(alphas, 1.9, lags),
                sim._resolvent_lag_rows(alphas, 1.9, lags))
+    for a, b in zip(whole, chunked):
+        assert a.tobytes() == b.tobytes()
+    # rho = 1 has no series path: every lag up to scale 8 takes the chunked
+    # Laguerre rule, of G and of G' alike
+    mk = MeanKernel(1.0, MIX)
+    ts = lags[1:]
+    assert np.count_nonzero(ts / MIX.lam <= 8.0) > 10 * 5  # 5 points a chunk
+    whole = (kn.mean_kernel_values(mk, ts), kn.mean_kernel_deriv_values(mk, ts))
+    monkeypatch.setattr(sf, "_TABLE_CELLS", 5 * 128 + 1)
+    chunked = (kn.mean_kernel_values(mk, ts), kn.mean_kernel_deriv_values(mk, ts))
     for a, b in zip(whole, chunked):
         assert a.tobytes() == b.tobytes()
 
