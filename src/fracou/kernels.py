@@ -27,7 +27,9 @@ from scipy import integrate
 from .errors import AccuracyError, DomainError
 from .mixing import GammaMixing, check_condition
 from .special_functions import (
+    _EPS,
     _TABLE_CELLS,
+    MIXING_GATE,
     FractionalOrder,
     _cache_lock,
     _g_quadrature_many,
@@ -271,9 +273,9 @@ def _mixed_values(rho: float, beta: float, nu: float, lam: float,
     rest = ~done
     if rest.any():
         vals, ests = _g_quadrature_many(rho, nu, lam, ts[rest], beta)
-        if float(ests.max(initial=0.0)) > 1e-7:
-            raise AccuracyError(
-                f"mixing quadrature disagreement {float(ests.max()):.2e} > 1e-7")
+        if float(ests.max(initial=0.0)) > MIXING_GATE:
+            raise AccuracyError(f"mixing quadrature disagreement "
+                                f"{float(ests.max()):.2e} > {MIXING_GATE:g}")
         out[rest] = vals
     return out
 
@@ -429,11 +431,106 @@ def tail_variance_bound(mk: MeanKernel, T: float) -> float:
     return m * m * (t0 - T) + _tail_bound_from(mk, t0)
 
 
+# certified tails from the kernel's own values: cells of width _TAIL_H from
+# _TAIL_T0 on, so every multiple of T/64 a depth search probes is a cell edge
+_TAIL_T0 = 0.5
+_TAIL_H = 2.0**-9
+# rates x cells of one tail table (8 B of it kept per cell); a kernel whose
+# table would be larger is bounded by its envelope alone
+_TAIL_CELLS = 8 * _TABLE_CELLS
+_TAIL_T_MAX = 1e7
+_tail_cache: dict = {}
+
+
+def _shortest_depth(bound, tol: float):
+    """Shortest T, to T/64, with bound(T) < tol, for a bound that does not
+    grow with T: doubling from _TAIL_T0 brackets it in (T/2, T], then
+    bisection runs over the multiples of T/64.  None when no T up to
+    _TAIL_T_MAX qualifies."""
+    T, lo, hi = _TAIL_T0, 64, 64  # in units of T/64
+    while not bound(T) < tol:
+        T, lo = 2.0 * T, 32
+        if T > _TAIL_T_MAX:
+            return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid * T / 64) < tol else (mid, hi)
+    return hi * T / 64
+
+
+def _tail_row(kernel):
+    """(memo key, rho, rates per lag, row on lags, envelope tail) of a
+    MeanKernel's G or of the f_n row of a (rho, rates) pair.
+
+    |s_alpha(t)| <= M/(1 + alpha t^rho) bounds |f_n(t)| by M t^-rho times the
+    mean of 1/alpha, whose square integrates in closed form.
+    """
+    if isinstance(kernel, MeanKernel):
+        return (kernel, kernel.rho, 1,
+                lambda u: mean_kernel_values(kernel, u),
+                lambda T: tail_variance_bound(kernel, T))
+    rho, alphas = kernel
+    rho, alphas = float(FractionalOrder(rho)), np.asarray(alphas, dtype=float)
+    c, p = bound_m(rho) * float(np.mean(1.0 / alphas)), 2.0 * rho - 1.0
+    return ((rho, alphas.tobytes()), rho, alphas.size,
+            lambda u: empirical_kernel_values(alphas, rho, u),
+            lambda T: c * c * T ** (-p) / p)
+
+
+def _tail_table(kernel, tol: float) -> np.ndarray:
+    """Entry i bounds the tail integral of K^2 past _TAIL_T0 + i _TAIL_H.
+
+    The cells of [_TAIL_T0, T_far) each hold at most
+    h (max(|K(u_i)|, |K(u_i+1)|) + MIXING_GATE + h M3/u_i)^2, since |K| is
+    within MIXING_GATE of its computed values and |K'(t)| <= M3/t: every
+    s_alpha' is alpha^(1/rho) s_1'(alpha^(1/rho) t), bounded by
+    M3 alpha^(1/rho)/(1 + alpha^(1/rho) t) <= M3/t, and G' and f_n' are means
+    of them.  Past T_far, the first point where the envelope is below
+    tol/10, the envelope bounds the rest.  Empty when M3 is undefined
+    (rho outside [1, 2)) or the table would exceed _TAIL_CELLS; memoized per
+    (kernel, tol).
+    """
+    key, rho, width, row, envelope = _tail_row(kernel)
+    got = _tail_cache.get((key, tol))
+    if got is not None:
+        return got
+    t_far = (_shortest_depth(envelope, tol / 10.0)
+             if 1.0 <= rho < 2.0 else None)
+    n = 0 if t_far is None else int(round((t_far - _TAIL_T0) / _TAIL_H))
+    table = np.empty(n if n * width <= _TAIL_CELLS else 0)
+    if table.size:
+        m3 = bound_m3(rho)
+        step = max(1, _TABLE_CELLS // width)
+        for a in range(0, n, step):
+            u = _TAIL_T0 + np.arange(a, min(a + step, n) + 1) * _TAIL_H
+            k = np.abs(row(u))
+            k = np.maximum(k[:-1], k[1:]) + MIXING_GATE + _TAIL_H * m3 / u[:-1]
+            table[a : a + k.size] = _TAIL_H * k * k
+        np.cumsum(table[::-1], out=table[::-1])
+        # a sum of n nonnegative terms rounds low by at most n eps of itself
+        table *= 1.0 + n * _EPS
+        table += envelope(t_far)
+    with _cache_lock:
+        return _tail_cache.setdefault((key, tol), table)
+
+
+def _certified_tail(kernel, T: float, tol: float) -> float:
+    """Upper bound for the tail integral of K(u)^2 over [T, inf), K being
+    G of a MeanKernel or f_n of a (rho, rates) pair: the smaller of the cell
+    sum of _tail_table, read at the last cell edge at or below T, and the
+    envelope."""
+    envelope = _tail_row(kernel)[4](T)
+    table = _tail_table(kernel, tol)
+    i = math.floor((T - _TAIL_T0) / _TAIL_H)
+    return min(float(table[i]), envelope) if 0 <= i < table.size else envelope
+
+
 def stationary_variance(mk: MeanKernel, tol: float) -> float:
     """Limit variance sigma^2 = integral of G^2 over the whole half line.
 
-    Brackets [sigma_T^2, sigma_T^2 + tail(T)] and grows T until the bound is
-    below tol; the returned midpoint is within tol/2 of the truth.
+    Brackets [sigma_T^2, sigma_T^2 + tail(T)] at the shortest depth T (to
+    T/64) whose certified tail, the one simulated histories are truncated
+    by, is below tol; the returned midpoint is within tol/2 of the truth.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
@@ -441,11 +538,8 @@ def stationary_variance(mk: MeanKernel, tol: float) -> float:
         raise DomainError(
             f"stationary variance needs mu > 1/(2 rho); "
             f"mu={mk.mixing.mu}, rho={mk.rho}")
-    T = 8.0
-    while tail_variance_bound(mk, T) >= tol:
-        T *= 2.0
-        if T > 1e9:
-            raise AccuracyError(
-                f"tail bound does not reach tol={tol} below T=1e9")
-    head = variance_integral(mk, T)
-    return head + 0.5 * tail_variance_bound(mk, T)
+    T = _shortest_depth(lambda T: _certified_tail(mk, T, tol), tol)
+    if T is None:
+        raise AccuracyError(
+            f"tail bound does not reach tol={tol} below T={_TAIL_T_MAX:g}")
+    return variance_integral(mk, T) + 0.5 * _certified_tail(mk, T, tol)

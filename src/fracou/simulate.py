@@ -16,6 +16,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import fft as sp_fft, integrate
@@ -23,11 +24,12 @@ from scipy import fft as sp_fft, integrate
 from . import _rng
 from .errors import AccuracyError, DomainError, TruncationError
 from .kernels import (
+    _TAIL_T_MAX,
     MeanKernel,
-    bound_m,
+    _certified_tail,
+    _shortest_depth,
     empirical_kernel_values,
     mean_kernel_values,
-    tail_variance_bound,
 )
 from .mixing import check_condition
 from .special_functions import _TABLE_CELLS, FractionalOrder, ml_one_values
@@ -372,27 +374,23 @@ def y_minus_s_at_zero(mk: MeanKernel, s: float, n_paths: int, seed: int,
     return dw @ kern
 
 
-def _certified_history(mk_or_pairs, grid: TimeGrid, tol: float) -> float:
+def _certified_history(kernel, grid: TimeGrid, tol: float) -> float:
     """Shortest truncation depth, to T/64, whose certified tail variance is
-    below tol: doubling from max(8 dt, 8) brackets it in (T/2, T], then
-    bisection runs over the multiples of T/64."""
-    def tail(T):
-        if isinstance(mk_or_pairs, MeanKernel):
-            return tail_variance_bound(mk_or_pairs, T)
-        rho, alphas = mk_or_pairs
-        m, a_min = bound_m(rho), float(np.min(alphas))
-        return (m * m / (a_min * a_min)) * T ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
+    below tol: doubling from 0.5 brackets it in (T/2, T], then bisection runs
+    over the multiples of T/64.
 
-    T, lo, hi = max(8.0 * grid.dt, 8.0), 64, 64  # in units of T/64
-    while not tail(T) < tol:
-        T, lo = 2.0 * T, 32
-        if T > 1e7:
-            raise TruncationError(
-                f"history truncation cannot certify tol={tol} below T=1e7")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if tail(mid * T / 64) < tol else (mid, hi)
-    return hi * T / 64
+    kernel is a MeanKernel (the tail of G) or a (rho, rates) pair (the tail
+    of their f_n row; a single rate gives its s_alpha row).  The tail bound
+    is kernels._certified_tail: a cell sum of the kernel's own values, with
+    its derivative envelope M3/t, out to where the global envelope M/(1+x)
+    takes over, and never above that envelope.  The depth depends on the
+    kernel and tol only; callers round it up to whole cells of grid.
+    """
+    depth = _shortest_depth(lambda T: _certified_tail(kernel, T, tol), tol)
+    if depth is None:
+        raise TruncationError(f"history truncation cannot certify tol={tol} "
+                              f"below T={_TAIL_T_MAX:g}")
+    return depth
 
 
 def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
@@ -403,7 +401,9 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     kernel may be a MeanKernel (the stationary aggregate; n_paths
     independent replications) or a 1-d array of rates (one path per rate on
     a single shared driver; requires rho).  History is truncated where the
-    corresponding tail bound drops below tol.
+    certified tail of G, or of the slowest rate's s_alpha, drops below tol
+    (see _certified_history); meta records the depth as t_trunc and the
+    tail bound there as tail_bound.
     """
     return _stationary(kernel, grid, seed, tol, rho, n_paths, rep, method,
                        False)
@@ -414,9 +414,12 @@ def simulate_stationary_mean_paths(alphas, rho: float, grid: TimeGrid,
                                    rep: int = 0) -> PathEnsemble:
     """Stationary empirical means of replications rep .. rep+n_paths-1.
 
-    Path r is the mean of the component paths that
-    simulate_stationary_paths(alphas, ..., rep=rep + r) draws on the same
-    history; by bilinearity it is one f_n row convolved with each driver.
+    Path r is one f_n row convolved with driver replication rep + r: by
+    bilinearity, the mean of the component paths that
+    simulate_stationary_paths(alphas, ..., rep=rep + r) would draw on the
+    same history.  The depth is certified from the f_n row itself, so it is
+    usually shorter than the components', which must cover the slowest
+    rate.
     """
     return _stationary(np.asarray(alphas, dtype=float), grid, seed, tol, rho,
                        n_paths, rep, "auto", True)
@@ -428,21 +431,16 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
     drivers, only the grid window convolved out."""
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    dt = grid.dt
     if isinstance(kernel, MeanKernel):
         rho = _require_simulatable(kernel.rho, grid)
         if not check_condition(kernel.mixing, rho):
             raise DomainError(
                 "stationary aggregate needs mu > 1/(2 rho); "
                 f"mu={kernel.mixing.mu}, rho={rho}")
-        t_hist = _certified_history(kernel, grid, tol)
-        n_hist = int(math.ceil(t_hist / dt))
-        lags = np.arange(n_hist + grid.n_steps + 1) * dt
-        kern = mean_kernel_values(kernel, lags)[None, :]
+        certified, rows = kernel, partial(mean_kernel_values, kernel)
         labels = [{"process": "eta", "rep": rep + r} for r in range(n_paths)]
         meta = {"process": "eta", "mu": kernel.mixing.mu,
-                "lam": kernel.mixing.lam,
-                "tail_bound": tail_variance_bound(kernel, n_hist * dt)}
+                "lam": kernel.mixing.lam}
     else:
         alphas = np.asarray(kernel, dtype=float)
         if alphas.ndim != 1 or alphas.size == 0 or np.any(alphas <= 0):
@@ -450,22 +448,27 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
         if rho is None:
             raise DomainError("rho is required with explicit rates")
         rho = _require_simulatable(rho, grid)
-        t_hist = _certified_history((rho, alphas), grid, tol)
-        n_hist = int(math.ceil(t_hist / dt))
-        lags = np.arange(n_hist + grid.n_steps + 1) * dt
         if mean:
-            kern = empirical_kernel_values(alphas, rho, lags)[None, :]
+            certified = (rho, alphas)
+            rows = partial(empirical_kernel_values, alphas, rho)
             labels = [{"process": "xi_mean", "rep": rep + r}
                       for r in range(n_paths)]
         else:
-            kern, n_paths = _resolvent_lag_rows(alphas, rho, lags), 1
+            # the slowest rate has the largest tail: the tail of s_alpha
+            # past T is alpha^(-1/rho) times that of s_1 past alpha^(1/rho) T
+            certified, n_paths = (rho, alphas.min(keepdims=True)), 1
+            rows = partial(_resolvent_lag_rows, alphas, rho)
             labels = [{"process": "xi", "alpha": float(a), "rep": rep}
                       for a in alphas]
         meta = {"process": "xi_mean" if mean else "xi"}
+    dt = grid.dt
+    n_hist = int(math.ceil(_certified_history(certified, grid, tol) / dt))
+    kern = rows(np.arange(n_hist + grid.n_steps + 1) * dt)
     dw = _two_sided_increments(seed, n_paths, n_hist, grid.n_steps, dt,
                                rep0=rep)
     values = _convolve_rows(kern, dw, method=method, start=n_hist)
-    meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt)
+    meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt,
+                tail_bound=_certified_tail(certified, n_hist * dt, tol))
     return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
 
 

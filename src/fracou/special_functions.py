@@ -61,6 +61,9 @@ _EPS = np.finfo(float).eps
 # certified target inside the series regime; flagged failure threshold
 SERIES_TARGET = 1e-10
 ACCURACY_FLOOR = 1e-8
+# largest estimate a mixing-integral value (G, G') may carry and still be
+# returned; bounds of G tails read it as the evaluator's error
+MIXING_GATE = 1e-7
 # partial sums larger than this multiple of the result flag cancellation loss
 CANCEL_GUARD = 1e6
 # safety factor on the first neglected term of an alternating series
@@ -831,8 +834,8 @@ def g_rho_quadrature(rho, mu: float, lam: float, t: float) -> EvalResult:
     if not np.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     values, ests = _g_quadrature_many(rho, mu, lam, np.array([t]))
-    if float(ests[0]) > 1e-7:
+    if float(ests[0]) > MIXING_GATE:
         raise AccuracyError(
-            f"order-doubling disagreement {float(ests[0]):.2e} exceeds 1e-7 "
-            f"at t={t}", est_abs_error=float(ests[0]))
+            f"order-doubling disagreement {float(ests[0]):.2e} exceeds "
+            f"{MIXING_GATE:g} at t={t}", est_abs_error=float(ests[0]))
     return EvalResult(float(values[0]), "quadrature", 128, float(ests[0]))

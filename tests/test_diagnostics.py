@@ -110,6 +110,24 @@ def test_stationarity_report():
                                  1500, 11, 2e-3)
     assert rep1.verdict == "pass"
     assert rep1.bound == pytest.approx(1.0 / 7.0, abs=2e-3)
+    with pytest.raises(DomainError):
+        dg.check_stationarity(1.9, 4.0, 1.0, TimeGrid(0.0, 2.0, 100), 19, 11,
+                              2e-3)
+
+
+def test_moment_scores_match_scipy_tests():
+    from scipy import stats
+
+    rng = np.random.default_rng(12)
+    for n in (20, 400, 5000):
+        for spread in (0.0, 0.4):  # Gaussian, then heavy-tailed and skewed
+            x = rng.standard_normal(n) * (1.0 + spread * rng.standard_normal(n)) ** 2
+            assert dg._skew_z(float(stats.skew(x)), n) == pytest.approx(
+                stats.skewtest(x).statistic, abs=1e-9)
+            assert dg._kurt_z(float(stats.kurtosis(x, fisher=False)), n) \
+                == pytest.approx(stats.kurtosistest(x).statistic, abs=1e-9)
+    # the excess kurtosis 1.22 of 400 draws that 4 sqrt(24/n) = 0.98 failed
+    assert 3.0 < dg._kurt_z(4.22, 400) < 4.0
 
 
 def test_mixing_remark_report():

@@ -221,6 +221,38 @@ def test_tail_variance_bound_dominates_and_decays():
         tail_variance_bound(MeanKernel(1.9, GammaMixing(0.2, 1.0)), 10.0)
 
 
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("mu", [0.6, 1.0, 4.0])
+def test_certified_tail_covers_the_exact_tail_at_rho_one(mu, lam):
+    # at rho = 1, G(t) = (1 + t/lam)^-mu, whose square has the tail
+    # lam/(2 mu - 1) (1 + T/lam)^(1 - 2 mu) past T
+    mk = MeanKernel(1.0, GammaMixing(mu, lam))
+    for tol in (1e-2, 2e-3):
+        for T in (0.5, 0.890625, 1.3, 4.0, 37.5, 1000.0):
+            exact = lam / (2.0 * mu - 1.0) * (1.0 + T / lam) ** (1.0 - 2.0 * mu)
+            assert kn._certified_tail(mk, T, tol) >= exact
+    if mu == 4.0:
+        # the cell sum, not the envelope, is what was checked
+        assert kn._certified_tail(mk, 1.3, 2e-3) < 1e-2 * tail_variance_bound(mk, 1.3)
+
+
+@pytest.mark.parametrize("rho", [1.5, 1.9])
+def test_certified_tail_covers_the_oracle_tail(rho, gml_oracle):
+    # the tail of G^2 past T is at least its integral over [T, 8], here by
+    # 10-node Gauss-Legendre panels on octaves over oracle values of G
+    mk = MeanKernel(rho, GammaMixing(4.0, 1.0))
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    octave = {}
+    for a in (1.0, 2.0, 4.0):
+        ts = a * (1.5 + 0.5 * nodes)
+        g = np.array([gml_oracle(rho, 4.0, t**rho) for t in ts])
+        octave[a] = 0.5 * a * float(np.sum(weights * g**2))
+    for T in (1.0, 2.0, 4.0):
+        partial = sum(v for a, v in octave.items() if a >= T)
+        bound = kn._certified_tail(mk, T, 1e-4)
+        assert partial <= bound < tail_variance_bound(mk, T)
+
+
 def test_stationary_variance():
     assert stationary_variance(MK1, 1e-6) == pytest.approx(1.0 / 7.0, abs=1e-6)
     # bracket validity and stability under tighter tolerance

@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,12 +321,18 @@ def test_empirical_stationary_mean_converges():
     assert gaps[100] < gaps[10]
 
 
-def test_stationary_mean_paths_are_means_of_component_paths():
+def test_stationary_mean_paths_are_means_of_component_paths(monkeypatch):
     g = sim.TimeGrid(0.0, 0.5, 25)
     alphas = sample_alphas(MIX, 7, 3)
     batch = sim.simulate_stationary_mean_paths(alphas, 1.9, g, 11, 1e-2,
                                                n_paths=3, rep=2)
     assert batch.labels == [{"process": "xi_mean", "rep": r} for r in (2, 3, 4)]
+    # the f_n row certifies a shorter history than the slowest component
+    own = sim.simulate_stationary_paths(alphas, g, 11, 1e-2, rho=1.9, rep=2)
+    assert batch.meta["t_trunc"] < own.meta["t_trunc"]
+    # on the batch's history the components average to the batch
+    monkeypatch.setattr(sim, "_certified_history",
+                        lambda kernel, grid, tol: batch.meta["t_trunc"])
     for r in range(3):
         ens = sim.simulate_stationary_paths(alphas, g, 11, 1e-2, rho=1.9,
                                             rep=2 + r)
@@ -334,10 +342,18 @@ def test_stationary_mean_paths_are_means_of_component_paths():
 
 
 def test_truncation_error_raised():
+    # the envelope reaches tol/10 nowhere below T = 1e7, so no cell table
+    # is built: the search fails within 16 MB, the largest table's size
     g = sim.TimeGrid(0.0, 1.0, 10)
     mk = MeanKernel(1.9, GammaMixing(0.6, 1.0))
-    with pytest.raises(TruncationError):
-        sim.simulate_stationary_paths(mk, g, 1, 1e-12, n_paths=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError):
+            sim.simulate_stationary_paths(mk, g, 1, 1e-12, n_paths=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kn._TAIL_CELLS * 8 <= 16 * 2**20
 
 
 def test_csv_and_sidecar_roundtrip(tmp_path):
@@ -483,15 +499,30 @@ def test_many_index_marginals_stay_inside_the_cell_bound(monkeypatch):
 def test_certified_history_is_the_shortest_certified_64th():
     g = sim.TimeGrid(0.0, 2.0, 200)
     m = kn.bound_m(1.9)
+    mk1 = MeanKernel(1.0, MIX)
+
+    def envelope_depth(tail, tol):
+        # the envelope-only search of the certifier this one replaced
+        T, lo, hi = max(8.0 * g.dt, 8.0), 64, 64
+        while not tail(T) < tol:
+            T, lo = 2.0 * T, 32
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if tail(mid * T / 64) < tol else (mid, hi)
+        return hi * T / 64
 
     def pair_tail(T):
         return m * m * T ** (1.0 - 3.8) / 2.8
 
-    cases = [(MK19, 5e-3, lambda T: kn.tail_variance_bound(MK19, T)),
-             (MK19, 1e-4, lambda T: kn.tail_variance_bound(MK19, T)),
-             ((1.9, np.array([1.0, 3.0])), 2.5e-3, pair_tail)]
-    for kernel, tol, tail in cases:
+    # kernel, tol, envelope tail, largest depth expected
+    cases = [(MK19, 5e-3, lambda T: kn.tail_variance_bound(MK19, T), 4.0),
+             (MK19, 1e-4, lambda T: kn.tail_variance_bound(MK19, T), 6.0),
+             (mk1, 2e-3, lambda T: kn.tail_variance_bound(mk1, T), 1.0),
+             ((1.9, np.array([1.0, 3.0])), 2.5e-3, pair_tail, 120.0)]
+    for kernel, tol, envelope, most in cases:
         depth = sim._certified_history(kernel, g, tol)
-        bracket = 8.0 * 2.0 ** math.ceil(math.log2(depth / 8.0))
+        bracket = 0.5 * 2.0 ** math.ceil(math.log2(depth / 0.5))
         assert depth / (bracket / 64) == int(depth / (bracket / 64))
+        tail = functools.partial(kn._certified_tail, kernel, tol=tol)
         assert tail(depth) < tol <= tail(depth - bracket / 64)
+        assert depth <= min(most, envelope_depth(envelope, tol))
