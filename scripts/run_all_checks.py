@@ -7,11 +7,22 @@ Usage: python scripts/run_all_checks.py [--seed N] [--outdir reports]
 import argparse
 import pathlib
 import sys
+from functools import partial
 
 import numpy as np
 
 from fracou import diagnostics as dg
 from fracou.simulate import TimeGrid
+
+# (rho, tol) of the check_stationarity jobs, at mu 4, lam 1
+STATIONARITY = {"stationarity_19": (1.9, 5e-3), "stationarity_1": (1.0, 2e-3)}
+
+
+def stationarity_job(name: str, seed: int, rows: int = 5000):
+    """The check_stationarity job called name, on rows draws."""
+    rho, tol = STATIONARITY[name]
+    return dg.check_stationarity(rho, 4.0, 1.0, TimeGrid(0.0, 2.0, 200), rows,
+                                 seed, tol)
 
 
 def main() -> int:
@@ -40,10 +51,8 @@ def main() -> int:
             1.9, 0.4, 1.0, t_list, args.mc, args.seed)),
         ("cauchy_mu1", lambda: dg.check_cauchy_decay(
             1.0, 1.0, 1.0, t_list, args.mc, args.seed)),
-        ("stationarity_19", lambda: dg.check_stationarity(
-            1.9, 4.0, 1.0, TimeGrid(0.0, 2.0, 200), 5000, args.seed, 5e-3)),
-        ("stationarity_1", lambda: dg.check_stationarity(
-            1.0, 4.0, 1.0, TimeGrid(0.0, 2.0, 200), 5000, args.seed, 2e-3)),
+        *((name, partial(stationarity_job, name, args.seed))
+          for name in STATIONARITY),
         ("mixing_remark", lambda: dg.check_mixing_condition_remark(
             3.0, 1.0, 1.9)),
     ]

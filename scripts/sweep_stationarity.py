@@ -1,46 +1,33 @@
 #!/usr/bin/env python3
 """Count stationarity verdicts over many seeds.
 
-Runs the two check_stationarity jobs of run_all_checks.py (rho 1.9, tol 5e-3
-and rho 1, tol 2e-3, on TimeGrid(0, 2, 200)) for each seed, at 400 rows (the
-size the benchmark's diagnostic battery uses) and at 5000 rows (the size of
-run_all_checks.py), and prints the fail and inconclusive counts with the
-seeds behind them.  Exits 1 when any run fails.
+Runs the check_stationarity jobs of run_all_checks.py for seeds 1-40, at
+400 rows (the size the benchmark's diagnostic battery uses) and at 5000 rows
+(the size of run_all_checks.py), and prints the fail and inconclusive counts
+with the seeds behind them.  Exits 1 when any run fails.
 
-Usage: PYTHONPATH=src python scripts/sweep_stationarity.py [--first 1]
-       [--seeds 40] [--rows 400,5000]
+Usage: PYTHONPATH=src python scripts/sweep_stationarity.py
 """
 
-import argparse
 import sys
 
-from fracou import diagnostics as dg
-from fracou.simulate import TimeGrid
+from run_all_checks import STATIONARITY, stationarity_job
 
-JOBS = {"stationarity_19": (1.9, 5e-3), "stationarity_1": (1.0, 2e-3)}
+SEEDS = range(1, 41)
+ROWS = (400, 5000)
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--first", type=int, default=1)
-    ap.add_argument("--seeds", type=int, default=40)
-    ap.add_argument("--rows", default="400,5000")
-    args = ap.parse_args()
-
-    grid = TimeGrid(0.0, 2.0, 200)
-    seeds = range(args.first, args.first + args.seeds)
     any_fail = False
-    for rows in (int(r) for r in args.rows.split(",")):
-        for name, (rho, tol) in JOBS.items():
+    for rows in ROWS:
+        for name in STATIONARITY:
             seen = {"fail": [], "inconclusive": []}
-            for seed in seeds:
-                rep = dg.check_stationarity(rho, 4.0, 1.0, grid, rows, seed,
-                                            tol)
-                if rep.verdict in seen:
-                    seen[rep.verdict].append(seed)
+            for seed in SEEDS:
+                verdict = stationarity_job(name, seed, rows).verdict
+                if verdict in seen:
+                    seen[verdict].append(seed)
             any_fail = any_fail or bool(seen["fail"])
-            print(f"{name:16s} rows {rows:5d}  seeds {args.first}.."
-                  f"{args.first + args.seeds - 1}: "
+            print(f"{name:16s} rows {rows:5d}  seeds {SEEDS[0]}..{SEEDS[-1]}: "
                   f"fail {len(seen['fail'])} {seen['fail']}  "
                   f"inconclusive {len(seen['inconclusive'])} "
                   f"{seen['inconclusive']}", flush=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -439,18 +440,21 @@ _TAIL_H = 2.0**-9
 # table would be larger is bounded by its envelope alone
 _TAIL_CELLS = 8 * _TABLE_CELLS
 _TAIL_T_MAX = 1e7
+# (rho, rates) tables are keyed on data, not on a few model parameters: only
+# the newest few are kept
+_TAIL_RATE_TABLES = 4
 _tail_cache: dict = {}
 
 
-def _shortest_depth(bound, tol: float):
+def _shortest_depth(bound, tol: float, t_max: float = _TAIL_T_MAX):
     """Shortest T, to T/64, with bound(T) < tol, for a bound that does not
     grow with T: doubling from _TAIL_T0 brackets it in (T/2, T], then
-    bisection runs over the multiples of T/64.  None when no T up to
-    _TAIL_T_MAX qualifies."""
+    bisection runs over the multiples of T/64.  None when no T up to t_max
+    qualifies."""
     T, lo, hi = _TAIL_T0, 64, 64  # in units of T/64
     while not bound(T) < tol:
         T, lo = 2.0 * T, 32
-        if T > _TAIL_T_MAX:
+        if T > t_max:
             return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -458,26 +462,33 @@ def _shortest_depth(bound, tol: float):
     return hi * T / 64
 
 
-def _tail_row(kernel):
-    """(memo key, rho, rates per lag, row on lags, envelope tail) of a
-    MeanKernel's G or of the f_n row of a (rho, rates) pair.
+class _TailRow(NamedTuple):
+    key: object  # memo key of the kernel
+    rho: float
+    width: int  # rates per lag
+    row: Callable  # lags -> kernel values
+    envelope: Callable  # T -> envelope tail of K^2 past T
+
+
+def _tail_row(kernel) -> _TailRow:
+    """The row of a MeanKernel's G or the f_n row of a (rho, rates) pair.
 
     |s_alpha(t)| <= M/(1 + alpha t^rho) bounds |f_n(t)| by M t^-rho times the
     mean of 1/alpha, whose square integrates in closed form.
     """
     if isinstance(kernel, MeanKernel):
-        return (kernel, kernel.rho, 1,
-                lambda u: mean_kernel_values(kernel, u),
-                lambda T: tail_variance_bound(kernel, T))
+        return _TailRow(kernel, kernel.rho, 1,
+                        lambda u: mean_kernel_values(kernel, u),
+                        lambda T: tail_variance_bound(kernel, T))
     rho, alphas = kernel
     rho, alphas = float(FractionalOrder(rho)), np.asarray(alphas, dtype=float)
     c, p = bound_m(rho) * float(np.mean(1.0 / alphas)), 2.0 * rho - 1.0
-    return ((rho, alphas.tobytes()), rho, alphas.size,
-            lambda u: empirical_kernel_values(alphas, rho, u),
-            lambda T: c * c * T ** (-p) / p)
+    return _TailRow((rho, alphas.tobytes()), rho, alphas.size,
+                    lambda u: empirical_kernel_values(alphas, rho, u),
+                    lambda T: c * c * T ** (-p) / p)
 
 
-def _tail_table(kernel, tol: float) -> np.ndarray:
+def _tail_table(kr: _TailRow, tol: float) -> np.ndarray:
     """Entry i bounds the tail integral of K^2 past _TAIL_T0 + i _TAIL_H.
 
     The cells of [_TAIL_T0, T_far) each hold at most
@@ -487,50 +498,61 @@ def _tail_table(kernel, tol: float) -> np.ndarray:
     M3 alpha^(1/rho)/(1 + alpha^(1/rho) t) <= M3/t, and G' and f_n' are means
     of them.  Past T_far, the first point where the envelope is below
     tol/10, the envelope bounds the rest.  Empty when M3 is undefined
-    (rho outside [1, 2)) or the table would exceed _TAIL_CELLS; memoized per
-    (kernel, tol).
+    (rho outside [1, 2)) or the table would exceed _TAIL_CELLS.
     """
-    key, rho, width, row, envelope = _tail_row(kernel)
-    got = _tail_cache.get((key, tol))
-    if got is not None:
-        return got
-    t_far = (_shortest_depth(envelope, tol / 10.0)
-             if 1.0 <= rho < 2.0 else None)
+    t_far = (_shortest_depth(kr.envelope, tol / 10.0)
+             if 1.0 <= kr.rho < 2.0 else None)
     n = 0 if t_far is None else int(round((t_far - _TAIL_T0) / _TAIL_H))
-    table = np.empty(n if n * width <= _TAIL_CELLS else 0)
+    table = np.empty(n if n * kr.width <= _TAIL_CELLS else 0)
     if table.size:
-        m3 = bound_m3(rho)
-        step = max(1, _TABLE_CELLS // width)
+        m3 = bound_m3(kr.rho)
+        step = max(1, _TABLE_CELLS // kr.width)
         for a in range(0, n, step):
             u = _TAIL_T0 + np.arange(a, min(a + step, n) + 1) * _TAIL_H
-            k = np.abs(row(u))
+            k = np.abs(kr.row(u))
             k = np.maximum(k[:-1], k[1:]) + MIXING_GATE + _TAIL_H * m3 / u[:-1]
             table[a : a + k.size] = _TAIL_H * k * k
         np.cumsum(table[::-1], out=table[::-1])
         # a sum of n nonnegative terms rounds low by at most n eps of itself
         table *= 1.0 + n * _EPS
-        table += envelope(t_far)
-    with _cache_lock:
-        return _tail_cache.setdefault((key, tol), table)
+        table += kr.envelope(t_far)
+    return table
 
 
-def _certified_tail(kernel, T: float, tol: float) -> float:
-    """Upper bound for the tail integral of K(u)^2 over [T, inf), K being
-    G of a MeanKernel or f_n of a (rho, rates) pair: the smaller of the cell
-    sum of _tail_table, read at the last cell edge at or below T, and the
-    envelope."""
-    envelope = _tail_row(kernel)[4](T)
-    table = _tail_table(kernel, tol)
-    i = math.floor((T - _TAIL_T0) / _TAIL_H)
-    return min(float(table[i]), envelope) if 0 <= i < table.size else envelope
+def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
+    """T -> an upper bound for the tail integral of K(u)^2 over [T, inf), K
+    being G of a MeanKernel or f_n of a (rho, rates) pair: the smaller of
+    the cell sum of _tail_table, read at the last cell edge at or below T,
+    and the envelope.
+
+    The table is memoized per (kernel, tol); of the (rho, rates) tables only
+    the newest _TAIL_RATE_TABLES are kept.
+    """
+    kr = _tail_row(kernel)
+    table = _tail_cache.get((kr.key, tol))
+    if table is None:
+        table = _tail_table(kr, tol)
+        with _cache_lock:
+            table = _tail_cache.setdefault((kr.key, tol), table)
+            rated = [k for k in _tail_cache if not isinstance(k[0], MeanKernel)]
+            for k in rated[:-_TAIL_RATE_TABLES]:
+                del _tail_cache[k]
+
+    def tail(T: float) -> float:
+        envelope = kr.envelope(T)
+        i = math.floor((T - _TAIL_T0) / _TAIL_H)
+        return min(float(table[i]), envelope) if 0 <= i < table.size else envelope
+
+    return tail
 
 
 def stationary_variance(mk: MeanKernel, tol: float) -> float:
     """Limit variance sigma^2 = integral of G^2 over the whole half line.
 
     Brackets [sigma_T^2, sigma_T^2 + tail(T)] at the shortest depth T (to
-    T/64) whose certified tail, the one simulated histories are truncated
-    by, is below tol; the returned midpoint is within tol/2 of the truth.
+    T/64, up to 1e9) whose certified tail, the one simulated histories are
+    truncated by, is below tol; the returned midpoint is within tol/2 of the
+    truth.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
@@ -538,8 +560,8 @@ def stationary_variance(mk: MeanKernel, tol: float) -> float:
         raise DomainError(
             f"stationary variance needs mu > 1/(2 rho); "
             f"mu={mk.mixing.mu}, rho={mk.rho}")
-    T = _shortest_depth(lambda T: _certified_tail(mk, T, tol), tol)
+    tail = _tail_bound(mk, tol)
+    T = _shortest_depth(tail, tol, 1e9)
     if T is None:
-        raise AccuracyError(
-            f"tail bound does not reach tol={tol} below T={_TAIL_T_MAX:g}")
-    return variance_integral(mk, T) + 0.5 * _certified_tail(mk, T, tol)
+        raise AccuracyError(f"tail bound does not reach tol={tol} below T=1e9")
+    return variance_integral(mk, T) + 0.5 * tail(T)

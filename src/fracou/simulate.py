@@ -26,8 +26,9 @@ from .errors import AccuracyError, DomainError, TruncationError
 from .kernels import (
     _TAIL_T_MAX,
     MeanKernel,
-    _certified_tail,
     _shortest_depth,
+    _tail_bound,
+    _tail_row,
     empirical_kernel_values,
     mean_kernel_values,
 )
@@ -381,12 +382,12 @@ def _certified_history(kernel, grid: TimeGrid, tol: float) -> float:
 
     kernel is a MeanKernel (the tail of G) or a (rho, rates) pair (the tail
     of their f_n row; a single rate gives its s_alpha row).  The tail bound
-    is kernels._certified_tail: a cell sum of the kernel's own values, with
+    is kernels._tail_bound: a cell sum of the kernel's own values, with
     its derivative envelope M3/t, out to where the global envelope M/(1+x)
     takes over, and never above that envelope.  The depth depends on the
     kernel and tol only; callers round it up to whole cells of grid.
     """
-    depth = _shortest_depth(lambda T: _certified_tail(kernel, T, tol), tol)
+    depth = _shortest_depth(_tail_bound(kernel, tol), tol)
     if depth is None:
         raise TruncationError(f"history truncation cannot certify tol={tol} "
                               f"below T={_TAIL_T_MAX:g}")
@@ -437,7 +438,8 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
             raise DomainError(
                 "stationary aggregate needs mu > 1/(2 rho); "
                 f"mu={kernel.mixing.mu}, rho={rho}")
-        certified, rows = kernel, partial(mean_kernel_values, kernel)
+        certified = kernel
+        rows = _tail_row(kernel).row
         labels = [{"process": "eta", "rep": rep + r} for r in range(n_paths)]
         meta = {"process": "eta", "mu": kernel.mixing.mu,
                 "lam": kernel.mixing.lam}
@@ -450,7 +452,7 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
         rho = _require_simulatable(rho, grid)
         if mean:
             certified = (rho, alphas)
-            rows = partial(empirical_kernel_values, alphas, rho)
+            rows = _tail_row(certified).row
             labels = [{"process": "xi_mean", "rep": rep + r}
                       for r in range(n_paths)]
         else:
@@ -468,7 +470,7 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
                                rep0=rep)
     values = _convolve_rows(kern, dw, method=method, start=n_hist)
     meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt,
-                tail_bound=_certified_tail(certified, n_hist * dt, tol))
+                tail_bound=_tail_bound(certified, tol)(n_hist * dt))
     return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
 
 

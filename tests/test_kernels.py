@@ -230,10 +230,10 @@ def test_certified_tail_covers_the_exact_tail_at_rho_one(mu, lam):
     for tol in (1e-2, 2e-3):
         for T in (0.5, 0.890625, 1.3, 4.0, 37.5, 1000.0):
             exact = lam / (2.0 * mu - 1.0) * (1.0 + T / lam) ** (1.0 - 2.0 * mu)
-            assert kn._certified_tail(mk, T, tol) >= exact
+            assert kn._tail_bound(mk, tol)(T) >= exact
     if mu == 4.0:
         # the cell sum, not the envelope, is what was checked
-        assert kn._certified_tail(mk, 1.3, 2e-3) < 1e-2 * tail_variance_bound(mk, 1.3)
+        assert kn._tail_bound(mk, 2e-3)(1.3) < 1e-2 * tail_variance_bound(mk, 1.3)
 
 
 @pytest.mark.parametrize("rho", [1.5, 1.9])
@@ -249,7 +249,7 @@ def test_certified_tail_covers_the_oracle_tail(rho, gml_oracle):
         octave[a] = 0.5 * a * float(np.sum(weights * g**2))
     for T in (1.0, 2.0, 4.0):
         partial = sum(v for a, v in octave.items() if a >= T)
-        bound = kn._certified_tail(mk, T, 1e-4)
+        bound = kn._tail_bound(mk, 1e-4)(T)
         assert partial <= bound < tail_variance_bound(mk, T)
 
 
@@ -263,6 +263,12 @@ def test_stationary_variance():
     assert head <= v2 <= head + tail_variance_bound(MK19, 64.0)
     with pytest.raises(DomainError):
         stationary_variance(MeanKernel(1.9, GammaMixing(0.2, 1.0)), 1e-4)
+    # the envelope reaches 2e-6 only near T = 1e8, past the 1e7 that bounds
+    # simulated histories; stationary_variance searches up to 1e9
+    mk = MeanKernel(1.9, GammaMixing(0.6, 1.0))
+    assert kn._shortest_depth(lambda T: tail_variance_bound(mk, T), 2e-6) is None
+    v = stationary_variance(mk, 2e-6)
+    assert v == pytest.approx(stationary_variance(mk, 1e-5), abs=6e-6)
 
 
 def test_bound_constants():

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -307,6 +306,19 @@ def test_stationary_component_variance():
     assert abs(v - target) < 3.0 * var_se(target, n_mc) + 1e-2
 
 
+def test_fresh_rates_keep_few_tail_tables():
+    # tables keyed on drawn rates are dropped oldest first; only MeanKernel
+    # tables, keyed on model parameters, are all kept
+    g = sim.TimeGrid(0.0, 0.5, 25)
+    for k in range(3 * kn._TAIL_RATE_TABLES):
+        sim.simulate_stationary_paths(np.array([1.0 + 0.01 * k]), g, 5, 1e-2,
+                                      rho=1.9)
+        rated = [key for key in kn._tail_cache
+                 if not isinstance(key[0], MeanKernel)]
+        assert len(rated) <= kn._TAIL_RATE_TABLES
+    assert ((1.9, np.array([1.0 + 0.01 * k]).tobytes()), 1e-2) in kn._tail_cache
+
+
 def test_empirical_stationary_mean_converges():
     g = sim.TimeGrid(0.0, 1.0, 50)
     alphas = sample_alphas(MIX, 100, 8)
@@ -523,6 +535,6 @@ def test_certified_history_is_the_shortest_certified_64th():
         depth = sim._certified_history(kernel, g, tol)
         bracket = 0.5 * 2.0 ** math.ceil(math.log2(depth / 0.5))
         assert depth / (bracket / 64) == int(depth / (bracket / 64))
-        tail = functools.partial(kn._certified_tail, kernel, tol=tol)
+        tail = kn._tail_bound(kernel, tol)
         assert tail(depth) < tol <= tail(depth - bracket / 64)
         assert depth <= min(most, envelope_depth(envelope, tol))
