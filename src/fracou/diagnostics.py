@@ -21,6 +21,7 @@ from . import _rng, simulate
 from .errors import DomainError
 from .kernels import (
     MeanKernel,
+    _rate_lag_blocks,
     bound_m,
     bound_m3,
     deriv_bound_constant,
@@ -246,9 +247,11 @@ def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
     sup_gaps = []
     for n in n_list:
         sub = alphas[:n]
-        args = sub[:, None] * ts[None, :] ** rho
-        e2 = ml_two_values(rho, args.ravel()).reshape(args.shape)
-        fdot = -(sub[:, None] * ts[None, :] ** (rho - 1.0) * e2).mean(axis=0)
+        # f_n'(t) = -t^(rho-1) mean_k alpha_k E_{rho,rho}(-alpha_k t^rho)
+        fdot = np.empty(ts.size)
+        for at, block in _rate_lag_blocks(ml_two_values, sub, rho, ts):
+            fdot[at] = np.add.reduce(block * sub, axis=1)
+        fdot *= -ts ** (rho - 1.0) / sub.size
         gap = float(np.max(np.abs(fdot - gdot)))
         sup_fdot = float(np.max(np.abs(fdot)))
         allowed = bconst * float(np.mean(sub ** (1.0 / rho)))

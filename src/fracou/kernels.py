@@ -7,7 +7,7 @@ alpha gives the mean kernel G(t), the deterministic object behind the
 aggregated process: its square integrates to path variances, and its tail
 controls how much history a stationary simulation must keep.  G and its
 derivative G' are one Gamma-mixing integral at two parameter sets, evaluated
-by the same series, quadrature and panel paths.
+by the same series, closed-form and panel paths.
 
 Bound constants: the envelope constants M (for E_rho), M2 (for E_{rho,rho})
 and M3 (for the derivative of the unit resolvent) are estimated once per rho
@@ -29,12 +29,10 @@ from .errors import AccuracyError, DomainError
 from .mixing import GammaMixing, check_condition
 from .special_functions import (
     _EPS,
-    _TABLE_CELLS,
-    MIXING_GATE,
+    ACCURACY_FLOOR,
     FractionalOrder,
     _cache_lock,
     _g_quadrature_many,
-    _g_series_many,
     ml_one,
     ml_one_values,
     ml_two,
@@ -213,72 +211,37 @@ def empirical_kernel(alphas, rho, t: float) -> float:
     return float(empirical_kernel_values(alphas, rho, [t])[0])
 
 
+# rate x lag cells per evaluator call of a table, which bounds the
+# evaluator's per-point arrays; each cell is evaluated on its own
+_TABLE_CELLS = 1 << 18
+
+
+def _rate_lag_blocks(evaluate, alphas: np.ndarray, rho: float, lags: np.ndarray):
+    """(lag slice, lags x rates block of evaluate(rho, alpha lag^rho)) pairs
+    of at most _TABLE_CELLS cells over the 1-d lags; evaluate is
+    ml_one_values or ml_two_values."""
+    lp = lags**rho
+    step = max(1, _TABLE_CELLS // max(alphas.size, 1))
+    for a in range(0, lp.size, step):
+        args = lp[a : a + step, None] * alphas[None, :]
+        yield slice(a, a + step), evaluate(rho, args.ravel()).reshape(args.shape)
+
+
 def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
     """f_n, the arithmetic mean of s_alpha over the given rates, on a grid.
 
-    Chunked over lags; all rates of one lag are summed in one row reduce, so
-    a lag's value does not depend on the other lags of the grid.
+    All rates of one lag are summed in one row reduce, so a lag's value does
+    not depend on the other lags of the grid.
     """
     alphas = np.asarray(alphas, dtype=float)
     ts = _times(ts)
     if alphas.ndim != 1 or alphas.size == 0:
         raise DomainError("alphas must be a nonempty 1-d array")
     rho = float(FractionalOrder(rho))
-    tp = ts.ravel() ** rho
-    out = np.empty(tp.shape)
-    chunk = max(1, _TABLE_CELLS // alphas.size)
-    for a in range(0, tp.size, chunk):
-        args = tp[a : a + chunk, None] * alphas[None, :]
-        out[a : a + chunk] = np.add.reduce(
-            ml_one_values(rho, args.ravel()).reshape(args.shape), axis=1)
+    out = np.empty(ts.size)
+    for rows, block in _rate_lag_blocks(ml_one_values, alphas, rho, ts.ravel()):
+        out[rows] = np.add.reduce(block, axis=1)
     return (out / alphas.size).reshape(ts.shape)
-
-
-_series_range_cache: dict = {}
-
-
-def _g_series_range(rho: float, mu: float, beta: float = 1.0) -> float:
-    """Largest |z| for which the direct series self-certifies 1e-9."""
-    key = (rho, beta, mu)
-    got = _series_range_cache.get(key)
-    if got is not None:
-        return got
-    zmax = 0.5
-    for z in np.geomspace(0.5, 1e5, 80):
-        try:
-            _, est, _, guard = _g_series_many(rho, mu, np.array([-z]), beta)
-        except AccuracyError:
-            break
-        if guard[0] or est[0] > 1e-9:
-            break
-        zmax = float(z)
-    with _cache_lock:
-        return _series_range_cache.setdefault(key, zmax)
-
-
-def _mixed_values(rho: float, beta: float, nu: float, lam: float,
-                  ts: np.ndarray) -> np.ndarray:
-    """H_{rho,beta,nu}(t^rho/lam) on a grid: the direct series where it
-    certifies (rho > 1, moderate t), else the mixing-integral quadrature,
-    which covers every rho in (0, 2]."""
-    z = ts**rho / lam
-    out = np.empty(ts.shape)
-    done = np.zeros(ts.shape, dtype=bool)
-    if rho > 1.0:
-        sel = np.nonzero(z <= _g_series_range(rho, nu, beta))[0]
-        if sel.size:
-            vals, ests, _, guard = _g_series_many(rho, nu, -z[sel], beta)
-            ok = ~guard & (ests <= 1e-9)
-            out[sel[ok]] = vals[ok]
-            done[sel[ok]] = True
-    rest = ~done
-    if rest.any():
-        vals, ests = _g_quadrature_many(rho, nu, lam, ts[rest], beta)
-        if float(ests.max(initial=0.0)) > MIXING_GATE:
-            raise AccuracyError(f"mixing quadrature disagreement "
-                                f"{float(ests.max()):.2e} > {MIXING_GATE:g}")
-        out[rest] = vals
-    return out
 
 
 def mean_kernel(mk: MeanKernel, t: float) -> float:
@@ -288,7 +251,7 @@ def mean_kernel(mk: MeanKernel, t: float) -> float:
 
 def mean_kernel_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
     """G(t) = H_{rho,1,mu}(t^rho/lam), the mixing-law mean of s_alpha(t), on a grid."""
-    return _mixed_values(mk.rho, 1.0, mk.mixing.mu, mk.mixing.lam, _times(ts))
+    return _g_quadrature_many(mk.rho, mk.mixing.mu, mk.mixing.lam, _times(ts))[0]
 
 
 def mean_kernel_deriv(mk: MeanKernel, t: float) -> float:
@@ -312,7 +275,7 @@ def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
         raise DomainError("mean kernel derivative requires rho >= 1")
     mu, lam = mk.mixing.mu, mk.mixing.lam
     return (-(mu / lam) * ts ** (mk.rho - 1.0)
-            * _mixed_values(mk.rho, mk.rho, mu + 1.0, lam, ts))
+            * _g_quadrature_many(mk.rho, mu + 1.0, lam, ts, mk.rho)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +455,8 @@ def _tail_table(kr: _TailRow, tol: float) -> np.ndarray:
     """Entry i bounds the tail integral of K^2 past _TAIL_T0 + i _TAIL_H.
 
     The cells of [_TAIL_T0, T_far) each hold at most
-    h (max(|K(u_i)|, |K(u_i+1)|) + MIXING_GATE + h M3/u_i)^2, since |K| is
-    within MIXING_GATE of its computed values and |K'(t)| <= M3/t: every
+    h (max(|K(u_i)|, |K(u_i+1)|) + ACCURACY_FLOOR + h M3/u_i)^2, since |K|
+    is within ACCURACY_FLOOR of its computed values and |K'(t)| <= M3/t: every
     s_alpha' is alpha^(1/rho) s_1'(alpha^(1/rho) t), bounded by
     M3 alpha^(1/rho)/(1 + alpha^(1/rho) t) <= M3/t, and G' and f_n' are means
     of them.  Past T_far, the first point where the envelope is below
@@ -510,7 +473,7 @@ def _tail_table(kr: _TailRow, tol: float) -> np.ndarray:
         for a in range(0, n, step):
             u = _TAIL_T0 + np.arange(a, min(a + step, n) + 1) * _TAIL_H
             k = np.abs(kr.row(u))
-            k = np.maximum(k[:-1], k[1:]) + MIXING_GATE + _TAIL_H * m3 / u[:-1]
+            k = np.maximum(k[:-1], k[1:]) + ACCURACY_FLOOR + _TAIL_H * m3 / u[:-1]
             table[a : a + k.size] = _TAIL_H * k * k
         np.cumsum(table[::-1], out=table[::-1])
         # a sum of n nonnegative terms rounds low by at most n eps of itself

@@ -26,6 +26,7 @@ from .errors import AccuracyError, DomainError, TruncationError
 from .kernels import (
     _TAIL_T_MAX,
     MeanKernel,
+    _rate_lag_blocks,
     _shortest_depth,
     _tail_bound,
     _tail_row,
@@ -33,7 +34,7 @@ from .kernels import (
     mean_kernel_values,
 )
 from .mixing import check_condition
-from .special_functions import _TABLE_CELLS, FractionalOrder, ml_one_values
+from .special_functions import FractionalOrder, ml_one_values
 
 __all__ = [
     "TimeGrid",
@@ -221,14 +222,10 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
 
 def _resolvent_lag_rows(alphas: np.ndarray, rho: float,
                         lags: np.ndarray) -> np.ndarray:
-    """Matrix s_alpha(lag) for every (alpha, lag) pair, chunked."""
+    """Matrix s_alpha(lag) for every (alpha, lag) pair."""
     out = np.empty((alphas.size, lags.size))
-    lp = lags**rho
-    chunk = max(1, _TABLE_CELLS // max(lags.size, 1))
-    for a in range(0, alphas.size, chunk):
-        block = alphas[a : a + chunk]
-        args = block[:, None] * lp[None, :]
-        out[a : a + chunk] = ml_one_values(rho, args.ravel()).reshape(args.shape)
+    for cols, block in _rate_lag_blocks(ml_one_values, alphas, rho, lags):
+        out[:, cols] = block.T
     return out
 
 

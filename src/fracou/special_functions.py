@@ -24,9 +24,10 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   summation, bridges the band with ~1e-12 certified error.  Each build
   shares one sweep of the series coefficients among all its nodes.
 
-The Gamma-mixing integral past scale 8 is read from memoized Chebyshev
-panels in log scale; each panel fit evaluates every distinct E_{rho,beta}
-argument of all its scales once.
+The Gamma-mixing integral H is summed by its series where that certifies
+and read elsewhere from memoized Chebyshev panels in log scale, each fit
+evaluating every distinct E_{rho,beta} argument of its scales once; at
+rho = 1 it is the closed form (1 + w)^(-nu).
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ _EPS = np.finfo(float).eps
 # certified target inside the series regime; flagged failure threshold
 SERIES_TARGET = 1e-10
 ACCURACY_FLOOR = 1e-8
-# largest estimate a mixing-integral value (G, G') may carry and still be
-# returned; bounds of G tails read it as the evaluator's error
-MIXING_GATE = 1e-7
 # partial sums larger than this multiple of the result flag cancellation loss
 CANCEL_GUARD = 1e6
 # safety factor on the first neglected term of an alternating series
@@ -91,7 +89,7 @@ class EvalResult:
     """
 
     value: float
-    # "series" | "asymptotic" | "interpolant" | "closed_form" | "quadrature"
+    # "series" | "asymptotic" | "interpolant" | "closed_form"
     method: str
     terms_used: int
     est_abs_error: float
@@ -462,7 +460,7 @@ def _gap_interpolant(rho: float, beta: float) -> _ChebLog:
 # dispatch
 # ---------------------------------------------------------------------------
 
-_METHODS = ("series", "asymptotic", "closed_form", "quadrature", "interpolant")
+_METHODS = ("series", "asymptotic", "closed_form", "interpolant")
 
 
 def _closed_form_many(rho: float, beta: float, x: np.ndarray):
@@ -625,12 +623,6 @@ def g_rho_series(rho: float, mu: float, z: float) -> EvalResult:
     return EvalResult(float(values[0]), "series", int(terms[0]), float(ests[0]))
 
 
-@lru_cache(maxsize=64)
-def _laguerre_rule(order: int, mu: float):
-    nodes, weights = sc.roots_genlaguerre(order, mu - 1.0)
-    return nodes, weights / math.gamma(mu)
-
-
 @lru_cache(maxsize=8)
 def _legendre_rule(order: int = 8):
     return np.polynomial.legendre.leggauss(order)
@@ -647,25 +639,25 @@ def _panel_nodes(edges: np.ndarray):
 
 
 def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float = 1.0):
-    """Quadrature plan of the mixing integral at one scale > 8.
+    """Quadrature plan of the mixing integral at one scale > 0.
 
     Returns (strip value, strip and tail estimate, [(z_nodes, z_weights)]):
     the integrand's E_{rho,beta}(-z scale) factor is left to the caller, who
-    evaluates it for many scales at once.  The Gauss-Laguerre rule breaks
-    down here: for 1 < rho < 2 the integrand oscillates with phase
-    sin(pi/rho) (z scale)^(1/rho), far too fast for any practical fixed
-    order, and for mu < 1 the dominant mass sits in a boundary layer
-    z ~ 1/scale below the smallest node.  Instead:
+    evaluates it for many scales at once.  For 1 < rho < 2 the integrand
+    oscillates with phase sin(pi/rho) (z scale)^(1/rho), and for mu < 1 the
+    mass sits in a boundary layer z ~ 1/scale, so the plan is:
 
-    * an analytic two-term strip over z in [0, eps/scale];
-    * for rho > 1, panels in s = (z scale)^(1/rho), where the phase is
-      exactly linear in s, sized to a fixed phase step per panel, up to the
-      point where the exp(cos(pi/rho) s) damping has killed the oscillation;
-    * log-spaced panels in z over the remaining smooth power-tail region.
+    * an analytic two-term strip over z in [0, eps/max(scale, 1)];
+    * for rho > 1 and scale >= 1, panels in s = (z scale)^(1/rho), where the
+      phase is exactly linear in s, graded in log s up to s = 1 and then
+      sized to a fixed phase step each, up to the point where the
+      exp(cos(pi/rho) s) damping has killed the oscillation;
+    * log-spaced panels in z over the rest, all of it below scale 1, where
+      the phase stays below (z_cut scale)^(1/rho).
     """
     z_cut = mu + 50.0
     eps_arg = 1e-4
-    z0 = min(eps_arg / scale, z_cut)
+    z0 = min(eps_arg / max(scale, 1.0), z_cut)
     gm = math.gamma(mu)
     # strip: E(-w) = a - w/Gamma(rho+beta) + O(w^2) with a = 1/Gamma(beta),
     # e^-z = 1 - z + O(z^2); a is exactly 1 for beta = 1
@@ -675,26 +667,18 @@ def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float
     est = (z0**mu) * 2e-8 / gm
     pieces = []
     z_b = z0
-    if rho > 1.0:
-        aa = math.cos(math.pi / rho)
-        bb = math.sin(math.pi / rho)
-        s_damp = 30.0 / abs(aa) if aa != 0.0 else float("inf")
+    if rho > 1.0 and scale >= 1.0:
+        # s_top > 1 here: z_cut >= 50 and s_damp >= 30
+        s_damp = 30.0 / abs(math.cos(math.pi / rho))
         s_top = min(s_damp, (z_cut * scale) ** (1.0 / rho))
-        s0 = eps_arg ** (1.0 / rho)
-        if s_top > s0:
-            # graded log panels resolve the weight near s0, then fixed
-            # phase-step panels carry the oscillation
-            s_knee = min(1.0, s_top)
-            edges = [np.geomspace(s0, s_knee, 8 * refine + 1)]
-            if s_top > s_knee:
-                n_ph = max(4, int(math.ceil(bb * (s_top - s_knee) / 1.5)) * refine)
-                edges.append(np.linspace(s_knee, s_top, n_ph + 1)[1:])
-            s_edges = np.concatenate(edges)
-            s_nodes, s_weights = _panel_nodes(s_edges)
-            z_nodes = s_nodes**rho / scale
-            z_weights = s_weights * rho * s_nodes ** (rho - 1.0) / scale
-            pieces.append((z_nodes, z_weights))
-            z_b = s_top**rho / scale
+        n_ph = max(4, int(math.ceil(math.sin(math.pi / rho) * (s_top - 1.0) / 1.5))
+                   * refine)
+        s_nodes, s_weights = _panel_nodes(np.concatenate([
+            np.geomspace(eps_arg ** (1.0 / rho), 1.0, 8 * refine + 1),
+            np.linspace(1.0, s_top, n_ph + 1)[1:]]))
+        pieces.append((s_nodes**rho / scale,
+                       s_weights * rho * s_nodes ** (rho - 1.0) / scale))
+        z_b = s_top**rho / scale
     if z_b < z_cut:
         n_log = max(24, int(6.0 * math.log(z_cut / z_b))) * refine
         edges = np.geomspace(z_b, z_cut, n_log + 1)
@@ -709,7 +693,7 @@ def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float
 def _mixing_integrals(rho: float, mu: float, ws, refine: int,
                       beta: float = 1.0) -> np.ndarray:
     """(value, est) rows of the integral over z of z^(mu-1) e^-z
-    E_{rho,beta}(-z w) / Gamma(mu) at each scale w > 8.
+    E_{rho,beta}(-z w) / Gamma(mu) at each scale w > 0.
 
     The E_{rho,beta} arguments of all scales are evaluated in one call, each
     distinct one once; values do not depend on their batch, so every row has
@@ -732,11 +716,14 @@ def _mixing_integrals(rho: float, mu: float, ws, refine: int,
     return out
 
 
-# Panel k of the mixing integral covers scale in [8 * 16^k, 8 * 16^(k+1)).
-# Panels are fixed, so a value depends only on (rho, beta, mu, scale), never
-# on which arguments were requested earlier in the process.
+# Panel k >= _PANEL_FLOOR of the mixing integral covers scale in
+# [8 * 16^k, 8 * 16^(k+1)); below _TAYLOR_TOP = 2^-13 a few series terms
+# certify.  Panels are fixed, so a value depends only on (rho, beta, mu,
+# scale), never on which arguments were requested earlier in the process.
 _PANEL_BASE = 8.0
 _PANEL_RATIO = 16.0
+_PANEL_FLOOR = -4
+_TAYLOR_TOP = _PANEL_BASE * _PANEL_RATIO**_PANEL_FLOOR
 _PANEL_TOL = 3e-11
 _PANEL_MAX_NODES = 513
 
@@ -774,10 +761,41 @@ def _mixing_panel(rho: float, mu: float, k: int, beta: float = 1.0) -> _ChebLog:
         return _panel_cache.setdefault(key, panel)
 
 
-# cells (points x nodes) per _evaluate_many call of a table: it bounds the
-# evaluator's per-point arrays.  Each cell is evaluated on its own and each
-# point reduced in one row, so the chunk size changes no bit.
-_TABLE_CELLS = 1 << 18
+def _taylor_many(rho: float, mu: float, w: np.ndarray, beta: float):
+    """K-term Taylor sum of H_{rho,beta,mu}(w) = sum_k c_k (-w)^k for
+    rho <= 1, beta >= rho and w < _TAYLOR_TOP.  E_{rho,beta}(-x) is then
+    completely monotone (Schneider, Expo. Math. 14, 1996), so its K-term
+    Taylor remainder is at most x^K / Gamma(rho K + beta) in size, and
+    H's at most c_K w^K; K >= 2 is the first count that puts this below
+    e^-39 at _TAYLOR_TOP.  (2K + 1) eps sum_k c_k w^k covers the rounding.
+    """
+    K = next((k for k in range(2, 64) if math.lgamma(mu + k) - math.lgamma(mu)
+              - math.lgamma(rho * k + beta) + k * math.log(_TAYLOR_TOP) < -39.0), 64)
+    c = [float(x) for x in _exact_coeffs(("G", rho, mu, beta),
+                                         lambda n: _g_coeffs(rho, mu, n, beta), K + 1)]
+    s = m = np.full(w.shape, c[K - 1])
+    for ck in c[K - 2::-1]:
+        s = s * -w + ck
+        m = m * w + ck
+    return s, c[K] * w**K + (2 * K + 1) * _EPS * m, np.full(w.shape, K)
+
+
+@lru_cache(maxsize=256)
+def _g_series_range(rho: float, mu: float, beta: float = 1.0) -> float:
+    """Largest probe |z| up to which the direct series self-certifies 1e-9
+    at every probe, probing up from _TAYLOR_TOP = 2^-13; 0 when it fails
+    there."""
+    zmax = 0.0
+    probes = np.concatenate([0.5 ** np.arange(13, 1, -1), np.geomspace(0.5, 1e5, 80)])
+    for z in probes:
+        try:
+            _, est, _, guard = _g_series_many(rho, mu, np.array([-z]), beta)
+        except AccuracyError:
+            break
+        if guard[0] or est[0] > 1e-9:
+            break
+        zmax = float(z)
+    return zmax
 
 
 def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
@@ -786,56 +804,74 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
     Gamma(mu, lam) density: H_{rho,beta,mu}(t^rho/lam), which is
     G_rho(-t^rho/lam) at beta = 1.  Valid for every rho in (0, 2].
 
-    Small t^rho/lam goes through generalized Gauss-Laguerre after z = lam y
-    with an order-halving error estimate, in chunks of _TABLE_CELLS // 128
-    points; larger arguments are read from the certified log-scale panels of
-    the oscillation-resolving panel scheme.
+    Returns (values, ests, method codes, terms_used) as _evaluate_many does.
+    At rho = 1 = beta, H = (1 + w)^(-mu), since E_{1,1} = exp.  Otherwise
+    the series serves the scales below _TAYLOR_TOP (the direct series for
+    rho > 1, _taylor_many below 1) and, for rho > 1, those up to
+    _g_series_range where it certifies 1e-9; the certified panels serve the
+    rest.  Raises AccuracyError when an estimate exceeds ACCURACY_FLOOR.
     """
     t = np.asarray(t, dtype=float)
-    scale = t**float(rho) / lam
+    rho = float(rho)
+    scale = t**rho / lam
     values = np.empty(t.shape)
     ests = np.zeros(t.shape)
-    values[scale == 0.0] = 1.0 / math.gamma(beta)
+    methods = np.full(t.shape, _METHODS.index("closed_form"), dtype=np.int8)
+    terms = np.zeros(t.shape, dtype=int)
+    if rho == 1.0 and beta == 1.0:
+        values[:] = (1.0 + scale) ** -mu
+        # 1 + w rounds by eps, which the power raises to mu eps
+        ests[:] = (mu + 4.0) * _EPS * values
+        return values, ests, methods, terms
+    done = scale == 0.0
+    values[done] = 1.0 / math.gamma(beta)
 
-    small = np.flatnonzero((scale > 0.0) & (scale <= _PANEL_BASE))
-    chunk = max(1, _TABLE_CELLS // 128)
-    for a in range(0, small.size, chunk):
-        sel = small[a : a + chunk]
-        s = scale.ravel()[sel]
-        ref = None
-        for n in (64, 128):
-            nodes, weights = _laguerre_rule(n, mu)
-            args = nodes[None, :] * s[:, None]
-            ev = _evaluate_many(rho, beta, args.ravel())[0].reshape(args.shape)
-            q = np.add.reduce(ev * weights, axis=1)  # row by row: batch-free bits
-            if ref is None:
-                ref = q
-        values.flat[sel] = q
-        ests.flat[sel] = 3.0 * np.abs(q - ref) + 1e-15 * (1.0 + np.abs(q))
+    top = max(_g_series_range(rho, mu, beta), _TAYLOR_TOP) if rho > 1.0 else _TAYLOR_TOP
+    near = ~done & (scale <= top)
+    if near.any():
+        if rho > 1.0:
+            v, e, n, guard = _g_series_many(rho, mu, -scale[near], beta)
+            e[guard] = np.inf
+            ok = (e <= 1e-9) | (scale[near] < _TAYLOR_TOP)
+            near[near] = ok
+            v, e, n = v[ok], e[ok], n[ok]
+        else:
+            v, e, n = _taylor_many(rho, mu, scale[near], beta)
+        values[near], ests[near], terms[near] = v, e, n
+        methods[near] = _METHODS.index("series")
+        done |= near
 
-    big = scale > _PANEL_BASE
+    big = ~done
     if big.any():
-        panel_of = np.full(t.shape, -1.0)
-        panel_of[big] = np.floor(np.log(scale[big] / _PANEL_BASE)
-                                 / math.log(_PANEL_RATIO))
-        for k in np.unique(panel_of[big]):
-            sel = panel_of == k
-            panel = _mixing_panel(float(rho), float(mu), int(k), float(beta))
-            values[sel] = panel(scale[sel])
-            ests[sel] = panel.est
-    return values, ests
+        s = scale[big]
+        k_of = np.floor(np.log(s / _PANEL_BASE) / math.log(_PANEL_RATIO))
+        ks, panel_of = np.unique(np.maximum(k_of, _PANEL_FLOOR), return_inverse=True)
+        panels = [_mixing_panel(rho, float(mu), int(k), float(beta)) for k in ks]
+        v = np.empty(s.shape)
+        for i, panel in enumerate(panels):
+            sel = panel_of == i
+            v[sel] = panel(s[sel])
+        values[big], methods[big] = v, _METHODS.index("interpolant")
+        ests[big] = np.array([p.est for p in panels])[panel_of]
+        terms[big] = np.array([p.coef.size for p in panels])[panel_of]
+
+    worst = float(ests.max(initial=0.0))
+    if worst > ACCURACY_FLOOR:
+        raise AccuracyError(
+            f"mixing integral estimate {worst:.2e} exceeds {ACCURACY_FLOOR:g} "
+            f"for rho={rho}, mu={mu}, beta={beta}", est_abs_error=worst)
+    return values, ests, methods, terms
 
 
 def g_rho_quadrature(rho, mu: float, lam: float, t: float) -> EvalResult:
-    """G_rho(-t^rho/lam) as the mixing integral; works for all rho in (0, 2]."""
+    """G_rho(-t^rho/lam) for all rho in (0, 2]: _g_quadrature_many at one
+    point.  method and terms_used name the path that served it (closed form,
+    series or panel interpolant) and its term or coefficient count."""
     rho = FractionalOrder(rho)
     if mu <= 0 or lam <= 0:
         raise DomainError(f"mixing parameters must be positive, got mu={mu}, lam={lam}")
     if not np.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
-    values, ests = _g_quadrature_many(rho, mu, lam, np.array([t]))
-    if float(ests[0]) > MIXING_GATE:
-        raise AccuracyError(
-            f"order-doubling disagreement {float(ests[0]):.2e} exceeds "
-            f"{MIXING_GATE:g} at t={t}", est_abs_error=float(ests[0]))
-    return EvalResult(float(values[0]), "quadrature", 128, float(ests[0]))
+    values, ests, methods, terms = _g_quadrature_many(rho, mu, lam, np.array([t]))
+    return EvalResult(float(values[0]), _METHODS[int(methods[0])],
+                      int(terms[0]), float(ests[0]))

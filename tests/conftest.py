@@ -45,7 +45,10 @@ def oracle_gml(rho: float, mu: float, w: float, beta: float = 1.0,
     precision from log-gamma, so the cancelling sum keeps `digits` digits.
     rho k + beta is formed in mpmath: rounded to a double first, it would
     carry an error that the cancellation amplifies far past the result.
+    The series diverges for rho < 1: use oracle_gml_integral there.
     """
+    if rho < 1.0:
+        raise ValueError(f"the series diverges at rho = {rho} < 1")
     logw = math.log(w)
     peak, k_peak, k = 0.0, 0, 0
     while k < 2 * k_peak + 10:
@@ -73,6 +76,75 @@ def oracle_gml(rho: float, mu: float, w: float, beta: float = 1.0,
 @pytest.fixture(scope="session")
 def gml_oracle():
     return oracle_gml
+
+
+def _exp_e(m, b):
+    """e^b E_m(b), the mean of 1/(z + b) for z ~ Gamma(m, 1), at complex b
+    off the negative axis.  mpmath's expint is slow at integer orders above
+    1, so those are formed from E_1 (the caller raises the precision by the
+    digits this cancels at |b| > m)."""
+    n = int(m)
+    if m != n or n < 2:
+        return mp.exp(b) * mp.expint(m, b)
+    head = mp.fsum(mp.factorial(n - k - 2) * (-b) ** k for k in range(n - 1))
+    return ((-b) ** (n - 1) * mp.exp(b) * mp.e1(b) + head) / mp.factorial(n - 1)
+
+
+def oracle_gml_integral(rho: float, mu: float, w: float, beta: float = 1.0,
+                        digits: int = 15) -> float:
+    """H_{rho,beta,mu}(w) = E[E_{rho,beta}(-z w)], z ~ Gamma(mu, 1), for
+    0 < rho < 2, rho != 1 and beta in {1, rho}, by quadrature, where the
+    series of oracle_gml diverges (rho < 1) or needs too many terms.
+
+    For 0 < rho < 2 (Gorenflo and Mainardi), with s = r^rho x in
+    E_rho(-x) = (sin rho pi / pi) int_0^inf r^(rho-1) e^(-r x^(1/rho))
+    / (r^(2 rho) + 2 r^rho cos rho pi + 1) dr,
+
+        E_rho(-x) = (sin rho pi / (pi rho)) int_0^inf e^(-s^(1/rho))
+                    x / (s^2 + 2 s x cos rho pi + x^2) ds
+                    + [rho > 1] (2/rho) Re exp(x^(1/rho) e^(i pi/rho)).
+
+    The rational factor is 2 Re[A / (x + a)], a = s e^(i pi rho),
+    A = e^(i pi rho) / (2 i sin rho pi), and the mean of 1/(z w + a) is
+    _exp_e(mu, a/w)/w, so the first term averages to
+    (1/(pi rho w)) int e^(-s^(1/rho)) Im[e^(i pi rho) _exp_e(mu, a/w)] ds;
+    the second is a quadrature in z.  At beta = rho it returns
+    H_{rho,rho,mu}(w) = -(rho/(mu-1)) d/dw H_{rho,1,mu-1}(w), both terms
+    differentiated under the integral.
+    """
+    deriv = beta != 1.0
+    with mp.workdps(digits + 10):
+        r, W = mp.mpf(rho), mp.mpf(w)
+        m = mp.mpf(mu) - 1 if deriv else mp.mpf(mu)
+        ph = mp.expjpi(r)
+
+        def strip(s):
+            b = s * ph / W
+            with mp.extradps(int(float(m) * math.log10(1.0 + float(abs(b))))):
+                j = _exp_e(m, b)
+                if deriv:  # d/dw [J(a/w)/w] = -(J + b J'(b))/w^2, J' = J_m - J_(m-1)
+                    j += b * (j - _exp_e(m - 1, b))
+                return mp.exp(-s ** (1 / r)) * mp.im(ph * j)
+
+        total = mp.quad(strip, [0, 1, 10, mp.inf]) / (mp.pi * r * W)
+        if deriv:
+            total = -total / W
+        if rho > 1.0:
+            c = W ** (1 / r) * mp.expjpi(1 / r)
+
+            def wave(z):
+                e = mp.exp(c * z ** (1 / r))
+                if deriv:
+                    e *= c * z ** (1 / r) / (r * W)
+                return z ** (m - 1) * mp.exp(-z) * mp.re(e)
+
+            total += 2 / r * mp.quad(wave, [0, 1, 10, mp.inf]) / mp.gamma(m)
+        return float(-r / m * total if deriv else total)
+
+
+@pytest.fixture(scope="session")
+def gml_integral_oracle():
+    return oracle_gml_integral
 
 
 def child_env(threads: str) -> dict:

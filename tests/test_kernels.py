@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from fracou import kernels as kn
+from fracou import special_functions as sf
 from fracou.errors import DomainError
 from fracou.kernels import (
     MeanKernel,
@@ -101,6 +102,8 @@ def test_mean_kernel_routes_and_closed_form():
     vec = mean_kernel_values(MK19, ts)
     scal = np.array([mean_kernel(MK19, float(t)) for t in ts])
     assert np.array_equal(vec, scal)
+    # and on a grid of any shape
+    assert np.array_equal(mean_kernel_values(MK19, ts.reshape(6, 10)).ravel(), vec)
 
 
 def test_mean_kernel_deriv_closed_form_and_fd():
@@ -127,13 +130,9 @@ def _deriv_tolerance(rho, mu, lam, ts):
     """Certified error bound of mean_kernel_deriv_values at ts.
 
     G' is -(mu/lam) t^(rho-1) times the mixing integral at beta = rho and
-    shape mu + 1; that integral is certified by the quadrature estimate, or
-    to 1e-9 where the direct series may serve the point.
+    shape mu + 1, certified by the evaluator's estimate.
     """
-    _, ests = _g_quadrature_many(rho, mu + 1.0, lam, ts, rho)
-    if rho > 1.0:
-        series = ts**rho / lam <= kn._g_series_range(rho, mu + 1.0, rho)
-        ests = np.where(series, np.maximum(ests, 1e-9), ests)
+    ests = _g_quadrature_many(rho, mu + 1.0, lam, ts, rho)[1]
     return (mu / lam) * ts ** (rho - 1.0) * ests
 
 
@@ -165,12 +164,36 @@ def test_mean_kernel_deriv_estimates_hold_against_oracles(gml_oracle):
     for rho, mu, ws, oracle in cases:
         ts = (lam * ws) ** (1.0 / rho)
         ref = np.array([oracle(w) for w in ts**rho / lam])
-        values, ests = _g_quadrature_many(rho, mu + 1.0, lam, ts, rho)
+        values, ests = _g_quadrature_many(rho, mu + 1.0, lam, ts, rho)[:2]
         assert np.all(np.abs(values - ref) <= ests), (rho, mu)
         dref = -(mu / lam) * ts ** (rho - 1.0) * ref
         dvals = mean_kernel_deriv_values(MeanKernel(rho, GammaMixing(mu, lam)), ts)
         tol = _deriv_tolerance(rho, mu, lam, ts) + 4.0 * EPS * np.abs(dref)
         assert np.all(np.abs(dvals - dref) <= tol), (rho, mu)
+
+
+def test_mixing_evaluator_holds_on_every_scale(gml_oracle, gml_integral_oracle):
+    # scales from below the panel floor 2^-13, across the panels below 8 and
+    # the series crossover, to past 8: H for G (beta = 1, shape mu) at
+    # rho < 1, and for G and G' (beta = rho, shape mu + 1) above 1
+    cases = [(0.6, 1.0, 1.0), (0.8, 4.0, 1.0)]
+    for rho, mu in ((1.05, 20.0), (1.2, 4.0), (1.5, 4.0)):
+        cases += [(rho, mu, 1.0), (rho, mu + 1.0, rho)]
+    for rho, nu, beta in cases:
+        ws = np.geomspace(3e-5, 12.0, 6)  # below 2^-13, then panels -4 to 0
+        edge = sf._g_series_range(rho, nu, beta) if rho > 1.0 else 0.0
+        ts = np.append(ws, [edge, 1.1 * edge] if edge else []) ** (1.0 / rho)
+        ws = ts**rho
+        # the series oracle diverges below rho = 1 and needs about
+        # (w/1.24)^5 terms at rho = 1.2
+        ref = np.array([gml_oracle(rho, nu, w, beta) if rho >= 1.5 or 1.0 < rho and w < 1.0
+                        else gml_integral_oracle(rho, nu, w, beta) for w in ws])
+        values, ests = _g_quadrature_many(rho, nu, 1.0, ts, beta)[:2]
+        assert ests.max() <= 1e-8, (rho, nu)
+        assert np.all(np.abs(values - ref) <= ests), (rho, nu)
+    # the mixing evaluator used to give up here (order-doubling gap 2.7e-6)
+    mk = MeanKernel(0.6, GammaMixing(1.0, 1.0))
+    assert np.isfinite(mean_kernel_values(mk, np.linspace(0.0, 40.0, 401))).all()
 
 
 def test_variance_integral():

@@ -10,9 +10,9 @@ import pytest
 from scipy import fft as sp_fft, signal, stats
 
 from fracou import _rng
+from fracou import diagnostics as dg
 from fracou import kernels as kn
 from fracou import simulate as sim
-from fracou import special_functions as sf
 from fracou.errors import DomainError, TruncationError
 from fracou.kernels import (
     MeanKernel,
@@ -155,23 +155,18 @@ def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
     alphas = sample_alphas(MIX, 40, seed=2)
     lags = np.linspace(0.0, 30.0, 301)  # series, gap and asymptotic regimes
     assert alphas.size * lags.size <= kn._TABLE_CELLS
-    whole = (kn.empirical_kernel_values(alphas, 1.9, lags),
-             sim._resolvent_lag_rows(alphas, 1.9, lags))
-    monkeypatch.setattr(kn, "_TABLE_CELLS", 7 * alphas.size + 3)
-    monkeypatch.setattr(sim, "_TABLE_CELLS", 5 * lags.size + 1)
-    chunked = (kn.empirical_kernel_values(alphas, 1.9, lags),
-               sim._resolvent_lag_rows(alphas, 1.9, lags))
-    for a, b in zip(whole, chunked):
-        assert a.tobytes() == b.tobytes()
-    # rho = 1 has no series path: every lag up to scale 8 takes the chunked
-    # Laguerre rule, of G and of G' alike
-    mk = MeanKernel(1.0, MIX)
-    ts = lags[1:]
-    assert np.count_nonzero(ts / MIX.lam <= 8.0) > 10 * 5  # 5 points a chunk
-    whole = (kn.mean_kernel_values(mk, ts), kn.mean_kernel_deriv_values(mk, ts))
-    monkeypatch.setattr(sf, "_TABLE_CELLS", 5 * 128 + 1)
-    chunked = (kn.mean_kernel_values(mk, ts), kn.mean_kernel_deriv_values(mk, ts))
-    for a, b in zip(whole, chunked):
+    grid = sim.TimeGrid(0.0, 2.0, 300)
+
+    def tables():
+        pathwise = dg.check_pathwise_conditions(1.9, 4.0, 1.0, [10, 40], grid, 2)
+        return (kn.empirical_kernel_values(alphas, 1.9, lags),
+                sim._resolvent_lag_rows(alphas, 1.9, lags),
+                np.array([[r["sup_deriv_gap"], r["sup_deriv"]]
+                          for r in pathwise.estimates[:2]]))
+
+    whole = tables()
+    monkeypatch.setattr(kn, "_TABLE_CELLS", 7 * alphas.size + 3)  # 7 lags a block
+    for a, b in zip(whole, tables()):
         assert a.tobytes() == b.tobytes()
 
 

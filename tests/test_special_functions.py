@@ -232,12 +232,13 @@ def test_series_estimates_hold_at_band_edges(ml_oracle, gml_oracle):
             ref = np.array([ml_oracle(rho, float(x), beta) for x in xs])
             assert np.all(np.abs(values - ref) <= ests), (rho, beta)
             assert ests.max() <= 1e-10, (rho, beta)
-    for rho, mu in ((1.9, 0.4), (1.9, 4.0), (1.5, 4.0)):
-        zs = _band_probe_points(kn._g_series_range(rho, mu))
-        values, ests, _, _ = _g_series_many(rho, mu, -zs)
+    # at (1.05, 20) the series first fails below 0.5
+    for rho, mu in ((1.9, 0.4), (1.9, 4.0), (1.5, 4.0), (1.05, 20.0)):
+        zs = _band_probe_points(sf._g_series_range(rho, mu))
+        values, ests, _, guard = _g_series_many(rho, mu, -zs)
         ref = np.array([gml_oracle(rho, mu, float(z)) for z in zs])
         assert np.all(np.abs(values - ref) <= ests), (rho, mu)
-        assert ests.max() <= 1e-9, (rho, mu)
+        assert ests.max() <= 1e-9 and not guard.any(), (rho, mu)
 
 
 def test_g_rho_series_vs_quadrature():
@@ -266,6 +267,7 @@ def test_g_rho_quadrature_rho_one_closed_form():
         r = g_rho_quadrature(1.0, mu, lam, t)
         assert r.value == pytest.approx((lam / (t + lam)) ** mu,
                                         abs=max(r.est_abs_error, 1e-12))
+        assert (r.method, r.terms_used) == ("closed_form", 0)
 
 
 def test_mixing_values_do_not_depend_on_call_history(monkeypatch):
@@ -278,29 +280,42 @@ def test_mixing_values_do_not_depend_on_call_history(monkeypatch):
     mean_kernel_values(mk, np.linspace(0.0, 2000.0, 2001))
     assert mean_kernel_values(mk, lags).tobytes() == before.tobytes()
     # one point at a time or inside a batch: the same bits
-    batch, _ = _g_quadrature_many(rho, mu, 1.0, lags)
+    batch = _g_quadrature_many(rho, mu, 1.0, lags)[0]
     one = [g_rho_quadrature(rho, mu, 1.0, t).value for t in lags]
     assert np.array(one).tobytes() == batch.tobytes()
     assert np.array([mean_kernel(mk, t) for t in lags]).tobytes() == before.tobytes()
 
 
 def test_mixing_estimates_hold_against_oracles(gml_oracle):
-    wide = np.geomspace(8.5, 1e6, 25)
+    # from below the panel floor 2^-13, across every panel, to 1e6
+    wide = np.geomspace(1e-5, 1e6, 34)
     cases = [(1.0, mu, wide, lambda w, mu=mu: (1.0 + w) ** -mu)
              for mu in (0.4, 1.0, 4.0)]
     cases += [(2.0, mu, wide, lambda w, mu=mu: float(mp.hyp1f1(mu, 0.5, -w / 4.0)))
               for mu in (0.4, 4.0)]
     # the series oracle would need about 1000 digits at rho = 1.5, mu = 0.4
-    cases.append((1.9, 4.0, np.geomspace(8.5, 127.0, 15),
+    cases.append((1.9, 4.0, np.geomspace(1e-5, 127.0, 20),
                   lambda w: gml_oracle(1.9, 4.0, w)))
     for rho, mu, ws, oracle in cases:
         ts = ws ** (1.0 / rho)
         ref = np.array([oracle(w) for w in ts**rho])
-        values, ests = _g_quadrature_many(rho, mu, 1.0, ts)
+        values, ests = _g_quadrature_many(rho, mu, 1.0, ts)[:2]
         assert np.all(np.abs(values - ref) <= ests), (rho, mu)
+        assert ests.max() <= 1e-8, (rho, mu)
         for t, r in zip(ts, ref):
             one = g_rho_quadrature(rho, mu, 1.0, t)
             assert abs(one.value - r) <= one.est_abs_error, (rho, mu, t)
+            # the path that served the point, with its term or node count
+            w = t**rho
+            if rho == 1.0:
+                assert one.method == "closed_form", (mu, t)
+            elif one.method == "series":
+                assert w < 2.0**-13 or w <= sf._g_series_range(rho, mu), (rho, mu, t)
+                assert one.terms_used > 1
+            else:
+                k = max(math.floor(math.log(w / 8.0, 16.0)), -4)
+                assert one.method == "interpolant", (rho, mu, t)
+                assert one.terms_used == sf._mixing_panel(rho, mu, k).coef.size
 
 
 def _same_bits(a, b) -> bool:
@@ -386,7 +401,7 @@ def test_one_point_calls_return_their_batch_bits(rho, logs):
     near = xs[xs <= 100.0]
     batches = [(_series_many, rho, 1.0, near), (_series_many, rho, rho, near)]
     if rho > 1.0:
-        zs = -xs[xs <= kn._g_series_range(rho, 4.0)]
+        zs = -xs[xs <= sf._g_series_range(rho, 4.0)]
         batches.append((_g_series_many, rho, 4.0, zs))
     for fn, r, p, pts in batches:
         whole = fn(r, p, pts)

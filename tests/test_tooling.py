@@ -1,0 +1,33 @@
+"""The benchmark's tracer patches library functions by name; a renamed or
+deleted name must fail here, not only in a traced benchmark run."""
+
+import os
+import subprocess
+import sys
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+# imports the tracer and the workloads, patches every traced name and puts
+# every original back
+SCRIPT = """
+import layertrace, workloads
+from fracou import kernels, simulate, special_functions
+before = (kernels.mean_kernel_values, simulate._resolvent_lag_rows,
+          special_functions._g_quadrature_many)
+tracer = layertrace.Tracer(workloads)
+tracer.install()
+assert kernels.mean_kernel_values is not before[0]
+tracer.uninstall()
+assert (kernels.mean_kernel_values, simulate._resolvent_lag_rows,
+        special_functions._g_quadrature_many) == before
+"""
+
+
+def test_tracer_installs_and_uninstalls(cli_env):
+    env = cli_env("1")
+    env["PYTHONPATH"] += os.pathsep + PERFBENCH
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # read perfbench, write nothing there
+    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=PERFBENCH,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
