@@ -15,7 +15,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import _rng, simulate
 from .errors import DomainError
@@ -298,6 +297,8 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
     mk = MeanKernel(rho, mix)
     t_list = np.asarray(sorted(float(t) for t in t_list))
 
+    from scipy import integrate
+
     rows, excesses, notes = [], [], []
     dets = []
     for T in t_list:
@@ -467,6 +468,8 @@ def check_mixing_condition_remark(mu, lam, rho) -> ConvergenceReport:
         moment = moment_frac(mix, p)
     except DomainError:
         moment = None
+
+    from scipy import integrate
 
     # decade-by-decade mass of the moment integrand near 0: the integral is
     # finite exactly when the per-decade contributions decay geometrically

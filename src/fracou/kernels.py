@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AccuracyError, DomainError
 from .mixing import GammaMixing, check_condition
@@ -178,6 +177,8 @@ def volterra_residual(k: ResolventKernel, t: float) -> float:
         raise DomainError(f"t must be > 0, got {t}")
     if k.alpha == 0.0:
         return 0.0
+    from scipy import integrate
+
     rho = k.rho
 
     def integrand(w):
@@ -293,6 +294,8 @@ def variance_integral(mk: MeanKernel, t: float) -> float:
         raise DomainError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0
+    from scipy import integrate
+
     head, e1 = integrate.quad(lambda u: mean_kernel(mk, u) ** 2,
                               0.0, min(t, 16.0),
                               epsabs=1e-10, epsrel=1e-10, limit=400)
@@ -317,6 +320,8 @@ def _unit_resolvent_l2(rho: float) -> float:
     # envelope tail below 1e-9 fixes the truncation point
     upper = (m * m / ((2.0 * rho - 1.0) * 1e-9)) ** (1.0 / (2.0 * rho - 1.0))
     upper = max(upper, 32.0)
+    from scipy import integrate
+
     head, e1 = integrate.quad(lambda u: ml_one(rho, u**rho).value ** 2,
                               0.0, 32.0, epsabs=1e-11, epsrel=1e-11, limit=400)
     # log substitution keeps the long tail piece well-scaled

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import fft as sp_fft, integrate
+from scipy import fft as sp_fft
 
 from . import _rng
 from .errors import AccuracyError, DomainError, TruncationError
@@ -322,6 +322,8 @@ def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
         raise DomainError("exact sampler assumes processes started at 0")
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    from scipy import integrate
+
     times = grid.times()
     n = times.size
     cov = np.zeros((n, n))

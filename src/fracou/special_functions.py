@@ -206,7 +206,7 @@ def _alt_series(key, logc, coef, x: np.ndarray):
     band = np.maximum(np.frexp(x)[1], 0).astype(np.int16)
     order = np.argsort(band, kind="stable")  # a radix sort for int16
     x, band = x[order], band[order]
-    edges = [0, *(np.flatnonzero(np.diff(band)) + 1).tolist(), x.size]
+    edges = np.flatnonzero(np.diff(band, prepend=-1, append=-1)).tolist()
     for lo, hi in zip(edges[:-1], edges[1:]):
         b = int(band[lo])
         a = _band_terms(key, logc, coef, b)
@@ -351,32 +351,62 @@ def _hp_values(rho: float, beta: float, xs: np.ndarray) -> np.ndarray:
     """Reference summations of sum_k (-x)^k / Gamma(rho k + beta) at each x.
 
     An x with term hump X = x^(1/rho) needs 30 + 0.45 X digits.  The
-    coefficients 1/Gamma(rho k + beta) are shared by every x, so they are
-    computed once, at the precision of the largest x; each x then sums with
-    a running power and stops by its own rule (k > X and a term below
-    10^-(digits - 4) of the partial sum).
+    coefficients c_k = 1/Gamma(rho k + beta) are shared by every x, so they
+    are computed once, by mpmath at the precision (prec bits) of the largest
+    x, and read out exactly as integer mantissa and exponent.  Each x then
+    sums in Python-integer fixed point with F = prec + 64 fractional bits:
+
+    * x = m 2^-e is exact as a double, and |x|^k is carried as an integer
+      mantissa truncated to W = prec + 128 bits with its own exponent;
+    * the term c_k |x|^k is the exact product of the two mantissas,
+      truncated to F fractional bits, and the partial sum S of the signed
+      terms is an exact integer;
+    * the value is S / 2^F, Python's correctly rounded integer division, the
+      only rounding to double.
+
+    Each x stops by its own rule: k > X and |t| below 10^-(digits - 4) of
+    max(1, |S| 2^-F), with that threshold rounded down to a multiple of
+    2^-F.  Each truncation of the power loses less than 2^(1 - W) of it, so
+    over K terms the sum is off from the series of the rounded c_k by at
+    most K 2^-F + K 2^(1 - W) sum_k |t_k|, far below the 2^-prec relative
+    rounding that every mpmath operation would add.
     """
     humps = [float(x) ** (1.0 / rho) for x in xs]
     out = np.empty(len(humps))
+    if not humps:
+        return out
     with mp.workdps(30 + int(0.45 * max(humps))):
         r, b = mp.mpf(rho), mp.mpf(beta)
-        coef = []
+        frac = mp.mp.prec + 64
+        width = mp.mp.prec + 128
+        one = 1 << frac
+        coef = []  # (mantissa, exponent) of each c_k > 0
         for i, (x, X) in enumerate(zip(xs, humps)):
-            z = -mp.mpf(float(x))
-            tiny = mp.mpf(10) ** (-(30 + int(0.45 * X)) + 4)
-            s, power, kk = mp.mpf(0), mp.mpf(1), 0
+            xm, xd = float(x).as_integer_ratio()
+            xe = xd.bit_length() - 1  # x = xm 2^-xe
+            tiny = one // 10 ** (30 + int(0.45 * X) - 4)
+            s, pm, pe, kk = 0, 1, 0, 0  # |x|^kk ~ pm 2^pe
             while True:
                 if kk == len(coef):
-                    coef.append(1 / mp.gamma(r * kk + b))
-                t = power * coef[kk]
+                    coef.append((1 / mp.gamma(r * kk + b)).man_exp)
+                cm, ce = coef[kk]
+                shift = ce + pe + frac
+                t = cm * pm << shift if shift >= 0 else cm * pm >> -shift
+                if kk % 2:
+                    t = -t
                 s += t
-                if kk > X and abs(t) < tiny * max(1, abs(s)):
+                if kk > X and abs(t) < (tiny * max(one, abs(s))) >> frac:
                     break
                 kk += 1
                 if kk > 200000:
                     raise AccuracyError("reference series did not converge")
-                power *= z
-            out[i] = float(s)
+                pm *= xm
+                pe -= xe
+                excess = pm.bit_length() - width
+                if excess > 0:
+                    pm >>= excess
+                    pe += excess
+            out[i] = s / one
     return out
 
 

@@ -227,8 +227,8 @@ def test_vectorized_paths_match_per_replication_reference(n_steps):
 
 def test_import_leaves_scipy_signal_and_stats_unloaded(cli_env):
     code = ("import sys, fracou; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', "
+            "'scipy.integrate') if m in sys.modules))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, env=cli_env("1"))
     assert r.returncode == 0, r.stderr

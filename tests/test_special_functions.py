@@ -348,6 +348,28 @@ def test_gap_build_computes_each_coefficient_once_per_sweep(monkeypatch):
     assert _same_bits(rebuilt.coef, cached.coef) and rebuilt.est == cached.est
 
 
+def test_reference_sums_match_oracle_inside_gaps(ml_oracle):
+    # seeded points across each gap and x = 0, beyond the Chebyshev nodes
+    rng = np.random.default_rng(13)
+    for rho, beta in ((0.5, 0.5), (0.8, 1.0), (1.2, 1.2), (1.95, 1.0)):
+        x_series, x_asym = _regime_thresholds(rho, beta)
+        xs = np.concatenate([[0.0], rng.uniform(x_series, x_asym, 6)])
+        got = sf._hp_values(rho, beta, xs)
+        assert _same_bits(got, [ml_oracle(rho, float(x), beta) for x in xs]), (rho, beta)
+        # a larger hump raises the batch's working precision, not the bits
+        wider = sf._hp_values(rho, beta, np.append(xs, 4.0 * x_asym))
+        assert _same_bits(wider[:-1], got), (rho, beta)
+        alone = [sf._hp_values(rho, beta, xs[i:i + 1])[0] for i in range(xs.size)]
+        assert _same_bits(alone, got), (rho, beta)
+
+
+def test_empty_batches_give_empty_results():
+    empty = np.array([])
+    for out in (_series_many(1.5, 1.0, empty), _g_series_many(1.9, 4.0, empty)):
+        assert len(out) == 4 and all(v.size == 0 for v in out)
+    assert sf._hp_values(1.5, 1.0, empty).size == 0
+
+
 def test_mixing_integrals_do_not_depend_on_their_batch():
     rho, mu = 1.9, 4.0
     panel = sf._mixing_panel(rho, mu, 2)
