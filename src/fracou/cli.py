@@ -128,7 +128,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     grid = sim.TimeGrid(0.0, args.T, args.steps)
-    n_list = [int(v) for v in args.n.split(",")]
+    try:
+        n_list = [int(v) for v in args.n.split(",")]
+    except ValueError:
+        raise DomainError(f"--n must list integers, got {args.n!r}") from None
     if args.check == "l2sup":
         rep = diag.check_l2_sup_convergence(args.rho, args.mu, args.lam,
                                             n_list, grid, args.mc, args.seed)

@@ -4,7 +4,8 @@ Each check estimates the quantity a convergence statement controls, compares
 it against the theory's bound or rate on a common-random-number coupling,
 and returns a structured report.  Statistical verdict rule: an inequality
 passes with 3-standard-error slack, fails when violated by more than 4, and
-is inconclusive in between; deterministic checks use plain comparisons.
+is inconclusive in between or on a NaN estimate or standard error;
+deterministic checks use plain comparisons.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _combine_verdicts(excesses) -> str:
     for excess, se in excesses:
         if excess > 4.0 * se:
             return "fail"
-        if excess > 3.0 * se:
+        if not excess <= 3.0 * se:  # NaN included
             verdict = "inconclusive"
     return verdict
 

@@ -18,9 +18,9 @@ cached.  They are not exact suprema, only stable empirical ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .special_functions import (
     _EPS,
     ACCURACY_FLOOR,
     FractionalOrder,
-    _cache_lock,
     _g_quadrature_many,
     ml_one,
     ml_one_values,
@@ -409,9 +408,8 @@ _TAIL_H = 2.0**-9
 _TAIL_CELLS = 8 * _TABLE_CELLS
 _TAIL_T_MAX = 1e7
 # (rho, rates) tables are keyed on data, not on a few model parameters: only
-# the newest few are kept
+# the most recently used few are kept
 _TAIL_RATE_TABLES = 4
-_tail_cache: dict = {}
 
 
 def _shortest_depth(bound, tol: float, t_max: float = _TAIL_T_MAX):
@@ -430,12 +428,13 @@ def _shortest_depth(bound, tol: float, t_max: float = _TAIL_T_MAX):
     return hi * T / 64
 
 
-class _TailRow(NamedTuple):
-    key: object  # memo key of the kernel
-    rho: float
-    width: int  # rates per lag
-    row: Callable  # lags -> kernel values
-    envelope: Callable  # T -> envelope tail of K^2 past T
+@dataclass(frozen=True)
+class _TailRow:
+    key: object  # memo key of the kernel; the only field compared and hashed
+    rho: float = field(compare=False)
+    width: int = field(compare=False)  # rates per lag
+    row: Callable = field(compare=False)  # lags -> kernel values
+    envelope: Callable = field(compare=False)  # T -> envelope tail of K^2 past T
 
 
 def _tail_row(kernel) -> _TailRow:
@@ -487,6 +486,10 @@ def _tail_table(kr: _TailRow, tol: float) -> np.ndarray:
     return table
 
 
+_mean_tail_table = lru_cache(maxsize=None)(_tail_table)
+_rate_tail_table = lru_cache(maxsize=_TAIL_RATE_TABLES)(_tail_table)
+
+
 def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     """T -> an upper bound for the tail integral of K(u)^2 over [T, inf), K
     being G of a MeanKernel or f_n of a (rho, rates) pair: the smaller of
@@ -494,17 +497,11 @@ def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     and the envelope.
 
     The table is memoized per (kernel, tol); of the (rho, rates) tables only
-    the newest _TAIL_RATE_TABLES are kept.
+    the _TAIL_RATE_TABLES most recently used are kept.
     """
     kr = _tail_row(kernel)
-    table = _tail_cache.get((kr.key, tol))
-    if table is None:
-        table = _tail_table(kr, tol)
-        with _cache_lock:
-            table = _tail_cache.setdefault((kr.key, tol), table)
-            rated = [k for k in _tail_cache if not isinstance(k[0], MeanKernel)]
-            for k in rated[:-_TAIL_RATE_TABLES]:
-                del _tail_cache[k]
+    memo = _mean_tail_table if isinstance(kernel, MeanKernel) else _rate_tail_table
+    table = memo(kr, tol)
 
     def tail(T: float) -> float:
         envelope = kr.envelope(T)

@@ -72,6 +72,7 @@ class TimeGrid:
             raise DomainError(f"need finite T > t0, got [{self.t0}, {self.T}]")
         if self.n_steps < 1 or self.n_steps != int(self.n_steps):
             raise DomainError(f"n_steps must be a positive integer, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def dt(self) -> float:
@@ -244,7 +245,7 @@ def _require_simulatable(rho: float, grid: TimeGrid) -> float:
 
 
 def simulate_component_paths(alphas, rho, grid: TimeGrid, seed: int,
-                             method: str = "auto", rep: int = 0) -> PathEnsemble:
+                             rep: int = 0) -> PathEnsemble:
     """One path per reversion rate, all driven by the same increments.
 
     X_k(t_j) = sum_{i<j} s_{alpha_k}(t_j - t_i) dW_i with X_k(0) = 0.
@@ -255,7 +256,7 @@ def simulate_component_paths(alphas, rho, grid: TimeGrid, seed: int,
     rho = _require_simulatable(rho, grid)
     kern = _resolvent_lag_rows(alphas, rho, grid.times())
     dw = brownian_increments(grid, seed, rep=rep)
-    values = _convolve_rows(kern, dw[None, :], method=method)
+    values = _convolve_rows(kern, dw[None, :])
     labels = [{"process": "component", "alpha": float(a), "rep": rep}
               for a in alphas]
     return PathEnsemble(grid, values, labels, "increment_quadrature",
@@ -269,11 +270,11 @@ def empirical_mean_path(ensemble: PathEnsemble) -> np.ndarray:
 
 
 def _shared_kernel_paths(process: str, kern: np.ndarray, grid: TimeGrid,
-                         seed: int, n_paths: int, rep0: int, method: str):
+                         seed: int, n_paths: int, rep0: int):
     """One kernel row against driver replications rep0 .. rep0+n_paths-1;
     path r sees the driver brownian_increments(grid, seed, rep0 + r)."""
     dw = _increment_matrix(seed, "w", n_paths, grid.n_steps, grid.dt, rep0)
-    values = _convolve_rows(kern[None, :], dw, method=method)
+    values = _convolve_rows(kern[None, :], dw)
     labels = [{"process": process, "rep": rep0 + r} for r in range(n_paths)]
     return PathEnsemble(grid, values, labels, "increment_quadrature",
                         {"process": process, "seed": seed})
@@ -286,26 +287,23 @@ def simulate_empirical_mean_paths(alphas, rho, grid: TimeGrid, seed: int,
     convolved with f_n = mean_k s_{alpha_k}, up to the order of the sums."""
     rho = _require_simulatable(rho, grid)
     kern = empirical_kernel_values(alphas, rho, grid.times())
-    return _shared_kernel_paths("empirical", kern, grid, seed, n_paths, 0,
-                                "auto")
+    return _shared_kernel_paths("empirical", kern, grid, seed, n_paths, 0)
 
 
 def simulate_limit_paths(mk: MeanKernel, grid: TimeGrid, seed: int,
-                         n_paths: int = 1, rep0: int = 0,
-                         method: str = "auto") -> PathEnsemble:
+                         n_paths: int = 1, rep0: int = 0) -> PathEnsemble:
     """Aggregated-limit paths: the mean kernel convolved with replications
     rep0 .. rep0+n_paths-1 of the driver namespace a component ensemble with
     this seed uses."""
     _require_simulatable(mk.rho, grid)
     kern = mean_kernel_values(mk, grid.times())
-    return _shared_kernel_paths("limit", kern, grid, seed, n_paths, rep0,
-                                method)
+    return _shared_kernel_paths("limit", kern, grid, seed, n_paths, rep0)
 
 
 def simulate_limit_path(mk: MeanKernel, grid: TimeGrid, seed: int,
-                        rep: int = 0, method: str = "auto") -> np.ndarray:
+                        rep: int = 0) -> np.ndarray:
     """One aggregated-limit path, driven by replication rep."""
-    return simulate_limit_paths(mk, grid, seed, 1, rep, method).values[0]
+    return simulate_limit_paths(mk, grid, seed, 1, rep).values[0]
 
 
 def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
@@ -395,7 +393,7 @@ def _certified_history(kernel, grid: TimeGrid, tol: float) -> float:
 
 def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
                               rho: float | None = None, n_paths: int = 1,
-                              rep: int = 0, method: str = "auto") -> PathEnsemble:
+                              rep: int = 0) -> PathEnsemble:
     """Two-sided-time processes with certified history truncation.
 
     kernel may be a MeanKernel (the stationary aggregate; n_paths
@@ -405,8 +403,7 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     (see _certified_history); meta records the depth as t_trunc and the
     tail bound there as tail_bound.
     """
-    return _stationary(kernel, grid, seed, tol, rho, n_paths, rep, method,
-                       False)
+    return _stationary(kernel, grid, seed, tol, rho, n_paths, rep, False)
 
 
 def simulate_stationary_mean_paths(alphas, rho: float, grid: TimeGrid,
@@ -422,11 +419,11 @@ def simulate_stationary_mean_paths(alphas, rho: float, grid: TimeGrid,
     rate.
     """
     return _stationary(np.asarray(alphas, dtype=float), grid, seed, tol, rho,
-                       n_paths, rep, "auto", True)
+                       n_paths, rep, True)
 
 
 def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
-                n_paths: int, rep: int, method: str, mean: bool):
+                n_paths: int, rep: int, mean: bool):
     """Kernel rows over lags 0 .. (n_hist + n_steps) dt against two-sided
     drivers, only the grid window convolved out."""
     if not tol > 0.0:
@@ -467,7 +464,7 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
     kern = rows(np.arange(n_hist + grid.n_steps + 1) * dt)
     dw = _two_sided_increments(seed, n_paths, n_hist, grid.n_steps, dt,
                                rep0=rep)
-    values = _convolve_rows(kern, dw, method=method, start=n_hist)
+    values = _convolve_rows(kern, dw, start=n_hist)
     meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt,
                 tail_bound=_tail_bound(certified, tol)(n_hist * dt))
     return PathEnsemble(grid, values, labels, "increment_quadrature", meta)

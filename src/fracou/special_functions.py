@@ -9,11 +9,14 @@ raises AccuracyError rather than returning an uncertified value.
 Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
 
 * small x: Horner sum in x/2^band with a running rounding bound, in double
-  precision.  Certification fails once the bound exceeds 1e-10 or the
-  Horner partial sums reach 1e6 times the value; the crossover is
-  calibrated once per rho and cached.  The term count and the scaled
-  coefficients are fixed per power-of-two band of x (all x < 1 share one),
-  so a value never depends on the batch it is evaluated in.
+  precision, over coefficients (nu)_k / Gamma(rho k + beta) rounded once
+  from 30 digits.  E (no Pochhammer factor) and every nu of one (rho, beta)
+  read one memoized row of 30-digit reciprocal gammas.  Certification fails
+  once the bound exceeds 1e-10 or the Horner partial sums reach 1e6 times
+  the value; the crossover is calibrated once per rho and cached.  The term
+  count and the scaled coefficients are fixed per power-of-two band of x
+  (all x < 1 share one), so a value never depends on the batch it is
+  evaluated in.
 * large x: complete asymptotics = exponentially damped oscillatory branch
   pair (present for 1 < rho < 2) plus the reciprocal-gamma power tail with
   optimal truncation.  The power tail alone is wrong by the size of the
@@ -33,7 +36,6 @@ rho = 1 it is the closed form (1 + w)^(-nu).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,68 +123,75 @@ _MAX_TERMS = 1 << 17
 # points of a batch runs it in Python floats, one point at a time
 _SERIES_BLOCK = 16384
 _SCALAR_POINTS = 32
+# terms per memoized piece of a coefficient row: a longer request extends
+# the row without recomputing it
+_ROW_PIECE = 64
 
 # a private 30-digit context: no caller's working precision reaches the
 # series coefficients
 _mpc = mp.MPContext()
 _mpc.dps = 30
 
-_coef_cache: dict = {}
-_terms_cache: dict = {}
-_cache_lock = threading.Lock()
+
+@lru_cache(maxsize=None)
+def _rgamma_piece(rho: float, beta: float, j: int) -> tuple:
+    """1/Gamma(rho k + beta) for _ROW_PIECE j <= k < _ROW_PIECE (j + 1), to
+    30 digits."""
+    r = _mpc.mpf(rho)
+    return tuple(_mpc.rgamma(r * k + beta)
+                 for k in range(_ROW_PIECE * j, _ROW_PIECE * (j + 1)))
 
 
-def _exact_coeffs(key, coef, n: int) -> tuple:
-    """c_0 .. c_{n-1} of series key to 30 digits.
-
-    coef(n) computes the first n; the longest list computed so far is kept
-    per key, and a longer request computes at least twice as many.
-    """
-    got = _coef_cache.get(key, ())
-    if len(got) < n:
-        got = tuple(coef(max(n, 2 * len(got))))
-        with _cache_lock:
-            if len(_coef_cache.get(key, ())) < len(got):
-                _coef_cache[key] = got
-    return got[:n]
+def _coeffs(rho: float, beta: float, nu, n: int) -> list:
+    """c_k = (nu)_k / Gamma(rho k + beta) for k < n, to 30 digits; nu None
+    drops the Pochhammer factor.  Every nu of one (rho, beta) reads the same
+    memoized row of reciprocal gammas."""
+    row = [c for j in range(-(-n // _ROW_PIECE)) for c in _rgamma_piece(rho, beta, j)][:n]
+    if nu is not None:
+        m, poch = _mpc.mpf(nu), _mpc.mpf(1)
+        for k in range(n):
+            row[k], poch = poch * row[k], poch * (m + k)
+    return row
 
 
-def _band_terms(key, logc, coef, band: int) -> tuple:
+def _log_coeffs(rho: float, beta: float, nu, k: np.ndarray) -> np.ndarray:
+    """log c_k of _coeffs in double precision; sets the term counts."""
+    out = -sc.gammaln(rho * k + beta)
+    return out if nu is None else sc.gammaln(nu + k) - sc.gammaln(nu) + out
+
+
+@lru_cache(maxsize=None)
+def _band_terms(rho: float, beta: float, nu, band: int) -> tuple:
     """a_k = (-1)^k c_k 2^(band k), the term sizes at x = 2^band, for the
     terms shared by every 0 < x < 2^band.
 
     The terms run through the first one past the hump whose log magnitude
     log|c_k| + k band log 2 is below the floor, plus one; the last a_k only
     feeds the truncation estimate.  Each a_k is rounded once to double from
-    its 30-digit value (an overflow gives inf).  Memoized per (key, band),
-    so a value never depends on the other points of its batch.
+    its 30-digit value (an overflow gives inf).  Memoized per band, so a
+    value never depends on the other points of its batch.
     """
-    got = _terms_cache.get((key, band))
-    if got is not None:
-        return got
     logx = band * math.log(2.0)
     n = 64
     while True:
-        cur = np.arange(n) * logx + logc(np.arange(n))
+        cur = np.arange(n) * logx + _log_coeffs(rho, beta, nu, np.arange(n))
         down = np.flatnonzero(np.diff(cur) < 0.0)
         past = np.flatnonzero(cur[down[0] + 1:] < _LOG_TERM_FLOOR) if down.size else down
         if past.size:
             break
         if n >= _MAX_TERMS:
-            raise AccuracyError(f"series {key} does not decay for x up to 2^{band}")
+            raise AccuracyError(f"series (rho={rho}, beta={beta}, nu={nu}) "
+                                f"does not decay for x up to 2^{band}")
         n *= 2
-    exact = _exact_coeffs(key, coef, int(down[0] + past[0]) + 4)
-    got = tuple(float(_mpc.ldexp(-c if k % 2 else c, band * k))
-                for k, c in enumerate(exact))
-    with _cache_lock:
-        return _terms_cache.setdefault((key, band), got)
+    exact = _coeffs(rho, beta, nu, int(down[0] + past[0]) + 4)
+    return tuple(float(_mpc.ldexp(-c if k % 2 else c, band * k))
+                 for k, c in enumerate(exact))
 
 
-def _alt_series(key, logc, coef, x: np.ndarray):
-    """Alternating series sum_k (-1)^k c_k x^k for a batch of x >= 0.
+def _alt_series(rho: float, beta: float, nu, x: np.ndarray):
+    """Alternating series sum_k (-1)^k c_k x^k of _coeffs for a batch of
+    x >= 0.
 
-    logc(k) gives log c_k in double precision and sets the term count;
-    coef(n) gives c_0 .. c_{n-1} as 30-digit mpmath numbers.
     Returns (values, ests, terms_used, guard_tripped).  Every point takes the
     term count K of its power-of-two band of x, all x < 1 that of x = 1, and
     is summed by Horner's rule in u = x / 2^band, which is exact, over the
@@ -209,7 +218,7 @@ def _alt_series(key, logc, coef, x: np.ndarray):
     edges = np.flatnonzero(np.diff(band, prepend=-1, append=-1)).tolist()
     for lo, hi in zip(edges[:-1], edges[1:]):
         b = int(band[lo])
-        a = _band_terms(key, logc, coef, b)
+        a = _band_terms(rho, beta, nu, b)
         K = len(a) - 1
         np.ldexp(x[lo:hi], -b, out=u[lo:hi])
         terms[lo:hi], top[lo:hi] = K, a[K]
@@ -254,14 +263,7 @@ def _horner(a: tuple, u: float):
 
 def _series_many(rho: float, beta: float, x: np.ndarray):
     """sum_k (-x)^k / Gamma(rho k + beta) for x >= 0; see _alt_series."""
-    return _alt_series(("E", rho, beta), lambda k: -sc.gammaln(rho * k + beta),
-                       lambda n: _e_coeffs(rho, beta, n), x)
-
-
-def _e_coeffs(rho: float, beta: float, n: int) -> list:
-    """1 / Gamma(rho k + beta) for k < n, to 30 digits."""
-    r = _mpc.mpf(rho)
-    return [_mpc.rgamma(r * k + beta) for k in range(n)]
+    return _alt_series(rho, beta, None, x)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +436,9 @@ class _ChebLog:
         return np.polynomial.chebyshev.chebval(xi, self.coef)
 
 
-_threshold_cache: dict = {}
-_interp_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _regime_thresholds(rho: float, beta: float):
     """(largest series-certified x, smallest asymptotic-certified x)."""
-    key = (rho, beta)
-    got = _threshold_cache.get(key)
-    if got is not None:
-        return got
     X = np.geomspace(0.5, 60.0, 200)
     xs = X**rho
     _, s_est, _, s_guard = _series_many(rho, beta, xs)
@@ -458,15 +453,11 @@ def _regime_thresholds(rho: float, beta: float):
         else:
             break
     x_asym = float(xs[good_from]) if good_from < xs.size else float("inf")
-    with _cache_lock:
-        return _threshold_cache.setdefault(key, (x_series, x_asym))
+    return x_series, x_asym
 
 
+@lru_cache(maxsize=None)
 def _gap_interpolant(rho: float, beta: float) -> _ChebLog:
-    key = (rho, beta)
-    got = _interp_cache.get(key)
-    if got is not None:
-        return got
     x_series, x_asym = _regime_thresholds(rho, beta)
     if not np.isfinite(x_asym):
         raise AccuracyError(
@@ -480,10 +471,8 @@ def _gap_interpolant(rho: float, beta: float) -> _ChebLog:
         err = float(np.max(np.abs(interp(xc) - _hp_values(rho, beta, xc))))
         if err <= 3e-12 or n >= 513:
             interp.est = 10.0 * err + 1e-13
-            break
+            return interp
         n = 2 * n - 1
-    with _cache_lock:
-        return _interp_cache.setdefault(key, interp)
 
 
 # ---------------------------------------------------------------------------
@@ -614,22 +603,9 @@ def ml_asymptotic(rho: float, x: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _g_coeffs(rho: float, mu: float, n: int, beta: float = 1.0) -> list:
-    """(mu)_k / Gamma(rho k + beta) for k < n, to 30 digits."""
-    r, m = _mpc.mpf(rho), _mpc.mpf(mu)
-    out, poch = [], _mpc.mpf(1)
-    for k in range(n):
-        out.append(poch * _mpc.rgamma(r * k + beta))
-        poch *= m + k
-    return out
-
-
 def _g_series_many(rho: float, mu: float, z: np.ndarray, beta: float = 1.0):
     """H_{rho,beta,mu}(-z) batch for z <= 0, rho > 1; see _alt_series."""
-    return _alt_series(
-        ("G", rho, mu, beta),
-        lambda k: sc.gammaln(mu + k) - sc.gammaln(mu) - sc.gammaln(rho * k + beta),
-        lambda n: _g_coeffs(rho, mu, n, beta), np.abs(np.asarray(z, dtype=float)))
+    return _alt_series(rho, beta, mu, np.abs(np.asarray(z, dtype=float)))
 
 
 def g_rho_series(rho: float, mu: float, z: float) -> EvalResult:
@@ -757,9 +733,8 @@ _TAYLOR_TOP = _PANEL_BASE * _PANEL_RATIO**_PANEL_FLOOR
 _PANEL_TOL = 3e-11
 _PANEL_MAX_NODES = 513
 
-_panel_cache: dict = {}
 
-
+@lru_cache(maxsize=None)
 def _mixing_panel(rho: float, mu: float, k: int, beta: float = 1.0) -> _ChebLog:
     """Certified interpolant of the mixing integral over panel k.
 
@@ -767,10 +742,6 @@ def _mixing_panel(rho: float, mu: float, k: int, beta: float = 1.0) -> _ChebLog:
     The estimate adds the node quadrature's own error, 3 |refine2 - refine1|
     plus its floor, to ten times the interpolation check error.
     """
-    key = (rho, beta, mu, k)
-    got = _panel_cache.get(key)
-    if got is not None:
-        return got
     lo = math.log(_PANEL_BASE) + k * math.log(_PANEL_RATIO)
     hi = lo + math.log(_PANEL_RATIO)
 
@@ -787,8 +758,7 @@ def _mixing_panel(rho: float, mu: float, k: int, beta: float = 1.0) -> _ChebLog:
     coarse = _mixing_integrals(rho, mu, wc, 1, beta)[:, 0]
     node_err = float(np.max(3.0 * np.abs(fine[:, 0] - coarse) + fine[:, 1]))
     panel.est = 10.0 * err + node_err + 1e-12
-    with _cache_lock:
-        return _panel_cache.setdefault(key, panel)
+    return panel
 
 
 def _taylor_many(rho: float, mu: float, w: np.ndarray, beta: float):
@@ -801,8 +771,7 @@ def _taylor_many(rho: float, mu: float, w: np.ndarray, beta: float):
     """
     K = next((k for k in range(2, 64) if math.lgamma(mu + k) - math.lgamma(mu)
               - math.lgamma(rho * k + beta) + k * math.log(_TAYLOR_TOP) < -39.0), 64)
-    c = [float(x) for x in _exact_coeffs(("G", rho, mu, beta),
-                                         lambda n: _g_coeffs(rho, mu, n, beta), K + 1)]
+    c = [float(x) for x in _coeffs(rho, beta, mu, K + 1)]
     s = m = np.full(w.shape, c[K - 1])
     for ck in c[K - 2::-1]:
         s = s * -w + ck

@@ -105,6 +105,21 @@ def test_diagnose_exit_codes(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("args", [["l2sup", "--mc", "1"],
+                                  ["tightness", "--mc", "1"],
+                                  ["cauchy", "--mc", "1"],
+                                  ["pathwise", "--n", "1"],
+                                  ["tightness", "--n", "1"]])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_standard_error_is_inconclusive(tmp_path, args):
+    # one replication or one rate leaves a standard error of NaN, which must
+    # not pass a statistical check
+    out = tmp_path / "rep.json"
+    assert cli.main(["diagnose", *args, "--rho", "1.9", "--mu", "4",
+                     "--lambda", "1", "--seed", "1", "--out", str(out)]) == 6
+    assert json.loads(out.read_text())["verdict"] == "inconclusive"
+
+
 def test_invalid_parameters_exit_two(tmp_path):
     assert cli.main(["eval", "ml", "--rho", "3.5", "--xmax", "5",
                      "--out", "-"]) == 2
@@ -116,6 +131,9 @@ def test_invalid_parameters_exit_two(tmp_path):
                          "--mu", "4", "--lambda", "1", "--T", "0.5",
                          "--steps", "20", "--paths", "0", "--seed", "1",
                          "--out", str(tmp_path / "p.csv")]) == 2
+    assert cli.main(["diagnose", "pathwise", "--rho", "1.9", "--mu", "4",
+                     "--lambda", "1", "--n", "10,abc", "--seed", "1",
+                     "--out", "-"]) == 2
 
 
 def test_unknown_flag_exits_two_with_stderr(cli_env):

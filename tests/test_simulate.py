@@ -44,6 +44,15 @@ def test_time_grid():
         sim.TimeGrid(0.0, 1.0, 0)
 
 
+def test_float_step_count_is_stored_as_an_integer():
+    g, whole = sim.TimeGrid(0.0, 1.0, 10.0), sim.TimeGrid(0.0, 1.0, 10)
+    assert type(g.n_steps) is int and g == whole
+    assert np.array_equal(sim.brownian_increments(g, 3),
+                          sim.brownian_increments(whole, 3))
+    assert np.array_equal(sim.simulate_component_paths([1.0], 1.9, g, 3).values,
+                          sim.simulate_component_paths([1.0], 1.9, whole, 3).values)
+
+
 def test_brownian_increments_stats_and_determinism():
     g = sim.TimeGrid(0.0, 1.0, 1000)
     dw = sim.brownian_increments(g, 3)
@@ -172,10 +181,11 @@ def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
 
 def test_fft_matches_direct():
     g = sim.TimeGrid(0.0, 2.0, 700)
-    alphas = [0.5, 1.0, 4.0]
-    d = sim.simulate_component_paths(alphas, 1.9, g, 5, method="direct")
-    f = sim.simulate_component_paths(alphas, 1.9, g, 5, method="fft")
-    assert np.max(np.abs(d.values - f.values)) < 1e-10
+    kern = sim._resolvent_lag_rows(np.array([0.5, 1.0, 4.0]), 1.9, g.times())
+    dw = sim.brownian_increments(g, 5)[None, :]
+    d = sim._convolve_rows(kern, dw, method="direct")
+    f = sim._convolve_rows(kern, dw, method="fft")
+    assert np.max(np.abs(d - f)) < 1e-10
 
 
 def test_limit_path_shares_driver_and_variance():
@@ -302,16 +312,18 @@ def test_stationary_component_variance():
 
 
 def test_fresh_rates_keep_few_tail_tables():
-    # tables keyed on drawn rates are dropped oldest first; only MeanKernel
-    # tables, keyed on model parameters, are all kept
+    # tables keyed on drawn rates are dropped least recently used first; only
+    # MeanKernel tables, keyed on model parameters, are all kept
+    assert kn._mean_tail_table.cache_info().maxsize is None
     g = sim.TimeGrid(0.0, 0.5, 25)
     for k in range(3 * kn._TAIL_RATE_TABLES):
         sim.simulate_stationary_paths(np.array([1.0 + 0.01 * k]), g, 5, 1e-2,
                                       rho=1.9)
-        rated = [key for key in kn._tail_cache
-                 if not isinstance(key[0], MeanKernel)]
-        assert len(rated) <= kn._TAIL_RATE_TABLES
-    assert ((1.9, np.array([1.0 + 0.01 * k]).tobytes()), 1e-2) in kn._tail_cache
+        assert kn._rate_tail_table.cache_info().currsize <= kn._TAIL_RATE_TABLES
+    # the newest table is kept: asking for it again is a hit
+    hits = kn._rate_tail_table.cache_info().hits
+    kn._tail_bound((1.9, np.array([1.0 + 0.01 * k])), 1e-2)
+    assert kn._rate_tail_table.cache_info().hits == hits + 1
 
 
 def test_empirical_stationary_mean_converges():

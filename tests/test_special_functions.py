@@ -270,8 +270,8 @@ def test_g_rho_quadrature_rho_one_closed_form():
         assert (r.method, r.terms_used) == ("closed_form", 0)
 
 
-def test_mixing_values_do_not_depend_on_call_history(monkeypatch):
-    monkeypatch.setattr(sf, "_panel_cache", {})
+def test_mixing_values_do_not_depend_on_call_history():
+    sf._mixing_panel.cache_clear()
     rho, mu = 1.9, 4.0
     mk = MeanKernel(rho, GammaMixing(mu, 1.0))
     lags = np.linspace(0.0, 30.0, 301)
@@ -341,11 +341,34 @@ def test_gap_build_computes_each_coefficient_once_per_sweep(monkeypatch):
     calls = []
     gamma = mp.gamma
     monkeypatch.setattr(mp, "gamma", lambda *a: calls.append(a) or gamma(*a))
-    monkeypatch.setattr(sf, "_interp_cache", {})
+    sf._gap_interpolant.cache_clear()
     rebuilt = sf._gap_interpolant(1.9, 1.0)
     # one gamma call per term and sweep, not per term and node (over 10^4)
     assert 0 < len(calls) < 500
     assert _same_bits(rebuilt.coef, cached.coef) and rebuilt.est == cached.est
+
+
+def test_series_of_one_order_share_one_coefficient_row(monkeypatch):
+    # E's row at (1.9, 1.0), built out to band 7, serves G at a new mu
+    sf._band_terms(1.9, 1.0, None, 7)
+    calls = []
+    rgamma = sf._mpc.rgamma
+    monkeypatch.setattr(sf._mpc, "rgamma", lambda *a: calls.append(a) or rgamma(*a))
+    assert len(sf._band_terms(1.9, 1.0, 7.25, 3)) > 1
+    assert calls == []
+    sf._band_terms(1.9, 1.25, 7.25, 3)  # a new beta builds its own row
+    assert calls
+
+
+def test_coefficients_are_pochhammer_times_reciprocal_gamma():
+    mpc = sf._mpc
+    want, poch = [], mpc.mpf(1)
+    for k in range(70):
+        want.append(poch * mpc.rgamma(mpc.mpf(1.9) * k + 1.9))
+        poch *= mpc.mpf(4.5) + k
+    assert sf._coeffs(1.9, 1.9, 4.5, 70) == want
+    assert sf._coeffs(1.9, 1.9, None, 70) == [mpc.rgamma(mpc.mpf(1.9) * k + 1.9)
+                                             for k in range(70)]
 
 
 def test_reference_sums_match_oracle_inside_gaps(ml_oracle):
