@@ -22,6 +22,7 @@ from .errors import DomainError
 from .kernels import (
     MeanKernel,
     _rate_lag_blocks,
+    _square_integral,
     bound_m,
     bound_m3,
     deriv_bound_constant,
@@ -34,7 +35,7 @@ from .kernels import (
 )
 from .mixing import GammaMixing, check_condition, moment_frac, sample_alphas
 from .simulate import TimeGrid
-from .special_functions import FractionalOrder, ml_two_values
+from .special_functions import FractionalOrder, _integrate, ml_two_values
 
 __all__ = [
     "ConvergenceReport",
@@ -298,17 +299,14 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
     mk = MeanKernel(rho, mix)
     t_list = np.asarray(sorted(float(t) for t in t_list))
 
-    from scipy import integrate
+    def g(u):
+        return mean_kernel_values(mk, u)
 
     rows, excesses, notes = [], [], []
     dets = []
     for T in t_list:
-        val, _ = integrate.quad(
-            lambda v: math.exp(v) * mean_kernel_values(mk, np.array([math.exp(v)]))[0] ** 2,
-            math.log(T), math.log(2.0 * T), epsabs=1e-14, epsrel=1e-10,
-            limit=400)
-        dets.append(val)
-        rows.append({"T": float(T), "D_T_2T": float(val)})
+        dets.append(_square_integral(g, T, 2.0 * T, 1e-10))
+        rows.append({"T": float(T), "D_T_2T": dets[-1]})
     slope, _ = np.polyfit(np.log(t_list), np.log(dets), 1)
     target = 1.0 - 2.0 * rho * min(mu, 1.0)
     rows.append({"slope": float(slope), "target": target})
@@ -335,8 +333,7 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
         d = samp[b] - samp[a]
         est = float(np.mean(d**2))
         se = float(np.std(d**2, ddof=1)) / math.sqrt(n_mc)
-        det, _ = integrate.quad(lambda u: mean_kernel_values(mk, np.array([u]))[0] ** 2,
-                                a, b, epsabs=1e-12, limit=200)
+        det = _square_integral(g, a, b, 1e-10)
         rows.append({"s": a, "t": b, "mc_increment_var": est, "se": se,
                      "integral": float(det)})
         excesses.append((abs(est - det) - 3.0 * se, se))
@@ -470,16 +467,16 @@ def check_mixing_condition_remark(mu, lam, rho) -> ConvergenceReport:
     except DomainError:
         moment = None
 
-    from scipy import integrate
+    # decade-by-decade mass of the moment integrand near 0, in v = log x: the
+    # integral is finite exactly when the per-decade contributions decay
+    # geometrically
+    def density_power(v):
+        x = np.exp(v)
+        return lam**mu * x ** (mu + p) * np.exp(-lam * x) / math.gamma(mu)
 
-    # decade-by-decade mass of the moment integrand near 0: the integral is
-    # finite exactly when the per-decade contributions decay geometrically
     def decade(k):
-        val, _ = integrate.quad(
-            lambda x: x**p * lam * math.exp(-lam * x) * (lam * x) ** (mu - 1.0)
-            / math.gamma(mu), 10.0 ** (-k - 1) / lam, 10.0**-k / lam,
-            epsrel=1e-10, limit=200)
-        return val
+        return _integrate(density_power, math.log(10.0 ** (-k - 1) / lam),
+                          math.log(10.0**-k / lam), 1e-10)
 
     c4, c8 = decade(4), decade(8)
     growth = c8 / max(c4, 1e-300)

@@ -31,7 +31,7 @@ from .special_functions import (
     ACCURACY_FLOOR,
     FractionalOrder,
     _g_quadrature_many,
-    ml_one,
+    _integrate,
     ml_one_values,
     ml_two,
     ml_two_values,
@@ -169,25 +169,16 @@ def volterra_residual(k: ResolventKernel, t: float) -> float:
     """s(t) + alpha * (g * s)(t) - 1 with the convolution done by quadrature.
 
     The weakly singular weight (t-tau)^(rho-1) is removed by the substitution
-    w = (t-tau)^rho, after which the integrand is bounded and adaptive
-    quadrature applies directly.
+    w = (t-tau)^rho, after which the integrand is bounded and the panel
+    integrator applies directly.
     """
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     if k.alpha == 0.0:
         return 0.0
-    from scipy import integrate
-
     rho = k.rho
-
-    def integrand(w):
-        return resolvent(k, t - w ** (1.0 / rho))
-
-    val, err = integrate.quad(integrand, 0.0, t**rho,
-                              epsabs=1e-11, epsrel=1e-11, limit=400)
-    if err > 1e-8:
-        raise AccuracyError(
-            f"convolution quadrature reported error {err:.2e} at t={t}")
+    val = _integrate(lambda w: resolvent_values(k, t - w ** (1.0 / rho)),
+                     0.0, t**rho, 1e-11)
     conv = val / math.gamma(rho + 1.0)
     return resolvent(k, t) + k.alpha * conv - 1.0
 
@@ -283,31 +274,20 @@ def mean_kernel_deriv_values(mk: MeanKernel, ts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def variance_integral(mk: MeanKernel, t: float) -> float:
-    """sigma_t^2 = integral of G(u)^2 over [0, t].
+def _square_integral(row, a: float, b: float, rtol: float) -> float:
+    """Integral of the vectorized row(u)^2 over [a, b] in v = log1p(u), which
+    resolves the mass near u = 0 and keeps long ranges well scaled."""
+    return _integrate(lambda v: np.exp(v) * row(np.expm1(v)) ** 2,
+                      math.log1p(a), math.log1p(b), rtol)
 
-    Long ranges are split at u = 16 with a log substitution beyond, so the
-    adaptive rule cannot step over the mass concentrated near the origin.
-    """
+
+def variance_integral(mk: MeanKernel, t: float) -> float:
+    """sigma_t^2 = integral of G(u)^2 over [0, t], by _square_integral."""
     if not np.isfinite(t) or t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    from scipy import integrate
-
-    head, e1 = integrate.quad(lambda u: mean_kernel(mk, u) ** 2,
-                              0.0, min(t, 16.0),
-                              epsabs=1e-10, epsrel=1e-10, limit=400)
-    tail, e2 = 0.0, 0.0
-    if t > 16.0:
-        tail, e2 = integrate.quad(
-            lambda v: math.exp(v) * mean_kernel(mk, math.exp(v)) ** 2,
-            math.log(16.0), math.log(t),
-            epsabs=1e-10, epsrel=1e-10, limit=400)
-    val = head + tail
-    if e1 + e2 > 1e-7 * max(1.0, abs(val)):
-        raise AccuracyError(f"variance quadrature error {e1 + e2:.2e} at t={t}")
-    return float(val)
+    return _square_integral(lambda u: mean_kernel_values(mk, u), 0.0, t, 1e-10)
 
 
 @lru_cache(maxsize=64)
@@ -318,19 +298,9 @@ def _unit_resolvent_l2(rho: float) -> float:
     m = bound_m(rho)
     # envelope tail below 1e-9 fixes the truncation point
     upper = (m * m / ((2.0 * rho - 1.0) * 1e-9)) ** (1.0 / (2.0 * rho - 1.0))
-    upper = max(upper, 32.0)
-    from scipy import integrate
-
-    head, e1 = integrate.quad(lambda u: ml_one(rho, u**rho).value ** 2,
-                              0.0, 32.0, epsabs=1e-11, epsrel=1e-11, limit=400)
-    # log substitution keeps the long tail piece well-scaled
-    body, e2 = integrate.quad(
-        lambda v: math.exp(v) * ml_one(rho, math.exp(v * rho)).value ** 2,
-        math.log(32.0), math.log(upper), epsabs=1e-11, epsrel=1e-11, limit=400)
+    body = _square_integral(lambda u: ml_one_values(rho, u**rho), 0.0, upper, 1e-11)
     tail = m * m * upper ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
-    if e1 + e2 > 1e-8:
-        raise AccuracyError("resolvent norm quadrature did not converge")
-    return float(head + body + tail)
+    return body + tail
 
 
 def resolvent_l2_norm(k: ResolventKernel) -> float:

@@ -70,7 +70,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.t0) and np.isfinite(self.T) and self.T > self.t0):
             raise DomainError(f"need finite T > t0, got [{self.t0}, {self.T}]")
-        if self.n_steps < 1 or self.n_steps != int(self.n_steps):
+        if not (np.isfinite(self.n_steps) and self.n_steps == int(self.n_steps) >= 1):
             raise DomainError(f"n_steps must be a positive integer, got {self.n_steps}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
 
@@ -314,7 +314,8 @@ def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
     [0, min(s, t)] by quadrature, takes a symmetric square root (diagonal
     jitter escalated from 1e-12 on indefiniteness) and draws exact Gaussian
     vectors.  The high-accuracy oracle against increment quadrature; cost is
-    quadratic in the grid, so keep grids short.
+    quadratic in the grid, so keep grids short.  Its QUADPACK integrals are
+    kept on purpose, independent of the panel integrator of variance_integral.
     """
     if grid.t0 != 0.0:
         raise DomainError("exact sampler assumes processes started at 0")

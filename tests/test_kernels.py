@@ -200,6 +200,13 @@ def test_variance_integral():
     assert variance_integral(MK19, 0.0) == 0.0
     assert variance_integral(MK1, 1.0) == pytest.approx((1 - 2.0**-7) / 7.0,
                                                         rel=1e-9)
+    # rho = 1: G = (1 + t/lam)^(-mu), whose square integrates in closed form
+    lam = 1.5
+    for mu in (0.6, 4.0):
+        mk = MeanKernel(1.0, GammaMixing(mu, lam))
+        for t in (0.5, 16.0, 1000.0):
+            exact = lam / (2 * mu - 1) * (1 - (1 + t / lam) ** (1 - 2 * mu))
+            assert variance_integral(mk, t) == pytest.approx(exact, rel=1e-10), (mu, t)
     ts = [0.5, 1.0, 2.0, 5.0]
     vals = [variance_integral(MK19, t) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))

@@ -40,8 +40,9 @@ def test_time_grid():
     assert np.allclose(g.times(), [0.0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(DomainError):
         sim.TimeGrid(1.0, 1.0, 4)
-    with pytest.raises(DomainError):
-        sim.TimeGrid(0.0, 1.0, 0)
+    for n_steps in (0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            sim.TimeGrid(0.0, 1.0, n_steps)
 
 
 def test_float_step_count_is_stored_as_an_integer():
@@ -243,6 +244,28 @@ def test_import_leaves_scipy_signal_and_stats_unloaded(cli_env):
                        text=True, env=cli_env("1"))
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_integrals_leave_quadpack_unloaded(cli_env):
+    # every integral of the library but the exact sampler's runs on the
+    # panel integrator
+    code = """
+import sys
+from fracou import diagnostics as dg, kernels as kn
+from fracou.mixing import GammaMixing
+mk = kn.MeanKernel(1.9, GammaMixing(4.0, 1.0))
+kn.variance_integral(mk, 3.0)
+kn.stationary_variance(mk, 1e-3)
+kn.resolvent_l2_norm(kn.ResolventKernel(1.0, 1.5))
+kn.volterra_residual(kn.ResolventKernel(1.0, 1.9), 2.0)
+dg.check_cauchy_decay(1.9, 4.0, 1.0, [4.0, 8.0], 20, 1)
+dg.check_mixing_condition_remark(3.0, 1.0, 1.9)
+print('scipy.integrate' in sys.modules)
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=cli_env("1"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_exact_gaussian_sampler():

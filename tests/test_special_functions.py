@@ -234,7 +234,7 @@ def test_series_estimates_hold_at_band_edges(ml_oracle, gml_oracle):
             assert ests.max() <= 1e-10, (rho, beta)
     # at (1.05, 20) the series first fails below 0.5
     for rho, mu in ((1.9, 0.4), (1.9, 4.0), (1.5, 4.0), (1.05, 20.0)):
-        zs = _band_probe_points(sf._g_series_range(rho, mu))
+        zs = _band_probe_points(sf._g_series_range(rho, mu, 1.0))
         values, ests, _, guard = _g_series_many(rho, mu, -zs)
         ref = np.array([gml_oracle(rho, mu, float(z)) for z in zs])
         assert np.all(np.abs(values - ref) <= ests), (rho, mu)
@@ -286,6 +286,20 @@ def test_mixing_values_do_not_depend_on_call_history():
     assert np.array([mean_kernel(mk, t) for t in lags]).tobytes() == before.tobytes()
 
 
+def test_evaluator_and_direct_calls_share_one_cache_key():
+    # scale 40^1.9 lies in panel 1, past the series range at (1.9, 4)
+    method = _g_quadrature_many(1.9, 4.0, 1.0, [40.0])[2][0]
+    assert sf._METHODS[method] == "interpolant"
+    for memo, args in ((sf._mixing_panel, (1.9, 4.0, 1, 1.0)),
+                       (sf._g_series_range, (1.9, 4.0, 1.0))):
+        misses = memo.cache_info().misses
+        memo(*args)
+        assert memo.cache_info().misses == misses, memo.__name__
+        # no defaulted beta, so no second key for the same table
+        with pytest.raises(TypeError):
+            memo(*args[:-1])
+
+
 def test_mixing_estimates_hold_against_oracles(gml_oracle):
     # from below the panel floor 2^-13, across every panel, to 1e6
     wide = np.geomspace(1e-5, 1e6, 34)
@@ -310,12 +324,12 @@ def test_mixing_estimates_hold_against_oracles(gml_oracle):
             if rho == 1.0:
                 assert one.method == "closed_form", (mu, t)
             elif one.method == "series":
-                assert w < 2.0**-13 or w <= sf._g_series_range(rho, mu), (rho, mu, t)
+                assert w < 2.0**-13 or w <= sf._g_series_range(rho, mu, 1.0), (rho, mu, t)
                 assert one.terms_used > 1
             else:
                 k = max(math.floor(math.log(w / 8.0, 16.0)), -4)
                 assert one.method == "interpolant", (rho, mu, t)
-                assert one.terms_used == sf._mixing_panel(rho, mu, k).coef.size
+                assert one.terms_used == sf._mixing_panel(rho, mu, k, 1.0).coef.size
 
 
 def _same_bits(a, b) -> bool:
@@ -395,7 +409,7 @@ def test_empty_batches_give_empty_results():
 
 def test_mixing_integrals_do_not_depend_on_their_batch():
     rho, mu = 1.9, 4.0
-    panel = sf._mixing_panel(rho, mu, 2)
+    panel = sf._mixing_panel(rho, mu, 2, 1.0)
     n = panel.coef.size
     ws = panel.points(np.concatenate([_cheb_nodes(n),
                                       np.cos(np.pi * np.arange(1, n) / n)]))
@@ -404,6 +418,15 @@ def test_mixing_integrals_do_not_depend_on_their_batch():
         whole = sf._mixing_integrals(rho, mu, ws, refine)
         alone = [sf._mixing_integrals(rho, mu, [w], refine)[0] for w in ws]
         assert _same_bits(whole, alone), refine
+
+
+def test_panel_integrator():
+    # the endpoint grading resolves the square-root singularity at 0
+    assert abs(sf._integrate(np.sqrt, 0.0, 1.0, 1e-12) - 2.0 / 3.0) <= 1e-14
+    # a jump off every panel edge never meets the rule: an error, not a value
+    with pytest.raises(AccuracyError) as err:
+        sf._integrate(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, 1e-14)
+    assert err.value.est_abs_error > 1e-14
 
 
 def test_asym_many_does_not_depend_on_its_block():
@@ -446,7 +469,7 @@ def test_one_point_calls_return_their_batch_bits(rho, logs):
     near = xs[xs <= 100.0]
     batches = [(_series_many, rho, 1.0, near), (_series_many, rho, rho, near)]
     if rho > 1.0:
-        zs = -xs[xs <= sf._g_series_range(rho, 4.0)]
+        zs = -xs[xs <= sf._g_series_range(rho, 4.0, 1.0)]
         batches.append((_g_series_many, rho, 4.0, zs))
     for fn, r, p, pts in batches:
         whole = fn(r, p, pts)

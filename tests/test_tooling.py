@@ -1,5 +1,6 @@
-"""The benchmark's tracer patches library functions by name; a renamed or
-deleted name must fail here, not only in a traced benchmark run."""
+"""Tooling around the library: the benchmark's tracer patches library
+functions by name, so a renamed or deleted name must fail here, not only in
+a traced benchmark run; and the README's scripts run from a plain checkout."""
 
 import os
 import subprocess
@@ -31,3 +32,12 @@ def test_tracer_installs_and_uninstalls(cli_env):
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, cwd=PERFBENCH,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_figure_data_script_runs_from_a_plain_checkout(cli_env, tmp_path):
+    script = os.path.join(os.path.dirname(PERFBENCH), "scripts", "make_figure_data.py")
+    done = subprocess.run([sys.executable, script], env=cli_env("1"), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "figure_data").iterdir()) == [
+        "gml_mu4_rho19.csv", "gml_mu4_rho19.json", "ml_rho19.csv", "ml_rho19.json"]
