@@ -1,21 +1,26 @@
 """Counter-based random streams.
 
-Every stream is a Philox generator whose 128-bit key is derived by hashing a
-user seed together with a tuple of string/int tags.  Distinct tags give
-statistically independent streams, so the Gamma-mixing draws, every Brownian
-replication, and the backward (two-sided) drivers all live in separate
-namespaces of one user seed.  Outputs depend only on (seed, tags), never on
-thread count or work chunking.
+A namespace (seed, tags) is keyed once: its Philox key is a SHA-256 hash of
+the user seed and the string/int tags, and its draws are addressed by the
+Philox counter (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11).  Row r of a normal matrix starts at counter [0, 0, r, 0]; a
+uniform block or a single stream starts at counter 0 of a namespace of its
+own.  The Brownian driver lives in two namespaces, "w" (forward cells) and
+"wtilde" (backward cells), the mixing rates in a third.  Outputs depend only
+on (seed, tags, index), never on thread count or work chunking.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 
-# Draws are produced in fixed-size blocks keyed by (seed, tags, block index),
-# so any chunked/parallel producer reassembles bit-identical output.
+from .errors import DomainError
+
+# Uniforms are produced in fixed-size blocks keyed by (seed, tags, block
+# index), so any chunked producer reassembles bit-identical output.
 BLOCK = 4096
 # normal_rows fills calls of fewer normals in the calling thread, where a
 # pool's start-up would cost about as much as the whole fill
@@ -45,17 +50,11 @@ def uniforms(seed: int, tags: tuple, start: int, count: int) -> np.ndarray:
     calls: draw i always comes from block i // BLOCK.
     """
     if count < 0 or start < 0:
-        raise ValueError("start and count must be nonnegative")
-    out = np.empty(count)
-    pos = 0
-    i = start
-    while pos < count:
-        block_idx, offset = divmod(i, BLOCK)
-        take = min(BLOCK - offset, count - pos)
-        block = stream(seed, *tags, "block", block_idx).random(BLOCK)
-        out[pos : pos + take] = block[offset : offset + take]
-        pos += take
-        i += take
+        raise DomainError("start and count must be nonnegative")
+    first = start // BLOCK
+    blocks = [stream(seed, *tags, "block", b).random(BLOCK)
+              for b in range(first, -(-(start + count) // BLOCK))]
+    out = np.concatenate([np.empty(0), *blocks])[start % BLOCK:][:count]
     # guard against exact zeros; inverse-CDF consumers need u in (0, 1)
     np.copyto(out, np.nextafter(0.0, 1.0), where=(out == 0.0))
     return out
@@ -65,12 +64,10 @@ def worker_count() -> int:
     """Worker threads for row-parallel fills and FFTs, from FRACOU_THREADS
     (default 1), clamped to [1, os.cpu_count()].
 
-    Affects runtime only: every row is derived from its own (seed, tags, row)
-    stream and written to its own slice, and every FFT row is transformed
-    alone with one plan, so output bits never depend on the schedule.
+    Affects runtime only: every row is drawn from its own counter and written
+    to its own slice, and every FFT row is transformed alone with one plan,
+    so output bits never depend on the schedule.
     """
-    import os
-
     try:
         n = int(os.environ.get("FRACOU_THREADS", "1"))
     except ValueError:
@@ -80,19 +77,27 @@ def worker_count() -> int:
 
 def normal_rows(seed: int, tags: tuple, n_rows: int, n_cols: int,
                 row_offset: int = 0) -> np.ndarray:
-    """Matrix of standard normals with one independent stream per row.
+    """Standard normals, row r from counter [0, 0, row_offset + r, 0] of the
+    key of (seed, tags); a negative row raises DomainError.
 
     Row r of the result equals row 0 of a call with row_offset=r, so row-wise
     chunking or threading cannot change any value.  Rows are split over the
     worker threads once the call fills POOL_NORMALS normals, so a few long
     rows are threaded as well as many short ones.
     """
+    if row_offset < 0:
+        raise DomainError(f"rows are numbered from 0, got row {row_offset}")
+    key = _key(seed, tags)
     out = np.empty((n_rows, n_cols))
 
     def fill(r0: int, r1: int) -> None:
+        # one generator per thread, reset to each row's counter
+        bits = np.random.Philox(key=key)
+        gen, state = np.random.Generator(bits), bits.state
         for r in range(r0, r1):
-            out[r] = stream(seed, *tags, "row",
-                            row_offset + r).standard_normal(n_cols)
+            state["state"]["counter"][2] = row_offset + r
+            bits.state = state
+            gen.standard_normal(out=out[r])
 
     workers = min(worker_count(), n_rows)
     if workers == 1 or n_rows * n_cols < POOL_NORMALS:

@@ -127,8 +127,7 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
     diff_kernels = {n: empirical_kernel_values(alphas[:n], rho, lags) - gk
                     for n in n_list}
 
-    for r0, r1, _, z in simulate._driver_blocks(seed, ("w",), n_mc, 0,
-                                                grid.n_steps):
+    for r0, r1, _, z in simulate._driver_blocks(seed, n_mc, 0, grid.n_steps):
         dw = z * math.sqrt(grid.dt)
         for n in n_list:
             paths = simulate._convolve_rows(diff_kernels[n][None, :], dw)
@@ -287,9 +286,10 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
     The deterministic tail integrals D(T) = integral of G^2 over [T, 2T]
     must follow the T^(1-2 rho min(mu,1)) law; for mu = 1 the certified
     bound is compared with the (2+log T)^2/T envelope, which presumes
-    rho = 1 scaling.  A Monte Carlo coupling on a common backward driver
-    confirms that the increment variance matches the integral at small
-    shifts.
+    rho = 1 scaling.  At small shifts a < b, Var(Y_{-b}(0) - Y_{-a}(0)) of
+    y_minus_s_at_zero on cells of 2e-3 must match the integral of G^2 over
+    [a, b]: all shifts read one backward driver, so a difference draws on
+    the cells in [a, b] only.
     """
     t_start = time.time()
     rho = float(FractionalOrder(rho))
@@ -321,13 +321,9 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
         excesses.append((0.5 - min(ratios), 0.0))
         notes.append("mu = 1 envelope (2+log T)^2/T assumes rho = 1 scaling")
 
-    # Monte Carlo confirmation at small shifts on one backward driver
+    # Monte Carlo confirmation at small shifts, on cells of 2e-3
     s_mc = [1.0, 2.0, 4.0]
-    dt = 2e-3
-    n_steps = int(round(s_mc[-1] / dt))
-    kern = mean_kernel_values(mk, np.arange(n_steps) * dt)
-    dw = simulate._increment_matrix(seed, "wtilde", n_mc, n_steps, dt)
-    samp = {s: dw[:, : int(round(s / dt))] @ kern[: int(round(s / dt))]
+    samp = {s: simulate.y_minus_s_at_zero(mk, s, n_mc, seed, round(s / 2e-3))
             for s in s_mc}
     for a, b in zip(s_mc[:-1], s_mc[1:]):
         d = samp[b] - samp[a]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -59,6 +60,14 @@ _FFT_CUTOVER = 1 << 15
 _DRIVER_CELLS = 1 << 22
 
 
+def _count(name: str, value) -> int:
+    """value as an int, once it is a whole number >= 1."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and value == int(value) >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_j = t0 + j dt, j = 0..n_steps."""
@@ -70,9 +79,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.t0) and np.isfinite(self.T) and self.T > self.t0):
             raise DomainError(f"need finite T > t0, got [{self.t0}, {self.T}]")
-        if not (np.isfinite(self.n_steps) and self.n_steps == int(self.n_steps) >= 1):
-            raise DomainError(f"n_steps must be a positive integer, got {self.n_steps}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps))
 
     @property
     def dt(self) -> float:
@@ -134,53 +141,52 @@ class PathEnsemble:
                 fh.write("\n")
 
 
-def brownian_increments(grid: TimeGrid, seed: int, rep: int = 0,
-                        kind: str = "w") -> np.ndarray:
-    """Increments over the grid cells: i.i.d. N(0, dt), counter-based.
-
-    kind selects the driver namespace ("w" forward, "wtilde" backward); rep
-    indexes independent replications of the whole driver.
-    """
-    return _increment_matrix(seed, kind, 1, grid.n_steps, grid.dt, rep)[0]
+def brownian_increments(grid: TimeGrid, seed: int, rep: int = 0) -> np.ndarray:
+    """Increments over the grid cells: i.i.d. N(0, dt), counter-based; row
+    rep of the forward ("w") cells of the one driver of this seed."""
+    return _increment_matrix(seed, 1, grid.n_steps, grid.dt, rep)[0]
 
 
-def _increment_matrix(seed: int, kind: str, n_reps: int, n_steps: int,
-                      dt: float, rep0: int = 0) -> np.ndarray:
-    z = _rng.normal_rows(seed, (kind,), n_reps, n_steps, row_offset=rep0)
-    return z * math.sqrt(dt)
+def _increment_matrix(seed: int, n_reps: int, n_steps: int, dt: float,
+                      rep0: int = 0) -> np.ndarray:
+    return _two_sided_increments(seed, n_reps, 0, n_steps, dt, rep0)
 
 
 def _two_sided_increments(seed: int, n_reps: int, n_hist: int, n_steps: int,
                           dt: float, rep0: int = 0) -> np.ndarray:
     """Driver increments over cells [-n_hist, n_steps) anchored at t = 0.
 
-    Backward and forward cells come from separate streams indexed by their
-    absolute position, so two simulations with different history depths share
-    every overlapping cell; this is what couples processes across truncation
-    choices.
+    Every cell is drawn at its absolute position, so simulations with other
+    history depths, and one-sided ones, share every overlapping cell: this
+    is what couples processes across truncation choices.
     """
-    # filled and scaled in place: each block of draws is freed once copied
+    blocks = _driver_blocks(seed, n_reps, n_hist, n_steps, rep0)
     dw = np.empty((n_reps, n_hist + n_steps))
-    dw[:, :n_hist] = _rng.normal_rows(seed, ("w2s-b",), n_reps, n_hist,
-                                      row_offset=rep0)[:, ::-1]
-    dw[:, n_hist:] = _rng.normal_rows(seed, ("w2s-f",), n_reps, n_steps,
-                                      row_offset=rep0)
+    for r0, r1, back, fwd in blocks:
+        dw[r0:r1, :n_hist], dw[r0:r1, n_hist:] = back[:, ::-1], fwd
     dw *= math.sqrt(dt)
     return dw
 
 
-def _driver_blocks(seed: int, tags: tuple, n_reps: int, n_hist: int,
-                   n_steps: int, rep0: int = 0):
+def _driver_blocks(seed: int, n_reps: int, n_hist: int, n_steps: int,
+                   rep0: int = 0):
     """Blocks (r0, r1, back, fwd) of at most _DRIVER_CELLS normals of driver
-    replications rep0 + r0 .. rep0 + r1 - 1: back is the "w2s-b" history,
-    fwd the cells 0 .. n_steps-1 of the stream tags, None where empty."""
+    replications rep0 + r0 .. rep0 + r1 - 1: column k of back is history
+    cell -1 - k (a "wtilde" row), column i of fwd is cell i (a "w" row).
+    Every driver row is drawn here, and fewer than one replication raises
+    DomainError before any draw."""
+    n_reps = _count("n_paths", n_reps)
     step = max(1, _DRIVER_CELLS // max(n_hist + n_steps, 1))
-    for r0 in range(0, n_reps, step):
+
+    def block(r0):
         r1 = min(r0 + step, n_reps)
-        back, fwd = (_rng.normal_rows(seed, t, r1 - r0, n,
-                                      row_offset=rep0 + r0) if n else None
-                     for t, n in ((("w2s-b",), n_hist), (tags, n_steps)))
-        yield r0, r1, back, fwd
+        back, fwd = (_rng.normal_rows(seed, (tag,), r1 - r0, n,
+                                      row_offset=rep0 + r0)
+                     if n else np.empty((r1 - r0, 0))
+                     for tag, n in (("wtilde", n_hist), ("w", n_steps)))
+        return r0, r1, back, fwd
+
+    return map(block, range(0, n_reps, step))
 
 
 def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
@@ -273,7 +279,7 @@ def _shared_kernel_paths(process: str, kern: np.ndarray, grid: TimeGrid,
                          seed: int, n_paths: int, rep0: int):
     """One kernel row against driver replications rep0 .. rep0+n_paths-1;
     path r sees the driver brownian_increments(grid, seed, rep0 + r)."""
-    dw = _increment_matrix(seed, "w", n_paths, grid.n_steps, grid.dt, rep0)
+    dw = _increment_matrix(seed, n_paths, grid.n_steps, grid.dt, rep0)
     values = _convolve_rows(kern[None, :], dw)
     labels = [{"process": process, "rep": rep0 + r} for r in range(n_paths)]
     return PathEnsemble(grid, values, labels, "increment_quadrature",
@@ -319,8 +325,7 @@ def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
     """
     if grid.t0 != 0.0:
         raise DomainError("exact sampler assumes processes started at 0")
-    if n_paths < 1:
-        raise DomainError("n_paths must be >= 1")
+    n_paths = _count("n_paths", n_paths)
     from scipy import integrate
 
     times = grid.times()
@@ -357,20 +362,23 @@ def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
 
 def y_minus_s_at_zero(mk: MeanKernel, s: float, n_paths: int, seed: int,
                       n_steps: int | None = None) -> np.ndarray:
-    """Samples of the time-shifted aggregate read off at time zero.
+    """Samples of the time-shifted aggregate Y_{-s} read off at time zero,
+    whose law is that of the unshifted process at time s.
 
-    Integrates the mean kernel against the backward extension of the driver
-    over [-s, 0]; the law coincides with the unshifted process at time s.
+    The history-only stationary_marginal_samples over the n_steps backward
+    cells of [-s, 0], weighted at their left ends.  Driver rows do not
+    depend on n_steps, so at one cell width Y_{-b}(0) - Y_{-a}(0) draws on
+    the cells beyond a only.
     """
-    if not s > 0.0:
-        raise DomainError(f"shift s must be > 0, got {s}")
+    if not (s > 0.0 and math.isfinite(s)):
+        raise DomainError(f"shift s must be finite and > 0, got {s}")
     if n_steps is None:
         n_steps = min(max(int(math.ceil(s / 2e-3)), 200), 20000)
+    n_steps = _count("n_steps", n_steps)
     dv = s / n_steps
-    lags = np.arange(n_steps) * dv
-    kern = mean_kernel_values(mk, lags)
-    dw = _increment_matrix(seed, "wtilde", n_paths, n_steps, dv)
-    return dw @ kern
+    kern = mean_kernel_values(mk, np.arange(n_steps + 1) * dv)
+    return stationary_marginal_samples(kern, [0], n_steps, n_paths, seed,
+                                       dv)[:, 0]
 
 
 def _certified_history(kernel, grid: TimeGrid, tol: float) -> float:
@@ -486,11 +494,21 @@ def _lag_weights(kern: np.ndarray, j: np.ndarray, n_hist: int,
             np.where(lag > 0, kern[np.maximum(lag, 0)], 0.0))
 
 
-def _sampled_convolution(kernel_lags: np.ndarray, t_indices, n_hist: int,
-                         n_paths: int, seed: int, dt: float, tags: tuple,
-                         rep0: int) -> np.ndarray:
+def marginal_samples(kernel_lags: np.ndarray, t_indices, n_paths: int,
+                     seed: int, dt: float, rep0: int = 0) -> np.ndarray:
+    """Samples of the convolution process at selected grid indices, shape
+    (n_paths, len(t_indices)), on the drivers simulate_limit_paths uses."""
+    return stationary_marginal_samples(kernel_lags, t_indices, 0, n_paths,
+                                       seed, dt, rep0)
+
+
+def stationary_marginal_samples(kernel_lags: np.ndarray, t_indices,
+                                n_hist: int, n_paths: int, seed: int,
+                                dt: float, rep0: int = 0) -> np.ndarray:
     """sum over cells p in [-n_hist, j) of kernel_lags[j - p] dW_p at the
-    grid indices j of t_indices, one row per driver replication rep0 ..
+    grid indices j of t_indices, one row per driver replication rep0 + r:
+    the marginals of a two-sided convolution with n_hist history steps, on
+    the drivers simulate_stationary_paths uses.
 
     Each block of _driver_blocks meets the kernel weights of the requested
     times in one GEMM, back @ W_back + fwd @ W_fwd; only the result is
@@ -500,32 +518,11 @@ def _sampled_convolution(kernel_lags: np.ndarray, t_indices, n_hist: int,
     t_indices = np.asarray(t_indices, dtype=int)
     n_steps = int(t_indices.max())
     cols = max(1, _DRIVER_CELLS // max(n_hist + n_steps, 1))
+    blocks = _driver_blocks(seed, n_paths, n_hist, n_steps, rep0)
     out = np.empty((n_paths, t_indices.size))
-    for r0, r1, back, fwd in _driver_blocks(seed, tags, n_paths, n_hist,
-                                            n_steps, rep0):
+    for r0, r1, back, fwd in blocks:
         for c0 in range(0, t_indices.size, cols):
-            w = _lag_weights(kern, t_indices[c0 : c0 + cols], n_hist, n_steps)
-            out[r0:r1, c0 : c0 + cols] = sum(
-                z @ wz for z, wz in zip((back, fwd), w) if z is not None)
+            w_back, w_fwd = _lag_weights(kern, t_indices[c0 : c0 + cols],
+                                         n_hist, n_steps)
+            out[r0:r1, c0 : c0 + cols] = back @ w_back + fwd @ w_fwd
     return out * math.sqrt(dt)
-
-
-def marginal_samples(kernel_lags: np.ndarray, t_indices, n_paths: int,
-                     seed: int, dt: float, kind: str = "w",
-                     rep0: int = 0) -> np.ndarray:
-    """Samples of the convolution process at selected grid indices.
-
-    Returns shape (n_paths, len(t_indices)); row r uses driver replication
-    rep0 + r of the namespace kind, as simulate_limit_paths does.
-    """
-    return _sampled_convolution(kernel_lags, t_indices, 0, n_paths, seed, dt,
-                                (kind,), rep0)
-
-
-def stationary_marginal_samples(kernel_lags: np.ndarray, t_indices,
-                                n_hist: int, n_paths: int, seed: int,
-                                dt: float, rep0: int = 0) -> np.ndarray:
-    """Marginals of a two-sided convolution with n_hist history steps, on
-    the drivers simulate_stationary_paths uses."""
-    return _sampled_convolution(kernel_lags, t_indices, n_hist, n_paths, seed,
-                                dt, ("w2s-f",), rep0)

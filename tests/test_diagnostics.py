@@ -49,8 +49,8 @@ def test_common_random_numbers_shrink_the_gap():
     shared = np.empty(n_mc)
     indep = np.empty(n_mc)
     for r in range(n_mc):
-        dw = sim._increment_matrix(1, "w", 1, GRID.n_steps, GRID.dt, rep0=r)
-        dw2 = sim._increment_matrix(1, "w", 1, GRID.n_steps, GRID.dt,
+        dw = sim._increment_matrix(1, 1, GRID.n_steps, GRID.dt, rep0=r)
+        dw2 = sim._increment_matrix(1, 1, GRID.n_steps, GRID.dt,
                                     rep0=n_mc + r)
         yn = sim._convolve_rows(fn[None, :], dw)[0]
         y_same = sim._convolve_rows(gk[None, :], dw)[0]

@@ -50,6 +50,27 @@ def test_blocked_uniforms_chunk_invariance():
     assert np.array_equal(whole, parts)
 
 
+def test_rate_draws_equal_the_per_block_reference():
+    # block b of a uniform namespace is counter 0 of the key of
+    # (seed, tags, "block", b); the rates are its inverse-CDF transform
+    from scipy import special
+
+    assert [float(u) for u in _rng.uniforms(1, ("alphas", 4.0, 1.0), 0, 3)] \
+        == [0.4284778791390583, 0.40594969137668335, 0.544844803771929]
+    n = 10000
+    for seed, mu, lam in ((1, 4.0, 1.0), (4, 0.4, 2.0)):
+        tags = ("alphas", mu, lam)
+        u = np.concatenate([
+            np.random.Generator(np.random.Philox(
+                key=_rng._key(seed, (*tags, "block", b)))).random(_rng.BLOCK)
+            for b in range(-(-n // _rng.BLOCK))])[:n]
+        u[u == 0.0] = np.nextafter(0.0, 1.0)
+        want = np.maximum(special.gammaincinv(mu, u) / lam,
+                          np.finfo(float).tiny)
+        assert np.array_equal(sample_alphas(GammaMixing(mu, lam), n, seed),
+                              want)
+
+
 def test_sampling_thread_env_invariance(monkeypatch):
     p = GammaMixing(4.0, 2.0)
     ref = sample_alphas(p, 4096, 3)

@@ -59,7 +59,7 @@ def test_brownian_increments_stats_and_determinism():
     dw = sim.brownian_increments(g, 3)
     assert np.array_equal(dw, sim.brownian_increments(g, 3))
     assert not np.array_equal(dw, sim.brownian_increments(g, 3, rep=1))
-    big = sim._increment_matrix(3, "w", 1000, 1000, g.dt)
+    big = sim._increment_matrix(3, 1000, 1000, g.dt)
     v = big.ravel().var(ddof=1)
     assert abs(v - g.dt) < 4.0 * var_se(g.dt, big.size)
     # the summed path over [0, 1] has unit variance
@@ -71,10 +71,28 @@ def test_thread_env_does_not_change_bits(monkeypatch):
     # report 8 cores, so the clamp keeps the 4- and 8-worker pools
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     g = sim.TimeGrid(0.0, 1.0, 256)
-    ref = sim._increment_matrix(5, "w", 128, 256, g.dt)
+    ref = sim._increment_matrix(5, 128, 256, g.dt)
     for n in ("4", "8"):
         monkeypatch.setenv("FRACOU_THREADS", n)
-        assert np.array_equal(sim._increment_matrix(5, "w", 128, 256, g.dt), ref)
+        assert np.array_equal(sim._increment_matrix(5, 128, 256, g.dt), ref)
+
+
+def test_normal_rows_are_counters_of_one_namespace_key(monkeypatch):
+    # row r is the Philox counter [0, 0, r, 0] of the key of (seed, tags),
+    # whatever the offset, the call's shape and the thread count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    key = _rng._key(3, ("w",))
+    want = np.array([np.random.Generator(np.random.Philox(
+        key=key, counter=[0, 0, 4 + r, 0])).standard_normal(1000)
+        for r in range(6)])
+    for n in ("1", "2"):  # 6,000 normals: pooled at 2 threads
+        monkeypatch.setenv("FRACOU_THREADS", n)
+        assert np.array_equal(
+            _rng.normal_rows(3, ("w",), 6, 1000, row_offset=4), want)
+    assert np.array_equal(_rng.normal_rows(3, ("w",), 2, 1000, row_offset=7),
+                          want[3:5])
+    with pytest.raises(DomainError):
+        _rng.normal_rows(3, ("w",), 2, 5, row_offset=-1)
 
 
 def test_worker_count_clamped_to_cpu_count(monkeypatch):
@@ -211,7 +229,7 @@ def test_vectorized_paths_match_per_replication_reference(n_steps):
     assert emp.labels == [{"process": "empirical", "rep": r}
                           for r in range(5)]
     assert lim.meta == {"process": "limit", "seed": 6}
-    dw_matrix = sim._increment_matrix(6, "w", 5, n_steps, g.dt)
+    dw_matrix = sim._increment_matrix(6, 5, n_steps, g.dt)
     kern = mean_kernel_values(MK19, g.times())
     for r in range(5):
         dw = sim.brownian_increments(g, 6, rep=r)
@@ -298,6 +316,50 @@ def test_y_minus_s_at_zero():
     far = sim.y_minus_s_at_zero(MK19, 40.0, n_mc, 13, n_steps=8000)
     sig2 = stationary_variance(MK19, 1e-4)
     assert abs(far.var(ddof=1) - sig2) < 3.0 * var_se(sig2, n_mc) + 5e-3
+    for s, n_steps in ((0.0, None), (-1.0, None), (float("nan"), None),
+                       (float("inf"), None), (1.0, 0), (1.0, -3), (1.0, 2.5),
+                       (1.0, float("inf"))):
+        with pytest.raises(DomainError):
+            sim.y_minus_s_at_zero(MK19, s, 10, 13, n_steps=n_steps)
+
+
+def test_y_minus_s_at_zero_is_the_history_only_convolution():
+    dv = 0.01
+    kern = mean_kernel_values(MK19, np.arange(301) * dv)
+    y_b = sim.y_minus_s_at_zero(MK19, 3.0, 50, 13, n_steps=300)
+    want = sim.stationary_marginal_samples(kern, [0], 300, 50, 13, dv)[:, 0]
+    assert y_b.tobytes() == want.tobytes()
+    # Y_{-b}(0) - Y_{-a}(0) is the kernel at the left ends of the cells
+    # beyond a / dv against those backward cells alone
+    y_a = sim.y_minus_s_at_zero(MK19, 1.0, 50, 13, n_steps=100)
+    z = _rng.normal_rows(13, ("wtilde",), 50, 300)
+    gap = z[:, 100:] @ kern[101:] * math.sqrt(dv)
+    assert np.max(np.abs((y_b - y_a) - gap)) < 1e-13
+
+
+@pytest.mark.parametrize("n_paths", [0, -2])
+def test_empty_or_negative_replications_are_domain_errors(n_paths):
+    g = sim.TimeGrid(0.0, 1.0, 10)
+    kern = mean_kernel_values(MK19, np.arange(31) * g.dt)
+    calls = [
+        lambda: sim.simulate_limit_paths(MK19, g, 1, n_paths=n_paths),
+        lambda: sim.simulate_empirical_mean_paths([1.0, 2.0], 1.9, g, 1,
+                                                  n_paths=n_paths),
+        lambda: sim.simulate_stationary_paths(MK19, g, 1, 1e-2,
+                                              n_paths=n_paths),
+        lambda: sim.simulate_stationary_mean_paths([1.0, 2.0], 1.9, g, 1,
+                                                   1e-2, n_paths=n_paths),
+        lambda: sim.y_minus_s_at_zero(MK19, 1.0, n_paths, 1),
+        lambda: sim.marginal_samples(kern, [10], n_paths, 1, g.dt),
+        lambda: sim.stationary_marginal_samples(kern, [10], 20, n_paths, 1,
+                                                g.dt),
+        # a negative first replication is no row either
+        lambda: sim.simulate_limit_paths(MK19, g, 1, rep0=n_paths - 1),
+        lambda: sim.brownian_increments(g, 1, rep=n_paths - 1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_stationary_aggregate_flat_variance_and_lag_covariance():

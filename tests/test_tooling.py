@@ -34,6 +34,41 @@ def test_tracer_installs_and_uninstalls(cli_env):
     assert done.returncode == 0, done.stderr
 
 
+# the tracer records the sizes of the draw and history spans; its uniforms
+# sizes read _rng.BLOCK
+SIZES_SCRIPT = """
+import layertrace, workloads
+import numpy as np
+from fracou import _rng, simulate
+tracer = layertrace.Tracer(workloads)
+tracer.install()
+try:
+    _rng.normal_rows(1, ("w",), 3, 5)
+    _rng.uniforms(1, ("alphas", 4.0, 1.0), _rng.BLOCK - 10, 20)
+    simulate.stationary_marginal_samples(np.linspace(1.0, 0.0, 31), [0, 10],
+                                         20, 4, 1, 0.01)
+finally:
+    tracer.uninstall()
+first = {}
+for span in tracer.take():
+    first.setdefault(span.name, span.sizes)
+assert first["normal_rows"] == {"normals": 15, "streams": 3,
+                                "row_streams": 3}, first
+assert first["uniforms"] == {"streams": 2}, first
+assert first["stationary_marginal_samples"] == {"history_cells": 80}, first
+"""
+
+
+def test_tracer_records_draw_and_history_sizes(cli_env):
+    env = cli_env("1")
+    env["PYTHONPATH"] += os.pathsep + PERFBENCH
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    done = subprocess.run([sys.executable, "-c", SIZES_SCRIPT], env=env,
+                          cwd=PERFBENCH, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_figure_data_script_runs_from_a_plain_checkout(cli_env, tmp_path):
     script = os.path.join(os.path.dirname(PERFBENCH), "scripts", "make_figure_data.py")
     done = subprocess.run([sys.executable, script], env=cli_env("1"), cwd=tmp_path,
