@@ -407,10 +407,10 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
 
     kernel may be a MeanKernel (the stationary aggregate; n_paths
     independent replications) or a 1-d array of rates (one path per rate on
-    a single shared driver; requires rho).  History is truncated where the
-    certified tail of G, or of the slowest rate's s_alpha, drops below tol
-    (see _certified_history); meta records the depth as t_trunc and the
-    tail bound there as tail_bound.
+    a single shared driver; requires rho, and n_paths must be 1).  History
+    is truncated where the certified tail of G, or of the slowest rate's
+    s_alpha, drops below tol (see _certified_history); meta records the
+    depth as t_trunc and the tail bound there as tail_bound.
     """
     return _stationary(kernel, grid, seed, tol, rho, n_paths, rep, False)
 
@@ -461,9 +461,11 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
             labels = [{"process": "xi_mean", "rep": rep + r}
                       for r in range(n_paths)]
         else:
+            if n_paths != 1:
+                raise DomainError("rates share one driver: n_paths must be 1")
             # the slowest rate has the largest tail: the tail of s_alpha
             # past T is alpha^(-1/rho) times that of s_1 past alpha^(1/rho) T
-            certified, n_paths = (rho, alphas.min(keepdims=True)), 1
+            certified = (rho, alphas.min(keepdims=True))
             rows = partial(_resolvent_lag_rows, alphas, rho)
             labels = [{"process": "xi", "alpha": float(a), "rep": rep}
                       for a in alphas]

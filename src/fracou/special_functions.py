@@ -18,10 +18,12 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   (all x < 1 share one), so a value never depends on the batch it is
   evaluated in.
 * large x: complete asymptotics = exponentially damped oscillatory branch
-  pair (present for 1 < rho < 2) plus the reciprocal-gamma power tail with
-  optimal truncation.  The power tail alone is wrong by the size of the
-  oscillatory part for 1 < rho < 2, which decays like exp(cos(pi/rho) x^(1/rho))
-  and dominates far beyond the first few hundred x when rho is near 2.
+  pair (present for 1 < rho < 2) plus the reciprocal-gamma power tail,
+  cut before its smallest envelope term (a breakpoint search in x) and
+  summed by Horner's rule in 1/x under Higham's rounding bound.  The tail
+  alone misses the oscillatory part, which decays like
+  exp(cos(pi/rho) x^(1/rho)) and dominates far beyond the first few
+  hundred x when rho is near 2.
 * in between: neither path certifies 1e-10 in double precision.  A per-rho
   Chebyshev interpolant in log x, built from an adaptive-precision reference
   summation, bridges the band with ~1e-12 certified error.  Each build
@@ -272,76 +274,77 @@ def _series_many(rho: float, beta: float, x: np.ndarray):
 
 
 @lru_cache(maxsize=256)
-def _asym_coeffs(rho: float, beta: float, m_cap: int = 50) -> np.ndarray:
-    # reciprocal gamma vanishes at its poles, which silently removes the
-    # coefficients that must drop out (all of them for rho = 1)
-    k = np.arange(1, m_cap + 1)
-    return np.where(k % 2 == 1, 1.0, -1.0) * sc.rgamma(beta - k * rho)
+def _asym_coeffs(rho: float, beta: float, m: int):
+    """(c_k, env_k) for k = 1 .. m of the power tail sum_k c_k x^-k.
+
+    c_k = (-1)^(k+1) / Gamma(beta - k rho): reciprocal gamma vanishes at its
+    poles, which removes the coefficients that must drop out (all of them
+    for rho = 1).  env_k = Gamma(k rho - beta + 1) / pi >= |c_k| by
+    reflection; coefficients near Gamma poles are anomalously small, so
+    truncation and remainder estimates use the envelope."""
+    k = np.arange(1, m + 1)
+    return (np.where(k % 2 == 1, 1.0, -1.0) * sc.rgamma(beta - k * rho),
+            np.exp(sc.gammaln(k * rho - beta + 1.0)) / math.pi)
+
+
+def _power_tail(coeff: np.ndarray, x: np.ndarray, cut: np.ndarray):
+    """(sum_k c_k x^-k, sum_k |c_k| x^-k) over k = 1 .. cut of each point,
+    by Horner's rule in y = fl(1/x).  The points are sorted by cut, and the
+    step of c_k updates in place only the suffix with cut >= k: sum(cut)
+    multiply-adds, each point's in the same order whatever its batch."""
+    order = np.argsort(cut, kind="stable")
+    y = 1.0 / x[order]
+    starts = np.searchsorted(cut[order], np.arange(1, cut.max(initial=0) + 1))
+    p, m = np.zeros(x.size), np.zeros(x.size)
+    for k in range(starts.size, 0, -1):
+        ps, ms, ys = p[starts[k - 1]:], m[starts[k - 1]:], y[starts[k - 1]:]
+        ps *= ys
+        ps += coeff[k - 1]
+        ms *= ys
+        ms += abs(coeff[k - 1])
+    p[order], m[order] = p * y, m * y
+    return p, m
 
 
 def _osc_many(rho: float, beta: float, x: np.ndarray):
-    """Conjugate branch pair (2/rho) Re[w^(1-beta) e^w], w = x^(1/rho) e^(i pi/rho).
+    """Branch pair (2/rho) Re[w^(1-beta) e^w], w = X e^(i theta), X = x^(1/rho),
+    theta = pi/rho, present only for 1 < rho < 2, in real arithmetic:
+    (2/rho) X^(1-beta) e^(X cos theta) cos(X sin theta + (1-beta) theta).
 
-    Exponentially damped oscillation present only for 1 < rho < 2; zero
-    otherwise on the negative axis.
-    """
+    Returns (values, rounding bounds).  To first order in u = eps/2, X is
+    off by (|log X| + 1) u relative (fl(1/rho), pow), theta by 2u, and the
+    exponent plus the phase by X u (1.42 |log X| + 15.6) + u (2 |log X| +
+    10.1) at most: within (X + 1)(|log X| + 8) eps of the envelope."""
     if not 1.0 < rho < 2.0:
         return np.zeros_like(x), np.zeros_like(x)
+    theta = math.pi / rho
     X = x ** (1.0 / rho)
-    w = X * complex(math.cos(math.pi / rho), math.sin(math.pi / rho))
-    vals = (2.0 / rho) * (w ** (1.0 - beta) * np.exp(w)).real
-    envelope = (2.0 / rho) * np.abs(w ** (1.0 - beta)) * np.exp(w.real)
-    return vals, envelope * (X + 4.0) * _EPS
-
-
-@lru_cache(maxsize=256)
-def _asym_envelope(rho: float, beta: float, m_cap: int = 50) -> np.ndarray:
-    # coefficient magnitudes bounded via the reflection formula:
-    # |1/Gamma(beta - k rho)| <= Gamma(k rho - beta + 1) / pi.  The realized
-    # coefficients can sit near Gamma poles and be anomalously small, so
-    # truncation decisions and remainder estimates must use this envelope,
-    # not the realized terms.
-    k = np.arange(1, m_cap + 1)
-    return np.exp(sc.gammaln(k * rho - beta + 1.0)) / math.pi
-
-
-# rows per pass of _asym_many: keeps its (rows x 50) temporaries in cache
-_ASYM_BLOCK = 2048
+    log_X = np.log(X)
+    envelope = (2.0 / rho) * np.exp(X * math.cos(theta) + (1.0 - beta) * log_X)
+    vals = envelope * np.cos(X * math.sin(theta) + (1.0 - beta) * theta)
+    return vals, envelope * (X + 1.0) * (np.abs(log_X) + 8.0) * _EPS
 
 
 def _asym_many(rho: float, beta: float, x: np.ndarray):
-    """Optimally truncated power tail plus oscillatory branch term.
+    """Optimally truncated power tail plus branch pair at x > 0, with
+    (values, ests, cut).  env_k x^-k is log-convex in k, so its argmin over
+    k < 50, the first omitted term cut, counts the ratios env_(k+1)/env_k
+    below x.
 
-    Rows are worked through in blocks of _ASYM_BLOCK with per-row
-    operations only, so a value does not depend on its block.
-    """
+    ests = 4 env_cut x^-(cut+1) + (3 cut + 2) eps S + the branch pair's
+    bound, S = sum_k |c_k| x^-k.  With u = eps/2, Horner's rule is off by at
+    most gamma_(2 cut) S (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 5.1) and fl(1/x) by gamma_cut S: 1.5 cut eps S.
+    Twice that plus 2 eps S leaves room for the rounding of the c_k."""
     x = np.asarray(x, dtype=float)
-    coeff = _asym_coeffs(rho, beta)
-    env = _asym_envelope(rho, beta)
-    m_cap = coeff.size
-    k = np.arange(1, m_cap + 1)
-    vals, ests = np.empty(x.size), np.empty(x.size)
-    stop = np.empty(x.size, dtype=int)
-    for a in range(0, x.size, _ASYM_BLOCK):
-        rows = slice(a, a + _ASYM_BLOCK)
-        xb = x[rows]
-        with np.errstate(divide="ignore"):
-            logx = np.log(xb)
-        power = np.exp(-k[None, :] * logx[:, None])
-        t = coeff[None, :] * power
-        env_t = env[None, :] * power
-        # envelope magnitudes are log-convex in k: truncate at their argmin
-        cut = np.argmin(env_t, axis=1)  # first excluded column
-        keep = np.arange(m_cap)[None, :] < cut[:, None]
-        env_omitted = env_t[np.arange(xb.size), cut]
-        osc, osc_round = _osc_many(rho, beta, xb)
-        vals[rows] = np.add.reduce(np.where(keep, t, 0.0), axis=1) + osc
-        ests[rows] = (
-            4.0 * env_omitted
-            + np.add.reduce(np.where(keep, np.abs(t), 0.0), axis=1) * 16.0 * _EPS
-            + osc_round)
-        stop[rows] = cut
-    return vals, ests, stop
+    coeff, env = _asym_coeffs(rho, beta, 50)
+    # int16, so that _power_tail's stable argsort is a radix sort
+    cut = np.searchsorted(env[1:] / env[:-1], x).astype(np.int16)
+    tail, size = _power_tail(coeff, x, cut)
+    osc, osc_round = _osc_many(rho, beta, x)
+    ests = (4.0 * env[cut] * np.exp(-(cut + 1) * np.log(x))
+            + (3 * cut + 2) * _EPS * size + osc_round)
+    return tail + osc, ests, cut
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +448,10 @@ def _regime_thresholds(rho: float, beta: float):
     ok = (s_est <= SERIES_TARGET) & ~s_guard
     bad = np.nonzero(~ok)[0]
     x_series = float(xs[-1] * 1e6) if bad.size == 0 else float(xs[bad[0] - 1]) if bad[0] > 0 else 1.0
-    _, a_est, _ = _asym_many(rho, beta, xs)
-    good_from = xs.size
-    for i in range(xs.size - 1, -1, -1):
-        if a_est[i] <= SERIES_TARGET:
-            good_from = i
-        else:
-            break
-    x_asym = float(xs[good_from]) if good_from < xs.size else float("inf")
+    # the asymptotic regime starts past the last point it does not certify
+    bad = np.flatnonzero(~(_asym_many(rho, beta, xs)[1] <= SERIES_TARGET))
+    start = bad[-1] + 1 if bad.size else 0
+    x_asym = float(xs[start]) if start < xs.size else float("inf")
     return x_series, x_asym
 
 
@@ -580,11 +579,11 @@ def ml_one_deriv(rho, x: float) -> float:
 
 
 def ml_asymptotic(rho: float, x: float, m: int) -> float:
-    """m-term reciprocal-gamma power tail of E_rho(-x) at large x.
+    """m-term reciprocal-gamma power tail of E_rho(-x), summed by the Horner
+    core of ml_one's large-x path (_power_tail) with cut = m.
 
-    This is only the algebraic part of the complete expansion; for
-    1 < rho < 2 the damped-oscillation branch term (included by ml_one's
-    large-x path) can dominate it over a wide range of x.
+    This is only the algebraic part of the complete expansion: for
+    1 < rho < 2 the damped branch pair can dominate it over a wide range of x.
     """
     rho = float(rho)
     if not 0.0 < rho < 2.0:
@@ -593,9 +592,8 @@ def ml_asymptotic(rho: float, x: float, m: int) -> float:
         raise DomainError(f"asymptotic tail requires x > 0, got {x}")
     if m < 1 or m != int(m):
         raise DomainError(f"m must be a positive integer, got {m}")
-    k = np.arange(1, int(m) + 1)
-    signs = np.where(k % 2 == 1, 1.0, -1.0)
-    return float(np.sum(signs * sc.rgamma(1.0 - k * rho) * x ** (-k.astype(float))))
+    m = int(m)
+    return float(_power_tail(_asym_coeffs(rho, 1.0, m)[0], np.array([x]), np.array([m]))[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,16 @@ def test_stationary_component_variance():
     assert abs(v - target) < 3.0 * var_se(target, n_mc) + 1e-2
 
 
+@pytest.mark.parametrize("n_paths", [0, -3, 7])
+def test_component_rates_take_one_path_each(n_paths):
+    # explicit rates draw one path per rate on one driver, so any other
+    # replication count is an error rather than silently ignored
+    g = sim.TimeGrid(0.0, 0.5, 25)
+    with pytest.raises(DomainError):
+        sim.simulate_stationary_paths(np.array([1.0, 2.0]), g, 5, 1e-2,
+                                      rho=1.9, n_paths=n_paths)
+
+
 def test_fresh_rates_keep_few_tail_tables():
     # tables keyed on drawn rates are dropped least recently used first; only
     # MeanKernel tables, keyed on model parameters, are all kept

@@ -433,11 +433,103 @@ def test_asym_many_does_not_depend_on_its_block():
     for rho, beta in ((1.9, 1.0), (1.5, 1.5)):
         x_asym = _regime_thresholds(rho, beta)[1]
         x = np.random.default_rng(5).uniform(x_asym, 1e5, 5000)
-        assert x.size > 2 * sf._ASYM_BLOCK
         whole = _asym_many(rho, beta, x)
-        for i in (0, 2047, 2048, 4999):
+        # the Horner loop runs each truncation order over its own suffix
+        assert np.unique(whole[2]).size >= 3
+        for i in (0, 123, 2047, 2048, 4999):
             one = _asym_many(rho, beta, x[i:i + 1])
             assert all(_same_bits(f[i], g[0]) for f, g in zip(whole, one)), (rho, i)
+
+
+ASYM_PAIRS = [(rho, beta) for rho in (0.6, 1.2, 1.5, 1.9) for beta in (1.0, rho)]
+
+
+def _asym_truncation(rho, beta, x, cut):
+    """The truncation term of _asym_many's estimate."""
+    env = sf._asym_coeffs(rho, beta, 50)[1]
+    return 4.0 * env[cut] * np.exp(-(cut + 1) * np.log(x))
+
+
+def _breakpoint_points(rho, beta):
+    """Points just below and just above up to 8 truncation breakpoints
+    env_(k+1)/env_k at or above x_asym / 4, then a sweep up to 1e6."""
+    x_asym = _regime_thresholds(rho, beta)[1]
+    env = sf._asym_coeffs(rho, beta, 50)[1]
+    brk = env[1:] / env[:-1]
+    brk = brk[brk >= x_asym / 4.0]
+    brk = brk[np.linspace(0, brk.size - 1, min(brk.size, 8)).astype(int)]
+    return np.concatenate([brk * (1.0 - 1e-10), brk * (1.0 + 1e-10),
+                           np.geomspace(x_asym, 1e6, 8)]), brk.size
+
+
+@pytest.mark.parametrize("rho, beta", ASYM_PAIRS)
+def test_asym_many_within_its_estimate_of_the_oracle(rho, beta, ml_oracle):
+    x_asym = _regime_thresholds(rho, beta)[1]
+    x = np.random.default_rng(17).uniform(x_asym, 4.0 * x_asym, 8)
+    vals, ests, _ = _asym_many(rho, beta, x)
+    for xi, v, e in zip(x, vals, ests):
+        assert abs(v - ml_oracle(rho, float(xi), beta)) <= e, (rho, beta, xi)
+
+
+@pytest.mark.parametrize("rho, beta", ASYM_PAIRS)
+def test_asym_rounding_term_covers_the_kept_terms(rho, beta):
+    # the truncation term aside, the estimate must cover the difference to
+    # an exact sum of the same kept terms plus the branch pair, and keep
+    # twice Higham's Horner bound (with fl(1/x)) on top of the coefficients'
+    # own rounding
+    x, _ = _breakpoint_points(rho, beta)
+    vals, ests, cut = _asym_many(rho, beta, x)
+    rounding = ests - _asym_truncation(rho, beta, x, cut)
+    tail_rounding = rounding - sf._osc_many(rho, beta, x)[1]
+    coeff = sf._asym_coeffs(rho, beta, 50)[0]
+    u = 0.5 * np.finfo(float).eps
+    with mp.workdps(50):
+        r, b = mp.mpf(rho), mp.mpf(beta)
+        exact = [(-1) ** (k + 1) * mp.rgamma(b - k * r) for k in range(1, 51)]
+        for xi, v, rnd, tail_rnd, n in zip(x, vals, rounding, tail_rounding, cut):
+            y = 1 / mp.mpf(xi)
+            ref = mp.fsum(c * y ** k for k, c in enumerate(exact[:n], 1))
+            if 1.0 < rho < 2.0:
+                w = mp.mpf(xi) ** (1 / r) * mp.expjpi(1 / r)
+                ref += 2 / r * mp.re(w ** (1 - b) * mp.exp(w))
+            assert abs(v - ref) <= rnd, (rho, beta, xi)
+            size = mp.fsum(abs(c) * y ** k for k, c in enumerate(exact[:n], 1))
+            coef = mp.fsum(abs(mp.mpf(coeff[k - 1]) - c) * y ** k
+                           for k, c in enumerate(exact[:n], 1))
+            gamma = 3 * int(n) * u / (1 - 3 * int(n) * u)
+            assert 2 * gamma * size + coef <= tail_rnd, (rho, beta, xi)
+
+
+@pytest.mark.parametrize("rho, beta", ASYM_PAIRS)
+def test_asym_cut_is_the_argmin_of_the_envelope_terms(rho, beta):
+    x, n = _breakpoint_points(rho, beta)
+    env = sf._asym_coeffs(rho, beta, 50)[1]
+    k = np.arange(1, 51)
+    argmin = np.argmin(env[None, :] * np.exp(-k[None, :] * np.log(x)[:, None]), axis=1)
+    cut = _asym_many(rho, beta, x)[2]
+    assert np.array_equal(cut, argmin)
+    # the truncation order steps up by one at each breakpoint
+    assert np.array_equal(cut[n:2 * n] - cut[:n], np.ones(n))
+
+
+@pytest.mark.parametrize("rho, beta", ASYM_PAIRS)
+def test_osc_branch_pair_within_its_rounding_bound(rho, beta):
+    theta = math.pi / rho
+    top = 700.0 / max(abs(math.cos(theta)), 1e-3)
+    X = np.geomspace(1.0, top, 40)
+    x = X**rho
+    vals, rounding = sf._osc_many(rho, beta, x)
+    if not 1.0 < rho < 2.0:
+        assert not vals.any() and not rounding.any()
+        return
+    w = x ** (1.0 / rho) * complex(math.cos(theta), math.sin(theta))
+    complex_form = (2.0 / rho) * (w ** (1.0 - beta) * np.exp(w)).real
+    assert np.all(np.abs(vals - complex_form) <= rounding)
+    with mp.workdps(50):
+        r, b = mp.mpf(rho), mp.mpf(beta)
+        for xi, v, rnd in zip(x, vals, rounding):
+            w = mp.mpf(xi) ** (1 / r) * mp.expjpi(1 / r)
+            assert abs(v - 2 / r * mp.re(w ** (1 - b) * mp.exp(w))) <= rnd, (rho, beta, xi)
 
 
 def test_series_loops_agree_bit_for_bit(monkeypatch):
