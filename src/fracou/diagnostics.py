@@ -21,7 +21,7 @@ from . import _rng, simulate
 from .errors import DomainError
 from .kernels import (
     MeanKernel,
-    _rate_lag_blocks,
+    _rate_means,
     _square_integral,
     bound_m,
     bound_m3,
@@ -35,7 +35,7 @@ from .kernels import (
 )
 from .mixing import GammaMixing, check_condition, moment_frac, sample_alphas
 from .simulate import TimeGrid
-from .special_functions import FractionalOrder, _integrate, ml_two_values
+from .special_functions import FractionalOrder, _integrate
 
 __all__ = [
     "ConvergenceReport",
@@ -248,10 +248,7 @@ def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
     for n in n_list:
         sub = alphas[:n]
         # f_n'(t) = -t^(rho-1) mean_k alpha_k E_{rho,rho}(-alpha_k t^rho)
-        fdot = np.empty(ts.size)
-        for at, block in _rate_lag_blocks(ml_two_values, sub, rho, ts):
-            fdot[at] = np.add.reduce(block * sub, axis=1)
-        fdot *= -ts ** (rho - 1.0) / sub.size
+        fdot = -ts ** (rho - 1.0) * _rate_means(sub, rho, ts, 1)
         gap = float(np.max(np.abs(fdot - gdot)))
         sup_fdot = float(np.max(np.abs(fdot)))
         allowed = bconst * float(np.mean(sub ** (1.0 / rho)))

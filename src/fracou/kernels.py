@@ -7,7 +7,9 @@ alpha gives the mean kernel G(t), the deterministic object behind the
 aggregated process: its square integrates to path variances, and its tail
 controls how much history a stationary simulation must keep.  G and its
 derivative G' are one Gamma-mixing integral at two parameter sets, evaluated
-by the same series, closed-form and panel paths.
+by the same series, closed-form and panel paths.  The empirical mean f_n of
+s_alpha over n rates, and f_n', are one series per lag weighted by the
+rates' moments; lags where it does not certify average rate x lag cells.
 
 Bound constants: the envelope constants M (for E_rho), M2 (for E_{rho,rho})
 and M3 (for the derivative of the unit resolvent) are estimated once per rho
@@ -29,9 +31,13 @@ from .mixing import GammaMixing, check_condition
 from .special_functions import (
     _EPS,
     ACCURACY_FLOOR,
+    SERIES_TARGET,
     FractionalOrder,
+    _alt_series,
+    _band_terms,
     _g_quadrature_many,
     _integrate,
+    _regime_thresholds,
     ml_one_values,
     ml_two,
     ml_two_values,
@@ -203,8 +209,16 @@ def empirical_kernel(alphas, rho, t: float) -> float:
 
 
 # rate x lag cells per evaluator call of a table, which bounds the
-# evaluator's per-point arrays; each cell is evaluated on its own
+# evaluator's per-point arrays; only lags off the moment series go by cells
 _TABLE_CELLS = 1 << 18
+
+
+def _rates(alphas) -> np.ndarray:
+    """Rates as a float array, once they are 1-d, nonempty, finite and >= 0."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or not alphas.size or not np.all(np.isfinite(alphas) & (alphas >= 0)):
+        raise DomainError("alphas must be a nonempty 1-d array of finite rates >= 0")
+    return alphas
 
 
 def _rate_lag_blocks(evaluate, alphas: np.ndarray, rho: float, lags: np.ndarray):
@@ -218,21 +232,49 @@ def _rate_lag_blocks(evaluate, alphas: np.ndarray, rho: float, lags: np.ndarray)
         yield slice(a, a + step), evaluate(rho, args.ravel()).reshape(args.shape)
 
 
-def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
-    """f_n, the arithmetic mean of s_alpha over the given rates, on a grid.
+def _rate_means(alphas, rho, ts, p: int) -> np.ndarray:
+    """mean_k alpha_k^p E_{rho,beta}(-alpha_k t^rho) at each t of ts: f_n at
+    p = 0 (beta = 1), -f_n' t^(1 - rho) at p = 1 (beta = rho).
 
-    All rates of one lag are summed in one row reduce, so a lag's value does
-    not depend on the other lags of the grid.
+    With A = max alpha_k and x = A t^rho this is one series per lag,
+    A^p sum_j (-x)^j mu_(j+p) / Gamma(rho j + beta), mu_j = mean_k (alpha_k/A)^j
+    by repeated products and fsum: _alt_series weighted by the moments.  To
+    first order fl(A t^rho), fl(alpha_k/A), the j + p - 1 products, fsum,
+    the division by n and the weighting put (3j + 2p + 2) eps/2 on term j,
+    within the eps (2j + 4) |a_j mu_(j+p)| u^j it adds; mu_(j+p) <= 1 does
+    not increase, so E_{rho,beta}(-x) dominates the terms one by one and its
+    truncation estimate holds.  A lag keeps the series value if x is within
+    E_{rho,beta}'s series threshold, the estimate within SERIES_TARGET and
+    the guard untripped; other lags, and rho = 1 or 2, sum their cells.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    ts = _times(ts)
-    if alphas.ndim != 1 or alphas.size == 0:
-        raise DomainError("alphas must be a nonempty 1-d array")
-    rho = float(FractionalOrder(rho))
-    out = np.empty(ts.size)
-    for rows, block in _rate_lag_blocks(ml_one_values, alphas, rho, ts.ravel()):
-        out[rows] = np.add.reduce(block, axis=1)
-    return (out / alphas.size).reshape(ts.shape)
+    alphas, ts, rho = _rates(alphas), _times(ts), float(FractionalOrder(rho))
+    lags, beta, top = ts.ravel(), rho if p else 1.0, float(alphas.max())
+    out, x = np.empty(lags.size), top * lags**rho
+    by_series = rho not in (1.0, 2.0) and top > 0.0
+    cells = ~(x <= _regime_thresholds(rho, beta)[0]) if by_series else np.ones(lags.size, bool)
+    series = np.flatnonzero(~cells)
+    if series.size:
+        # the top band of x has the most terms
+        band = max(math.frexp(float(x[series].max()))[1], 0)
+        moments = np.empty(len(_band_terms(rho, beta, None, band)) + p)
+        r, power = alphas / top, np.ones(alphas.size)
+        for j in range(moments.size):
+            moments[j] = math.fsum(power.tolist()) / alphas.size
+            power *= r
+        v, e, _, guard = _alt_series(rho, beta, None, x[series], moments[p:])
+        cells[series] = ~(e <= SERIES_TARGET) | guard
+        out[series] = v * top if p else v
+    rest = np.flatnonzero(cells)
+    evaluate = ml_two_values if p else ml_one_values
+    for rows, block in _rate_lag_blocks(evaluate, alphas, rho, lags[rest]):
+        out[rest[rows]] = np.add.reduce(block * alphas if p else block, axis=1) / alphas.size
+    return out.reshape(ts.shape)
+
+
+def empirical_kernel_values(alphas, rho, ts: np.ndarray) -> np.ndarray:
+    """f_n, the arithmetic mean of s_alpha over the given rates, on a grid,
+    by the moment series of _rate_means; all-zero rates give f_n = 1."""
+    return _rate_means(alphas, rho, ts, 0)
 
 
 def mean_kernel(mk: MeanKernel, t: float) -> float:

@@ -28,6 +28,7 @@ from .kernels import (
     _TAIL_T_MAX,
     MeanKernel,
     _rate_lag_blocks,
+    _rates,
     _shortest_depth,
     _tail_bound,
     _tail_row,
@@ -256,9 +257,7 @@ def simulate_component_paths(alphas, rho, grid: TimeGrid, seed: int,
 
     X_k(t_j) = sum_{i<j} s_{alpha_k}(t_j - t_i) dW_i with X_k(0) = 0.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or alphas.size == 0 or np.any(alphas < 0):
-        raise DomainError("alphas must be a nonempty 1-d array of rates >= 0")
+    alphas = _rates(alphas)
     rho = _require_simulatable(rho, grid)
     kern = _resolvent_lag_rows(alphas, rho, grid.times())
     dw = brownian_increments(grid, seed, rep=rep)
@@ -427,8 +426,7 @@ def simulate_stationary_mean_paths(alphas, rho: float, grid: TimeGrid,
     usually shorter than the components', which must cover the slowest
     rate.
     """
-    return _stationary(np.asarray(alphas, dtype=float), grid, seed, tol, rho,
-                       n_paths, rep, True)
+    return _stationary(alphas, grid, seed, tol, rho, n_paths, rep, True)
 
 
 def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
@@ -449,8 +447,8 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
         meta = {"process": "eta", "mu": kernel.mixing.mu,
                 "lam": kernel.mixing.lam}
     else:
-        alphas = np.asarray(kernel, dtype=float)
-        if alphas.ndim != 1 or alphas.size == 0 or np.any(alphas <= 0):
+        alphas = _rates(kernel)
+        if not alphas.min() > 0.0:
             raise DomainError("stationary component rates must be positive")
         if rho is None:
             raise DomainError("rho is required with explicit rates")

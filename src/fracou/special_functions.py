@@ -190,9 +190,9 @@ def _band_terms(rho: float, beta: float, nu, band: int) -> tuple:
                  for k, c in enumerate(exact))
 
 
-def _alt_series(rho: float, beta: float, nu, x: np.ndarray):
-    """Alternating series sum_k (-1)^k c_k x^k of _coeffs for a batch of
-    x >= 0.
+def _alt_series(rho: float, beta: float, nu, x: np.ndarray, weights=None):
+    """Alternating series sum_k (-1)^k c_k w_k x^k of _coeffs for a batch of
+    x >= 0; w_k = 1 unless a row of weights is given.
 
     Returns (values, ests, terms_used, guard_tripped).  Every point takes the
     term count K of its power-of-two band of x, all x < 1 that of x = 1, and
@@ -206,11 +206,14 @@ def _alt_series(rho: float, beta: float, nu, x: np.ndarray):
     Horner's rule (Higham, Accuracy and Stability of Numerical Algorithms,
     2nd ed., Alg. 5.1), which covers its second-order terms; the third
     covers the coefficients' own rounding, eps/2 sum_k |a_k| u^k, since
-    |a_k| <= (1 + eps)(|s_k| + u |s_(k+1)|).  Each band's points are worked
-    through in blocks of _SERIES_BLOCK with elementwise operations only.
+    |a_k| <= (1 + eps)(|s_k| + u |s_(k+1)|).  Weights (kernels._rate_means)
+    scale each a_k once, and add eps sum_k (2k + 4) |a_k w_k| u^k to the
+    estimate.  Each band's points are worked through in blocks of
+    _SERIES_BLOCK with elementwise operations only.
     """
     x = np.asarray(x, dtype=float)
     u, values, mu, top = (np.empty(x.size) for _ in range(4))
+    rnd = 0.0 if weights is None else np.empty(x.size)
     terms = np.empty(x.size, dtype=int)
     # points are summed in band order, each band over one slice; x < 1
     # needs few terms, and each band costs a fixed pass: they share one
@@ -221,8 +224,12 @@ def _alt_series(rho: float, beta: float, nu, x: np.ndarray):
     for lo, hi in zip(edges[:-1], edges[1:]):
         b = int(band[lo])
         a = _band_terms(rho, beta, nu, b)
-        K = len(a) - 1
         np.ldexp(x[lo:hi], -b, out=u[lo:hi])
+        if weights is not None:
+            a = np.multiply(a, weights[:len(a)])
+            rnd[lo:hi] = _horner((2.0 * np.arange(a.size) + 4.0) * np.abs(a), u[lo:hi])[0]
+            a = a.tolist()
+        K = len(a) - 1
         terms[lo:hi], top[lo:hi] = K, a[K]
         if hi - lo < _SCALAR_POINTS:
             for i, ui in enumerate(u[lo:hi].tolist(), lo):
@@ -239,7 +246,7 @@ def _alt_series(rho: float, beta: float, nu, x: np.ndarray):
                 s += c
                 m *= ub
                 m += np.abs(s, out=size)
-    ests = TRUNC_SAFETY * np.abs(top) * u**terms + _EPS * (3.0 * mu - np.abs(values))
+    ests = TRUNC_SAFETY * np.abs(top) * u**terms + _EPS * (3.0 * mu - np.abs(values) + rnd)
     terms[x == 0.0] = 1
     # written so that overflowed (inf or NaN) sums trip the guard too
     guard = ~((mu <= CANCEL_GUARD * np.abs(values)) & np.isfinite(mu))
@@ -253,7 +260,7 @@ def _horner(a: tuple, u: float):
     """(s, mu) of _alt_series's Horner loop at one point, in Python floats.
 
     The same IEEE double operations in the same order, so the same bits,
-    without numpy's fixed cost per call on a few points.
+    without numpy's fixed cost per call on a few points; u may be an array.
     """
     s = a[-2]
     m = abs(s)
@@ -291,7 +298,16 @@ def _power_tail(coeff: np.ndarray, x: np.ndarray, cut: np.ndarray):
     """(sum_k c_k x^-k, sum_k |c_k| x^-k) over k = 1 .. cut of each point,
     by Horner's rule in y = fl(1/x).  The points are sorted by cut, and the
     step of c_k updates in place only the suffix with cut >= k: sum(cut)
-    multiply-adds, each point's in the same order whatever its batch."""
+    multiply-adds, each point's in the same order whatever its batch (in
+    Python floats below _SCALAR_POINTS points)."""
+    if x.size < _SCALAR_POINTS:
+        c, y, out = coeff.tolist(), 1.0 / x, np.empty((2, x.size))
+        for i, (yi, k) in enumerate(zip(y.tolist(), cut.tolist())):
+            p = m = 0.0
+            for ck in reversed(c[:k]):
+                p, m = p * yi + ck, m * yi + abs(ck)
+            out[:, i] = p, m
+        return out[0] * y, out[1] * y
     order = np.argsort(cut, kind="stable")
     y = 1.0 / x[order]
     starts = np.searchsorted(cut[order], np.arange(1, cut.max(initial=0) + 1))

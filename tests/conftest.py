@@ -1,10 +1,12 @@
 """Shared test oracles, kept independent of the library's evaluation paths,
 and the scrubbed environment for CLI child processes."""
 
+import functools
 import math
 import os
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 
@@ -14,18 +16,29 @@ def oracle_ml(rho: float, x: float, beta: float = 1.0, digits: int = 30) -> floa
     Straight high-precision summation with working precision scaled to the
     largest term, so it stays trustworthy deep into the cancellation regime.
     """
+    return float(_oracle_ml_mpf(rho, x, beta, digits))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_gamma(rho: float, beta: float, k: int, prec: int):
+    """Gamma(rho k + beta) at prec bits, shared by the sums of one precision."""
+    with mp.workprec(prec):
+        return mp.gamma(mp.mpf(rho) * k + mp.mpf(beta))
+
+
+def _oracle_ml_mpf(rho, x, beta, digits):
+    """oracle_ml's sum as an mpf; x may be an mpf."""
     hump = x ** (1.0 / rho) if x > 0 else 0.0
     with mp.workdps(digits + 10 + int(0.45 * hump)):
         z = -mp.mpf(x)
-        r, b = mp.mpf(rho), mp.mpf(beta)
         total = mp.mpf(0)
         k = 0
         tiny = mp.mpf(10) ** (-(digits + 10))
         while True:
-            term = mp.power(z, k) / mp.gamma(r * k + b)
+            term = mp.power(z, k) / _oracle_gamma(rho, beta, k, mp.mp.prec)
             total += term
             if k > hump and abs(term) < tiny * max(1, abs(total)):
-                return float(total)
+                return total
             k += 1
             if k > 100000:
                 raise RuntimeError("oracle did not converge")
@@ -34,6 +47,22 @@ def oracle_ml(rho: float, x: float, beta: float = 1.0, digits: int = 30) -> floa
 @pytest.fixture(scope="session")
 def ml_oracle():
     return oracle_ml
+
+
+def oracle_fn(alphas, rho: float, t: float, digits: int = 30) -> float:
+    """Reference f_n(t) = mean_k E_rho(-alpha_k t^rho): the mean of the
+    oracle_ml sums at the exact products of each rate with the double
+    t^rho, formed by numpy's power as the kernels form it."""
+    tau = float(np.power(np.array([t], dtype=float), rho)[0])
+    with mp.workdps(digits + 10):
+        terms = [_oracle_ml_mpf(rho, mp.mpf(float(a)) * mp.mpf(tau), 1.0, digits)
+                 for a in alphas]
+        return float(mp.fsum(terms) / len(terms))
+
+
+@pytest.fixture(scope="session")
+def fn_oracle():
+    return oracle_fn
 
 
 def oracle_gml(rho: float, mu: float, w: float, beta: float = 1.0,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from fracou import kernels as kn
+from fracou import simulate as sim
 from fracou import special_functions as sf
 from fracou.errors import DomainError
 from fracou.kernels import (
@@ -357,3 +359,146 @@ def test_mean_kernel_weighted_boundedness():
         again = np.abs(mean_kernel_values(mkx, np.geomspace(1e-2, 1e3, 800)))
         w2 = again * (1.0 + np.geomspace(1e-2, 1e3, 800) ** (1.9 * min(mu, 1.0)))
         assert w2.max() < 1.5 * max(w.max(), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# f_n and f_n' by the rates' moment series
+# ---------------------------------------------------------------------------
+
+
+def _moment_sums(rates, rho, lags, p=0):
+    """(x, values, ests, served) of the moment series at each lag, formed as
+    kernels._rate_means forms them; served marks the lags that keep it."""
+    beta, top = rho if p else 1.0, float(rates.max())
+    x = top * lags**rho
+    count = len(sf._band_terms(rho, beta, None, max(math.frexp(float(x.max()))[1], 0)))
+    power, moments = np.ones(rates.size), []
+    for _ in range(count + p):
+        moments.append(math.fsum(power.tolist()) / rates.size)
+        power *= rates / top
+    v, e, _, guard = sf._alt_series(rho, beta, None, x, np.array(moments[p:]))
+    served = (x <= sf._regime_thresholds(rho, beta)[0]) & (e <= sf.SERIES_TARGET) & ~guard
+    return x, v * top if p else v, e, served
+
+
+def _gamma_rates(n, seed):
+    return np.sort(np.random.default_rng([n, seed]).gamma(4.0, 1.0, n))
+
+
+@pytest.mark.parametrize("rho", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("n", [1, 7, 250])
+def test_moment_series_within_its_estimate_of_the_oracle(rho, n, fn_oracle):
+    rates = _gamma_rates(n, 11)
+    x_series = sf._regime_thresholds(rho, 1.0)[0]
+    # lags either side of x = A t^rho = x_series
+    lags = (x_series * np.array([0.02, 0.4, 0.9, 1.0, 1.1, 2.0]) / rates.max()) ** (1.0 / rho)
+    vals = empirical_kernel_values(rates, rho, lags)
+    x, v, e, served = _moment_sums(rates, rho, lags)
+    assert served[:2].all() and not served[-2:].any()
+    assert np.array_equal(vals[served], v[served])
+    # every other lag averages its rate x lag cells
+    cells = (lags[~served] ** rho)[:, None] * rates[None, :]
+    ml = sf.ml_one_values(rho, cells.ravel()).reshape(cells.shape)
+    assert np.array_equal(vals[~served], np.add.reduce(ml, axis=1) / n)
+    for t, f, bound in zip(lags, vals, np.where(served, e, sf.ACCURACY_FLOOR)):
+        assert abs(f - fn_oracle(rates, rho, float(t))) <= bound, (rho, n, t)
+
+
+@pytest.mark.parametrize("rho", [1.5, 1.9])
+def test_moment_rounding_term_alone_covers_the_error(rho, fn_oracle):
+    # eps sum_j (2j + 4) |a_j mu_j| u^j, where it is most of the estimate,
+    # against a 50-digit sum at the same doubles
+    rates = _gamma_rates(40, 12)
+    lags = np.linspace(0.05, 1.0, 12) * (sf._regime_thresholds(rho, 1.0)[0]
+                                          / rates.max()) ** (1.0 / rho)
+    x, v, e, served = _moment_sums(rates, rho, lags)
+    checked = 0
+    for t, xi, vi, ei, ok in zip(lags, x, v, e, served):
+        band = max(math.frexp(float(xi))[1], 0)
+        a = np.array(sf._band_terms(rho, 1.0, None, band))
+        mu = np.array([np.mean((rates / rates.max()) ** j) for j in range(a.size)])
+        u = math.ldexp(float(xi), -band)
+        j = np.arange(a.size - 1)
+        rounding = EPS * float(np.sum((2 * j + 4) * np.abs(a[:-1] * mu[:-1]) * u**j))
+        assert ei >= rounding, (rho, t)  # the estimate carries the term
+        if ok and rounding >= 0.5 * ei:
+            checked += 1
+            assert abs(vi - fn_oracle(rates, rho, float(t), digits=50)) <= rounding, (rho, t)
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("rho", [1.5, 1.9])
+def test_rate_means_depend_on_their_own_lag_only(rho):
+    rates = sample_alphas(GammaMixing(4.0, 1.0), 60, seed=5)
+    shuffled = np.random.default_rng(6).permutation(rates)
+    lags = np.linspace(0.0, 6.0, 401)  # many lags a band, and lags past x_series
+    for p in (0, 1):
+        whole = kn._rate_means(rates, rho, lags, p)
+        alone = [kn._rate_means(rates, rho, lags[i:i + 1], p)[0] for i in range(lags.size)]
+        assert np.array_equal(whole, alone), p
+        served = _moment_sums(rates, rho, lags, p)[3]
+        assert served.sum() >= 100 and not served.all()
+        again = kn._rate_means(shuffled, rho, lags, p)
+        assert np.array_equal(whole[served], again[served]), p
+        # against the rate x lag cells, each certified to 1e-10 on the series
+        cells = (lags**rho)[:, None] * rates[None, :]
+        ml = (sf.ml_two_values if p else sf.ml_one_values)(rho, cells.ravel())
+        cell_means = np.mean(ml.reshape(cells.shape) * rates**p, axis=1)
+        assert np.max(np.abs(whole - cell_means)) <= 1e-8 * rates.max() ** p, p
+
+
+def test_closed_form_orders_and_the_origin_sum_their_cells():
+    rates = _gamma_rates(30, 13)
+    lags = np.linspace(0.0, 6.0, 61)
+    for rho in (1.0, 2.0):
+        cells = (lags**rho)[:, None] * rates[None, :]
+        ml = sf.ml_one_values(rho, cells.ravel()).reshape(cells.shape)
+        want = np.add.reduce(ml, axis=1) / rates.size
+        assert np.array_equal(empirical_kernel_values(rates, rho, lags), want)
+        ml2 = sf.ml_two_values(rho, cells.ravel()).reshape(cells.shape)
+        want2 = np.add.reduce(ml2 * rates, axis=1) / rates.size
+        assert np.array_equal(kn._rate_means(rates, rho, lags, 1), want2)
+    for rho in (1.0, 1.2, 1.5, 1.9, 2.0):
+        for n in (1, 7, 250):
+            assert empirical_kernel(_gamma_rates(n, 14), rho, 0.0) == 1.0
+
+
+def test_benchmark_table_makes_no_cell_call(monkeypatch):
+    calls = []
+
+    def counted(rho, x):
+        calls.append(np.size(x))
+        return sf.ml_one_values(rho, x)
+
+    monkeypatch.setattr(kn, "ml_one_values", counted)
+    rates = _gamma_rates(250, 15)
+    empirical_kernel_values(rates, 1.9, np.linspace(0.0, 2.0, 2001))
+    assert calls == []
+    # the count sees the cells of a lag past the series threshold
+    empirical_kernel_values(rates, 1.9, [0.0, 30.0])
+    assert calls == [250]
+
+
+@pytest.mark.parametrize("rates", [[-1.0, 2.0], [np.inf, 1.0], [np.nan, 1.0], [],
+                                   [[1.0, 2.0]]])
+def test_rates_are_checked_before_any_evaluation(rates):
+    grid = sim.TimeGrid(0.0, 1.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.0, 0.5):
+            with pytest.raises(DomainError):
+                empirical_kernel_values(rates, 1.9, [t])
+        for simulate in (lambda: sim.simulate_component_paths(rates, 1.9, grid, 1),
+                         lambda: sim.simulate_empirical_mean_paths(rates, 1.9, grid, 1),
+                         lambda: sim.simulate_stationary_paths(rates, grid, 1, 0.1, 1.9),
+                         lambda: sim.simulate_stationary_mean_paths(rates, 1.9, grid, 1, 0.1)):
+            with pytest.raises(DomainError):
+                simulate()
+
+
+def test_all_zero_rates_give_the_unit_kernel():
+    lags = np.linspace(0.0, 5.0, 11)
+    for rho in (1.0, 1.5, 1.9, 2.0):
+        assert np.array_equal(empirical_kernel_values([0.0, 0.0], rho, lags), np.ones(11))
+    with pytest.raises(DomainError):  # s = 1 is not stationary
+        sim.simulate_stationary_paths([0.0, 1.0], sim.TimeGrid(0.0, 1.0, 10), 1, 0.1, 1.9)
