@@ -16,6 +16,9 @@ from fracou.simulate import TimeGrid
 
 # (rho, tol) of the check_stationarity jobs, at mu 4, lam 1
 STATIONARITY = {"stationarity_19": (1.9, 5e-3), "stationarity_1": (1.0, 2e-3)}
+# (rho, mu) of the check_cauchy_decay jobs, at lam 1
+CAUCHY = {"cauchy_mu4": (1.9, 4.0), "cauchy_mu04": (1.9, 0.4),
+          "cauchy_mu1": (1.0, 1.0)}
 
 
 def stationarity_job(name: str, seed: int, rows: int = 5000):
@@ -23,6 +26,15 @@ def stationarity_job(name: str, seed: int, rows: int = 5000):
     rho, tol = STATIONARITY[name]
     return dg.check_stationarity(rho, 4.0, 1.0, TimeGrid(0.0, 2.0, 200), rows,
                                  seed, tol)
+
+
+def cauchy_job(name: str, seed: int, mc: int = 2000, t_points: int = 8):
+    """The check_cauchy_decay job called name, on mc draws and t_points
+    shift times from 10 to 1000."""
+    rho, mu = CAUCHY[name]
+    return dg.check_cauchy_decay(rho, mu, 1.0,
+                                 np.geomspace(10.0, 1000.0, t_points), mc,
+                                 seed)
 
 
 def main() -> int:
@@ -35,7 +47,6 @@ def main() -> int:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = TimeGrid(0.0, 2.0, 500)
-    t_list = np.geomspace(10.0, 1000.0, 8)
 
     jobs = [
         ("l2sup", lambda: dg.check_l2_sup_convergence(
@@ -45,12 +56,8 @@ def main() -> int:
         ("pathwise", lambda: dg.check_pathwise_conditions(
             1.9, 4.0, 1.0, [100, 1000, 10000], TimeGrid(0.0, 2.0, 100),
             args.seed)),
-        ("cauchy_mu4", lambda: dg.check_cauchy_decay(
-            1.9, 4.0, 1.0, t_list, args.mc, args.seed)),
-        ("cauchy_mu04", lambda: dg.check_cauchy_decay(
-            1.9, 0.4, 1.0, t_list, args.mc, args.seed)),
-        ("cauchy_mu1", lambda: dg.check_cauchy_decay(
-            1.0, 1.0, 1.0, t_list, args.mc, args.seed)),
+        *((name, partial(cauchy_job, name, args.seed, args.mc))
+          for name in CAUCHY),
         *((name, partial(stationarity_job, name, args.seed))
           for name in STATIONARITY),
         ("mixing_remark", lambda: dg.check_mixing_condition_remark(

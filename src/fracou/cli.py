@@ -14,6 +14,7 @@ path generation and can only change runtimes, never output bits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -64,8 +65,10 @@ def cmd_eval(args) -> int:
     config = {"command": "eval", "function": args.function, "rho": args.rho,
               "mu": args.mu, "lam": args.lam, "xmin": args.xmin,
               "xmax": args.xmax, "points": args.points}
-    _emit(args.out, "x,value\n" + "".join(f"{float(x)!r},{float(y)!r}\n"
-                                          for x, y in zip(xs, ys)))
+    with (open(args.out, "w") if args.out != "-"
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("x,value\n")
+        sim.write_csv_rows(fh, xs, np.asarray(ys, dtype=float)[None, :])
     if side is not None:
         _emit(side, json.dumps(config, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -118,8 +121,10 @@ def cmd_simulate(args) -> int:
     else:  # xi; argparse restricts the choices
         ens = sim.simulate_stationary_paths(alphas, grid, args.seed, args.tol,
                                             rho=args.rho)
-    # the certified truncation of the two-sided processes
-    config.update({k: ens.meta[k] for k in ("t_trunc", "tail_bound")
+    # the certified truncation of the two-sided processes and the variance
+    # their coarse history cells lose, at most
+    config.update({k: ens.meta[k]
+                   for k in ("t_trunc", "tail_bound", "disc_var_bound")
                    if k in ens.meta})
     ens.meta["config"] = config
     ens.to_csv(args.out)

@@ -7,7 +7,9 @@ randomness of the reversion rates lives in a separate seed namespace, so
 rates can be resampled holding the driver fixed and vice versa.
 
 Stationary (two-sided-time) processes truncate their infinite history at a
-point certified by the kernel tail bounds, never at an arbitrary cutoff.
+point certified by the kernel tail bounds, never at an arbitrary cutoff, and
+draw that history on coarse dyadic cells (HistoryLayout) wherever the kernel
+is flat enough that weighting a cell by its mean loses little variance.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ _FFT_CUTOVER = 1 << 15
 # driver cells (replications x cells) and gathered kernel weights (cells x
 # times) that a marginal sampler holds at once
 _DRIVER_CELLS = 1 << 22
+# the variance the coarse cells of one history may lose against its fine
+# cells, in units of dt: a tenth of the dt/2 by which the left-endpoint
+# scheme itself is off
+_SHORTFALL = 0.05
+# rows of a CSV table formatted at once: enough to amortize the numpy calls,
+# few enough that the block's Python floats and strings stay well under 1 MB
+_CSV_ROWS = 64
 
 
 def _count(name: str, value) -> int:
@@ -123,12 +132,9 @@ class PathEnsemble:
         """CSV with columns t, path_0..path_{m-1}; floats in shortest
         round-trip form.  The sidecar JSON holds the full provenance."""
         side_path = sidecar_path(path) if sidecar else None
-        times = self.grid.times()
         with open(path, "w") as fh:
             fh.write(",".join(["t"] + [f"path_{i}" for i in range(self.n_paths)]) + "\n")
-            for j, t in enumerate(times):
-                row = [repr(float(t))] + [repr(float(v)) for v in self.values[:, j]]
-                fh.write(",".join(row) + "\n")
+            write_csv_rows(fh, self.grid.times(), self.values)
         if sidecar:
             side = {
                 "grid": {"t0": self.grid.t0, "T": self.grid.T,
@@ -140,6 +146,134 @@ class PathEnsemble:
             with open(side_path, "w") as fh:
                 json.dump(side, fh, indent=2, sort_keys=True)
                 fh.write("\n")
+
+
+def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
+    """CSV rows first[i], columns[0, i], columns[1, i], ... with floats in
+    shortest round-trip form, formatted _CSV_ROWS rows at a time."""
+    for i in range(0, first.size, _CSV_ROWS):
+        block = np.column_stack((first[i : i + _CSV_ROWS],
+                                 columns[:, i : i + _CSV_ROWS].T))
+        fh.write("".join(",".join(map(repr, row)) + "\n"
+                         for row in block.tolist()))
+
+
+@dataclass(frozen=True)
+class HistoryLayout:
+    """Dyadic cells of the backward driver that partition the history cells
+    [-n_hist, 0), nearest to t = 0 first: cell c is the bridge-tree cell of
+    level levels[c] over the fine cells -1 - starts[c] down to
+    -starts[c] - 2^levels[c].
+
+    Weighting a cell by the kernel's mean over its lags is the L^2 projection
+    of the fine cells' sum onto the cell's increment, so the variance falls
+    short of the fine scheme's by exactly dt sum (K_i - mean K)^2 over the
+    cell, and that is also the mean-square error.  disc_var_bound bounds the
+    sum of these shortfalls over the cells, at every output time and kernel
+    row the layout was made for.
+    """
+
+    levels: np.ndarray
+    starts: np.ndarray
+    disc_var_bound: float = 0.0
+
+    @property
+    def widths(self) -> np.ndarray:
+        return np.left_shift(1, self.levels)
+
+
+def _fine_layout(n_hist: int) -> HistoryLayout:
+    return HistoryLayout(np.zeros(n_hist, dtype=np.int64),
+                         np.arange(n_hist, dtype=np.int64))
+
+
+def _window_max(v: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
+    """max of v[a : a + span] for each a of starts: within blocks of span,
+    the larger of a suffix maximum at a and a prefix maximum at its end."""
+    blocks = np.concatenate([v, np.full(-v.size % span, -np.inf)])
+    blocks = blocks.reshape(-1, span)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[starts], prefix[starts + span - 1])
+
+
+def _history_layout(kernel_lags: np.ndarray, t_lo: int, t_hi: int,
+                    n_hist: int, dt: float) -> HistoryLayout:
+    """The dyadic layout of n_hist history cells for the output times
+    t_lo .. t_hi of the kernel rows kernel_lags (one row, or one per rate;
+    column m is lag m dt), whose shortfall stays within _SHORTFALL dt.
+
+    From the top down, each aligned cell of level <= TREE_TOP is kept when
+    its shortfall, at every output time and row, is within its share
+    _SHORTFALL w / n_hist (times dt) of the budget, else split in two; fine
+    cells have none.  A cell over lags p .. p + w - 1 falls short by
+    dt V_w(p), and V is built for every lag start by merging halves,
+    V_2w(p) = V_w(p) + V_w(p + w) + w/2 (m_w(p) - m_w(p + w))^2 with m_w the
+    mean: a sum of nonnegative terms, never a difference of large sums.  A
+    rounding allowance keeps the recorded disc_var_bound an upper bound.
+    """
+    if n_hist == 0:
+        return _fine_layout(0)
+    top, span = _rng.TREE_TOP, t_hi - t_lo + 1
+    rows = np.atleast_2d(np.asarray(kernel_lags, dtype=float))[
+        :, t_lo + 1 : n_hist + t_hi + 1]
+    if rows.shape[1] < n_hist + span - 1:
+        raise DomainError(f"kernel rows end before lag {n_hist + t_hi}")
+    # worst[l][a >> l]: largest V over the rows and output times of the
+    # aligned cell of level l that starts at history cell a
+    worst = [None] * (top + 1)
+    chunk = max(1, _DRIVER_CELLS // rows.shape[1])
+    for r0 in range(0, rows.shape[0], chunk):
+        mean = rows[r0 : r0 + chunk]
+        var = np.zeros_like(mean)
+        for l in range(1, top + 1):
+            h = 1 << (l - 1)
+            if 2 * h > n_hist:
+                break
+            gap = mean[:, :-h] - mean[:, h:]
+            gap *= gap
+            gap *= 0.5 * h
+            var = var[:, :-h] + var[:, h:]
+            var += gap
+            mean = mean[:, :-h] + mean[:, h:]
+            mean *= 0.5
+            got = _window_max(var.max(axis=0),
+                              np.arange(0, n_hist - 2 * h + 1, 2 * h), span)
+            worst[l] = got if worst[l] is None else np.maximum(worst[l], got)
+    eps = float(np.finfo(float).eps)
+    kmax2 = float(np.max(np.abs(rows))) ** 2
+    share = _SHORTFALL / n_hist
+    # candidates: the aligned cells of the binary decomposition of n_hist
+    cand = [[] for _ in range(top + 1)]
+    pos = n_hist >> top << top
+    cand[top] = list(range(0, pos, 1 << top))
+    for l in range(top - 1, -1, -1):
+        if n_hist - pos >= 1 << l:
+            cand[l].append(pos)
+            pos += 1 << l
+    split = np.empty(0, dtype=np.int64)
+    kept = []
+    for l in range(top, 0, -1):
+        a = np.sort(np.concatenate([np.asarray(cand[l], dtype=np.int64),
+                                    split]))
+        if not a.size:
+            continue
+        w = 1 << l
+        # rounding: l merges lose at most 4 (l + 1) eps of V relatively, and
+        # each mean, off by at most (l + 1) eps max|K|, adds at most
+        # 4 (l + 1)^2 eps w max K^2 through the squared gaps
+        bound = (worst[l][a >> l] * (1.0 + 4 * (l + 1) * eps)
+                 + 4 * (l + 1) ** 2 * eps * w * kmax2)
+        ok = bound <= share * w
+        kept.append((np.full(ok.sum(), l), a[ok], bound[ok]))
+        split = np.concatenate([a[~ok], a[~ok] + w // 2])
+    fine = np.concatenate([np.asarray(cand[0], dtype=np.int64), split])
+    kept.append((np.zeros(fine.size, dtype=np.int64), fine,
+                 np.zeros(fine.size)))
+    levels, starts, bounds = (np.concatenate(x) for x in zip(*kept))
+    order = np.argsort(starts)
+    return HistoryLayout(levels[order], starts[order],
+                         dt * math.fsum(bounds) * (1.0 + 4 * eps))
 
 
 def brownian_increments(grid: TimeGrid, seed: int, rep: int = 0) -> np.ndarray:
@@ -154,37 +288,53 @@ def _increment_matrix(seed: int, n_reps: int, n_steps: int, dt: float,
 
 
 def _two_sided_increments(seed: int, n_reps: int, n_hist: int, n_steps: int,
-                          dt: float, rep0: int = 0) -> np.ndarray:
+                          dt: float, rep0: int = 0,
+                          layout: HistoryLayout | None = None) -> np.ndarray:
     """Driver increments over cells [-n_hist, n_steps) anchored at t = 0.
 
-    Every cell is drawn at its absolute position, so simulations with other
-    history depths, and one-sided ones, share every overlapping cell: this
-    is what couples processes across truncation choices.
+    Every cell is drawn at its absolute position, forward cells from "w" rows
+    and history cells from the "wtilde" bridge tree, so simulations with
+    other history depths or layouts, and one-sided ones, are one Brownian
+    motion: this is what couples processes across truncation choices.  With
+    a layout, each history cell holds the increment of the layout cell it
+    lies in spread evenly over that cell's fine cells, so a convolution with
+    the fine kernel row weights the layout cell by the kernel's mean over it.
     """
-    blocks = _driver_blocks(seed, n_reps, n_hist, n_steps, rep0)
+    layout = layout or _fine_layout(n_hist)
+    blocks = _driver_blocks(seed, n_reps, n_hist, n_steps, rep0, layout)
+    spread = np.repeat(np.arange(layout.levels.size), layout.widths)[::-1]
+    scale = (math.sqrt(dt) / layout.widths)[spread]
     dw = np.empty((n_reps, n_hist + n_steps))
     for r0, r1, back, fwd in blocks:
-        dw[r0:r1, :n_hist], dw[r0:r1, n_hist:] = back[:, ::-1], fwd
-    dw *= math.sqrt(dt)
+        dw[r0:r1, :n_hist], dw[r0:r1, n_hist:] = back[:, spread] * scale, fwd
+    dw[:, n_hist:] *= math.sqrt(dt)
     return dw
 
 
 def _driver_blocks(seed: int, n_reps: int, n_hist: int, n_steps: int,
-                   rep0: int = 0):
+                   rep0: int = 0, layout: HistoryLayout | None = None):
     """Blocks (r0, r1, back, fwd) of at most _DRIVER_CELLS normals of driver
-    replications rep0 + r0 .. rep0 + r1 - 1: column k of back is history
-    cell -1 - k (a "wtilde" row), column i of fwd is cell i (a "w" row).
-    Every driver row is drawn here, and fewer than one replication raises
-    DomainError before any draw."""
+    replications rep0 + r0 .. rep0 + r1 - 1: column c of back is the
+    increment of cell c of layout (all n_hist fine cells by default; a cell
+    of level l has variance 2^l) from the "wtilde" bridge tree, column i of
+    fwd is cell i (a "w" row).  Every driver row is drawn here, and fewer
+    than one replication raises DomainError before any draw."""
     n_reps = _count("n_paths", n_reps)
-    step = max(1, _DRIVER_CELLS // max(n_hist + n_steps, 1))
+    layout = layout or _fine_layout(n_hist)
+    n_cells = layout.levels.size
+    step = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
+    if step > _rng.TREE_REPS:  # whole rows of the tree
+        step -= step % _rng.TREE_REPS
+    nodes = layout.starts >> layout.levels
 
     def block(r0):
         r1 = min(r0 + step, n_reps)
-        back, fwd = (_rng.normal_rows(seed, (tag,), r1 - r0, n,
-                                      row_offset=rep0 + r0)
-                     if n else np.empty((r1 - r0, 0))
-                     for tag, n in (("wtilde", n_hist), ("w", n_steps)))
+        back = (_rng.tree_cells(seed, ("wtilde",), r1 - r0, layout.levels,
+                                nodes, row_offset=rep0 + r0)
+                if n_cells else np.empty((r1 - r0, 0)))
+        fwd = (_rng.normal_rows(seed, ("w",), r1 - r0, n_steps,
+                                row_offset=rep0 + r0)
+               if n_steps else np.empty((r1 - r0, 0)))
         return r0, r1, back, fwd
 
     return map(block, range(0, n_reps, step))
@@ -360,14 +510,16 @@ def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
 
 
 def y_minus_s_at_zero(mk: MeanKernel, s: float, n_paths: int, seed: int,
-                      n_steps: int | None = None) -> np.ndarray:
+                      n_steps: int | None = None) -> MarginalSamples:
     """Samples of the time-shifted aggregate Y_{-s} read off at time zero,
     whose law is that of the unshifted process at time s.
 
     The history-only stationary_marginal_samples over the n_steps backward
-    cells of [-s, 0], weighted at their left ends.  Driver rows do not
-    depend on n_steps, so at one cell width Y_{-b}(0) - Y_{-a}(0) draws on
-    the cells beyond a only.
+    cells of [-s, 0], weighted at their left ends and drawn on the coarse
+    cells of their layout; meta["disc_var_bound"] bounds the variance that
+    loses against the fine cells.  Every cell comes from one bridge tree, so
+    at one cell width Y_{-b}(0) - Y_{-a}(0) draws on the cells beyond a only,
+    up to the two layouts' projections of the cells near a.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"shift s must be finite and > 0, got {s}")
@@ -409,7 +561,9 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     a single shared driver; requires rho, and n_paths must be 1).  History
     is truncated where the certified tail of G, or of the slowest rate's
     s_alpha, drops below tol (see _certified_history); meta records the
-    depth as t_trunc and the tail bound there as tail_bound.
+    depth as t_trunc and the tail bound there as tail_bound.  The history is
+    drawn on coarse dyadic cells (_history_layout) and meta records the
+    variance they lose against fine cells, at most, as disc_var_bound.
     """
     return _stationary(kernel, grid, seed, tol, rho, n_paths, rep, False)
 
@@ -432,7 +586,10 @@ def simulate_stationary_mean_paths(alphas, rho: float, grid: TimeGrid,
 def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
                 n_paths: int, rep: int, mean: bool):
     """Kernel rows over lags 0 .. (n_hist + n_steps) dt against two-sided
-    drivers, only the grid window convolved out."""
+    drivers, only the grid window convolved out.  The history is drawn on the
+    layout of the window's times; its coarse cells are spread evenly over
+    their fine cells, so the one convolution weights each by the kernel's
+    mean over it."""
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if isinstance(kernel, MeanKernel):
@@ -471,11 +628,13 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
     dt = grid.dt
     n_hist = int(math.ceil(_certified_history(certified, grid, tol) / dt))
     kern = rows(np.arange(n_hist + grid.n_steps + 1) * dt)
+    layout = _history_layout(kern, 0, grid.n_steps, n_hist, dt)
     dw = _two_sided_increments(seed, n_paths, n_hist, grid.n_steps, dt,
-                               rep0=rep)
+                               rep, layout)
     values = _convolve_rows(kern, dw, start=n_hist)
     meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt,
-                tail_bound=_tail_bound(certified, tol)(n_hist * dt))
+                tail_bound=_tail_bound(certified, tol)(n_hist * dt),
+                disc_var_bound=layout.disc_var_bound)
     return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
 
 
@@ -484,14 +643,27 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
 # ---------------------------------------------------------------------------
 
 
-def _lag_weights(kern: np.ndarray, j: np.ndarray, n_hist: int,
+class MarginalSamples(np.ndarray):
+    """Marginal samples, an ndarray that carries meta["disc_var_bound"]: the
+    variance its coarse history cells lose against fine ones, at most."""
+
+    def __array_finalize__(self, obj):
+        self.meta = getattr(obj, "meta", {})
+
+
+def _lag_weights(kern: np.ndarray, j: np.ndarray, layout: HistoryLayout,
                  n_steps: int):
-    """Kernel weights of the output times j over the history cells (row k
-    is cell -1 - k, lag j + k + 1) and the forward cells (row i, lag j - i,
-    zero unless i < j)."""
+    """Kernel weights of the output times j over the history cells of layout
+    (row c: the kernel's mean over the lags j + starts[c] + 1 onwards of its
+    cell) and the forward cells (row i, lag j - i, zero unless i < j)."""
     lag = j[None, :] - np.arange(n_steps)[:, None]
-    return (kern[j[None, :] + np.arange(1, n_hist + 1)[:, None]],
-            np.where(lag > 0, kern[np.maximum(lag, 0)], 0.0))
+    n_hist, widths = int(layout.widths.sum()), layout.widths
+    back = np.empty((widths.size, j.size))
+    if widths.size:
+        for col, t in enumerate(j):
+            back[:, col] = np.add.reduceat(kern[t + 1 : t + 1 + n_hist],
+                                           layout.starts) / widths
+    return back, np.where(lag > 0, kern[np.maximum(lag, 0)], 0.0)
 
 
 def marginal_samples(kernel_lags: np.ndarray, t_indices, n_paths: int,
@@ -504,25 +676,33 @@ def marginal_samples(kernel_lags: np.ndarray, t_indices, n_paths: int,
 
 def stationary_marginal_samples(kernel_lags: np.ndarray, t_indices,
                                 n_hist: int, n_paths: int, seed: int,
-                                dt: float, rep0: int = 0) -> np.ndarray:
+                                dt: float, rep0: int = 0) -> MarginalSamples:
     """sum over cells p in [-n_hist, j) of kernel_lags[j - p] dW_p at the
     grid indices j of t_indices, one row per driver replication rep0 + r:
     the marginals of a two-sided convolution with n_hist history steps, on
     the drivers simulate_stationary_paths uses.
 
-    Each block of _driver_blocks meets the kernel weights of the requested
-    times in one GEMM, back @ W_back + fwd @ W_fwd; only the result is
-    scaled by sqrt(dt).  A weight block holds at most _DRIVER_CELLS cells.
+    The history is drawn on the coarse cells of _history_layout for the
+    times min(t_indices) .. max(t_indices), each weighted by the kernel's
+    mean over it; meta["disc_var_bound"] of the result bounds the variance
+    that loses against the fine sum.  Each block of _driver_blocks meets the
+    kernel weights of the requested times in one GEMM,
+    back @ W_back + fwd @ W_fwd; only the result is scaled by sqrt(dt).  A
+    weight block holds at most _DRIVER_CELLS cells.
     """
     kern = np.asarray(kernel_lags, dtype=float)
     t_indices = np.asarray(t_indices, dtype=int)
     n_steps = int(t_indices.max())
-    cols = max(1, _DRIVER_CELLS // max(n_hist + n_steps, 1))
-    blocks = _driver_blocks(seed, n_paths, n_hist, n_steps, rep0)
+    layout = _history_layout(kern, int(t_indices.min()), n_steps, n_hist, dt)
+    n_cells = layout.levels.size
+    cols = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
+    blocks = _driver_blocks(seed, n_paths, n_hist, n_steps, rep0, layout)
     out = np.empty((n_paths, t_indices.size))
     for r0, r1, back, fwd in blocks:
         for c0 in range(0, t_indices.size, cols):
             w_back, w_fwd = _lag_weights(kern, t_indices[c0 : c0 + cols],
-                                         n_hist, n_steps)
+                                         layout, n_steps)
             out[r0:r1, c0 : c0 + cols] = back @ w_back + fwd @ w_fwd
-    return out * math.sqrt(dt)
+    out = (out * math.sqrt(dt)).view(MarginalSamples)
+    out.meta = {"disc_var_bound": layout.disc_var_bound}
+    return out

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -329,12 +330,26 @@ def test_y_minus_s_at_zero_is_the_history_only_convolution():
     y_b = sim.y_minus_s_at_zero(MK19, 3.0, 50, 13, n_steps=300)
     want = sim.stationary_marginal_samples(kern, [0], 300, 50, 13, dv)[:, 0]
     assert y_b.tobytes() == want.tobytes()
-    # Y_{-b}(0) - Y_{-a}(0) is the kernel at the left ends of the cells
-    # beyond a / dv against those backward cells alone
+    # each shift weights the fine cells of the one bridge tree by the
+    # kernel's mean over the layout cell they lie in, at left-end lags
+    fine = _rng.tree_cells(13, ("wtilde",), 50, np.zeros(300, dtype=int),
+                           np.arange(300))
     y_a = sim.y_minus_s_at_zero(MK19, 1.0, 50, 13, n_steps=100)
-    z = _rng.normal_rows(13, ("wtilde",), 50, 300)
-    gap = z[:, 100:] @ kern[101:] * math.sqrt(dv)
-    assert np.max(np.abs((y_b - y_a) - gap)) < 1e-13
+    bounds = []
+    for y, n in ((y_b, 300), (y_a, 100)):
+        layout = sim._history_layout(kern[: n + 1], 0, 0, n, dv)
+        means = np.add.reduceat(kern[1 : n + 1], layout.starts) / layout.widths
+        weights = np.repeat(means, layout.widths)
+        assert np.max(np.abs(y - fine[:, :n] @ weights * math.sqrt(dv))) < 1e-13
+        assert y.meta["disc_var_bound"] == layout.disc_var_bound
+        bounds.append(layout.disc_var_bound)
+    # so Y_{-b}(0) - Y_{-a}(0) is the kernel at the left ends of the cells
+    # beyond a / dv against those backward cells, up to the two layouts'
+    # projection errors, each of variance at most its disc_var_bound
+    gap = fine[:, 100:] @ kern[101:] * math.sqrt(dv)
+    err = (y_b - y_a) - gap
+    assert float(np.mean(err**2)) <= 3.0 * (math.sqrt(bounds[0])
+                                             + math.sqrt(bounds[1])) ** 2
 
 
 @pytest.mark.parametrize("n_paths", [0, -2])
@@ -438,15 +453,21 @@ def test_empirical_stationary_mean_converges():
 def test_stationary_mean_paths_are_means_of_component_paths(monkeypatch):
     g = sim.TimeGrid(0.0, 0.5, 25)
     alphas = sample_alphas(MIX, 7, 3)
+    layouts, history_layout = [], sim._history_layout
+    monkeypatch.setattr(sim, "_history_layout",
+                        lambda *args: layouts.append(history_layout(*args))
+                        or layouts[-1])
     batch = sim.simulate_stationary_mean_paths(alphas, 1.9, g, 11, 1e-2,
                                                n_paths=3, rep=2)
     assert batch.labels == [{"process": "xi_mean", "rep": r} for r in (2, 3, 4)]
     # the f_n row certifies a shorter history than the slowest component
     own = sim.simulate_stationary_paths(alphas, g, 11, 1e-2, rho=1.9, rep=2)
     assert batch.meta["t_trunc"] < own.meta["t_trunc"]
-    # on the batch's history the components average to the batch
+    # on the batch's history, its depth and its cells, the components
+    # average to the batch
     monkeypatch.setattr(sim, "_certified_history",
                         lambda kernel, grid, tol: batch.meta["t_trunc"])
+    monkeypatch.setattr(sim, "_history_layout", lambda *args: layouts[0])
     for r in range(3):
         ens = sim.simulate_stationary_paths(alphas, g, 11, 1e-2, rho=1.9,
                                             rep=2 + r)
@@ -585,28 +606,30 @@ def test_many_index_marginals_stay_inside_the_cell_bound(monkeypatch):
     kern = mean_kernel_values(MK19, np.arange(301) * 0.01)
     idx = np.arange(0, 101, 3)  # 34 times
     whole = sim.stationary_marginal_samples(kern, idx, 200, 25, 8, 0.01)
-    blocks = []
-    lag_weights = sim._lag_weights
+    n_cells = sim._history_layout(kern, 0, 99, 200, 0.01).levels.size
+    blocks, driver = [], []
+    lag_weights, driver_blocks = sim._lag_weights, sim._driver_blocks
 
-    def counted(kern, j, n_hist, n_steps):
-        w = lag_weights(kern, j, n_hist, n_steps)
+    def counted(kern, j, layout, n_steps):
+        w = lag_weights(kern, j, layout, n_steps)
         blocks.append(w[0].size + w[1].size)
         return w
 
-    rows = []
-    normal_rows = _rng.normal_rows
+    def counted_driver(*args):
+        for r0, r1, back, fwd in driver_blocks(*args):
+            assert back.shape == (r1 - r0, n_cells)
+            driver.append(back.size + fwd.size)
+            yield r0, r1, back, fwd
 
-    def counted_rows(seed, tags, n_rows, n_cols, row_offset=0):
-        rows.append(n_rows * (200 + 99))
-        return normal_rows(seed, tags, n_rows, n_cols, row_offset=row_offset)
-
-    monkeypatch.setattr(sim, "_DRIVER_CELLS", 3000)
+    monkeypatch.setattr(sim, "_DRIVER_CELLS", 1000)
     monkeypatch.setattr(sim, "_lag_weights", counted)
-    monkeypatch.setattr(_rng, "normal_rows", counted_rows)
+    monkeypatch.setattr(sim, "_driver_blocks", counted_driver)
     chunked = sim.stationary_marginal_samples(kern, idx, 200, 25, 8, 0.01)
-    # 299 cells: 10 replications and 10 times per block
-    assert len(rows) == 2 * 3 and max(rows) <= 3000
-    assert len(blocks) == 3 * 4 and max(blocks) <= 3000
+    # n_cells + 99 driver cells per replication, 1000 at most per block
+    per_block = 1000 // (n_cells + 99)
+    assert len(driver) == -(-25 // per_block) and max(driver) <= 1000
+    assert len(blocks) == len(driver) * -(-34 // per_block)
+    assert max(blocks) <= 1000
     assert np.max(np.abs(chunked - whole)) < 1e-13 * np.max(np.abs(whole))
 
 
@@ -640,3 +663,145 @@ def test_certified_history_is_the_shortest_certified_64th():
         tail = kn._tail_bound(kernel, tol)
         assert tail(depth) < tol <= tail(depth - bracket / 64)
         assert depth <= min(most, envelope_depth(envelope, tol))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_coarse_tree_cells_are_sums_of_their_fine_cells(depth):
+    # 300 coarse cells reach past four spans of tree nodes at every level
+    n = 300
+    fine_levels = np.zeros(n << depth, dtype=int)
+    for row in (0, 7):
+        fine = _rng.tree_cells(21, ("wtilde",), 1, fine_levels,
+                               np.arange(n << depth), row_offset=row)
+        coarse = _rng.tree_cells(21, ("wtilde",), 1, np.full(n, depth),
+                                 np.arange(n), row_offset=row)
+        sums = fine.reshape(n, 1 << depth).sum(axis=1)
+        assert np.max(np.abs(coarse[0] - sums)) < 1e-13
+        # a row is its counter's, whatever other rows a call draws
+        many = _rng.tree_cells(21, ("wtilde",), 9, np.full(n, depth),
+                               np.arange(n))
+        assert np.array_equal(many[row], coarse[0])
+    # cells of mixed levels are the cells of one-level calls
+    mixed = _rng.tree_cells(21, ("wtilde",), 3, [0, depth, 3], [5, 40, 2])
+    for c, (level, node) in enumerate(((0, 5), (depth, 40), (3, 2))):
+        alone = _rng.tree_cells(21, ("wtilde",), 3, [level], [node])
+        assert np.array_equal(mixed[:, c], alone[:, 0])
+    with pytest.raises(DomainError):
+        _rng.tree_cells(21, ("wtilde",), 1, [_rng.TREE_TOP + 1], [0])
+
+
+def _exact_shortfall(kern, layout, t, dt):
+    # dt sum over cells of sum (K - mean K)^2 at output time t, summed
+    # exactly, the mean taken by fsum
+    total = []
+    for a, w in zip(layout.starts.tolist(), layout.widths.tolist()):
+        lags = kern[t + a + 1 : t + a + 1 + w].tolist()
+        mean = math.fsum(lags) / w
+        total.append(math.fsum((k - mean) ** 2 for k in lags))
+    return dt * math.fsum(total)
+
+
+def test_disc_var_bound_is_the_exact_shortfall():
+    dv, n = 2e-3, 10000
+    kern = mean_kernel_values(MK19, np.arange(n + 1) * dv)
+    y = sim.y_minus_s_at_zero(MK19, 20.0, 30, 4, n)
+    layout = sim._history_layout(kern, 0, 0, n, dv)
+    # aligned dyadic cells that tile the history, far fewer than fine cells
+    assert np.array_equal(np.cumsum(layout.widths)[:-1], layout.starts[1:])
+    assert layout.starts[0] == 0 and layout.widths.sum() == n
+    assert np.all(layout.starts % layout.widths == 0)
+    assert layout.levels.size < n / 20
+    exact = _exact_shortfall(kern, layout, 0, dv)
+    bound = y.meta["disc_var_bound"]
+    assert bound == layout.disc_var_bound
+    assert exact <= bound <= exact * (1 + 1e-12) + 1e-12 * n * dv
+    assert bound <= sim._SHORTFALL * dv
+    # a layout for a window of output times bounds the shortfall at each
+    g = sim.TimeGrid(0.0, 1.0, 100)
+    kern = mean_kernel_values(MK19, np.arange(400 + 101) * g.dt)
+    window = sim._history_layout(kern, 0, 100, 400, g.dt)
+    worst = max(_exact_shortfall(kern, window, t, g.dt) for t in range(101))
+    assert worst <= window.disc_var_bound <= sim._SHORTFALL * g.dt
+    ens = sim.simulate_stationary_paths(MK19, g, 3, 1e-2, n_paths=2)
+    n_hist = int(round(ens.meta["t_trunc"] / g.dt))
+    kern = mean_kernel_values(MK19, np.arange(n_hist + 101) * g.dt)
+    layout = sim._history_layout(kern, 0, 100, n_hist, g.dt)
+    assert ens.meta["disc_var_bound"] == layout.disc_var_bound
+    assert max(_exact_shortfall(kern, layout, t, g.dt) for t in range(101)) \
+        <= layout.disc_var_bound
+
+
+def test_coarse_history_variances_hold_to_the_l2_norms():
+    # acceptance 05's stationary processes: the variance of the coarse
+    # history falls short of the fine scheme's by at most disc_var_bound,
+    # the fine scheme of the infinite history by the tail and half a cell
+    g = sim.TimeGrid(0.0, 2.0, 2000)
+    n_mc, dt = 4000, g.dt
+    xi = (1.9, np.array([1.0]))
+    n_xi = int(math.ceil(sim._certified_history(xi, g, 2.5e-3) / dt))
+    n_eta = int(math.ceil(sim._certified_history(MK19, g, 5e-3) / dt))
+    cases = [
+        ("xi_k", resolvent_values(ResolventKernel(1.0, 1.9),
+                                  np.arange(n_xi + 1) * dt), 0, n_xi,
+         resolvent_l2_norm(ResolventKernel(1.0, 1.9)),
+         kn._tail_bound(xi, 2.5e-3)(n_xi * dt)),
+        ("eta", mean_kernel_values(MK19, np.arange(n_eta + 2001) * dt), 2000,
+         n_eta, stationary_variance(MK19, 1e-5) + 5e-6,
+         kn._tail_bound(MK19, 5e-3)(n_eta * dt)),
+    ]
+    for name, kern, t, n_hist, target, tail in cases:
+        samp = sim.stationary_marginal_samples(kern, [t], n_hist, n_mc, 61,
+                                               dt)
+        bound = samp.meta["disc_var_bound"]
+        layout = sim._history_layout(kern, t, t, n_hist, dt)
+        means = np.add.reduceat(kern[t + 1 : t + 1 + n_hist],
+                                layout.starts) / layout.widths
+        coarse = dt * (float(np.sum(layout.widths * means**2))
+                       + float(np.sum(kern[1 : t + 1] ** 2)))
+        fine = dt * float(np.sum(kern[1 : t + n_hist + 1] ** 2))
+        assert 0.0 <= fine - coarse <= bound * (1 + 1e-9)
+        assert abs(fine - target) <= tail + 0.5 * dt
+        mc = float(samp[:, 0].var(ddof=1))
+        assert abs(mc - coarse) <= 3.0 * var_se(coarse, n_mc), name
+        assert abs(mc - target) <= 3.0 * var_se(target, n_mc) + bound + tail \
+            + 0.5 * dt, name
+
+
+def test_coarse_histories_do_not_depend_on_threads(monkeypatch):
+    # 400 and 64 replications: tree rows of 25 and 4 blocks of 16, enough
+    # normals per call to start the pool at 2 threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = sim.TimeGrid(0.0, 1.0, 100)
+    runs = []
+    for n in ("1", "2"):
+        monkeypatch.setenv("FRACOU_THREADS", n)
+        runs.append((
+            sim.y_minus_s_at_zero(MK19, 20.0, 400, 9, 10000).tobytes(),
+            sim.simulate_stationary_paths(MK19, g, 9, 1e-3,
+                                          n_paths=64).values.tobytes(),
+            sim._two_sided_increments(9, 64, 700, 100, g.dt).tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_csv_rows_are_the_per_value_reprs(monkeypatch, tmp_path):
+    from fracou import cli
+    from fracou.special_functions import ml_one_values
+
+    vals = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1 + 0.2, 1.0])
+    # a strided block, as a path ensemble's columns are, over three blocks
+    columns = np.vstack([vals, -vals[::-1], vals * 3.0])[:, ::-1]
+    monkeypatch.setattr(sim, "_CSV_ROWS", 3)
+    out = io.StringIO()
+    sim.write_csv_rows(out, vals, columns)
+    want = "".join(",".join([repr(float(t))] + [repr(float(v))
+                                                for v in columns[:, j]]) + "\n"
+                   for j, t in enumerate(vals))
+    assert out.getvalue() == want
+    # the eval table goes through the same writer
+    path = tmp_path / "ml.csv"
+    assert cli.main(["eval", "ml", "--rho", "1.9", "--xmax", "3",
+                     "--points", "8", "--out", str(path)]) == 0
+    xs = np.linspace(0.0, 3.0, 8)
+    ys = ml_one_values(1.9, xs)
+    assert path.read_text() == "x,value\n" + "".join(
+        f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys))
