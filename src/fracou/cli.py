@@ -46,9 +46,7 @@ def _emit(path: str, body: str) -> None:
 
 def cmd_eval(args) -> int:
     if args.xmin < 0 or args.xmax <= args.xmin or args.points < 2:
-        print("eval requires 0 <= xmin < xmax and points >= 2",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("eval requires 0 <= xmin < xmax and points >= 2")
     side = None if args.out == "-" else sim.sidecar_path(args.out)
     rho = float(FractionalOrder(args.rho))
     xs = np.linspace(args.xmin, args.xmax, args.points)
@@ -56,8 +54,7 @@ def cmd_eval(args) -> int:
         ys = ml_one_values(rho, xs)
     else:
         if args.mu is None:
-            print("eval gml requires --mu", file=sys.stderr)
-            return EXIT_USAGE
+            raise DomainError("eval gml requires --mu")
         # the table axis is the function argument: column two is G(-x),
         # the mean kernel at t = (lam x)^(1/rho)
         mk = MeanKernel(rho, GammaMixing(args.mu, args.lam))
@@ -75,6 +72,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mixing(args) -> int:
+    if args.moments < 0:
+        raise DomainError(f"--moments must be >= 0, got {args.moments}")
     params = GammaMixing(args.mu, args.lam)
     out = {
         "mu": args.mu,
@@ -96,8 +95,10 @@ def cmd_mixing(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.paths < 1:
-        raise DomainError(f"--paths must be >= 1, got {args.paths}")
+    # the rates of component and xi share one driver: one path each
+    if args.paths < 1 or args.paths > 1 and args.process in ("component", "xi"):
+        raise DomainError("--paths must be >= 1, and 1 for component and xi; "
+                          f"got {args.paths}")
     grid = sim.TimeGrid(0.0, args.T, args.steps)
     mix = GammaMixing(args.mu, args.lam)
     mk = MeanKernel(args.rho, mix)
@@ -147,7 +148,10 @@ def cmd_diagnose(args) -> int:
         rep = diag.check_pathwise_conditions(args.rho, args.mu, args.lam,
                                              n_list, grid, args.seed)
     elif args.check == "cauchy":
-        t_list = np.geomspace(args.tmin, args.tmax, args.tpoints)
+        # geometric spacing needs finite ends > 0; the check rejects the rest
+        ends = np.array([args.tmin, args.tmax])
+        t_list = (np.geomspace(*ends, max(args.tpoints, 0))
+                  if np.all((ends > 0.0) & (ends < np.inf)) else ends)
         rep = diag.check_cauchy_decay(args.rho, args.mu, args.lam, t_list,
                                       args.mc, args.seed)
     elif args.check == "stationarity":

@@ -34,7 +34,7 @@ from .kernels import (
     tail_variance_bound,
 )
 from .mixing import GammaMixing, check_condition, moment_frac, sample_alphas
-from .simulate import TimeGrid
+from .simulate import _NO_HISTORY, TimeGrid
 from .special_functions import FractionalOrder, _integrate
 
 __all__ = [
@@ -107,6 +107,15 @@ def _grid_dict(grid: TimeGrid) -> dict:
     return {"t0": grid.t0, "T": grid.T, "n_steps": grid.n_steps}
 
 
+def _rate_draw(mu, lam, n_list, seed):
+    """n_list sorted, every n an integer >= 1; the law; its max(n) rates."""
+    n_list = sorted(simulate._count("every n", n) for n in n_list)
+    if not n_list:
+        raise DomainError("n_list must hold at least one count")
+    mix = GammaMixing(mu, lam)
+    return n_list, mix, sample_alphas(mix, n_list[-1], seed)
+
+
 def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
                              n_mc: int, seed: int) -> ConvergenceReport:
     """Sup-norm gap between empirical means and their aggregation limit.
@@ -117,9 +126,7 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
     """
     t_start = time.time()
     rho = float(FractionalOrder(rho))
-    n_list = sorted(int(n) for n in n_list)
-    mix = GammaMixing(mu, lam)
-    alphas = sample_alphas(mix, n_list[-1], seed)
+    n_list, mix, alphas = _rate_draw(mu, lam, n_list, seed)
     lags = grid.times()
     gk = mean_kernel_values(MeanKernel(rho, mix), lags)
     sup_sq = {n: np.empty(n_mc) for n in n_list}
@@ -127,7 +134,8 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
     diff_kernels = {n: empirical_kernel_values(alphas[:n], rho, lags) - gk
                     for n in n_list}
 
-    for r0, r1, _, z in simulate._driver_blocks(seed, n_mc, 0, grid.n_steps):
+    for r0, r1, _, z in simulate._driver_blocks(seed, n_mc, _NO_HISTORY,
+                                                grid.n_steps):
         dw = z * math.sqrt(grid.dt)
         for n in n_list:
             paths = simulate._convolve_rows(diff_kernels[n][None, :], dw)
@@ -145,7 +153,7 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
         excesses.append((float(np.mean(paired)),
                          float(np.std(paired, ddof=1) / math.sqrt(n_mc))))
 
-    rep = ConvergenceReport(
+    return ConvergenceReport(
         "l2_sup_convergence",
         _params(rho=rho, mu=mu, lam=lam, n_list=n_list, grid=_grid_dict(grid),
                 n_mc=n_mc, seed=seed),
@@ -153,7 +161,6 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
         time.time() - t_start,
         ["statistic = mean over drivers of sup_t |Y_n(t)-Y(t)|^2",
          "bound = 4 * integral of (f_n - G)^2 on [0, T]"])
-    return rep
 
 
 def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
@@ -168,9 +175,7 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
     rho = float(FractionalOrder(rho))
     if rho <= 1.0:
         raise DomainError("tightness constants need rho > 1")
-    n_list = sorted(int(n) for n in n_list)
-    mix = GammaMixing(mu, lam)
-    alphas = sample_alphas(mix, n_list[-1], seed)
+    n_list, mix, alphas = _rate_draw(mu, lam, n_list, seed)
     m, m3 = bound_m(rho), bound_m3(rho)
     T = grid.T - grid.t0
 
@@ -208,14 +213,13 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
         excesses.append((est - k_n_big, se))
     excesses.append((abs(k_rows[-1]["K_n"] - k_bar) - 4.0 * se_k, 0.0))
 
-    rep = ConvergenceReport(
+    return ConvergenceReport(
         "tightness",
         _params(rho=rho, mu=mu, lam=lam, n_list=n_list, grid=_grid_dict(grid),
                 n_mc=n_mc, seed=seed),
         rows + k_rows + [{"K_bar": k_bar, "se_K": se_k}],
         k_n_big, _combine_verdicts(excesses), time.time() - t_start,
         [f"K_n at n={n_big} vs limit {k_bar:.4f} within 4 se = {4 * se_k:.4f}"])
-    return rep
 
 
 def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
@@ -230,9 +234,7 @@ def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
     rho = float(FractionalOrder(rho))
     if rho <= 1.0:
         raise DomainError("pathwise conditions need rho > 1")
-    n_list = sorted(int(n) for n in n_list)
-    mix = GammaMixing(mu, lam)
-    alphas = sample_alphas(mix, n_list[-1], seed)
+    n_list, mix, alphas = _rate_draw(mu, lam, n_list, seed)
     ts = grid.times()[1:]  # derivative blows nowhere but is undefined at 0
     mk = MeanKernel(rho, mix)
     gdot = mean_kernel_deriv_values(mk, ts)
@@ -264,7 +266,7 @@ def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
     se_mom = float(np.std(alphas ** (1.0 / rho), ddof=1)) / math.sqrt(alphas.size)
     excesses.append((abs(emp_moment - mom) - 4.0 * se_mom, 0.0))
 
-    rep = ConvergenceReport(
+    return ConvergenceReport(
         "pathwise_conditions",
         _params(rho=rho, mu=mu, lam=lam, n_list=n_list, grid=_grid_dict(grid),
                 seed=seed),
@@ -273,7 +275,6 @@ def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
         [f"f_n(0) exactly 1 for all n: {exact_at_zero}",
          "derivative bound constant = M2 sup x^(rho-1)/(1+x^rho) "
          f"= {bconst:.4f}"])
-    return rep
 
 
 def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
@@ -287,15 +288,20 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
     y_minus_s_at_zero on cells of 2e-3 must match the integral of G^2 over
     [a, b]: all shifts read one bridge tree of backward cells, so a
     difference draws on the cells in [a, b], and on the cells near a only as
-    far as the two shifts' coarse layouts project them differently.
+    far as the two shifts' coarse layouts project them differently.  The
+    shift times t_list must be finite and > 0, at least two of them distinct.
     """
     t_start = time.time()
     rho = float(FractionalOrder(rho))
+    t_list = np.asarray(sorted(float(t) for t in t_list))
+    if not (np.all(np.isfinite(t_list) & (t_list > 0.0))
+            and np.unique(t_list).size >= 2):
+        raise DomainError("decay check needs finite shift times > 0, at least "
+                          f"two of them distinct; got {t_list.tolist()}")
     mix = GammaMixing(mu, lam)
     if not check_condition(mix, rho):
         raise DomainError("decay check needs mu > 1/(2 rho)")
     mk = MeanKernel(rho, mix)
-    t_list = np.asarray(sorted(float(t) for t in t_list))
 
     def g(u):
         return mean_kernel_values(mk, u)
@@ -332,13 +338,12 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
                      "integral": float(det)})
         excesses.append((abs(est - det) - 3.0 * se, se))
 
-    rep = ConvergenceReport(
+    return ConvergenceReport(
         "cauchy_decay",
         _params(rho=rho, mu=mu, lam=lam, t_list=list(map(float, t_list)),
                 n_mc=n_mc, seed=seed),
         rows, target, _combine_verdicts(excesses), time.time() - t_start,
         notes + ["slope fitted on log D(T, 2T) vs log T"])
-    return rep
 
 
 def _skew_z(b1: float, n: int) -> float:
@@ -434,7 +439,7 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
     excesses.append((abs(z_skew) - 4.0, 0.0))
     excesses.append((abs(z_kurt) - 4.0, 0.0))
 
-    rep = ConvergenceReport(
+    return ConvergenceReport(
         "stationarity",
         _params(rho=rho, mu=mu, lam=lam, grid=_grid_dict(grid), n_mc=n_mc,
                 seed=seed, tol=tol),
@@ -443,7 +448,6 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
          "moments fail at |normal score| > 4 (D'Agostino skewness, "
          "Anscombe-Glynn kurtosis): false-fail level 6.3e-5 per moment per "
          "call on Gaussian marginals"])
-    return rep
 
 
 def check_mixing_condition_remark(mu, lam, rho) -> ConvergenceReport:
@@ -496,11 +500,10 @@ def check_mixing_condition_remark(mu, lam, rho) -> ConvergenceReport:
                  "trunc_growth": float(growth)})
 
     ok = numeric_finite == finite_gamma
-    rep = ConvergenceReport(
+    return ConvergenceReport(
         "mixing_condition_remark",
         _params(rho=rho, mu=mu, lam=lam),
         rows, None, "pass" if ok else "fail", time.time() - t_start,
         ["finiteness boundary computed from the Gamma-argument sign: "
          "E[alpha^(-2/rho)] finite iff mu > 2/rho",
          "candidate inequalities are reported, not asserted"])
-    return rep

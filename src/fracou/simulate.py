@@ -2,8 +2,10 @@
 
 Every process here is a Wiener convolution integral discretized by
 left-endpoint quadrature on a uniform grid: X(t_j) = sum_{i<j} K(t_j - t_i)
-dW_i.  One ensemble of component paths shares a single Brownian driver; the
-randomness of the reversion rates lives in a separate seed namespace, so
+dW_i, and one engine (_convolution_paths) builds them all: kernel rows
+against driver rows, with a one-sided process the two-sided one of an empty
+history.  One ensemble of component paths shares a single Brownian driver;
+the randomness of the reversion rates lives in a separate seed namespace, so
 rates can be resampled holding the driver fixed and vice versa.
 
 Stationary (two-sided-time) processes truncate their infinite history at a
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 
 from . import _rng
@@ -128,24 +131,20 @@ class PathEnsemble:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def to_csv(self, path: str, sidecar: bool = True) -> None:
+    def to_csv(self, path: str) -> None:
         """CSV with columns t, path_0..path_{m-1}; floats in shortest
         round-trip form.  The sidecar JSON holds the full provenance."""
-        side_path = sidecar_path(path) if sidecar else None
+        side_path = sidecar_path(path)
         with open(path, "w") as fh:
             fh.write(",".join(["t"] + [f"path_{i}" for i in range(self.n_paths)]) + "\n")
             write_csv_rows(fh, self.grid.times(), self.values)
-        if sidecar:
-            side = {
-                "grid": {"t0": self.grid.t0, "T": self.grid.T,
-                         "n_steps": self.grid.n_steps},
-                "method": self.method,
-                "labels": self.labels,
-                "meta": self.meta,
-            }
-            with open(side_path, "w") as fh:
-                json.dump(side, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        grid = {"t0": self.grid.t0, "T": self.grid.T,
+                "n_steps": self.grid.n_steps}
+        with open(side_path, "w") as fh:
+            json.dump({"grid": grid, "method": self.method,
+                       "labels": self.labels, "meta": self.meta},
+                      fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
@@ -182,9 +181,9 @@ class HistoryLayout:
         return np.left_shift(1, self.levels)
 
 
-def _fine_layout(n_hist: int) -> HistoryLayout:
-    return HistoryLayout(np.zeros(n_hist, dtype=np.int64),
-                         np.arange(n_hist, dtype=np.int64))
+# the history of a one-sided process: no cells at all
+_NO_HISTORY = HistoryLayout(np.zeros(0, dtype=np.int64),
+                            np.zeros(0, dtype=np.int64))
 
 
 def _window_max(v: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
@@ -213,7 +212,7 @@ def _history_layout(kernel_lags: np.ndarray, t_lo: int, t_hi: int,
     rounding allowance keeps the recorded disc_var_bound an upper bound.
     """
     if n_hist == 0:
-        return _fine_layout(0)
+        return _NO_HISTORY
     top, span = _rng.TREE_TOP, t_hi - t_lo + 1
     rows = np.atleast_2d(np.asarray(kernel_lags, dtype=float))[
         :, t_lo + 1 : n_hist + t_hi + 1]
@@ -284,24 +283,23 @@ def brownian_increments(grid: TimeGrid, seed: int, rep: int = 0) -> np.ndarray:
 
 def _increment_matrix(seed: int, n_reps: int, n_steps: int, dt: float,
                       rep0: int = 0) -> np.ndarray:
-    return _two_sided_increments(seed, n_reps, 0, n_steps, dt, rep0)
+    return _two_sided_increments(seed, n_reps, _NO_HISTORY, n_steps, dt, rep0)
 
 
-def _two_sided_increments(seed: int, n_reps: int, n_hist: int, n_steps: int,
-                          dt: float, rep0: int = 0,
-                          layout: HistoryLayout | None = None) -> np.ndarray:
-    """Driver increments over cells [-n_hist, n_steps) anchored at t = 0.
+def _two_sided_increments(seed: int, n_reps: int, layout: HistoryLayout,
+                          n_steps: int, dt: float, rep0: int = 0) -> np.ndarray:
+    """Driver increments over the cells [-n_hist, n_steps) from t = 0, n_hist
+    the fine cells of layout.
 
     Every cell is drawn at its absolute position, forward cells from "w" rows
     and history cells from the "wtilde" bridge tree, so simulations with
     other history depths or layouts, and one-sided ones, are one Brownian
-    motion: this is what couples processes across truncation choices.  With
-    a layout, each history cell holds the increment of the layout cell it
-    lies in spread evenly over that cell's fine cells, so a convolution with
-    the fine kernel row weights the layout cell by the kernel's mean over it.
+    motion.  Each history cell holds the increment of its layout cell spread
+    evenly over that cell's fine cells, so a convolution with the fine kernel
+    row weights the layout cell by the kernel's mean over it.
     """
-    layout = layout or _fine_layout(n_hist)
-    blocks = _driver_blocks(seed, n_reps, n_hist, n_steps, rep0, layout)
+    blocks = _driver_blocks(seed, n_reps, layout, n_steps, rep0)
+    n_hist = int(layout.widths.sum())
     spread = np.repeat(np.arange(layout.levels.size), layout.widths)[::-1]
     scale = (math.sqrt(dt) / layout.widths)[spread]
     dw = np.empty((n_reps, n_hist + n_steps))
@@ -311,16 +309,15 @@ def _two_sided_increments(seed: int, n_reps: int, n_hist: int, n_steps: int,
     return dw
 
 
-def _driver_blocks(seed: int, n_reps: int, n_hist: int, n_steps: int,
-                   rep0: int = 0, layout: HistoryLayout | None = None):
+def _driver_blocks(seed: int, n_reps: int, layout: HistoryLayout,
+                   n_steps: int, rep0: int = 0):
     """Blocks (r0, r1, back, fwd) of at most _DRIVER_CELLS normals of driver
     replications rep0 + r0 .. rep0 + r1 - 1: column c of back is the
-    increment of cell c of layout (all n_hist fine cells by default; a cell
-    of level l has variance 2^l) from the "wtilde" bridge tree, column i of
-    fwd is cell i (a "w" row).  Every driver row is drawn here, and fewer
-    than one replication raises DomainError before any draw."""
+    increment of cell c of layout (a cell of level l has variance 2^l) from
+    the "wtilde" bridge tree, column i of fwd is cell i (a "w" row).  Every
+    driver row is drawn here, and fewer than one replication raises
+    DomainError before any draw."""
     n_reps = _count("n_paths", n_reps)
-    layout = layout or _fine_layout(n_hist)
     n_cells = layout.levels.size
     step = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
     if step > _rng.TREE_REPS:  # whole rows of the tree
@@ -341,38 +338,34 @@ def _driver_blocks(seed: int, n_reps: int, n_hist: int, n_steps: int,
 
 
 def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
-                   method: str = "auto", start: int = 0) -> np.ndarray:
+                   start: int = 0) -> np.ndarray:
     """Row-wise causal convolutions sum_m kernels[., m+1] dw[., j-m], kept
     from path index start (0 <= start <= N) on.
 
     kernels has shape (K, L) with lag-0 entry unused; dw has shape (R, N);
     either K == R, K == 1 or R == 1.  Returns the path columns start..N,
-    shape (max(K, R), N+1-start); path column 0 is zero.  The FFT is
-    circular over just enough points that no kept output wraps
-    (overlap-save), so a late start shortens it.
+    shape (max(K, R), N+1-start); path column 0 is zero.  Direct below
+    _FFT_CUTOVER, FFT above; the FFT is circular over just enough points
+    that no kept output wraps (overlap-save), so a late start shortens it.
     """
     kern = np.atleast_2d(np.asarray(kernels, dtype=float))[:, 1:]
     dw = np.atleast_2d(np.asarray(dw, dtype=float))
     n = dw.shape[1]
     rows = max(kern.shape[0], dw.shape[0])
     lo = max(start, 1) - 1  # first kept index of the linear convolution
-    if method == "auto":
-        method = "fft" if kern.shape[1] * n >= _FFT_CUTOVER else "direct"
-    if method == "fft":
+    if kern.shape[1] * n >= _FFT_CUTOVER:
         size = sp_fft.next_fast_len(max(kern.shape[1] + n - 1 - lo, n),
                                     real=True)
         workers = _rng.worker_count()
         full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1, workers=workers)
                             * sp_fft.rfft(dw, size, axis=1, workers=workers),
                             size, axis=1, workers=workers)
-    elif method == "direct":
+    else:
         full = np.empty((rows, kern.shape[1] + n - 1))
         for r in range(rows):
             a = kern[min(r, kern.shape[0] - 1)]
             b = dw[min(r, dw.shape[0] - 1)]
             full[r] = np.convolve(a, b)
-    else:
-        raise DomainError(f"unknown convolution method {method!r}")
     out = np.zeros((rows, n + 1 - start))
     out[:, int(start == 0):] = full[:, lo:n]
     return out
@@ -401,6 +394,30 @@ def _require_simulatable(rho: float, grid: TimeGrid) -> float:
     return rho
 
 
+def _convolution_paths(process: str, kern: np.ndarray, grid: TimeGrid,
+                       seed: int, meta: dict, n_paths: int = 1, rep0: int = 0,
+                       n_hist: int = 0, alphas=None) -> PathEnsemble:
+    """Every process: kernel rows over lags 0 .. (n_hist + n_steps) dt
+    against drivers over the cells [-n_hist, n_steps), the grid window kept;
+    one-sided processes have n_hist = 0.  Row k of kern is rate k of alphas
+    on driver replication rep0, or else the one row meets replications
+    rep0 .. rep0 + n_paths - 1.  The history is drawn on the layout of the
+    window's times, and meta records as disc_var_bound the variance that
+    its coarse cells lose, at most."""
+    layout = _history_layout(kern, 0, grid.n_steps, n_hist, grid.dt)
+    dw = _two_sided_increments(seed, n_paths, layout, grid.n_steps, grid.dt,
+                               rep0)
+    values = _convolve_rows(kern, dw, start=n_hist)
+    labels = ([{"process": process, "rep": rep0 + r} for r in range(n_paths)]
+              if alphas is None else
+              [{"process": process, "alpha": float(a), "rep": rep0}
+               for a in alphas])
+    meta = {"process": process, "seed": seed, **meta}
+    if n_hist:
+        meta["disc_var_bound"] = layout.disc_var_bound
+    return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
+
+
 def simulate_component_paths(alphas, rho, grid: TimeGrid, seed: int,
                              rep: int = 0) -> PathEnsemble:
     """One path per reversion rate, all driven by the same increments.
@@ -410,29 +427,14 @@ def simulate_component_paths(alphas, rho, grid: TimeGrid, seed: int,
     alphas = _rates(alphas)
     rho = _require_simulatable(rho, grid)
     kern = _resolvent_lag_rows(alphas, rho, grid.times())
-    dw = brownian_increments(grid, seed, rep=rep)
-    values = _convolve_rows(kern, dw[None, :])
-    labels = [{"process": "component", "alpha": float(a), "rep": rep}
-              for a in alphas]
-    return PathEnsemble(grid, values, labels, "increment_quadrature",
-                        {"process": "component", "rho": rho, "seed": seed,
-                         "rep": rep})
+    return _convolution_paths("component", kern, grid, seed,
+                              {"rho": rho, "rep": rep}, rep0=rep,
+                              alphas=alphas)
 
 
 def empirical_mean_path(ensemble: PathEnsemble) -> np.ndarray:
     """Pointwise average across the paths of one shared-driver ensemble."""
     return ensemble.values.mean(axis=0)
-
-
-def _shared_kernel_paths(process: str, kern: np.ndarray, grid: TimeGrid,
-                         seed: int, n_paths: int, rep0: int):
-    """One kernel row against driver replications rep0 .. rep0+n_paths-1;
-    path r sees the driver brownian_increments(grid, seed, rep0 + r)."""
-    dw = _increment_matrix(seed, n_paths, grid.n_steps, grid.dt, rep0)
-    values = _convolve_rows(kern[None, :], dw)
-    labels = [{"process": process, "rep": rep0 + r} for r in range(n_paths)]
-    return PathEnsemble(grid, values, labels, "increment_quadrature",
-                        {"process": process, "seed": seed})
 
 
 def simulate_empirical_mean_paths(alphas, rho, grid: TimeGrid, seed: int,
@@ -442,7 +444,7 @@ def simulate_empirical_mean_paths(alphas, rho, grid: TimeGrid, seed: int,
     convolved with f_n = mean_k s_{alpha_k}, up to the order of the sums."""
     rho = _require_simulatable(rho, grid)
     kern = empirical_kernel_values(alphas, rho, grid.times())
-    return _shared_kernel_paths("empirical", kern, grid, seed, n_paths, 0)
+    return _convolution_paths("empirical", kern, grid, seed, {}, n_paths)
 
 
 def simulate_limit_paths(mk: MeanKernel, grid: TimeGrid, seed: int,
@@ -452,7 +454,7 @@ def simulate_limit_paths(mk: MeanKernel, grid: TimeGrid, seed: int,
     this seed uses."""
     _require_simulatable(mk.rho, grid)
     kern = mean_kernel_values(mk, grid.times())
-    return _shared_kernel_paths("limit", kern, grid, seed, n_paths, rep0)
+    return _convolution_paths("limit", kern, grid, seed, {}, n_paths, rep0)
 
 
 def simulate_limit_path(mk: MeanKernel, grid: TimeGrid, seed: int,
@@ -585,24 +587,19 @@ def simulate_stationary_mean_paths(alphas, rho: float, grid: TimeGrid,
 
 def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
                 n_paths: int, rep: int, mean: bool):
-    """Kernel rows over lags 0 .. (n_hist + n_steps) dt against two-sided
-    drivers, only the grid window convolved out.  The history is drawn on the
-    layout of the window's times; its coarse cells are spread evenly over
-    their fine cells, so the one convolution weights each by the kernel's
-    mean over it."""
+    """The engine's two-sided processes, on a history certified to tol."""
     if not tol > 0.0:
         raise DomainError("tol must be positive")
+    alphas, meta = None, {}
     if isinstance(kernel, MeanKernel):
         rho = _require_simulatable(kernel.rho, grid)
         if not check_condition(kernel.mixing, rho):
             raise DomainError(
                 "stationary aggregate needs mu > 1/(2 rho); "
                 f"mu={kernel.mixing.mu}, rho={rho}")
-        certified = kernel
+        certified, process = kernel, "eta"
         rows = _tail_row(kernel).row
-        labels = [{"process": "eta", "rep": rep + r} for r in range(n_paths)]
-        meta = {"process": "eta", "mu": kernel.mixing.mu,
-                "lam": kernel.mixing.lam}
+        meta = {"mu": kernel.mixing.mu, "lam": kernel.mixing.lam}
     else:
         alphas = _rates(kernel)
         if not alphas.min() > 0.0:
@@ -613,8 +610,7 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
         if mean:
             certified = (rho, alphas)
             rows = _tail_row(certified).row
-            labels = [{"process": "xi_mean", "rep": rep + r}
-                      for r in range(n_paths)]
+            process, alphas = "xi_mean", None
         else:
             if n_paths != 1:
                 raise DomainError("rates share one driver: n_paths must be 1")
@@ -622,20 +618,14 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
             # past T is alpha^(-1/rho) times that of s_1 past alpha^(1/rho) T
             certified = (rho, alphas.min(keepdims=True))
             rows = partial(_resolvent_lag_rows, alphas, rho)
-            labels = [{"process": "xi", "alpha": float(a), "rep": rep}
-                      for a in alphas]
-        meta = {"process": "xi_mean" if mean else "xi"}
+            process = "xi"
     dt = grid.dt
     n_hist = int(math.ceil(_certified_history(certified, grid, tol) / dt))
+    meta.update(rho=rho, tol=tol, t_trunc=n_hist * dt,
+                tail_bound=_tail_bound(certified, tol)(n_hist * dt))
     kern = rows(np.arange(n_hist + grid.n_steps + 1) * dt)
-    layout = _history_layout(kern, 0, grid.n_steps, n_hist, dt)
-    dw = _two_sided_increments(seed, n_paths, n_hist, grid.n_steps, dt,
-                               rep, layout)
-    values = _convolve_rows(kern, dw, start=n_hist)
-    meta.update(rho=rho, seed=seed, tol=tol, t_trunc=n_hist * dt,
-                tail_bound=_tail_bound(certified, tol)(n_hist * dt),
-                disc_var_bound=layout.disc_var_bound)
-    return PathEnsemble(grid, values, labels, "increment_quadrature", meta)
+    return _convolution_paths(process, kern, grid, seed, meta, n_paths, rep,
+                              n_hist, alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +645,14 @@ def _lag_weights(kern: np.ndarray, j: np.ndarray, layout: HistoryLayout,
                  n_steps: int):
     """Kernel weights of the output times j over the history cells of layout
     (row c: the kernel's mean over the lags j + starts[c] + 1 onwards of its
-    cell) and the forward cells (row i, lag j - i, zero unless i < j)."""
+    cell, all times in one reduceat over their gathered lag windows) and the
+    forward cells (row i, lag j - i, zero unless i < j)."""
     lag = j[None, :] - np.arange(n_steps)[:, None]
-    n_hist, widths = int(layout.widths.sum()), layout.widths
-    back = np.empty((widths.size, j.size))
-    if widths.size:
-        for col, t in enumerate(j):
-            back[:, col] = np.add.reduceat(kern[t + 1 : t + 1 + n_hist],
-                                           layout.starts) / widths
+    back = np.empty((0, j.size))
+    if layout.levels.size:
+        windows = sliding_window_view(kern, int(layout.widths.sum()))[j + 1]
+        back = (np.add.reduceat(windows, layout.starts, axis=1).T
+                / layout.widths[:, None])
     return back, np.where(lag > 0, kern[np.maximum(lag, 0)], 0.0)
 
 
@@ -688,15 +678,16 @@ def stationary_marginal_samples(kernel_lags: np.ndarray, t_indices,
     that loses against the fine sum.  Each block of _driver_blocks meets the
     kernel weights of the requested times in one GEMM,
     back @ W_back + fwd @ W_fwd; only the result is scaled by sqrt(dt).  A
-    weight block holds at most _DRIVER_CELLS cells.
+    weight block, and the lag windows gathered for it, hold at most
+    _DRIVER_CELLS cells.
     """
     kern = np.asarray(kernel_lags, dtype=float)
     t_indices = np.asarray(t_indices, dtype=int)
     n_steps = int(t_indices.max())
     layout = _history_layout(kern, int(t_indices.min()), n_steps, n_hist, dt)
     n_cells = layout.levels.size
-    cols = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
-    blocks = _driver_blocks(seed, n_paths, n_hist, n_steps, rep0, layout)
+    cols = max(1, _DRIVER_CELLS // max(n_cells + n_steps, n_hist, 1))
+    blocks = _driver_blocks(seed, n_paths, layout, n_steps, rep0)
     out = np.empty((n_paths, t_indices.size))
     for r0, r1, back, fwd in blocks:
         for c0 in range(0, t_indices.size, cols):

@@ -87,14 +87,21 @@ def test_simulate_stationary_sidecar_records_truncation(tmp_path):
 
 
 def test_simulate_component_and_xi(tmp_path):
-    for proc in ("component", "xi", "empirical"):
+    for proc, paths in (("component", "1"), ("xi", "1"), ("empirical", "2")):
         out = tmp_path / f"{proc}.csv"
         assert cli.main(["simulate", "--process", proc, "--rho", "1.9",
                          "--mu", "4", "--lambda", "1", "--T", "0.5",
-                         "--steps", "25", "--paths", "2",
+                         "--steps", "25", "--paths", paths,
                          "--n-components", "3", "--seed", "2",
                          "--out", str(out)]) == 0
         assert out.exists()
+    # the rates of component and xi share one driver: a path count other
+    # than 1 would be recorded in the sidecar but never drawn
+    for proc in ("component", "xi"):
+        assert cli.main(["simulate", "--process", proc, "--rho", "1.9",
+                         "--mu", "4", "--lambda", "1", "--T", "0.5",
+                         "--steps", "25", "--paths", "2", "--seed", "2",
+                         "--out", str(tmp_path / "p.csv")]) == 2
 
 
 def test_diagnose_exit_codes(tmp_path):
@@ -134,6 +141,30 @@ def test_invalid_parameters_exit_two(tmp_path):
     assert cli.main(["diagnose", "pathwise", "--rho", "1.9", "--mu", "4",
                      "--lambda", "1", "--n", "10,abc", "--seed", "1",
                      "--out", "-"]) == 2
+    assert cli.main(["mixing", "--mu", "4", "--lambda", "1", "--moments",
+                     "-1"]) == 2
+
+
+@pytest.mark.parametrize("check", ["pathwise", "tightness", "l2sup"])
+@pytest.mark.parametrize("n", ["10,-3", "0,10"])
+def test_rate_counts_below_one_exit_two(tmp_path, capsys, check, n):
+    # a count below 1 would slice the rates from the end
+    out = tmp_path / "rep.json"
+    assert cli.main(["diagnose", check, "--rho", "1.9", "--mu", "4",
+                     "--lambda", "1", "--n", n, "--mc", "20", "--steps",
+                     "20", "--seed", "1", "--out", str(out)]) == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("times", [["--tmin", "0"], ["--tmin", "-5"],
+                                   ["--tpoints", "1"],
+                                   ["--tmin", "10", "--tmax", "10"]])
+def test_cauchy_needs_two_distinct_positive_shift_times(capsys, times):
+    assert cli.main(["diagnose", "cauchy", "--rho", "1.9", "--mu", "4",
+                     "--lambda", "1", "--mc", "20", *times, "--seed", "1",
+                     "--out", "-"]) == 2
+    assert "invalid parameters" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_two_with_stderr(cli_env):

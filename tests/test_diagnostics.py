@@ -93,6 +93,26 @@ def test_cauchy_report_slopes():
         dg.check_cauchy_decay(1.9, 0.2, 1.0, [10.0, 100.0], 100, 7)
 
 
+@pytest.mark.parametrize("t_list", [[0.0, 10.0], [-5.0, 10.0], [10.0],
+                                    [10.0, 10.0], [], [10.0, np.inf],
+                                    [np.nan, 10.0]])
+def test_cauchy_needs_two_distinct_positive_shift_times(t_list):
+    with pytest.raises(DomainError, match="shift times"):
+        dg.check_cauchy_decay(1.9, 4.0, 1.0, t_list, 20, 7)
+
+
+@pytest.mark.parametrize("n_list", [[10, -3], [0, 10], [2.5], []])
+def test_rate_counts_are_integers_from_one(n_list):
+    for check in (
+            lambda: dg.check_l2_sup_convergence(1.9, 4.0, 1.0, n_list, GRID,
+                                                20, 1),
+            lambda: dg.check_tightness(1.9, 4.0, 1.0, GRID, n_list, 20, 1),
+            lambda: dg.check_pathwise_conditions(1.9, 4.0, 1.0, n_list, GRID,
+                                                 1)):
+        with pytest.raises(DomainError):
+            check()
+
+
 def test_cauchy_mu_one_envelope():
     rep = dg.check_cauchy_decay(1.0, 1.0, 1.0, np.geomspace(10, 1000, 6),
                                 400, 7)

@@ -199,12 +199,13 @@ def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
-def test_fft_matches_direct():
+def test_fft_matches_direct(monkeypatch):
     g = sim.TimeGrid(0.0, 2.0, 700)
     kern = sim._resolvent_lag_rows(np.array([0.5, 1.0, 4.0]), 1.9, g.times())
     dw = sim.brownian_increments(g, 5)[None, :]
-    d = sim._convolve_rows(kern, dw, method="direct")
-    f = sim._convolve_rows(kern, dw, method="fft")
+    f = sim._convolve_rows(kern, dw)  # 700 x 700 cells: past the cut-over
+    monkeypatch.setattr(sim, "_FFT_CUTOVER", np.inf)
+    d = sim._convolve_rows(kern, dw)
     assert np.max(np.abs(d - f)) < 1e-10
 
 
@@ -542,8 +543,10 @@ def test_stationary_mean_gap_matches_kernel_gap_integral():
     assert abs(mc - det) < 3.0 * var_se(det, n_mc) + 1e-3
 
 
-@pytest.mark.parametrize("method", ["direct", "fft"])
-def test_windowed_convolution_matches_np_convolve(method):
+# the size rule picks the branch; a cut-over of 0 or infinity forces one
+@pytest.mark.parametrize("cutover", [np.inf, 0], ids=["direct", "fft"])
+def test_windowed_convolution_matches_np_convolve(monkeypatch, cutover):
+    monkeypatch.setattr(sim, "_FFT_CUTOVER", cutover)
     rng = np.random.default_rng(4)
     for _ in range(12):
         n = int(rng.integers(1, 300))
@@ -552,7 +555,7 @@ def test_windowed_convolution_matches_np_convolve(method):
         kern = rng.standard_normal((n_kern, int(rng.integers(2, 2 * n + 3))))
         dw = rng.standard_normal((n_dw, n))
         start = int(rng.integers(0, n + 1))
-        got = sim._convolve_rows(kern, dw, method=method, start=start)
+        got = sim._convolve_rows(kern, dw, start=start)
         assert got.shape == (max(n_kern, n_dw), n + 1 - start)
         for r in range(got.shape[0]):
             full = np.concatenate([[0.0], np.convolve(
@@ -569,7 +572,7 @@ def test_unwindowed_fft_keeps_the_full_length_transform():
     size = sp_fft.next_fast_len(400 + 400 - 1, real=True)
     ref = sp_fft.irfft(sp_fft.rfft(kern[:, 1:], size, axis=1)
                        * sp_fft.rfft(dw, size, axis=1), size, axis=1)
-    got = sim._convolve_rows(kern, dw, method="fft")
+    got = sim._convolve_rows(kern, dw)  # 400 x 400 cells: the FFT branch
     assert np.all(got[:, 0] == 0.0)
     assert got[:, 1:].tobytes() == ref[:, :400].tobytes()
 
@@ -600,6 +603,18 @@ def test_marginal_samples_read_the_simulated_paths():
     y = sim.marginal_samples(mean_kernel_values(MK19, g.times()), idx, 6, 12,
                              g.dt, rep0=3)
     assert np.max(np.abs(y - lim.values[:, idx])) < 1e-12
+
+
+def test_lag_weights_are_the_per_time_cell_means():
+    # one reduceat over the gathered windows adds each cell's lags in the
+    # order a reduceat per time does, so the weights agree bit for bit
+    kern = mean_kernel_values(MK19, np.arange(601) * 0.01)
+    layout = sim._history_layout(kern, 0, 100, 500, 0.01)
+    j = np.array([100, 0, 37, 37, 99])
+    back, _ = sim._lag_weights(kern, j, layout, 100)
+    for col, t in enumerate(j):
+        want = np.add.reduceat(kern[t + 1 : t + 501], layout.starts)
+        assert back[:, col].tobytes() == (want / layout.widths).tobytes()
 
 
 def test_many_index_marginals_stay_inside_the_cell_bound(monkeypatch):
@@ -772,6 +787,8 @@ def test_coarse_histories_do_not_depend_on_threads(monkeypatch):
     # normals per call to start the pool at 2 threads
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     g = sim.TimeGrid(0.0, 1.0, 100)
+    layout = sim._history_layout(
+        mean_kernel_values(MK19, np.arange(801) * g.dt), 0, 100, 700, g.dt)
     runs = []
     for n in ("1", "2"):
         monkeypatch.setenv("FRACOU_THREADS", n)
@@ -779,7 +796,7 @@ def test_coarse_histories_do_not_depend_on_threads(monkeypatch):
             sim.y_minus_s_at_zero(MK19, 20.0, 400, 9, 10000).tobytes(),
             sim.simulate_stationary_paths(MK19, g, 9, 1e-3,
                                           n_paths=64).values.tobytes(),
-            sim._two_sided_increments(9, 64, 700, 100, g.dt).tobytes()))
+            sim._two_sided_increments(9, 64, layout, 100, g.dt).tobytes()))
     assert runs[0] == runs[1]
 
 

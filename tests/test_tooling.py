@@ -40,6 +40,9 @@ SIZES_SCRIPT = """
 import layertrace, workloads
 import numpy as np
 from fracou import _rng, simulate
+from fracou.kernels import MeanKernel
+from fracou.mixing import GammaMixing
+MK = MeanKernel(1.9, GammaMixing(4.0, 1.0))
 tracer = layertrace.Tracer(workloads)
 tracer.install()
 try:
@@ -47,15 +50,30 @@ try:
     _rng.uniforms(1, ("alphas", 4.0, 1.0), _rng.BLOCK - 10, 20)
     simulate.stationary_marginal_samples(np.linspace(1.0, 0.0, 31), [0, 10],
                                          20, 4, 1, 0.01)
+    spans = len(tracer.spans)
+    grid = simulate.TimeGrid(0.0, 0.5, 50)
+    eta = simulate.simulate_stationary_paths(MK, grid, 1, 1e-3, n_paths=2)
+    simulate.simulate_limit_paths(MK, grid, 1)
 finally:
     tracer.uninstall()
-first = {}
-for span in tracer.take():
+first, paths = {}, {}
+for i, span in enumerate(tracer.take()):
     first.setdefault(span.name, span.sizes)
+    if i >= spans:
+        paths.setdefault(span.name, []).append(span.sizes)
 assert first["normal_rows"] == {"normals": 15, "streams": 3,
                                 "row_streams": 3}, first
 assert first["uniforms"] == {"streams": 2}, first
 assert first["stationary_marginal_samples"] == {"history_cells": 80}, first
+# both path processes go through the traced engine steps, so the benchmark's
+# convolution and history metrics see them
+n_hist = round(eta.meta["t_trunc"] / grid.dt)
+assert paths["simulate_stationary_paths"] == [
+    {"history_cells": 2 * n_hist}], paths
+assert paths["_certified_history"][0]["depth_used"] == n_hist, paths
+assert len(paths["_two_sided_increments"]) == 2, paths
+assert paths["_convolve_rows"] == [{"conv_calls": 1, "conv_cells": 100},
+                                   {"conv_calls": 1, "conv_cells": 50}], paths
 """
 
 
