@@ -125,6 +125,7 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
     four times the kernel-gap integral.
     """
     t_start = time.time()
+    n_mc = simulate._count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     n_list, mix, alphas = _rate_draw(mu, lam, n_list, seed)
     lags = grid.times()
@@ -172,6 +173,7 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
     mixing-law limit.
     """
     t_start = time.time()
+    n_mc = simulate._count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     if rho <= 1.0:
         raise DomainError("tightness constants need rho > 1")
@@ -292,6 +294,7 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
     shift times t_list must be finite and > 0, at least two of them distinct.
     """
     t_start = time.time()
+    n_mc = simulate._count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     t_list = np.asarray(sorted(float(t) for t in t_list))
     if not (np.all(np.isfinite(t_list) & (t_list > 0.0))
@@ -395,6 +398,7 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
     kurtosis score is accurate.
     """
     t_start = time.time()
+    n_mc = simulate._count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     mix = GammaMixing(mu, lam)
     if not check_condition(mix, rho):

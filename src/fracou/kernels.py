@@ -93,7 +93,11 @@ class MeanKernel:
 # envelope constants
 # ---------------------------------------------------------------------------
 
-_SAFETY = 1.1
+
+def _envelope(evaluate, rho: float, xs: np.ndarray, p: float) -> float:
+    """1.1 times the largest (1 + x) x^p |evaluate(rho, x^(p + 1))| on xs."""
+    vals = evaluate(rho, xs ** (p + 1.0))
+    return 1.1 * float(np.max((1.0 + xs) * xs**p * np.abs(vals)))
 
 
 @lru_cache(maxsize=64)
@@ -103,8 +107,7 @@ def bound_m(rho: float) -> float:
     if rho == 2.0:
         raise DomainError("E_2(-x) = cos(sqrt x) does not decay; no envelope")
     xs = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 4000)])
-    vals = ml_one_values(rho, xs)
-    return _SAFETY * float(np.max(np.abs(vals) * (1.0 + xs)))
+    return _envelope(ml_one_values, rho, xs, 0.0)
 
 
 @lru_cache(maxsize=64)
@@ -114,8 +117,7 @@ def bound_m2(rho: float) -> float:
     if rho == 2.0:
         raise DomainError("E_{2,2}(-x) decays too slowly; no 1/(1+x) envelope")
     xs = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 4000)])
-    vals = ml_two_values(rho, xs)
-    return _SAFETY * float(np.max(np.abs(vals) * (1.0 + xs)))
+    return _envelope(ml_two_values, rho, xs, 0.0)
 
 
 @lru_cache(maxsize=64)
@@ -128,8 +130,8 @@ def bound_m3(rho: float) -> float:
     if rho < 1.0 or rho == 2.0:
         raise DomainError(f"derivative envelope needs 1 <= rho < 2, got {rho}")
     xs = np.geomspace(1e-6, 1e4, 4000)
-    vals = ml_two_values(rho, xs**rho)
-    return _SAFETY * float(np.max((1.0 + xs) * xs ** (rho - 1.0) * np.abs(vals)))
+    # x^((rho - 1) + 1) is x^rho: rho - 1 is exact on [1, 2)
+    return _envelope(ml_two_values, rho, xs, rho - 1.0)
 
 
 def deriv_bound_constant(rho: float) -> float:
@@ -332,29 +334,23 @@ def variance_integral(mk: MeanKernel, t: float) -> float:
     return _square_integral(lambda u: mean_kernel_values(mk, u), 0.0, t, 1e-10)
 
 
-@lru_cache(maxsize=64)
-def _unit_resolvent_l2(rho: float) -> float:
-    """||s_1||^2 on the half line, by quadrature plus certified envelope tail."""
-    if rho == 1.0:
-        return 0.5
-    m = bound_m(rho)
-    # envelope tail below 1e-9 fixes the truncation point
-    upper = (m * m / ((2.0 * rho - 1.0) * 1e-9)) ** (1.0 / (2.0 * rho - 1.0))
-    body = _square_integral(lambda u: ml_one_values(rho, u**rho), 0.0, upper, 1e-11)
-    tail = m * m * upper ** (1.0 - 2.0 * rho) / (2.0 * rho - 1.0)
-    return body + tail
-
-
 def resolvent_l2_norm(k: ResolventKernel) -> float:
     """||s_alpha||^2_{L2(0,inf)} = alpha^(-1/rho) ||s_1||^2 (exact scaling).
 
-    Square integrability of the envelope requires rho > 1/2.
+    By Plancherel on s_1's Laplace transform s^(rho-1)/(s^rho + 1),
+    ||s_1||^2 = -cot(rho pi/2)/(rho sin(pi/rho)), finite on 1/2 < rho < 2;
+    in d = rho - 1, exact in floating point, it is
+    tan(pi d/2)/(rho sin(pi d/rho)), free of cancellation near rho = 1.
     """
     if not k.alpha > 0.0:
         raise DomainError("l2 norm needs alpha > 0")
-    if k.rho <= 0.5:
-        raise DomainError(f"square integrability needs rho > 1/2, got {k.rho}")
-    return k.alpha ** (-1.0 / k.rho) * _unit_resolvent_l2(k.rho)
+    rho = k.rho
+    if not 0.5 < rho < 2.0:
+        raise DomainError(f"square integrability needs 1/2 < rho < 2, got {rho}")
+    d = rho - 1.0
+    unit = (math.tan(0.5 * math.pi * d) / (rho * math.sin(math.pi * d / rho))
+            if d else 0.5)
+    return k.alpha ** (-1.0 / rho) * unit
 
 
 def _tail_bound_from(mk: MeanKernel, T: float) -> float:

@@ -62,7 +62,7 @@ __all__ = [
 # choice never depends on the environment
 _FFT_CUTOVER = 1 << 15
 # driver cells (replications x cells) and gathered kernel weights (cells x
-# times) that a marginal sampler holds at once
+# times) a marginal sampler holds at once; lags of a two-sided kernel row
 _DRIVER_CELLS = 1 << 22
 # the variance the coarse cells of one history may lose against its fine
 # cells, in units of dt: a tenth of the dt/2 by which the left-endpoint
@@ -544,12 +544,17 @@ def _certified_history(kernel, grid: TimeGrid, tol: float) -> float:
     is kernels._tail_bound: a cell sum of the kernel's own values, with
     its derivative envelope M3/t, out to where the global envelope M/(1+x)
     takes over, and never above that envelope.  The depth depends on the
-    kernel and tol only; callers round it up to whole cells of grid.
+    kernel and tol only; callers round it up to whole cells of grid, and a
+    kernel row over more than _DRIVER_CELLS lags is refused here.
     """
     depth = _shortest_depth(_tail_bound(kernel, tol), tol)
     if depth is None:
         raise TruncationError(f"history truncation cannot certify tol={tol} "
                               f"below T={_TAIL_T_MAX:g}")
+    lags = math.ceil(depth / grid.dt) + grid.n_steps + 1
+    if lags > _DRIVER_CELLS:
+        raise TruncationError(f"depth {depth:g} for tol={tol} needs a kernel "
+                              f"row of {lags} lags, over {_DRIVER_CELLS}")
     return depth
 
 

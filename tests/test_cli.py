@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from fracou import cli
-from fracou.errors import AccuracyError
+from fracou import diagnostics as diag
+from fracou import simulate as sim
+from fracou.errors import AccuracyError, TruncationError
+from fracou.kernels import MeanKernel
+from fracou.mixing import GammaMixing
 
 
 def run_cli(args, **kw):
@@ -157,6 +161,18 @@ def test_rate_counts_below_one_exit_two(tmp_path, capsys, check, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check", ["l2sup", "tightness", "cauchy",
+                                   "stationarity"])
+def test_monte_carlo_count_below_one_exits_two_naming_it(tmp_path, capsys,
+                                                         check):
+    out = tmp_path / "rep.json"
+    assert cli.main(["diagnose", check, "--rho", "1.9", "--mu", "4",
+                     "--lambda", "1", "--mc", "0", "--steps", "20", "--seed",
+                     "1", "--out", str(out)]) == 2
+    assert "n_mc must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("times", [["--tmin", "0"], ["--tmin", "-5"],
                                    ["--tpoints", "1"],
                                    ["--tmin", "10", "--tmax", "10"]])
@@ -202,6 +218,34 @@ def test_truncation_maps_to_exit_four(tmp_path):
                      "10", "--paths", "1", "--tol", "1e-12", "--seed", "3",
                      "--out", str(out)])
     assert code == 4
+
+
+def test_kernel_row_past_the_cap_is_refused_before_it_is_built(
+        tmp_path, monkeypatch):
+    # the README stationary line, with the cap one lag below the row it needs
+    grid, tol = sim.TimeGrid(0.0, 2.0, 2000), 1e-4
+    mk = MeanKernel(1.9, GammaMixing(4.0, 1.0))
+    depth = sim._certified_history(mk, grid, tol)
+    lags = int(np.ceil(depth / grid.dt)) + grid.n_steps + 1
+    monkeypatch.setattr(sim, "_DRIVER_CELLS", lags)
+    assert sim._certified_history(mk, grid, tol) == depth
+    monkeypatch.setattr(sim, "_DRIVER_CELLS", lags - 1)
+
+    def no_row(*args):
+        raise AssertionError("no kernel row past the cap is built")
+
+    monkeypatch.setattr(sim, "_convolution_paths", no_row)
+    monkeypatch.setattr(diag, "mean_kernel_values", no_row)
+    with pytest.raises(TruncationError):
+        sim.simulate_stationary_paths(mk, grid, 7, tol, n_paths=50)
+    with pytest.raises(TruncationError):
+        diag.check_stationarity(1.9, 4.0, 1.0, grid, 20, 7, tol)
+    out = tmp_path / "eta.csv"
+    assert cli.main(["simulate", "--process", "stationary", "--rho", "1.9",
+                     "--mu", "4", "--lambda", "1", "--T", "2", "--steps",
+                     "2000", "--paths", "50", "--tol", "1e-4", "--seed", "7",
+                     "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):

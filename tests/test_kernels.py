@@ -235,6 +235,21 @@ def test_resolvent_l2_norm():
         resolvent_l2_norm(ResolventKernel(0.0, 1.9))
     with pytest.raises(DomainError):
         resolvent_l2_norm(ResolventKernel(1.0, 0.5))
+    # infinite at rho = 2, where s_1 = cos, and finite just below it
+    with pytest.raises(DomainError):
+        resolvent_l2_norm(ResolventKernel(1.0, 2.0))
+    assert 318.0 < resolvent_l2_norm(ResolventKernel(1.0, 1.999)) < 319.0
+
+
+@pytest.mark.parametrize("rho", [0.8, 1.2, 1.5, 1.9, 1.98, 1.99])
+def test_resolvent_l2_norm_is_the_plancherel_integral(rho, monkeypatch,
+                                                      resolvent_l2_oracle):
+    def no_quadrature(*args):
+        raise AssertionError("the l2 norm is a closed form")
+
+    monkeypatch.setattr(kn, "_integrate", no_quadrature)
+    norm = resolvent_l2_norm(ResolventKernel(1.0, rho))
+    assert norm == pytest.approx(resolvent_l2_oracle(rho), rel=1e-12)
 
 
 def test_tail_variance_bound_dominates_and_decays():
@@ -301,6 +316,17 @@ def test_stationary_variance():
     assert kn._shortest_depth(lambda T: tail_variance_bound(mk, T), 2e-6) is None
     v = stationary_variance(mk, 2e-6)
     assert v == pytest.approx(stationary_variance(mk, 1e-5), abs=6e-6)
+
+
+@pytest.mark.parametrize("rho, mu, tol", [(1.0, 4.0, 1e-7), (1.5, 4.0, 1e-7),
+                                          (1.9, 4.0, 1e-7), (1.9, 1.0, 1e-7),
+                                          (1.9, 0.6, 1e-5)])
+def test_stationary_variance_is_the_plancherel_integral(
+        rho, mu, tol, stationary_variance_oracle):
+    # the library's bracket is a depth search plus panel quadrature; the
+    # oracle integrates G's Laplace transform over the imaginary axis
+    v = stationary_variance(MeanKernel(rho, GammaMixing(mu, 1.0)), tol)
+    assert abs(v - stationary_variance_oracle(rho, mu, 1.0)) <= tol / 2
 
 
 def test_bound_constants():
