@@ -8,13 +8,12 @@ uniform block or a single stream starts at counter 0 of a namespace of its
 own.  The Brownian driver lives in two namespace families, "w" (forward
 cells, one row per replication) and "wtilde" (backward cells, a Brownian-bridge
 tree: see tree_cells), the mixing rates in a third.  Outputs depend only on
-(seed, tags, index), never on thread count or work chunking.
+(seed, tags, index), never on work chunking.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from .errors import DomainError
 # Uniforms are produced in fixed-size blocks keyed by (seed, tags, block
 # index), so any chunked producer reassembles bit-identical output.
 BLOCK = 4096
-# normal_rows fills calls of fewer normals in the calling thread, where a
-# pool's start-up would cost about as much as the whole fill
-POOL_NORMALS = 1 << 12
 # the backward driver's tree: cells of level TREE_TOP (2^TREE_TOP unit cells)
 # are drawn whole, finer ones by bridge splits; one Philox row holds the node
 # normals of TREE_SPAN nodes of one level for TREE_REPS replications
@@ -67,57 +63,23 @@ def uniforms(seed: int, tags: tuple, start: int, count: int) -> np.ndarray:
     return out
 
 
-def worker_count() -> int:
-    """Worker threads for row-parallel fills and FFTs, from FRACOU_THREADS
-    (default 1), clamped to [1, os.cpu_count()].
-
-    Affects runtime only: every row is drawn from its own counter and written
-    to its own slice, and every FFT row is transformed alone with one plan,
-    so output bits never depend on the schedule.
-    """
-    try:
-        n = int(os.environ.get("FRACOU_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, min(n, os.cpu_count() or 1))
-
-
 def normal_rows(seed: int, tags: tuple, n_rows: int, n_cols: int,
                 row_offset: int = 0) -> np.ndarray:
     """Standard normals, row r from counter [0, 0, row_offset + r, 0] of the
     key of (seed, tags); a negative row raises DomainError.
 
     Row r of the result equals row 0 of a call with row_offset=r, so row-wise
-    chunking or threading cannot change any value.  Rows are split over the
-    worker threads once the call fills POOL_NORMALS normals, so a few long
-    rows are threaded as well as many short ones.
+    chunking cannot change any value.
     """
     if row_offset < 0:
         raise DomainError(f"rows are numbered from 0, got row {row_offset}")
-    key = _key(seed, tags)
+    bits = np.random.Philox(key=_key(seed, tags))
+    gen, state = np.random.Generator(bits), bits.state
     out = np.empty((n_rows, n_cols))
-
-    def fill(r0: int, r1: int) -> None:
-        # one generator per thread, reset to each row's counter
-        bits = np.random.Philox(key=key)
-        gen, state = np.random.Generator(bits), bits.state
-        for r in range(r0, r1):
-            state["state"]["counter"][2] = row_offset + r
-            bits.state = state
-            gen.standard_normal(out=out[r])
-
-    workers = min(worker_count(), n_rows)
-    if workers == 1 or n_rows * n_cols < POOL_NORMALS:
-        fill(0, n_rows)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        step = (n_rows + workers - 1) // workers
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(fill, r0, min(r0 + step, n_rows))
-                    for r0 in range(0, n_rows, step)]
-            for f in futs:
-                f.result()
+    for r in range(n_rows):  # one generator, reset to each row's counter
+        state["state"]["counter"][2] = row_offset + r
+        bits.state = state
+        gen.standard_normal(out=out[r])
     return out
 
 

@@ -7,8 +7,7 @@ parameters, 3 accuracy failure, 4 truncation tolerance unachievable,
 5 diagnostic fail, 6 diagnostic inconclusive.
 
 Seeds are mandatory wherever randomness is involved; reruns of the same
-command line are bit-identical.  FRACOU_THREADS sets the worker count for
-path generation and can only change runtimes, never output bits.
+command line are bit-identical.
 """
 
 from __future__ import annotations

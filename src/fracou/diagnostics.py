@@ -196,8 +196,9 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
     n_pairs = 50
     idx = np.sort(pair_rng.choice(np.arange(1, grid.n_steps + 1),
                                   size=(n_pairs, 2)), axis=1)
-    idx = np.array([[a, b] if a != b else [a, min(b + 1, grid.n_steps)]
-                    for a, b in idx])
+    # a tie steps up, or down at the last index (Y_n(0) = 0 at index 0)
+    idx = np.array([[a, b] if a != b else [a, b + 1] if b < grid.n_steps
+                    else [a - 1, b] for a, b in idx])
     times_needed = np.unique(idx)
     f_n = empirical_kernel_values(alphas[:n_big], rho, grid.times())
     samples = simulate.marginal_samples(f_n, times_needed, n_mc, seed, grid.dt)

@@ -45,7 +45,7 @@ def sample_alphas(params: GammaMixing, n: int, seed: int) -> np.ndarray:
     """n i.i.d. Gamma(mu, rate lam) draws, deterministic in (params, n, seed).
 
     Inverse-CDF transform of blocked counter-based uniforms: draw i depends
-    only on (seed, i), so results are independent of chunking or threading,
+    only on (seed, i), so results are independent of chunking,
     and the first k draws of a size-n sample equal a size-k sample.
     """
     if n < 1 or n != int(n):

@@ -62,7 +62,8 @@ __all__ = [
 # choice never depends on the environment
 _FFT_CUTOVER = 1 << 15
 # driver cells (replications x cells) and gathered kernel weights (cells x
-# times) a marginal sampler holds at once; lags of a two-sided kernel row
+# times) a marginal sampler holds at once; lags of a two-sided kernel row;
+# 16 times it, the rates x lags cells of an xi kernel table (512 MiB)
 _DRIVER_CELLS = 1 << 22
 # the variance the coarse cells of one history may lose against its fine
 # cells, in units of dt: a tenth of the dt/2 by which the left-endpoint
@@ -356,10 +357,8 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
     if kern.shape[1] * n >= _FFT_CUTOVER:
         size = sp_fft.next_fast_len(max(kern.shape[1] + n - 1 - lo, n),
                                     real=True)
-        workers = _rng.worker_count()
-        full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1, workers=workers)
-                            * sp_fft.rfft(dw, size, axis=1, workers=workers),
-                            size, axis=1, workers=workers)
+        full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1)
+                            * sp_fft.rfft(dw, size, axis=1), size, axis=1)
     else:
         full = np.empty((rows, kern.shape[1] + n - 1))
         for r in range(rows):
@@ -570,7 +569,9 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     s_alpha, drops below tol (see _certified_history); meta records the
     depth as t_trunc and the tail bound there as tail_bound.  The history is
     drawn on coarse dyadic cells (_history_layout) and meta records the
-    variance they lose against fine cells, at most, as disc_var_bound.
+    variance they lose against fine cells, at most, as disc_var_bound.  A
+    table of rates x lags over 16 _DRIVER_CELLS cells raises TruncationError
+    before any row is built.
     """
     return _stationary(kernel, grid, seed, tol, rho, n_paths, rep, False)
 
@@ -626,9 +627,14 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
             process = "xi"
     dt = grid.dt
     n_hist = int(math.ceil(_certified_history(certified, grid, tol) / dt))
+    n_lags = n_hist + grid.n_steps + 1
+    if alphas is not None and alphas.size * n_lags > 16 * _DRIVER_CELLS:
+        raise TruncationError(f"{alphas.size} rates x {n_lags} lags for "
+                              f"tol={tol} is a kernel table over "
+                              f"{16 * _DRIVER_CELLS} cells")
     meta.update(rho=rho, tol=tol, t_trunc=n_hist * dt,
                 tail_bound=_tail_bound(certified, tol)(n_hist * dt))
-    kern = rows(np.arange(n_hist + grid.n_steps + 1) * dt)
+    kern = rows(np.arange(n_lags) * dt)
     return _convolution_paths(process, kern, grid, seed, meta, n_paths, rep,
                               n_hist, alphas)
 

@@ -278,7 +278,7 @@ CLI_COMMANDS = [
     ["simulate", "--process", "limit", "--rho", "1.9", "--mu", "4",
      "--lambda", "1", "--T", "1", "--steps", "200", "--paths", "4",
      "--seed", "9"],
-    # 64 paths: one normal_rows call of 64 rows, enough to start the pool
+    # 64 paths: one normal_rows call of 64 rows
     ["simulate", "--process", "stationary", "--rho", "1.9", "--mu", "4",
      "--lambda", "1", "--T", "0.5", "--steps", "50", "--paths", "64",
      "--tol", "1e-3", "--seed", "9"],

@@ -248,11 +248,33 @@ def test_kernel_row_past_the_cap_is_refused_before_it_is_built(
     assert not out.exists()
 
 
+def test_xi_table_past_the_cap_is_refused_before_a_row_is_built(
+        tmp_path, monkeypatch):
+    # the README grid at tol 1e-3: 20,000 rates certify 150,001 lags, a table
+    # of 3.0e9 cells (24 GB) against the cap of 16 _DRIVER_CELLS
+    line = ["simulate", "--process", "xi", "--rho", "1.9", "--mu", "4",
+            "--lambda", "1", "--T", "2", "--steps", "2000", "--tol", "1e-3",
+            "--seed", "7"]
+
+    def no_table(*args):
+        raise AssertionError("no kernel table past the cap is built")
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_resolvent_lag_rows", no_table)
+        out = tmp_path / "xi_big.csv"
+        assert cli.main(line + ["--n-components", "20000",
+                                "--out", str(out)]) == 4
+        assert not out.exists()
+    # ten rates (4.9e5 cells) stay well under it
+    out = tmp_path / "xi.csv"
+    assert cli.main(line + ["--n-components", "10", "--out", str(out)]) == 0
+    assert read_table(out).shape == (2001, 11)
+
+
 def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):
     common = ["--rho", "1.9", "--mu", "4", "--lambda", "1", "--seed", "9"]
     runs = {
-        # 64 paths: one normal_rows call of 64 rows, enough to start the pool
-        # when the child has min(FRACOU_THREADS, os.cpu_count()) >= 2 workers
+        # 64 paths: one normal_rows call of 64 rows
         "limit": ["simulate", "--process", "limit", "--T", "1", "--steps",
                   "100", "--paths", "64", *common],
         "empirical": ["simulate", "--process", "empirical", "--T", "1",
@@ -262,11 +284,8 @@ def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):
                        "--steps", "50", "--paths", "64", "--tol", "1e-3",
                        *common],
     }
-    # pooled and single-threaded fills are compared only where
-    # os.cpu_count() >= 2 (4 and 8 both give 2 workers on 2 cores); on one
-    # core every run fills its rows in one thread and this checks reruns only.
-    # test_simulate.py::test_thread_env_does_not_change_bits runs 4- and
-    # 8-worker fills on any host
+    # the library reads no environment variable, so FRACOU_THREADS, which
+    # the benchmark still exports, must change no byte
     for name, args in runs.items():
         blobs = []
         for threads in ("1", "4", "8"):

@@ -69,6 +69,20 @@ def test_tightness_report():
         dg.check_tightness(1.0, 4.0, 1.0, GRID, [10], 100, 5)
 
 
+def test_tightness_pairs_never_tie():
+    # both draws at the last index used to leave the pair (n, n): a zero gap,
+    # a NaN ratio and an inconclusive verdict; one step has only that pair
+    for steps in (10, 1):
+        rep = dg.check_tightness(1.9, 4, 1, TimeGrid(0, 2, steps), [10, 100],
+                                 200, 3)
+        pairs = [row for row in rep.estimates if "ratio" in row]
+        assert len(pairs) == 50
+        assert all(row["s"] < row["t"] and np.isfinite(row["ratio"])
+                   for row in pairs)
+        if steps == 10:
+            assert rep.verdict != "inconclusive"
+
+
 def test_pathwise_report():
     rep = dg.check_pathwise_conditions(1.9, 4.0, 1.0, [100, 1000],
                                        TimeGrid(0.0, 2.0, 100), 2)

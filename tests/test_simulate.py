@@ -69,7 +69,8 @@ def test_brownian_increments_stats_and_determinism():
 
 
 def test_thread_env_does_not_change_bits(monkeypatch):
-    # report 8 cores, so the clamp keeps the 4- and 8-worker pools
+    # the library reads no environment variable: FRACOU_THREADS, which the
+    # benchmark still exports, changes no bit even on a host of 8 cores
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     g = sim.TimeGrid(0.0, 1.0, 256)
     ref = sim._increment_matrix(5, 128, 256, g.dt)
@@ -80,13 +81,13 @@ def test_thread_env_does_not_change_bits(monkeypatch):
 
 def test_normal_rows_are_counters_of_one_namespace_key(monkeypatch):
     # row r is the Philox counter [0, 0, r, 0] of the key of (seed, tags),
-    # whatever the offset, the call's shape and the thread count
+    # whatever the offset, the call's shape and FRACOU_THREADS
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     key = _rng._key(3, ("w",))
     want = np.array([np.random.Generator(np.random.Philox(
         key=key, counter=[0, 0, 4 + r, 0])).standard_normal(1000)
         for r in range(6)])
-    for n in ("1", "2"):  # 6,000 normals: pooled at 2 threads
+    for n in ("1", "2"):
         monkeypatch.setenv("FRACOU_THREADS", n)
         assert np.array_equal(
             _rng.normal_rows(3, ("w",), 6, 1000, row_offset=4), want)
@@ -94,18 +95,6 @@ def test_normal_rows_are_counters_of_one_namespace_key(monkeypatch):
                           want[3:5])
     with pytest.raises(DomainError):
         _rng.normal_rows(3, ("w",), 2, 5, row_offset=-1)
-
-
-def test_worker_count_clamped_to_cpu_count(monkeypatch):
-    # only the count is computed: no pool is started
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    for env, want in (("100000", 3), ("3", 3), ("2", 2), ("0", 1), ("-4", 1),
-                      ("many", 1)):
-        monkeypatch.setenv("FRACOU_THREADS", env)
-        assert _rng.worker_count() == want
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    monkeypatch.setenv("FRACOU_THREADS", "8")
-    assert _rng.worker_count() == 1
 
 
 def test_zero_rate_component_is_brownian():
@@ -783,8 +772,7 @@ def test_coarse_history_variances_hold_to_the_l2_norms():
 
 
 def test_coarse_histories_do_not_depend_on_threads(monkeypatch):
-    # 400 and 64 replications: tree rows of 25 and 4 blocks of 16, enough
-    # normals per call to start the pool at 2 threads
+    # 400 and 64 replications: tree rows of 25 and 4 blocks of 16
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     g = sim.TimeGrid(0.0, 1.0, 100)
     layout = sim._history_layout(

@@ -1,6 +1,7 @@
 """Tooling around the library: the benchmark's tracer patches library
 functions by name, so a renamed or deleted name must fail here, not only in
-a traced benchmark run; and the README's scripts run from a plain checkout."""
+a traced benchmark run; the library starts no thread, whatever the
+environment; and the README's scripts run from a plain checkout."""
 
 import os
 import subprocess
@@ -84,6 +85,36 @@ def test_tracer_records_draw_and_history_sizes(cli_env):
     done = subprocess.run([sys.executable, "-c", SIZES_SCRIPT], env=env,
                           cwd=PERFBENCH, capture_output=True, text=True,
                           timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# the pathways that a thread count could reach: a fill of 6,400 normals and
+# the limit and stationary CLI lines of 64 paths, on a host that reports 8
+# cores and with FRACOU_THREADS=8 in the environment
+NO_THREAD_SCRIPT = """
+import os, threading
+
+def refuse(thread):
+    raise AssertionError(f"the library started a thread: {thread}")
+
+os.cpu_count = lambda: 8
+threading.Thread.start = refuse
+from fracou import _rng, cli
+_rng.normal_rows(3, ("w",), 64, 100)
+common = ["--rho", "1.9", "--mu", "4", "--lambda", "1", "--paths", "64",
+          "--seed", "9"]
+for args in (["limit", "--T", "1", "--steps", "100"],
+             ["stationary", "--T", "0.5", "--steps", "50", "--tol", "1e-3"]):
+    code = cli.main(["simulate", "--process", *args, *common,
+                     "--out", args[0] + ".csv"])
+    assert code == 0, code
+"""
+
+
+def test_library_starts_no_thread(cli_env, tmp_path):
+    done = subprocess.run([sys.executable, "-c", NO_THREAD_SCRIPT],
+                          env=cli_env("8"), cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
