@@ -3,8 +3,9 @@
 Subcommands: eval (special-function tables), mixing (moments and condition
 checks as JSON), simulate (path ensembles as CSV + JSON sidecar), diagnose
 (convergence checks as JSON reports).  Exit codes: 0 success/pass, 2 invalid
-parameters, 3 accuracy failure, 4 truncation tolerance unachievable,
-5 diagnostic fail, 6 diagnostic inconclusive.
+parameters or an output that cannot be written, 3 accuracy failure,
+4 truncation tolerance unachievable, 5 diagnostic fail, 6 diagnostic
+inconclusive.
 
 Seeds are mandatory wherever randomness is involved; reruns of the same
 command line are bit-identical.
@@ -82,10 +83,9 @@ def cmd_mixing(args) -> int:
         "condition_mu_gt_half_inv_rho": {},
     }
     for p in args.frac or []:
-        try:
-            out.setdefault("moments_frac", {})[str(p)] = moment_frac(params, p)
-        except DomainError:
-            out.setdefault("moments_frac", {})[str(p)] = None
+        # null marks a divergent moment; any other DomainError exits 2
+        out.setdefault("moments_frac", {})[str(p)] = (
+            None if p <= -params.mu else moment_frac(params, p))
     for rho in args.rho:
         out["condition_mu_gt_half_inv_rho"][str(rho)] = \
             check_condition(params, rho)
@@ -250,6 +250,9 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncation tolerance unachievable: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 from . import _rng
 from .errors import DomainError
@@ -47,9 +46,12 @@ def sample_alphas(params: GammaMixing, n: int, seed: int) -> np.ndarray:
     Inverse-CDF transform of blocked counter-based uniforms: draw i depends
     only on (seed, i), so results are independent of chunking,
     and the first k draws of a size-n sample equal a size-k sample.
+    scipy.special is imported at the first draw, not with the package.
     """
     if n < 1 or n != int(n):
         raise DomainError(f"n must be a positive integer, got {n}")
+    from scipy import special as sc
+
     u = _rng.uniforms(seed, ("alphas", params.mu, params.lam), 0, int(n))
     alphas = sc.gammaincinv(params.mu, u) / params.lam
     # gammaincinv can round to 0 for subnormal-tail uniforms
@@ -57,10 +59,18 @@ def sample_alphas(params: GammaMixing, n: int, seed: int) -> np.ndarray:
 
 
 def moment_int(params: GammaMixing, n: int) -> float:
-    """E[alpha^n] = (mu)_n / lam^n for integer n >= 0."""
+    """E[alpha^n] = (mu)_n / lam^n for integer n >= 0.
+
+    Where (mu)_n or lam^n leaves the double range, moment_frac's log form
+    decides, and raises DomainError if the moment itself does.
+    """
     if n < 0 or n != int(n):
         raise DomainError(f"moment order must be a nonnegative integer, got {n}")
-    return pochhammer(params.mu, int(n)) / params.lam ** int(n)
+    try:
+        value = pochhammer(params.mu, int(n)) / params.lam ** int(n)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    return value if math.isfinite(value) else moment_frac(params, n)
 
 
 def moment_frac(params: GammaMixing, p: float) -> float:
@@ -68,6 +78,7 @@ def moment_frac(params: GammaMixing, p: float) -> float:
 
     The boundary is load-bearing: p <= -mu means the moment integral
     diverges, and callers rely on the raise to detect non-integrability.
+    A moment past the largest double raises DomainError too.
     """
     p = float(p)
     if not np.isfinite(p):
@@ -75,8 +86,15 @@ def moment_frac(params: GammaMixing, p: float) -> float:
     if p <= -params.mu:
         raise DomainError(
             f"E[alpha^p] diverges for p <= -mu (p={p}, mu={params.mu})")
-    return math.exp(math.lgamma(params.mu + p) - math.lgamma(params.mu)
-                    - p * math.log(params.lam))
+    try:
+        value = math.exp(math.lgamma(params.mu + p) - math.lgamma(params.mu)
+                         - p * math.log(params.lam))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"E[alpha^{p:g}] overflows a double "
+                          f"(mu={params.mu}, lam={params.lam})")
+    return value
 
 
 def check_condition(params: GammaMixing, rho) -> bool:

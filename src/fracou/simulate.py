@@ -25,7 +25,6 @@ from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
 
 from . import _rng
 from .errors import AccuracyError, DomainError, TruncationError
@@ -346,8 +345,9 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
     kernels has shape (K, L) with lag-0 entry unused; dw has shape (R, N);
     either K == R, K == 1 or R == 1.  Returns the path columns start..N,
     shape (max(K, R), N+1-start); path column 0 is zero.  Direct below
-    _FFT_CUTOVER, FFT above; the FFT is circular over just enough points
-    that no kept output wraps (overlap-save), so a late start shortens it.
+    _FFT_CUTOVER, FFT above (scipy.fft, imported at the first FFT); the FFT
+    is circular over just enough points that no kept output wraps
+    (overlap-save), so a late start shortens it.
     """
     kern = np.atleast_2d(np.asarray(kernels, dtype=float))[:, 1:]
     dw = np.atleast_2d(np.asarray(dw, dtype=float))
@@ -355,6 +355,8 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
     rows = max(kern.shape[0], dw.shape[0])
     lo = max(start, 1) - 1  # first kept index of the linear convolution
     if kern.shape[1] * n >= _FFT_CUTOVER:
+        from scipy import fft as sp_fft
+
         size = sp_fft.next_fast_len(max(kern.shape[1] + n - 1 - lo, n),
                                     real=True)
         full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1)

@@ -43,7 +43,6 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy import special as sc
 
 from .errors import AccuracyError, DomainError
 
@@ -156,23 +155,21 @@ def _coeffs(rho: float, beta: float, nu, n: int) -> list:
     return row
 
 
+def _lgamma(a: np.ndarray) -> np.ndarray:
+    """math.lgamma of each entry of a."""
+    return np.fromiter(map(math.lgamma, a.tolist()), float, a.size)
+
+
 def _log_coeffs(rho: float, beta: float, nu, k: np.ndarray) -> np.ndarray:
-    """log c_k of _coeffs in double precision; sets the term counts."""
-    out = -sc.gammaln(rho * k + beta)
-    return out if nu is None else sc.gammaln(nu + k) - sc.gammaln(nu) + out
+    """log c_k of _coeffs in double precision, from math.lgamma; sets the
+    term counts only, so the values never see its rounding."""
+    out = -_lgamma(rho * k + beta)
+    return out if nu is None else _lgamma(nu + k) - math.lgamma(nu) + out
 
 
-@lru_cache(maxsize=None)
-def _band_terms(rho: float, beta: float, nu, band: int) -> tuple:
-    """a_k = (-1)^k c_k 2^(band k), the term sizes at x = 2^band, for the
-    terms shared by every 0 < x < 2^band.
-
-    The terms run through the first one past the hump whose log magnitude
-    log|c_k| + k band log 2 is below the floor, plus one; the last a_k only
-    feeds the truncation estimate.  Each a_k is rounded once to double from
-    its 30-digit value (an overflow gives inf).  Memoized per band, so a
-    value never depends on the other points of its batch.
-    """
+def _term_count(rho: float, beta: float, nu, band: int) -> int:
+    """Number of _band_terms: through the first term past the hump whose log
+    magnitude log|c_k| + k band log 2 is below the floor, plus one."""
     logx = band * math.log(2.0)
     n = 64
     while True:
@@ -185,7 +182,18 @@ def _band_terms(rho: float, beta: float, nu, band: int) -> tuple:
             raise AccuracyError(f"series (rho={rho}, beta={beta}, nu={nu}) "
                                 f"does not decay for x up to 2^{band}")
         n *= 2
-    exact = _coeffs(rho, beta, nu, int(down[0] + past[0]) + 4)
+    return int(down[0] + past[0]) + 4
+
+
+@lru_cache(maxsize=None)
+def _band_terms(rho: float, beta: float, nu, band: int) -> tuple:
+    """a_k = (-1)^k c_k 2^(band k), the term sizes at x = 2^band, for the
+    _term_count terms shared by every 0 < x < 2^band; the last a_k only
+    feeds the truncation estimate.  Each a_k is rounded once to double from
+    its 30-digit value (an overflow gives inf).  Memoized per band, so a
+    value never depends on the other points of its batch.
+    """
+    exact = _coeffs(rho, beta, nu, _term_count(rho, beta, nu, band))
     return tuple(float(_mpc.ldexp(-c if k % 2 else c, band * k))
                  for k, c in enumerate(exact))
 
@@ -284,14 +292,17 @@ def _series_many(rho: float, beta: float, x: np.ndarray):
 def _asym_coeffs(rho: float, beta: float, m: int):
     """(c_k, env_k) for k = 1 .. m of the power tail sum_k c_k x^-k.
 
-    c_k = (-1)^(k+1) / Gamma(beta - k rho): reciprocal gamma vanishes at its
+    c_k = (-1)^(k+1) / Gamma(beta - k rho), the private 30-digit reciprocal
+    gamma at the double beta - k rho, rounded once: it vanishes at the
     poles, which removes the coefficients that must drop out (all of them
     for rho = 1).  env_k = Gamma(k rho - beta + 1) / pi >= |c_k| by
-    reflection; coefficients near Gamma poles are anomalously small, so
-    truncation and remainder estimates use the envelope."""
+    reflection, from math.lgamma; coefficients near Gamma poles are
+    anomalously small, so truncation and remainder estimates use the
+    envelope."""
     k = np.arange(1, m + 1)
-    return (np.where(k % 2 == 1, 1.0, -1.0) * sc.rgamma(beta - k * rho),
-            np.exp(sc.gammaln(k * rho - beta + 1.0)) / math.pi)
+    rgamma = [float(_mpc.rgamma(a)) for a in (beta - k * rho).tolist()]
+    return (np.where(k % 2 == 1, 1.0, -1.0) * np.array(rgamma),
+            np.exp(_lgamma(k * rho - beta + 1.0)) / math.pi)
 
 
 def _power_tail(coeff: np.ndarray, x: np.ndarray, cut: np.ndarray):
@@ -703,7 +714,9 @@ def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float
       sized to a fixed phase step each, up to the point where the
       exp(cos(pi/rho) s) damping has killed the oscillation;
     * log-spaced panels in z over the rest, all of it below scale 1, where
-      the phase stays below (z_cut scale)^(1/rho).
+      the phase stays below (z_cut scale)^(1/rho);
+    * nothing past z_cut = mu + 50; the estimate adds 1.3 Q(mu, z_cut),
+      the memoized 30-digit _gamma_q.
     """
     z_cut = mu + 50.0
     eps_arg = 1e-4
@@ -736,8 +749,15 @@ def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float
     # truncated far tail; needs |E_{rho,beta}| <= 1.3 on the half line:
     # |E_rho| <= 1 for every rho, and E_{rho,rho} for 1 <= rho <= 2 peaks at
     # x = 0 with 1/Gamma(rho) <= 1.129.  Other (rho, beta) must be checked.
-    est += 1.3 * float(sc.gammaincc(mu, z_cut))
+    est += 1.3 * _gamma_q(mu, z_cut)
     return total, est, pieces
+
+
+@lru_cache(maxsize=None)
+def _gamma_q(mu: float, z: float) -> float:
+    """Q(mu, z), the Gamma(mu, 1) mass past z: the private 30-digit
+    regularized upper incomplete gamma, rounded once."""
+    return float(_mpc.gammainc(mu, z, regularized=True))
 
 
 def _mixing_integrals(rho: float, mu: float, ws, refine: int,

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -328,3 +329,44 @@ def test_out_ending_in_json_exits_two(tmp_path, sub, capsys):
     assert cli.main(SIDECAR_RUNS[sub] + ["--out", str(out)]) == 2
     assert "sidecar" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, order", [
+    (["--lambda", "1", "--moments", "200"], 168),
+    (["--lambda", "1", "--frac", "1000"], 1000),
+    (["--lambda", "1e-300", "--moments", "3"], 2),
+], ids=["moments", "frac", "tiny-lambda"])
+def test_moment_past_the_double_range_exits_two_naming_it(capsys, args,
+                                                          order):
+    assert cli.main(["mixing", "--mu", "4", *args, "--out", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters") and f"alpha^{order}]" in err
+
+
+def test_only_divergent_fractional_moments_are_null(capsys):
+    # p <= -mu diverges; a large finite moment is a number
+    assert cli.main(["mixing", "--mu", "4", "--lambda", "1", "--frac", "-4",
+                     "-5", "150", "--out", "-"]) == 0
+    frac = json.loads(capsys.readouterr().out)["moments_frac"]
+    assert frac["-4.0"] is None and frac["-5.0"] is None
+    assert frac["150.0"] == pytest.approx(math.exp(math.lgamma(154.0)
+                                                   - math.lgamma(4.0)))
+
+
+UNWRITABLE_RUNS = {
+    "eval": ["eval", "ml", "--rho", "1.9", "--xmax", "5"],
+    "mixing": ["mixing", "--mu", "4", "--lambda", "1"],
+    "simulate": SIDECAR_RUNS["simulate"],
+    "diagnose": ["diagnose", "mixing-remark", "--rho", "1.9", "--mu", "4",
+                 "--lambda", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(UNWRITABLE_RUNS))
+def test_out_in_missing_directory_exits_two_in_one_line(tmp_path, sub,
+                                                        capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(UNWRITABLE_RUNS[sub] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

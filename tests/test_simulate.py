@@ -245,14 +245,29 @@ def test_vectorized_paths_match_per_replication_reference(n_steps):
     assert np.array_equal(later.values, lim.values[2:])
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded(cli_env):
-    code = ("import sys, fracou; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats', "
-            "'scipy.integrate') if m in sys.modules))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=cli_env("1"))
+def test_import_and_readme_eval_and_mixing_lines_load_no_scipy(cli_env,
+                                                               tmp_path):
+    # scipy loads only with the rate draws, the FFT branch of the
+    # convolution and the exact sampler
+    code = """
+import sys
+scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))
+import fracou
+from fracou import cli
+print(scipy())
+out = sys.argv[1]
+assert cli.main(['eval', 'ml', '--rho', '1.9', '--xmax', '60', '--points',
+                 '600', '--out', out + '/ml.csv']) == 0
+assert cli.main(['eval', 'gml', '--rho', '1.9', '--mu', '4', '--xmax', '30',
+                 '--out', out + '/gml.csv']) == 0
+assert cli.main(['mixing', '--mu', '4', '--lam', '2', '--rho', '1.9',
+                 '--frac', '0.5', '-1.0', '--out', out + '/mixing.json']) == 0
+print(scipy())
+"""
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       capture_output=True, text=True, env=cli_env("1"))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_integrals_leave_quadpack_unloaded(cli_env):

@@ -500,6 +500,87 @@ def test_asym_rounding_term_covers_the_kept_terms(rho, beta):
             assert 2 * gamma * size + coef <= tail_rnd, (rho, beta, xi)
 
 
+def _scipy_log_coeffs(rho, beta, nu, k):
+    """_log_coeffs from scipy's gammaln, the reference its term counts
+    must keep."""
+    out = -sc.gammaln(rho * k + beta)
+    return out if nu is None else sc.gammaln(nu + k) - sc.gammaln(nu) + out
+
+
+def _scipy_asym_coeffs(rho, beta, m):
+    """_asym_coeffs from scipy's rgamma and gammaln."""
+    k = np.arange(1, m + 1)
+    return (np.where(k % 2 == 1, 1.0, -1.0) * sc.rgamma(beta - k * rho),
+            np.exp(sc.gammaln(k * rho - beta + 1.0)) / math.pi)
+
+
+def _term_count_or_none(rho, beta, nu, band):
+    try:
+        return sf._term_count(rho, beta, nu, band)
+    except AccuracyError:  # the series does not decay within _MAX_TERMS
+        return None
+
+
+TERM_COUNT_GRID = [(rho, beta, nu, band)
+                   for rho in (0.3, 0.5, 0.7, 0.9, 1.0, 1.2, 1.5, 1.7, 1.9, 1.99)
+                   for beta in sorted({1.0, rho}) for nu in (None, 0.4, 1.0, 4.0)
+                   for band in range(13)]
+
+
+def _term_counts(monkeypatch, log_coeffs):
+    """_term_count over TERM_COUNT_GRID, each order's log_coeffs evaluated
+    once per (rho, beta, nu): it is elementwise, so a prefix of the longest
+    row has the bits of _term_count's own call on k = 0 .. n-1."""
+    rows = {}
+
+    def sliced(rho, beta, nu, k):
+        row = rows.get((rho, beta, nu), np.empty(0))
+        if row.size < k.size:
+            row = rows[rho, beta, nu] = np.concatenate(
+                [row, log_coeffs(rho, beta, nu, np.arange(row.size, k.size))])
+        return row[:k.size]
+
+    monkeypatch.setattr(sf, "_log_coeffs", sliced)
+    return [_term_count_or_none(*key) for key in TERM_COUNT_GRID]
+
+
+def test_term_counts_are_those_of_scipy_gammaln(monkeypatch):
+    k = np.arange(100)
+    assert np.array_equal(sf._log_coeffs(1.9, 1.0, 4.0, k[:64]),
+                          sf._log_coeffs(1.9, 1.0, 4.0, k)[:64])
+    assert len(sf._band_terms(1.9, 1.0, 4.0, 5)) == sf._term_count(1.9, 1.0, 4.0, 5)
+    counts = _term_counts(monkeypatch, sf._log_coeffs)
+    assert _term_counts(monkeypatch, _scipy_log_coeffs) == counts
+    assert None in counts and len(set(counts)) > 100
+
+
+@pytest.mark.parametrize("rho, beta", ASYM_PAIRS + [(1.0, 1.0), (1.99, 1.99)])
+def test_asym_coefficients_are_30_digit_values_rounded_once(rho, beta):
+    coeff, env = sf._asym_coeffs(rho, beta, 50)
+    with mp.workdps(30):
+        want = [(-1) ** (k + 1) * float(mp.rgamma(beta - k * rho))
+                for k in range(1, 51)]
+    assert coeff.tolist() == want
+    # the poles of Gamma at the double beta - k rho give exact zeros, as
+    # scipy's rgamma does, and scipy agrees to its own rounding elsewhere
+    ref_coeff, ref_env = _scipy_asym_coeffs(rho, beta, 50)
+    assert np.array_equal(coeff == 0.0, ref_coeff == 0.0)
+    assert np.allclose(coeff, ref_coeff, rtol=1e-15, atol=0.0)
+    assert np.allclose(env, ref_env, rtol=1e-12, atol=0.0)
+    if rho == 1.0:
+        assert not coeff.any()
+
+
+@pytest.mark.parametrize("rho", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("same_beta", [False, True])
+def test_regime_thresholds_are_those_of_scipy_coefficients(monkeypatch, rho,
+                                                           same_beta):
+    beta = rho if same_beta else 1.0
+    want = _regime_thresholds(rho, beta)
+    monkeypatch.setattr(sf, "_asym_coeffs", _scipy_asym_coeffs)
+    assert _regime_thresholds.__wrapped__(rho, beta) == want
+
+
 @pytest.mark.parametrize("rho, beta", ASYM_PAIRS)
 def test_asym_cut_is_the_argmin_of_the_envelope_terms(rho, beta):
     x, n = _breakpoint_points(rho, beta)
