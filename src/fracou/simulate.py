@@ -21,7 +21,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,9 +68,10 @@ _DRIVER_CELLS = 1 << 22
 # cells, in units of dt: a tenth of the dt/2 by which the left-endpoint
 # scheme itself is off
 _SHORTFALL = 0.05
-# rows of a CSV table formatted at once: enough to amortize the numpy calls,
-# few enough that the block's Python floats and strings stay well under 1 MB
-_CSV_ROWS = 64
+# values (rows x columns) of a CSV table formatted in one block: enough to
+# amortize the numpy calls, few enough that the block's temporaries (about
+# 250 bytes a value) stay in cache; a block holds whole rows, at least one
+_CSV_ROWS = 1 << 14
 
 
 def _count(name: str, value) -> int:
@@ -148,13 +149,170 @@ class PathEnsemble:
 
 
 def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
-    """CSV rows first[i], columns[0, i], columns[1, i], ... with floats in
-    shortest round-trip form, formatted _CSV_ROWS rows at a time."""
-    for i in range(0, first.size, _CSV_ROWS):
-        block = np.column_stack((first[i : i + _CSV_ROWS],
-                                 columns[:, i : i + _CSV_ROWS].T))
-        fh.write("".join(",".join(map(repr, row)) + "\n"
-                         for row in block.tolist()))
+    """CSV rows first[i], columns[0, i], columns[1, i], ... with each float
+    written exactly as repr writes it, in blocks of whole rows holding at
+    most _CSV_ROWS values (at least one row).
+
+    numpy computes a block's text with no Python call per value.  A finite
+    v with 1e-6 < |v| < 1e16 that is not a power of two has a decimal
+    exponent e in [-6, 15], so 10^s with s = 16 - e <= 22 is an exact double
+    and Dekker's product gives P = |v| 10^s exactly, as an integer plus a
+    fraction in [0, 1) (log10's e is corrected by one wherever P falls
+    outside [1e16, 1e17)).  For k = 2, 1, 0 the nearest (17 - k)-digit
+    decimal D 10^k, ties to even, is kept when |D 10^k - P| < H, H =
+    spacing(v) 10^s / 2, the half-width of v's round-trip interval, which is
+    symmetric because v is not a power of two.  Every quantity compared is
+    a multiple of H / 5^s, and any of them within 2^53 / 5^22 > 3.7 times H
+    is an exact double, so each test is exact.  The interval is at most
+    2^-52 |v| < 0.23 units of the 15th digit wide, so the 15-digit rounding
+    is the one string of at most 15 digits that can round-trip: kept, it
+    gives the shortest text once its trailing zeros are stripped.
+    Otherwise the 16-digit rounding, then the 17-digit one (always inside),
+    is both the shortest and, as repr picks, the nearest.  The bound is
+    strict because no 15- or 16-digit decimal lies on the interval's edge
+    here: the edges (2m +- 1) 2^(b-1) of v = m 2^b have at least 17
+    significant digits, or are the odd neighbours of an integer v.  The
+    text is laid out as repr lays it out: fixed notation for e >= -4, with
+    ".0" after an integer, and d.ddde-0X below.  Zeros, nan, infinities,
+    powers of two and magnitudes <= 1e-6 or >= 1e16 are written by repr.
+    """
+    rows = max(1, _CSV_ROWS // (1 + columns.shape[0]))
+    for i in range(0, first.size, rows):
+        block = np.column_stack((first[i : i + rows],
+                                 columns[:, i : i + rows].T))
+        fh.write(_csv_text(block))
+
+
+# one value's text sits in a 52-byte frame of 4-byte words, and a per-value
+# mask keeps its bytes: the sign at byte 3, the integer digits right-aligned
+# in words 1-4, "." at byte 23, the fraction digits in words 6-10 (20 digits
+# of which the first shown is at byte 27 + decpt, decpt = e + 1 or 1 in
+# exponent form), "e-0X" in word 11 and the separator at byte 51
+_FRAME = 52
+
+
+@lru_cache(maxsize=None)
+def _csv_tables():
+    """Powers of ten, the ASCII words of 0000..9999, their trailing-zero
+    counts (4 for 0000), the frame template and the frame masks by
+    ((layout, fraction digits shown), negative), layout decpt + 3 for fixed
+    notation and 20 for exponent form."""
+    p10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+    j = np.arange(10000, dtype=np.uint32)
+    words = (0x30303030 + (j // 1000 | j // 100 % 10 << 8
+                           | j // 10 % 10 << 16 | j % 10 << 24)).astype("<u4")
+    zeros = ((j % 10 == 0).astype(np.int64) + (j % 100 == 0)
+             + (j % 1000 == 0) + (j == 0))
+    template = np.zeros(_FRAME, np.uint8)
+    template[[3, 23, 44, 45, 46, 51]] = list(b"-.e-0,")
+    lay = np.arange(21)[:, None, None, None]
+    shown = np.arange(21)[None, :, None, None]
+    neg = np.arange(2)[None, None, :, None]
+    c = np.arange(_FRAME)
+    decpt = np.where(lay == 20, 1, lay - 3)
+    first = 27 + decpt
+    masks = ((c == 3) & (neg == 1)
+             | (c >= 20 - np.maximum(decpt, 1)) & (c < 20)
+             | (c == 23) & (shown > 0)
+             | (c >= first) & (c < first + shown)
+             | (c >= 44) & (c < 48) & (lay == 20) | (c == 51))
+    return p10, words, zeros, template, masks.reshape(-1, _FRAME)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """hi + lo == a b exactly (Dekker), with no overflow or underflow."""
+    hi = a * b
+    t = 134217729.0 * a
+    ah = t - (t - a)
+    al = a - ah
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    bl = b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _shortest_digits(a: np.ndarray):
+    """For 1e-6 < a < 1e16, no power of two: the shortest round-trip digits
+    of a, zero-padded to 17 (an int in [1e16, 1e17)), and the decimal
+    exponent; see write_csv_rows."""
+    p10 = _csv_tables()[0]
+    e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
+    hi, lo = _two_product(a, p10[16 - e])
+    fix = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.int64) \
+        - ((hi < 1e16) | (hi == 1e16) & (lo < 0))
+    k = np.flatnonzero(fix)
+    if k.size:
+        e[k] += fix[k]
+        hi[k], lo[k] = _two_product(a[k], p10[16 - e[k]])
+    floor = np.floor(lo)
+    whole = hi.astype(np.int64) + floor.astype(np.int64)
+    frac = lo - floor
+    half_gap = 0.5 * np.spacing(a) * p10[16 - e]
+    digits = whole + ((frac > 0.5) | (frac == 0.5) & (whole & 1 == 1))
+    for k in (1, 2):
+        unit = 10 ** k
+        q = whole // unit
+        r = whole - q * unit
+        half = 0.5 * unit - r
+        up = (frac > half) | (frac == half) & (q & 1 == 1)
+        digits = np.where(np.abs(up * unit - r - frac) < half_gap,
+                          (q + up) * unit, digits)
+    carry = digits == 10 ** 17
+    digits[carry] = 10 ** 16
+    return digits, e + carry
+
+
+def _put_words(words: np.ndarray, col: int, x: np.ndarray):
+    """x < 1e16 as 16 ASCII digits in frame words col..col+3; returns the
+    four 4-digit groups."""
+    ascii4 = _csv_tables()[1]
+    hi = x // 100000000
+    lo = (x - hi * 100000000).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    groups = (hi // 10000, hi % 10000, lo // 10000, lo % 10000)
+    for j, g in enumerate(groups):
+        words[:, col + j] = np.take(ascii4, g)
+    return groups
+
+
+def _csv_text(block: np.ndarray) -> str:
+    """The CSV text of a 2-d block of floats; see write_csv_rows."""
+    _, ascii4, zeros, template, masks = _csv_tables()
+    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
+    bits = x.view(np.int64)
+    a = np.abs(x)
+    slow = np.flatnonzero(~((a > 1e-6) & (a < 1e16)
+                            & (bits & 0xFFFFFFFFFFFFF != 0)))
+    a[slow] = 1.5
+    digits, e = _shortest_digits(a)
+    sci = e < -4
+    decpt = np.where(sci, 1, e + 1)
+    div = 10 ** np.minimum(17 - decpt, 17)
+    whole = digits // div
+    frac = digits - whole * div
+    top = frac // 10 ** 16
+    frame = np.empty((x.size, _FRAME), np.uint8)
+    frame[:] = template
+    words = frame.view("<u4")
+    _put_words(words, 1, whole)
+    words[:, 6] = np.take(ascii4, top)
+    groups = _put_words(words, 7, frac - top * 10 ** 16)
+    # trailing zeros of the 20 fraction digits: the last nonzero group's
+    tz = 16 + np.take(zeros, top)
+    for j, g in enumerate(groups):
+        tz = np.where(g, 12 - 4 * j + np.take(zeros, g), tz)
+    shown = np.maximum(17 - decpt - tz, ~sci)
+    frame[:, 47] = 48 - e
+    code = ((np.where(sci, 20, decpt + 3) * 21 + shown) << 1) | (bits < 0)
+    mask = np.take(masks, code, axis=0)
+    if slow.size:
+        text = "".join(repr(v).ljust(24) for v in x[slow].tolist())
+        chars = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+        frame[slow, :24] = chars
+        mask[slow, :_FRAME - 1] = False
+        mask[slow, :24] = chars != 32
+    frame[block.shape[1] - 1 :: block.shape[1], _FRAME - 1] = 10
+    return np.compress(mask.ravel(), frame.ravel()).tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)

@@ -160,11 +160,22 @@ def _lgamma(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, a.tolist()), float, a.size)
 
 
-def _log_coeffs(rho: float, beta: float, nu, k: np.ndarray) -> np.ndarray:
-    """log c_k of _coeffs in double precision, from math.lgamma; sets the
-    term counts only, so the values never see its rounding."""
+@lru_cache(maxsize=_MAX_TERMS // _ROW_PIECE)
+def _log_coeff_piece(rho: float, beta: float, nu, j: int) -> np.ndarray:
+    """log c_k of _coeffs for _ROW_PIECE j <= k < _ROW_PIECE (j + 1)."""
+    k = np.arange(_ROW_PIECE * j, _ROW_PIECE * (j + 1))
     out = -_lgamma(rho * k + beta)
     return out if nu is None else _lgamma(nu + k) - math.lgamma(nu) + out
+
+
+def _log_coeffs(rho: float, beta: float, nu, k: np.ndarray) -> np.ndarray:
+    """log c_k of _coeffs in double precision, from math.lgamma, for orders
+    k >= 0; sets the term counts only, so the values never see its rounding.
+    Each order is computed once, in memoized pieces, so a longer row (the
+    next doubling in _term_count, or another band) extends the shorter."""
+    n = -(-(int(k.max()) + 1) // _ROW_PIECE)
+    return np.concatenate([_log_coeff_piece(rho, beta, nu, j)
+                           for j in range(n)])[k]
 
 
 def _term_count(rho: float, beta: float, nu, band: int) -> int:
@@ -566,7 +577,7 @@ def _evaluate_many(rho: float, beta: float, x: np.ndarray):
         methods[mid] = _METHODS.index("interpolant")
 
     worst = float(ests.max())
-    if worst > ACCURACY_FLOOR:
+    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
         raise AccuracyError(
             f"no path certifies {ACCURACY_FLOOR:g} (best {worst:.2e}) "
             f"for rho={float(rho)}", est_abs_error=worst)
@@ -699,6 +710,16 @@ def _integrate(f, a: float, b: float, rtol: float) -> float:
         f"within {_MAX_PANELS} panels", est_abs_error=est)
 
 
+def _gamma_of_mu(mu: float) -> float:
+    """Gamma(mu), the Gamma density's normalizer; AccuracyError past the
+    double range (mu > 171.62), where no mixing integral can be certified."""
+    try:
+        return math.gamma(mu)
+    except OverflowError:
+        raise AccuracyError(f"Gamma(mu) overflows a double at mu={mu}: the "
+                            "mixing integral cannot be certified") from None
+
+
 def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float = 1.0):
     """Quadrature plan of the mixing integral at one scale > 0.
 
@@ -721,7 +742,7 @@ def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float
     z_cut = mu + 50.0
     eps_arg = 1e-4
     z0 = min(eps_arg / max(scale, 1.0), z_cut)
-    gm = math.gamma(mu)
+    gm = _gamma_of_mu(mu)
     # strip: E(-w) = a - w/Gamma(rho+beta) + O(w^2) with a = 1/Gamma(beta),
     # e^-z = 1 - z + O(z^2); a is exactly 1 for beta = 1
     a = 1.0 / math.gamma(beta)
@@ -773,7 +794,7 @@ def _mixing_integrals(rho: float, mu: float, ws, refine: int,
     args = [z * w for w, _, _, pieces in plans for z, _ in pieces]
     uniq, inverse = np.unique(np.concatenate(args), return_inverse=True)
     vals = _evaluate_many(rho, beta, uniq)[0][inverse]
-    gm = math.gamma(mu)
+    gm = _gamma_of_mu(mu)
     out = np.empty((len(plans), 2))
     at = 0
     for i, (_, total, est, pieces) in enumerate(plans):
@@ -799,6 +820,9 @@ _PANEL_MAX_NODES = 513
 
 
 @lru_cache(maxsize=None)
+# past mu ~ 137, z^(mu-1) overflows near z_cut: the rows turn inf or NaN,
+# and so does the estimate, which the ACCURACY_FLOOR guard refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _mixing_panel(rho: float, mu: float, k: int, beta: float) -> _ChebLog:
     """Certified interpolant of the mixing integral over panel k.
 
@@ -816,7 +840,8 @@ def _mixing_panel(rho: float, mu: float, k: int, beta: float) -> _ChebLog:
         wc = panel.points(np.cos(np.pi * np.arange(1, n) / n))  # staggered
         fine = _mixing_integrals(rho, mu, wc, 2, beta)
         err = float(np.max(np.abs(panel(wc) - fine[:, 0])))
-        if err <= _PANEL_TOL or n >= _PANEL_MAX_NODES:
+        # a NaN error stops here too: the panel's estimate is then NaN
+        if not err > _PANEL_TOL or n >= _PANEL_MAX_NODES:
             break
         n = 2 * n - 1
     coarse = _mixing_integrals(rho, mu, wc, 1, beta)[:, 0]
@@ -919,7 +944,7 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
         terms[big] = np.array([p.coef.size for p in panels])[panel_of]
 
     worst = float(ests.max(initial=0.0))
-    if worst > ACCURACY_FLOOR:
+    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
         raise AccuracyError(
             f"mixing integral estimate {worst:.2e} exceeds {ACCURACY_FLOOR:g} "
             f"for rho={rho}, mu={mu}, beta={beta}", est_abs_error=worst)

@@ -210,6 +210,29 @@ def test_accuracy_error_maps_to_exit_three(monkeypatch):
                      "--out", "-"]) == 3
 
 
+@pytest.mark.parametrize("mu", ["170", "200"])
+def test_gml_past_the_gamma_range_exits_three_naming_mu(mu, cli_env):
+    # at mu = 170 the mixing integrand z^(mu-1) overflows and every x > 0
+    # printed nan with exit 0; at 200 Gamma(mu) itself overflows
+    r = run_cli(["eval", "gml", "--rho", "1.9", "--mu", mu, "--xmax", "30",
+                 "--points", "5", "--out", "-"], env=cli_env("1"))
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert "Traceback" not in r.stderr and f"mu={mu}.0" in r.stderr
+
+
+@pytest.mark.parametrize("function, flags", [
+    ("ml", ["--xmax", "60", "--points", "600"]),
+    ("gml", ["--mu", "4", "--xmax", "30"])])
+def test_eval_on_stdout_is_the_file(function, flags, tmp_path, capsys):
+    args = ["eval", function, "--rho", "1.9", *flags, "--out"]
+    assert cli.main(args + ["-"]) == 0
+    shown = capsys.readouterr().out
+    assert cli.main(args + [str(tmp_path / "t.csv")]) == 0
+    assert shown.encode() == (tmp_path / "t.csv").read_bytes()
+
+
 def test_truncation_maps_to_exit_four(tmp_path):
     # mu close to the admissibility boundary: the certified tail decays so
     # slowly that no history below the cap reaches the tolerance

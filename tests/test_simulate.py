@@ -825,3 +825,81 @@ def test_csv_rows_are_the_per_value_reprs(monkeypatch, tmp_path):
     ys = ml_one_values(1.9, xs)
     assert path.read_text() == "x,value\n" + "".join(
         f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys))
+
+
+def _repr_rows(first, columns):
+    """The per-value repr join the CSV writer replaced: its reference."""
+    block = np.column_stack((first, columns.T))
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+
+def _csv_property_values():
+    rng = np.random.default_rng(20240)
+    n = 1 << 19
+    # 2^20 random bit patterns: uniform ones (nearly all outside the numpy
+    # path) and ones whose exponents span 1e-7 .. 3.6e16, around it
+    patterns = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    near = (rng.integers(0, 2, n, dtype=np.int64) << 63
+            | rng.integers(1000, 1080, n, dtype=np.int64) << 52
+            | rng.integers(0, 1 << 52, n, dtype=np.int64)).view(np.float64)
+    # every decade from 1e-8 to 1e18, unrounded and with few digits (short
+    # texts, whole numbers)
+    decades = np.concatenate([
+        rng.uniform(1.0, 10.0, 1000) * 10.0**k for k in range(-8, 19)])
+    decades = np.concatenate([decades, np.round(decades, 3),
+                              np.round(decades / 1e-3) * 1e-3])
+    powers = np.concatenate([10.0 ** np.arange(-8, 19), 2.0 ** np.arange(-40, 60),
+                             [1e-6, 1e-4, 1e16]])
+    neighbours = np.concatenate(
+        [powers] + [np.nextafter(powers, d) for d in (0.0, np.inf)])
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             np.nan, np.inf, 9999999999999998.0, 0.1, 0.1 + 0.2, 1.0 / 3.0]
+    # exact ties: 32,769 of the odd m/2^17 tie at 16 digits; m/2^20 and
+    # m/2^37 tie at 17
+    m = np.arange(1, 1 << 17, 2, dtype=np.float64)
+    ties = np.concatenate([m / 2.0**17, m / 2.0**20, (m + 2.0**52) / 2.0**37])
+    signed = np.concatenate([decades, neighbours, edges, ties])
+    return np.concatenate([patterns[np.isfinite(patterns)], near,
+                           signed, -signed])
+
+
+def test_csv_text_is_the_per_value_repr():
+    x = _csv_property_values()
+    x = x[: x.size - x.size % 5]
+    # a time column and four strided path columns, written in blocks
+    first, columns = x[0::5], x.reshape(-1, 5)[:, 1:].T
+    out = io.StringIO()
+    sim.write_csv_rows(out, first, columns)
+    got, want = out.getvalue(), _repr_rows(first, columns)
+    if got != want:
+        bad = next(i for i, (a, b) in enumerate(zip(got.splitlines(),
+                                                    want.splitlines()))
+                   if a != b)
+        pytest.fail(f"row {bad}: {got.splitlines()[bad]!r} "
+                    f"!= {want.splitlines()[bad]!r}")
+    # one column, one value per block, and a table narrower than a block
+    for rows, cols in ((7, 0), (1, 1), (3, 3)):
+        block = x[: rows * (cols + 1)].reshape(rows, cols + 1)
+        out = io.StringIO()
+        sim.write_csv_rows(out, block[:, 0], block[:, 1:].T)
+        assert out.getvalue() == _repr_rows(block[:, 0], block[:, 1:].T)
+
+
+def test_wide_ensemble_is_written_in_bounded_blocks(tmp_path):
+    # 1000 paths x 2001 rows: 38 MB of text from 16 MB of values, while one
+    # block of _CSV_ROWS values holds a few MB
+    g = sim.TimeGrid(0.0, 2.0, 2000)
+    ens = sim.simulate_limit_paths(MeanKernel(1.0, MIX), g, 7, 1000)
+    path = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        ens.to_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 30 * 2**20
+    assert peak < 12 * 2**20
+    with open(path) as fh:
+        fh.readline()
+        head = [next(fh) for _ in range(3)]
+    assert "".join(head) == _repr_rows(g.times()[:3], ens.values[:, :3])

@@ -204,6 +204,23 @@ def test_g_rho_series_basics():
         g_rho_series(1.9, 4.0, -500.0)  # cancellation guard
 
 
+def test_nan_estimates_are_refused(monkeypatch):
+    # NaN > ACCURACY_FLOOR is False: both batch guards must refuse it
+    t = np.array([30.0 ** (1.0 / 1.9)])  # scale 30, served by the panels
+    with pytest.raises(AccuracyError, match="mu=170"):
+        sf._g_quadrature_many(1.9, 170.0, 1.0, t)  # z^(mu-1) overflows
+    with pytest.raises(AccuracyError, match="mu=200"):
+        sf._g_quadrature_many(1.9, 200.0, 1.0, t)  # Gamma(mu) overflows
+
+    def nan_series(rho, beta, x):
+        nan = np.full(x.shape, np.nan)
+        return nan, nan, np.ones(x.shape, dtype=int), np.zeros(x.shape, bool)
+
+    monkeypatch.setattr(sf, "_series_many", nan_series)
+    with pytest.raises(AccuracyError):
+        sf._evaluate_many(1.9, 1.0, np.array([0.5]))
+
+
 def test_g_rho_series_raises_where_terms_overflow():
     # the largest terms at |z| = 3000 overflow double precision; the value
     # comes out NaN, which must trip the guard rather than be returned
