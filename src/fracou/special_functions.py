@@ -30,9 +30,9 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   shares one sweep of the series coefficients among all its nodes.
 
 The Gamma-mixing integral H is summed by its series where that certifies
-and read elsewhere from memoized Chebyshev panels in log scale, each fit
-evaluating every distinct E_{rho,beta} argument of its scales once; at
-rho = 1 it is the closed form (1 + w)^(-nu).
+and read elsewhere from memoized Chebyshev panels in log scale; all scales
+of a panel share one quadrature rule in x = z w, which evaluates E_{rho,beta}
+once per node.  At rho = 1 it is the closed form (1 + w)^(-nu).
 """
 
 from __future__ import annotations
@@ -720,60 +720,6 @@ def _gamma_of_mu(mu: float) -> float:
                             "mixing integral cannot be certified") from None
 
 
-def _mixing_pieces(rho: float, mu: float, scale: float, refine: int, beta: float = 1.0):
-    """Quadrature plan of the mixing integral at one scale > 0.
-
-    Returns (strip value, strip and tail estimate, [(z_nodes, z_weights)]):
-    the integrand's E_{rho,beta}(-z scale) factor is left to the caller, who
-    evaluates it for many scales at once.  For 1 < rho < 2 the integrand
-    oscillates with phase sin(pi/rho) (z scale)^(1/rho), and for mu < 1 the
-    mass sits in a boundary layer z ~ 1/scale, so the plan is:
-
-    * an analytic two-term strip over z in [0, eps/max(scale, 1)];
-    * for rho > 1 and scale >= 1, panels in s = (z scale)^(1/rho), where the
-      phase is exactly linear in s, graded in log s up to s = 1 and then
-      sized to a fixed phase step each, up to the point where the
-      exp(cos(pi/rho) s) damping has killed the oscillation;
-    * log-spaced panels in z over the rest, all of it below scale 1, where
-      the phase stays below (z_cut scale)^(1/rho);
-    * nothing past z_cut = mu + 50; the estimate adds 1.3 Q(mu, z_cut),
-      the memoized 30-digit _gamma_q.
-    """
-    z_cut = mu + 50.0
-    eps_arg = 1e-4
-    z0 = min(eps_arg / max(scale, 1.0), z_cut)
-    gm = _gamma_of_mu(mu)
-    # strip: E(-w) = a - w/Gamma(rho+beta) + O(w^2) with a = 1/Gamma(beta),
-    # e^-z = 1 - z + O(z^2); a is exactly 1 for beta = 1
-    a = 1.0 / math.gamma(beta)
-    total = (a * z0**mu / mu - (scale / math.gamma(rho + beta) + a)
-             * z0 ** (mu + 1.0) / (mu + 1.0)) / gm
-    est = (z0**mu) * 2e-8 / gm
-    pieces = []
-    z_b = z0
-    if rho > 1.0 and scale >= 1.0:
-        # s_top > 1 here: z_cut >= 50 and s_damp >= 30
-        s_damp = 30.0 / abs(math.cos(math.pi / rho))
-        s_top = min(s_damp, (z_cut * scale) ** (1.0 / rho))
-        n_ph = max(4, int(math.ceil(math.sin(math.pi / rho) * (s_top - 1.0) / 1.5))
-                   * refine)
-        s_nodes, s_weights = _panel_nodes(np.concatenate([
-            np.geomspace(eps_arg ** (1.0 / rho), 1.0, 8 * refine + 1),
-            np.linspace(1.0, s_top, n_ph + 1)[1:]]))
-        pieces.append((s_nodes**rho / scale,
-                       s_weights * rho * s_nodes ** (rho - 1.0) / scale))
-        z_b = s_top**rho / scale
-    if z_b < z_cut:
-        n_log = max(24, int(6.0 * math.log(z_cut / z_b))) * refine
-        edges = np.geomspace(z_b, z_cut, n_log + 1)
-        pieces.append(_panel_nodes(edges))
-    # truncated far tail; needs |E_{rho,beta}| <= 1.3 on the half line:
-    # |E_rho| <= 1 for every rho, and E_{rho,rho} for 1 <= rho <= 2 peaks at
-    # x = 0 with 1/Gamma(rho) <= 1.129.  Other (rho, beta) must be checked.
-    est += 1.3 * _gamma_q(mu, z_cut)
-    return total, est, pieces
-
-
 @lru_cache(maxsize=None)
 def _gamma_q(mu: float, z: float) -> float:
     """Q(mu, z), the Gamma(mu, 1) mass past z: the private 30-digit
@@ -781,30 +727,80 @@ def _gamma_q(mu: float, z: float) -> float:
     return float(_mpc.gammainc(mu, z, regularized=True))
 
 
-def _mixing_integrals(rho: float, mu: float, ws, refine: int,
-                      beta: float = 1.0) -> np.ndarray:
-    """(value, est) rows of the integral over z of z^(mu-1) e^-z
-    E_{rho,beta}(-z w) / Gamma(mu) at each scale w > 0.
+class _MixingRule:
+    """One composite Gauss-Legendre rule in x = z w for every scale w of
+    mixing panel k, [8 16^k, 8 16^(k+1)), at one refinement.
 
-    The E_{rho,beta} arguments of all scales are evaluated in one call, each
-    distinct one once; values do not depend on their batch, so every row has
-    the bits of its scale integrated alone.
+    With x = z w, H(w) = int x^(mu-1) e^(-x/w) E_{rho,beta}(-x) dx
+    / (w^mu Gamma(mu)), so every scale reads the same E_{rho,beta}(-x):
+    the builder evaluates it once per node, and a scale's row is the sum of
+    its density weights exp((mu-1) log x - x/w - mu log w - lgamma mu)
+    times E (and, for its estimate, times E's certified error).  For
+    1 < rho < 2, E oscillates with phase sin(pi/rho) x^(1/rho), and for
+    mu < 1 the mass sits in a boundary layer z ~ 1/w, so the nodes are:
+
+    * an analytic two-term strip over x in [0, x0], x0 = 1e-4 min(w_lo, 1);
+    * for rho > 1, panels in s = x^(1/rho) up to s_top, where the
+      exp(cos(pi/rho) s) damping has killed the oscillation or every scale
+      is past z_cut; their edges merge a fixed phase step from s = 1 with
+      the log grid of 6 refine panels per e-fold of x that resolves the
+      density of the smallest scales;
+    * log-spaced panels in x, as many per e-fold, up to z_cut w_hi,
+      z_cut = mu + 50, so that every scale integrates at least to z_cut;
+      the estimate adds 1.3 Q(mu, z_cut), the memoized 30-digit _gamma_q.
     """
-    plans = [(float(w), *_mixing_pieces(rho, mu, float(w), refine, beta)) for w in ws]
-    args = [z * w for w, _, _, pieces in plans for z, _ in pieces]
-    uniq, inverse = np.unique(np.concatenate(args), return_inverse=True)
-    vals = _evaluate_many(rho, beta, uniq)[0][inverse]
-    gm = _gamma_of_mu(mu)
-    out = np.empty((len(plans), 2))
-    at = 0
-    for i, (_, total, est, pieces) in enumerate(plans):
-        for z_nodes, z_weights in pieces:
-            piece = vals[at:at + z_nodes.size]
-            at += z_nodes.size
-            total += float(np.sum(z_weights * z_nodes ** (mu - 1.0)
-                                  * np.exp(-z_nodes) * piece)) / gm
-        out[i] = total, est
-    return out
+
+    def __init__(self, rho: float, mu: float, k: int, refine: int, beta: float):
+        self.gm = _gamma_of_mu(mu)  # refuses mu past the double range first
+        w_lo = _PANEL_BASE * _PANEL_RATIO**k
+        z_cut = mu + 50.0
+        x_top = z_cut * w_lo * _PANEL_RATIO
+        self.x0 = x_b = 1e-4 * min(w_lo, 1.0)
+        per_efold = 6 * refine
+        parts = []
+        if rho > 1.0:
+            s_damp = 30.0 / abs(math.cos(math.pi / rho))
+            s_top = min(s_damp, x_top ** (1.0 / rho))
+            n_log = max(1, math.ceil(per_efold * math.log(s_top**rho / x_b)))
+            edges = np.geomspace(x_b ** (1.0 / rho), s_top, n_log + 1)
+            if s_top > 1.0:
+                n_ph = max(4, math.ceil(math.sin(math.pi / rho) * (s_top - 1.0) / 1.5))
+                edges = np.union1d(edges, np.linspace(1.0, s_top, n_ph * refine + 1))
+            s, q = _panel_nodes(edges)
+            parts.append((s**rho, q * rho * s ** (rho - 1.0)))
+            x_b = s_top**rho
+        if x_b < x_top:
+            n_log = max(1, math.ceil(per_efold * math.log(x_top / x_b)))
+            parts.append(_panel_nodes(np.geomspace(x_b, x_top, n_log + 1)))
+        x = np.concatenate([p[0] for p in parts])
+        self.q = np.concatenate([p[1] for p in parts])
+        self.e, self.d = _evaluate_many(rho, beta, x)[:2]
+        self.x, self.log_pow = x, (mu - 1.0) * np.log(x)  # log x^(mu-1)
+        self.mu, self.lgm = mu, math.lgamma(mu)
+        # strip: E(-x) = a - x/Gamma(rho+beta) + O(x^2) with a = 1/Gamma(beta),
+        # e^-z = 1 - z + O(z^2); a is exactly 1 for beta = 1.  Truncated far
+        # tail: needs |E_{rho,beta}| <= 1.3 on the half line: |E_rho| <= 1 for
+        # every rho, and E_{rho,rho} for 1 <= rho <= 2 peaks at x = 0 with
+        # 1/Gamma(rho) <= 1.129.  Other (rho, beta) must be checked.
+        self.a, self.gamma_rb = 1.0 / math.gamma(beta), math.gamma(rho + beta)
+        self.tail = 1.3 * _gamma_q(mu, z_cut)
+
+    def __call__(self, ws) -> np.ndarray:
+        """(value, est) rows at the scales ws, each summed over the nodes in
+        a fixed order, so a row has the same bits alone or in any batch."""
+        ws = np.asarray(ws, dtype=float)
+        mu, out = self.mu, np.empty((ws.size, 2))
+        step = max(1, (1 << 20) // self.x.size)  # weight block <= 2^20 doubles
+        for i in range(0, ws.size, step):
+            w = ws[i:i + step, None]
+            wt = self.q * np.exp(self.log_pow - self.x / w - mu * np.log(w) - self.lgm)
+            out[i:i + step, 0] = np.sum(wt * self.e, axis=1)
+            out[i:i + step, 1] = np.sum(wt * self.d, axis=1)  # wt > 0
+        z0, a = self.x0 / ws, self.a
+        out[:, 0] += (a * z0**mu / mu - (ws / self.gamma_rb + a)
+                      * z0 ** (mu + 1.0) / (mu + 1.0)) / self.gm
+        out[:, 1] += z0**mu * 2e-8 / self.gm + self.tail
+        return out
 
 
 # Panel k >= _PANEL_FLOOR of the mixing integral covers scale in
@@ -820,31 +816,27 @@ _PANEL_MAX_NODES = 513
 
 
 @lru_cache(maxsize=None)
-# past mu ~ 137, z^(mu-1) overflows near z_cut: the rows turn inf or NaN,
-# and so does the estimate, which the ACCURACY_FLOOR guard refuses
-@np.errstate(over="ignore", invalid="ignore")
 def _mixing_panel(rho: float, mu: float, k: int, beta: float) -> _ChebLog:
     """Certified interpolant of the mixing integral over panel k.
 
-    Fitted to the refine-2 panel quadrature and checked at staggered nodes.
-    The estimate adds the node quadrature's own error, 3 |refine2 - refine1|
-    plus its floor, to ten times the interpolation check error.
+    Fitted to the refine-2 _MixingRule and checked at staggered nodes.  The
+    estimate adds the rule's own error, 3 |refine2 - refine1| plus its strip,
+    tail and E terms, to ten times the interpolation check error.
     """
     lo = math.log(_PANEL_BASE) + k * math.log(_PANEL_RATIO)
     hi = lo + math.log(_PANEL_RATIO)
-
+    rule = _MixingRule(rho, mu, k, 2, beta)
     n = 17
     while True:
-        panel = _ChebLog(lambda ws: _mixing_integrals(rho, mu, ws, 2, beta)[:, 0],
-                         lo, hi, n)
+        panel = _ChebLog(lambda ws: rule(ws)[:, 0], lo, hi, n)
         wc = panel.points(np.cos(np.pi * np.arange(1, n) / n))  # staggered
-        fine = _mixing_integrals(rho, mu, wc, 2, beta)
+        fine = rule(wc)
         err = float(np.max(np.abs(panel(wc) - fine[:, 0])))
         # a NaN error stops here too: the panel's estimate is then NaN
         if not err > _PANEL_TOL or n >= _PANEL_MAX_NODES:
             break
         n = 2 * n - 1
-    coarse = _mixing_integrals(rho, mu, wc, 1, beta)[:, 0]
+    coarse = _MixingRule(rho, mu, k, 1, beta)(wc)[:, 0]
     node_err = float(np.max(3.0 * np.abs(fine[:, 0] - coarse) + fine[:, 1]))
     panel.est = 10.0 * err + node_err + 1e-12
     return panel

@@ -808,9 +808,10 @@ def test_csv_rows_are_the_per_value_reprs(monkeypatch, tmp_path):
     from fracou.special_functions import ml_one_values
 
     vals = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1 + 0.2, 1.0])
-    # a strided block, as a path ensemble's columns are, over three blocks
+    # a strided block, as a path ensemble's columns are, over three blocks:
+    # _CSV_ROWS counts values, so 12 of them make 3-row blocks of 4 columns
     columns = np.vstack([vals, -vals[::-1], vals * 3.0])[:, ::-1]
-    monkeypatch.setattr(sim, "_CSV_ROWS", 3)
+    monkeypatch.setattr(sim, "_CSV_ROWS", 12)
     out = io.StringIO()
     sim.write_csv_rows(out, vals, columns)
     want = "".join(",".join([repr(float(t))] + [repr(float(v))

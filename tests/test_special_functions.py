@@ -207,8 +207,10 @@ def test_g_rho_series_basics():
 def test_nan_estimates_are_refused(monkeypatch):
     # NaN > ACCURACY_FLOOR is False: both batch guards must refuse it
     t = np.array([30.0 ** (1.0 / 1.9)])  # scale 30, served by the panels
-    with pytest.raises(AccuracyError, match="mu=170"):
-        sf._g_quadrature_many(1.9, 170.0, 1.0, t)  # z^(mu-1) overflows
+    with pytest.raises(AccuracyError, match="mu=170") as err:
+        sf._g_quadrature_many(1.9, 170.0, 1.0, t)
+    # the density is formed from its log: an uncertified but finite estimate
+    assert np.isfinite(err.value.est_abs_error)
     with pytest.raises(AccuracyError, match="mu=200"):
         sf._g_quadrature_many(1.9, 200.0, 1.0, t)  # Gamma(mu) overflows
 
@@ -349,6 +351,21 @@ def test_mixing_estimates_hold_against_oracles(gml_oracle):
                 assert one.terms_used == sf._mixing_panel(rho, mu, k, 1.0).coef.size
 
 
+def test_panels_past_scale_128_hold_against_the_integral_oracle(gml_integral_oracle):
+    # panels 1 to 4 at 1 < rho < 2, where the series oracle needs too many terms
+    for rho, mu in ((1.9, 4.0), (1.5, 4.0)):
+        ws = np.array([200.0, 3000.0, 5e4, 8e5])
+        values, ests = _g_quadrature_many(rho, mu, 1.0, ws ** (1.0 / rho))[:2]
+        ref = np.array([gml_integral_oracle(rho, mu, w) for w in ws])
+        assert np.all(np.abs(values - ref) <= ests), (rho, mu)
+    # at mu = 0.4 the oracle's default 15 digits are themselves off by
+    # 2.7e-12, more than the panel's 2.5e-12 estimate at 8e5; 22 digits
+    # put the panel within 1.4e-14
+    w = 8e5
+    value, est = (float(a[0]) for a in _g_quadrature_many(1.9, 0.4, 1.0, [w ** (1.0 / 1.9)])[:2])
+    assert abs(value - gml_integral_oracle(1.9, 0.4, w, digits=22)) <= est
+
+
 def _same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -431,10 +448,46 @@ def test_mixing_integrals_do_not_depend_on_their_batch():
     ws = panel.points(np.concatenate([_cheb_nodes(n),
                                       np.cos(np.pi * np.arange(1, n) / n)]))
     assert ws.size == 33
+    # 513 scales, the most a fit reads, span more than one weight block
+    many = panel.points(_cheb_nodes(sf._PANEL_MAX_NODES))
     for refine in (1, 2):
-        whole = sf._mixing_integrals(rho, mu, ws, refine)
-        alone = [sf._mixing_integrals(rho, mu, [w], refine)[0] for w in ws]
+        rule = sf._MixingRule(rho, mu, 2, refine, 1.0)
+        assert many.size * rule.x.size > 1 << 20
+        whole = rule(ws)
+        alone = [rule([w])[0] for w in ws]
         assert _same_bits(whole, alone), refine
+        rows = rule(many)
+        assert all(_same_bits(rows[i], rule(many[i:i + 1])[0]) for i in (0, 300, 512))
+
+
+def test_a_panel_build_evaluates_e_once_per_refinement(monkeypatch):
+    # panel 0 at (1.9, 4) doubles its Chebyshev order from 17 to 33, and
+    # every fit, check and coarse row reads the two rules' node values
+    calls = []
+    evaluate = sf._evaluate_many
+    monkeypatch.setattr(sf, "_evaluate_many",
+                        lambda *a: calls.append(a) or evaluate(*a))
+    sf._mixing_panel.cache_clear()
+    try:
+        assert sf._mixing_panel(1.9, 4.0, 0, 1.0).coef.size == 33
+    finally:
+        sf._mixing_panel.cache_clear()
+    assert len(calls) <= 2
+
+
+def test_panel_estimate_carries_the_error_of_e(monkeypatch):
+    evaluate = sf._evaluate_many
+
+    def loose(rho, beta, x):
+        values, ests, methods, terms = evaluate(rho, beta, x)
+        return values, np.maximum(ests, 1e-9), methods, terms
+
+    monkeypatch.setattr(sf, "_evaluate_many", loose)
+    sf._mixing_panel.cache_clear()
+    try:
+        assert sf._mixing_panel(1.9, 4.0, 2, 1.0).est >= 5e-10
+    finally:
+        sf._mixing_panel.cache_clear()
 
 
 def test_panel_integrator():
