@@ -33,6 +33,8 @@ EXIT_ACCURACY = 3
 EXIT_TRUNCATION = 4
 EXIT_FAIL = 5
 EXIT_INCONCLUSIVE = 6
+# highest --moments order: bounds the run time and output of one mixing call
+MAX_MOMENTS = 10_000
 
 
 def _emit(path: str, body: str) -> None:
@@ -72,8 +74,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mixing(args) -> int:
-    if args.moments < 0:
-        raise DomainError(f"--moments must be >= 0, got {args.moments}")
+    if not 0 <= args.moments <= MAX_MOMENTS:
+        raise DomainError(f"--moments must be in [0, {MAX_MOMENTS}], "
+                          f"got {args.moments}")
     params = GammaMixing(args.mu, args.lam)
     out = {
         "mu": args.mu,

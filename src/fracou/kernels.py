@@ -20,13 +20,13 @@ cached.  They are not exact suprema, only stable empirical ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, TruncationError
 from .mixing import GammaMixing, check_condition
 from .special_functions import (
     _EPS,
@@ -407,28 +407,21 @@ def tail_variance_bound(mk: MeanKernel, T: float) -> float:
     return m * m * (t0 - T) + _tail_bound_from(mk, t0)
 
 
-# certified tails from the kernel's own values: cells of width _TAIL_H from
-# _TAIL_T0 on, so every multiple of T/64 a depth search probes is a cell edge
-_TAIL_T0 = 0.5
-_TAIL_H = 2.0**-9
-# rates x cells of one tail table (8 B of it kept per cell); a kernel whose
-# table would be larger is bounded by its envelope alone
-_TAIL_CELLS = 8 * _TABLE_CELLS
-_TAIL_T_MAX = 1e7
-# (rho, rates) tables are keyed on data, not on a few model parameters: only
-# the most recently used few are kept
-_TAIL_RATE_TABLES = 4
+# the depth search runs from _TAIL_T0 to _TAIL_T_MAX; integrals of K^2 over
+# [0, T] are taken to rtol _HEAD_RTOL; Re Q of _gram, and a sum of such, is
+# within _GRAM_ULPS eps of its |Q|
+_TAIL_T0, _TAIL_T_MAX, _HEAD_RTOL, _GRAM_ULPS = 0.5, 1e7, 1e-10, 64.0
 
 
-def _shortest_depth(bound, tol: float, t_max: float = _TAIL_T_MAX):
+def _shortest_depth(bound, tol: float):
     """Shortest T, to T/64, with bound(T) < tol, for a bound that does not
     grow with T: doubling from _TAIL_T0 brackets it in (T/2, T], then
-    bisection runs over the multiples of T/64.  None when no T up to t_max
-    qualifies."""
+    bisection runs over the multiples of T/64.  None when no T up to
+    _TAIL_T_MAX qualifies."""
     T, lo, hi = _TAIL_T0, 64, 64  # in units of T/64
     while not bound(T) < tol:
         T, lo = 2.0 * T, 32
-        if T > t_max:
+        if T > _TAIL_T_MAX:
             return None
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -436,105 +429,128 @@ def _shortest_depth(bound, tol: float, t_max: float = _TAIL_T_MAX):
     return hi * T / 64
 
 
-@dataclass(frozen=True)
-class _TailRow:
-    key: object  # memo key of the kernel; the only field compared and hashed
-    rho: float = field(compare=False)
-    width: int = field(compare=False)  # rates per lag
-    row: Callable = field(compare=False)  # lags -> kernel values
-    envelope: Callable = field(compare=False)  # T -> envelope tail of K^2 past T
+def _gram(rho: float, a, b) -> np.ndarray:
+    """Q with Re Q = <s_a, s_b> in L2(0, inf), elementwise over rates > 0.
+    By Plancherel, with theta = pi rho/2, e = 1 - 1/rho, L1 = log a - i theta
+    and L2 = log b + i theta, Q = (e^(e L2) - e^(e L1)) /
+    (rho sin(pi e) (e^L2 - e^L1)) on 1/2 < rho < 2.  The numerator is taken
+    as e^(e L1) expm1(e log(b/a) + i pi (rho - 1)), whose ratio to sin(pi e)
+    is (L2 - L1)/pi at rho = 1."""
+    d, half = rho - 1.0, 0.5 * math.pi * (2.0 - rho)  # half = pi - theta
+    den = (a - b) * math.cos(half) + 1j * (a + b) * math.sin(half)
+    ell = np.log(b / a)
+    if not d:
+        return (ell + 1j * math.pi) / (math.pi * den)
+    e, y = d / rho, math.pi * d
+    em = np.expm1(e * ell)  # expm1(e ell + i y) from the real expm1
+    num = em * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2 + 1j * (em + 1.0) * math.sin(y)
+    return a**e * np.exp(-0.5j * y) * num / (rho * math.sin(math.pi * e) * den)
 
 
-def _tail_row(kernel) -> _TailRow:
-    """The row of a MeanKernel's G or the f_n row of a (rho, rates) pair.
+@lru_cache(maxsize=None)
+def _mean_norm(mk: MeanKernel):
+    """(sigma^2 = ||G||^2, its error bound).  With g(r) = Re _gram(rho, 1, r),
+    s_a(t) = s_1(a^(1/rho) t) and g(1/r) = r^(1/rho) g(r), integrating two
+    Gamma(mu, lam) rates out along rays b = r a gives
+    sigma^2 = 2 lam^(1/rho) Gamma(2 mu - 1/rho)/Gamma(mu)^2
+    int_0^1 g(r) r^(mu-1) (1 + r)^(1/rho - 2 mu) dr, taken in v = r^p,
+    p = min(mu + min(1 - 1/rho, 0), 1), where the integrand is bounded.  Its
+    weight is exp(x), |x| <= u + (mu/p - 1) |log v| with
+    u = |lgamma(2 mu - 1/rho)| + 2 |lgamma(mu)| + 2 mu, so rounding puts a
+    value within (_GRAM_ULPS + |x|) eps of |Q| times the weight.  _integrate
+    runs at rtol 16 (_GRAM_ULPS + u) eps; the error bound is twice a coarse
+    integral of |Q| times the weight times (rtol + that rounding)."""
+    rho, mu, lam = mk.rho, mk.mixing.mu, mk.mixing.lam
+    p, top = min(mu + min(1.0 - 1.0 / rho, 0.0), 1.0), 2.0 * mu - 1.0 / rho
+    ulps = _GRAM_ULPS + abs(math.lgamma(top)) + 2.0 * abs(math.lgamma(mu)) + 2.0 * mu
+    c, rtol = math.lgamma(top) - 2.0 * math.lgamma(mu), 16.0 * ulps * _EPS
 
-    |s_alpha(t)| <= M/(1 + alpha t^rho) bounds |f_n(t)| by M t^-rho times the
-    mean of 1/alpha, whose square integrates in closed form.
-    """
-    if isinstance(kernel, MeanKernel):
-        return _TailRow(kernel, kernel.rho, 1,
-                        lambda u: mean_kernel_values(kernel, u),
-                        lambda T: tail_variance_bound(kernel, T))
-    rho, alphas = kernel
-    rho, alphas = float(FractionalOrder(rho)), np.asarray(alphas, dtype=float)
-    c, p = bound_m(rho) * float(np.mean(1.0 / alphas)), 2.0 * rho - 1.0
-    return _TailRow((rho, alphas.tobytes()), rho, alphas.size,
-                    lambda u: empirical_kernel_values(alphas, rho, u),
-                    lambda T: c * c * T ** (-p) / p)
+    def ray(v, bound=False):
+        lv = np.log(v)
+        r = np.exp(lv / p)
+        q = _gram(rho, 1.0, r) * np.exp(c + (mu / p - 1.0) * lv - top * np.log1p(r))
+        if bound:
+            return np.abs(q) * (rtol + (ulps + (mu / p - 1.0) * np.abs(lv)) * _EPS)
+        return q.real
 
-
-def _tail_table(kr: _TailRow, tol: float) -> np.ndarray:
-    """Entry i bounds the tail integral of K^2 past _TAIL_T0 + i _TAIL_H.
-
-    The cells of [_TAIL_T0, T_far) each hold at most
-    h (max(|K(u_i)|, |K(u_i+1)|) + ACCURACY_FLOOR + h M3/u_i)^2, since |K|
-    is within ACCURACY_FLOOR of its computed values and |K'(t)| <= M3/t: every
-    s_alpha' is alpha^(1/rho) s_1'(alpha^(1/rho) t), bounded by
-    M3 alpha^(1/rho)/(1 + alpha^(1/rho) t) <= M3/t, and G' and f_n' are means
-    of them.  Past T_far, the first point where the envelope is below
-    tol/10, the envelope bounds the rest.  Empty when M3 is undefined
-    (rho outside [1, 2)) or the table would exceed _TAIL_CELLS.
-    """
-    t_far = (_shortest_depth(kr.envelope, tol / 10.0)
-             if 1.0 <= kr.rho < 2.0 else None)
-    n = 0 if t_far is None else int(round((t_far - _TAIL_T0) / _TAIL_H))
-    table = np.empty(n if n * kr.width <= _TAIL_CELLS else 0)
-    if table.size:
-        m3 = bound_m3(kr.rho)
-        step = max(1, _TABLE_CELLS // kr.width)
-        for a in range(0, n, step):
-            u = _TAIL_T0 + np.arange(a, min(a + step, n) + 1) * _TAIL_H
-            k = np.abs(kr.row(u))
-            k = np.maximum(k[:-1], k[1:]) + ACCURACY_FLOOR + _TAIL_H * m3 / u[:-1]
-            table[a : a + k.size] = _TAIL_H * k * k
-        np.cumsum(table[::-1], out=table[::-1])
-        # a sum of n nonnegative terms rounds low by at most n eps of itself
-        table *= 1.0 + n * _EPS
-        table += kr.envelope(t_far)
-    return table
+    scale = 2.0 * lam ** (1.0 / rho) / p
+    return (scale * _integrate(ray, 0.0, 1.0, rtol),
+            2.0 * scale * _integrate(partial(ray, bound=True), 0.0, 1.0, 1e-3))
 
 
-_mean_tail_table = lru_cache(maxsize=None)(_tail_table)
-_rate_tail_table = lru_cache(maxsize=_TAIL_RATE_TABLES)(_tail_table)
+def _l2_norm(kernel):
+    """(||K||^2, its error bound) for G of a MeanKernel, or the f_n of a
+    (rho, rates) pair: n^-2 sum_k sum_l Re _gram(rho, a_k, a_l) in blocks of
+    _TABLE_CELLS pairs.  DomainError unless 1/2 < rho < 2 and mu > 1/(2 rho)
+    or all rates > 0: elsewhere the norm is infinite or the forms fail."""
+    mean = isinstance(kernel, MeanKernel)
+    rho = kernel.rho if mean else float(FractionalOrder(kernel[0]))
+    alphas = None if mean else _rates(kernel[1])
+    if not (0.5 < rho < 2.0 and (check_condition(kernel.mixing, rho) if mean
+                                 else alphas.min() > 0.0)):
+        raise DomainError(f"||K||^2 needs 1/2 < rho < 2 and mu > 1/(2 rho) "
+                          f"or rates > 0; got {kernel}")
+    if mean:
+        return _mean_norm(kernel)
+    n, step = alphas.size, max(1, _TABLE_CELLS // alphas.size)
+    blocks = (_gram(rho, alphas[a : a + step, None], alphas) for a in range(0, n, step))
+    total, mods = np.sum([(np.sum(q.real), np.sum(np.abs(q))) for q in blocks], axis=0)
+    return float(total) / n**2, _GRAM_ULPS * _EPS * float(mods) / n**2
+
+
+def _head_piece(kernel, a: float, b: float) -> float:
+    """Integral over [a, b] of L^2, L = max(|K| - d, 0) of the computed K and
+    its certified error d (G's own estimate; ACCURACY_FLOOR for f_n)."""
+    def lower(u):
+        if isinstance(kernel, MeanKernel):
+            mix = kernel.mixing
+            k, d = _g_quadrature_many(kernel.rho, mix.mu, mix.lam, u)[:2]
+        else:
+            k, d = empirical_kernel_values(kernel[1], kernel[0], u), ACCURACY_FLOOR
+        return np.maximum(np.abs(k) - d, 0.0)
+
+    return _square_integral(lower, a, b, _HEAD_RTOL)
+
+
+_mean_piece = lru_cache(maxsize=None)(_head_piece)
 
 
 def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     """T -> an upper bound for the tail integral of K(u)^2 over [T, inf), K
-    being G of a MeanKernel or f_n of a (rho, rates) pair: the smaller of
-    the cell sum of _tail_table, read at the last cell edge at or below T,
-    and the envelope.
-
-    The table is memoized per (kernel, tol); of the (rho, rates) tables only
-    the _TAIL_RATE_TABLES most recently used are kept.
-    """
-    kr = _tail_row(kernel)
-    memo = _mean_tail_table if isinstance(kernel, MeanKernel) else _rate_tail_table
-    table = memo(kr, tol)
+    being G of a MeanKernel or f_n of a (rho, rates) pair, by subtraction:
+    tail(T) = (||K||^2 + e) - I(T) (1 - r).  Its terms:
+    * ||K||^2, _l2_norm's closed form, and e, the bound on its error;
+    * I(T), the integral over [0, T] of L^2 <= K^2, L being each computed
+      value of |K| less its certified error (_head_piece);
+    * r = _HEAD_RTOL, the error of I(T) relative to I(T) by _integrate's
+      two-pass rule, the rule variance_integral rests on.
+    I(T) is summed over [0, _TAIL_T0], the octaves past it below T and the
+    rest, each piece integrated once per callable, or once per MeanKernel.
+    TruncationError at once when e + r (||K||^2 + e) alone reaches tol."""
+    norm, err = _l2_norm(kernel)
+    if not err + _HEAD_RTOL * (norm + err) < tol:
+        raise TruncationError(f"the allowances of ||K||^2 = {norm:g} alone "
+                              f"reach tol={tol}")
+    piece = (partial(_mean_piece, kernel) if isinstance(kernel, MeanKernel)
+             else lru_cache(maxsize=None)(partial(_head_piece, kernel)))
 
     def tail(T: float) -> float:
-        envelope = kr.envelope(T)
-        i = math.floor((T - _TAIL_T0) / _TAIL_H)
-        return min(float(table[i]), envelope) if 0 <= i < table.size else envelope
+        k = math.frexp(T / _TAIL_T0)[1] if T >= _TAIL_T0 else 0
+        edges = [0.0, *(math.ldexp(_TAIL_T0, j) for j in range(k)), T]
+        head = math.fsum(piece(a, b) for a, b in zip(edges, edges[1:]) if a < b)
+        return norm + err - head * (1.0 - _HEAD_RTOL)
 
     return tail
 
 
 def stationary_variance(mk: MeanKernel, tol: float) -> float:
-    """Limit variance sigma^2 = integral of G^2 over the whole half line.
-
-    Brackets [sigma_T^2, sigma_T^2 + tail(T)] at the shortest depth T (to
-    T/64, up to 1e9) whose certified tail, the one simulated histories are
-    truncated by, is below tol; the returned midpoint is within tol/2 of the
-    truth.
-    """
+    """Limit variance sigma^2 = ||G||^2, the integral of G^2 over the whole
+    half line, by _mean_norm; AccuracyError when its error bound exceeds
+    tol/2."""
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    if not check_condition(mk.mixing, mk.rho):
-        raise DomainError(
-            f"stationary variance needs mu > 1/(2 rho); "
-            f"mu={mk.mixing.mu}, rho={mk.rho}")
-    tail = _tail_bound(mk, tol)
-    T = _shortest_depth(tail, tol, 1e9)
-    if T is None:
-        raise AccuracyError(f"tail bound does not reach tol={tol} below T=1e9")
-    return variance_integral(mk, T) + 0.5 * tail(T)
+    sigma2, err = _l2_norm(mk)
+    if err > 0.5 * tol:
+        raise AccuracyError(f"sigma^2 is certified to {err:.3g}, not to "
+                            f"tol/2 = {0.5 * tol:g}", est_abs_error=err)
+    return sigma2

@@ -35,11 +35,9 @@ from .kernels import (
     _rates,
     _shortest_depth,
     _tail_bound,
-    _tail_row,
     empirical_kernel_values,
     mean_kernel_values,
 )
-from .mixing import check_condition
 from .special_functions import FractionalOrder, ml_one_values
 
 __all__ = [
@@ -700,11 +698,10 @@ def _certified_history(kernel, grid: TimeGrid, tol: float) -> float:
 
     kernel is a MeanKernel (the tail of G) or a (rho, rates) pair (the tail
     of their f_n row; a single rate gives its s_alpha row).  The tail bound
-    is kernels._tail_bound: a cell sum of the kernel's own values, with
-    its derivative envelope M3/t, out to where the global envelope M/(1+x)
-    takes over, and never above that envelope.  The depth depends on the
-    kernel and tol only; callers round it up to whole cells of grid, and a
-    kernel row over more than _DRIVER_CELLS lags is refused here.
+    is kernels._tail_bound, the exact squared L2 norm less the integral of
+    K^2 up to the depth.  The depth depends on the kernel and tol only;
+    callers round it up to whole cells of grid, and a kernel row over more
+    than _DRIVER_CELLS lags is refused here.
     """
     depth = _shortest_depth(_tail_bound(kernel, tol), tol)
     if depth is None:
@@ -726,8 +723,9 @@ def simulate_stationary_paths(kernel, grid: TimeGrid, seed: int, tol: float,
     independent replications) or a 1-d array of rates (one path per rate on
     a single shared driver; requires rho, and n_paths must be 1).  History
     is truncated where the certified tail of G, or of the slowest rate's
-    s_alpha, drops below tol (see _certified_history); meta records the
-    depth as t_trunc and the tail bound there as tail_bound.  The history is
+    s_alpha, drops below tol: its exact squared L2 norm less its integral
+    up to the depth (see _certified_history); meta records the depth as
+    t_trunc and the tail bound there as tail_bound.  The history is
     drawn on coarse dyadic cells (_history_layout) and meta records the
     variance they lose against fine cells, at most, as disc_var_bound.  A
     table of rates x lags over 16 _DRIVER_CELLS cells raises TruncationError
@@ -758,13 +756,11 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
         raise DomainError("tol must be positive")
     alphas, meta = None, {}
     if isinstance(kernel, MeanKernel):
+        # mu <= 1/(2 rho), where G^2 has no integral, is refused by the
+        # certificate before anything is built
         rho = _require_simulatable(kernel.rho, grid)
-        if not check_condition(kernel.mixing, rho):
-            raise DomainError(
-                "stationary aggregate needs mu > 1/(2 rho); "
-                f"mu={kernel.mixing.mu}, rho={rho}")
         certified, process = kernel, "eta"
-        rows = _tail_row(kernel).row
+        rows = partial(mean_kernel_values, kernel)
         meta = {"mu": kernel.mixing.mu, "lam": kernel.mixing.lam}
     else:
         alphas = _rates(kernel)
@@ -775,7 +771,7 @@ def _stationary(kernel, grid: TimeGrid, seed: int, tol: float, rho,
         rho = _require_simulatable(rho, grid)
         if mean:
             certified = (rho, alphas)
-            rows = _tail_row(certified).row
+            rows = partial(empirical_kernel_values, alphas, rho)
             process, alphas = "xi_mean", None
         else:
             if n_paths != 1:

@@ -198,6 +198,28 @@ def resolvent_l2_oracle():
     return oracle_resolvent_l2
 
 
+def oracle_resolvent_gram(rho: float, a: float, b: float,
+                          digits: int = 30) -> float:
+    """<s_a, s_b> = (1/pi) int_0^inf Re[s_a^(i w) conj(s_b^(i w))] dw, with
+    s_a^(s) = s^(rho-1)/(s^rho + a), split where each transform peaks."""
+    r = mp.mpf(rho)
+    with mp.workdps(digits + 5):
+        def hat(s, c):
+            return s ** (r - 1) / (s**r + c)
+
+        def f(w):
+            s = mp.mpc(0, w)
+            return mp.re(hat(s, a) * mp.conj(hat(s, b)))
+
+        cuts = sorted({mp.mpf(a) ** (1 / r), mp.mpf(b) ** (1 / r), 1, 10})
+        return float(mp.quad(f, [0, *cuts, mp.inf]) / mp.pi)
+
+
+@pytest.fixture(scope="session")
+def resolvent_gram_oracle():
+    return oracle_resolvent_gram
+
+
 def oracle_stationary_variance(rho: float, mu: float, lam: float,
                                digits: int = 15) -> float:
     """sigma^2 = ||G||^2 for the mean kernel of a Gamma(mu, rate lam) law,

@@ -91,6 +91,19 @@ def test_simulate_stationary_sidecar_records_truncation(tmp_path):
     assert side["meta"]["config"]["tail_bound"] < 1e-4
 
 
+def test_long_memory_stationary_line_runs(tmp_path):
+    # mu = 0.6: the tail of G^2 past T decays like T^(-1.28), and the exact
+    # norm certifies a depth of 23.5
+    out = tmp_path / "eta.csv"
+    assert cli.main(["simulate", "--process", "stationary", "--rho", "1.9",
+                     "--mu", "0.6", "--lambda", "1", "--T", "2", "--steps",
+                     "200", "--paths", "2", "--tol", "1e-3", "--seed", "7",
+                     "--out", str(out)]) == 0
+    config = json.loads((tmp_path / "eta.json").read_text())["meta"]["config"]
+    assert 0.0 < config["t_trunc"] <= 24.0
+    assert config["tail_bound"] < 1e-3
+
+
 def test_simulate_component_and_xi(tmp_path):
     for proc, paths in (("component", "1"), ("xi", "1"), ("empirical", "2")):
         out = tmp_path / f"{proc}.csv"
@@ -364,6 +377,17 @@ def test_moment_past_the_double_range_exits_two_naming_it(capsys, args,
     assert cli.main(["mixing", "--mu", "4", *args, "--out", "-"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid parameters") and f"alpha^{order}]" in err
+
+
+def test_moment_count_past_the_cap_exits_two(tmp_path, capsys):
+    # uncapped, this count would loop for hours writing zeros
+    assert cli.main(["mixing", "--mu", "4", "--lambda", "1e300", "--moments",
+                     "2000000000", "--out", "-"]) == 2
+    assert "--moments" in capsys.readouterr().err
+    out = tmp_path / "m.json"
+    assert cli.main(["mixing", "--mu", "4", "--lambda", "1e300", "--moments",
+                     str(cli.MAX_MOMENTS), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["moments_int"]) == cli.MAX_MOMENTS + 1
 
 
 def test_only_divergent_fractional_moments_are_null(capsys):

@@ -9,7 +9,7 @@ from scipy import integrate
 from fracou import kernels as kn
 from fracou import simulate as sim
 from fracou import special_functions as sf
-from fracou.errors import DomainError
+from fracou.errors import DomainError, TruncationError
 from fracou.kernels import (
     MeanKernel,
     ResolventKernel,
@@ -327,6 +327,88 @@ def test_stationary_variance_is_the_plancherel_integral(
     # oracle integrates G's Laplace transform over the imaginary axis
     v = stationary_variance(MeanKernel(rho, GammaMixing(mu, 1.0)), tol)
     assert abs(v - stationary_variance_oracle(rho, mu, 1.0)) <= tol / 2
+
+
+@pytest.mark.parametrize("rho, mu, lam", [(1.2, 0.6, 2.0), (0.8, 1.0, 1.0)])
+def test_stationary_variance_is_the_25_digit_plancherel_integral(
+        rho, mu, lam, stationary_variance_oracle):
+    # the 15-digit oracle is 1.6e-10 and 2.3e-12 off here; at (0.8, 1) the
+    # Gram product grows like r^(1 - 1/rho) as r -> 0
+    v = stationary_variance(MeanKernel(rho, GammaMixing(mu, lam)), 1e-9)
+    assert abs(v - stationary_variance_oracle(rho, mu, lam, 25)) <= 5e-10
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.0 + 1e-7, 1.05, 1.5, 1.9, 1.98])
+def test_gram_diagonal_is_the_l2_norm(rho):
+    for a in (0.1, 1.0, 7.0):
+        q = complex(kn._gram(rho, a, a))
+        assert q.real == pytest.approx(
+            resolvent_l2_norm(ResolventKernel(a, rho)), rel=1e-14)
+
+
+@pytest.mark.parametrize("rho", [0.8, 1.2, 1.5, 1.9])
+def test_gram_is_the_plancherel_inner_product(rho, resolvent_gram_oracle):
+    for a, b in ((1.0, 1.0 + 1e-7), (0.5, 2.0), (0.1, 3.0)):
+        q = complex(kn._gram(rho, a, b))
+        assert abs(q.real - resolvent_gram_oracle(rho, a, b)) \
+            <= kn._GRAM_ULPS * EPS * abs(q), (a, b)
+        # symmetric in the rates
+        assert complex(kn._gram(rho, b, a)).real == pytest.approx(q.real,
+                                                                  rel=1e-14)
+
+
+@pytest.mark.parametrize("rates", [[0.7], [0.3, 2.0],
+                                   np.geomspace(0.1, 10.0, 7).tolist()])
+def test_rates_tail_covers_the_exact_tail_at_rho_one(rates):
+    # at rho = 1, s_a(t) = e^(-a t), so the tail of f_n^2 past T is
+    # n^-2 sum_k sum_l e^(-(a_k + a_l) T)/(a_k + a_l)
+    rates = np.array(rates)
+    pair = rates[:, None] + rates[None, :]
+    tol = 1e-6
+    tail = kn._tail_bound((1.0, rates), tol)
+    for T in (0.5, 0.890625, 4.0, 37.5):
+        exact = float(np.sum(np.exp(-pair * T) / pair)) / rates.size**2
+        assert exact <= tail(T) <= exact + tol, T
+
+
+def test_head_integral_keeps_only_what_the_values_certify(monkeypatch):
+    # errors that cover every |K| <= 1 leave no head certified: the bound is
+    # the norm and its error at every depth
+    quad = kn._g_quadrature_many
+
+    def covered(*args):
+        values, ests, *rest = quad(*args)
+        return (values, ests + 1.0, *rest)
+
+    mk = MeanKernel(1.0, GammaMixing(4.0, 3.0))
+    kn._mean_piece.cache_clear()
+    monkeypatch.setattr(kn, "_g_quadrature_many", covered)
+    monkeypatch.setattr(kn, "ACCURACY_FLOOR", 1.0)
+    try:
+        for kernel in (mk, (1.0, np.array([0.7, 2.0]))):
+            norm, err = kn._l2_norm(kernel)
+            assert kn._tail_bound(kernel, 1e-3)(4.0) == norm + err
+    finally:
+        kn._mean_piece.cache_clear()
+
+
+def test_tail_allowances_past_tol_refuse_before_any_head_integral(monkeypatch):
+    def no_integral(*args):
+        raise AssertionError("no head integral once the allowances reach tol")
+
+    monkeypatch.setattr(kn, "_square_integral", no_integral)
+    for kernel in (MK19, (1.9, np.array([1.0, 3.0]))):
+        with pytest.raises(TruncationError):
+            kn._tail_bound(kernel, 1e-12)
+
+
+def test_norms_are_refused_where_they_diverge_or_the_forms_fail():
+    # rho = 2: s_1 = cos(t); rho <= 1/2: the Gram form does not apply
+    for rho in (0.5, 0.4, 2.0):
+        with pytest.raises(DomainError):
+            kn._tail_bound((rho, np.array([1.0])), 1e-3)
+        with pytest.raises(DomainError):
+            stationary_variance(MeanKernel(rho, GammaMixing(4.0, 1.0)), 1e-3)
 
 
 def test_bound_constants():

@@ -426,21 +426,6 @@ def test_component_rates_take_one_path_each(n_paths):
                                       rho=1.9, n_paths=n_paths)
 
 
-def test_fresh_rates_keep_few_tail_tables():
-    # tables keyed on drawn rates are dropped least recently used first; only
-    # MeanKernel tables, keyed on model parameters, are all kept
-    assert kn._mean_tail_table.cache_info().maxsize is None
-    g = sim.TimeGrid(0.0, 0.5, 25)
-    for k in range(3 * kn._TAIL_RATE_TABLES):
-        sim.simulate_stationary_paths(np.array([1.0 + 0.01 * k]), g, 5, 1e-2,
-                                      rho=1.9)
-        assert kn._rate_tail_table.cache_info().currsize <= kn._TAIL_RATE_TABLES
-    # the newest table is kept: asking for it again is a hit
-    hits = kn._rate_tail_table.cache_info().hits
-    kn._tail_bound((1.9, np.array([1.0 + 0.01 * k])), 1e-2)
-    assert kn._rate_tail_table.cache_info().hits == hits + 1
-
-
 def test_empirical_stationary_mean_converges():
     g = sim.TimeGrid(0.0, 1.0, 50)
     alphas = sample_alphas(MIX, 100, 8)
@@ -482,8 +467,8 @@ def test_stationary_mean_paths_are_means_of_component_paths(monkeypatch):
 
 
 def test_truncation_error_raised():
-    # the envelope reaches tol/10 nowhere below T = 1e7, so no cell table
-    # is built: the search fails within 16 MB, the largest table's size
+    # the head integral's allowance alone exceeds tol = 1e-12, so the search
+    # is refused before it builds anything: within 16 MB
     g = sim.TimeGrid(0.0, 1.0, 10)
     mk = MeanKernel(1.9, GammaMixing(0.6, 1.0))
     tracemalloc.start()
@@ -493,7 +478,7 @@ def test_truncation_error_raised():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < kn._TAIL_CELLS * 8 <= 16 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_csv_and_sidecar_roundtrip(tmp_path):
