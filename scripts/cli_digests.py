@@ -23,8 +23,9 @@ from fracou.cli import main as cli_main
 SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
        "--seed", "7"]
 
-# the README lines, the eval table on standard output, and the three
-# simulate processes the README does not show
+# the README lines, the eval table on standard output, the three simulate
+# processes the README does not show, and the two checks that read a
+# certified history, at a small --mc
 LINES = {
     "eval ml": ["eval", "ml", "--rho", "1.9", "--xmax", "60", "--points",
                 "600", "--out", "ml.csv"],
@@ -49,6 +50,12 @@ LINES = {
     "diagnose l2sup": ["diagnose", "l2sup", "--rho", "1.9", "--mu", "4",
                        "--lambda", "1", "--n", "10,100,1000", "--mc", "2000",
                        "--seed", "1", "--out", "report.json"],
+    "diagnose stationarity": ["diagnose", "stationarity", "--rho", "1.9",
+                              "--mu", "4", "--lambda", "1", "--mc", "200",
+                              "--seed", "1", "--out", "report.json"],
+    "diagnose cauchy": ["diagnose", "cauchy", "--rho", "1.9", "--mu", "4",
+                        "--lambda", "1", "--mc", "200", "--seed", "1",
+                        "--out", "report.json"],
 }
 
 

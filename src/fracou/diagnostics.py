@@ -477,10 +477,12 @@ def check_mixing_condition_remark(mu, lam, rho) -> ConvergenceReport:
 
     # decade-by-decade mass of the moment integrand near 0, in v = log x: the
     # integral is finite exactly when the per-decade contributions decay
-    # geometrically
+    # geometrically; the density is formed from its log, so that no Gamma(mu)
+    # or power of lam overflows
+    log_c = mu * math.log(lam) - math.lgamma(mu)
+
     def density_power(v):
-        x = np.exp(v)
-        return lam**mu * x ** (mu + p) * np.exp(-lam * x) / math.gamma(mu)
+        return np.exp(log_c + (mu + p) * v - lam * np.exp(v))
 
     def decade(k):
         return _integrate(density_power, math.log(10.0 ** (-k - 1) / lam),

@@ -411,6 +411,8 @@ def tail_variance_bound(mk: MeanKernel, T: float) -> float:
 # [0, T] are taken to rtol _HEAD_RTOL; Re Q of _gram, and a sum of such, is
 # within _GRAM_ULPS eps of its |Q|
 _TAIL_T0, _TAIL_T_MAX, _HEAD_RTOL, _GRAM_ULPS = 0.5, 1e7, 1e-10, 64.0
+# past this e ell, _gram forms its numerator from e^(e ell + lw)
+_GRAM_EXP = 512.0
 
 
 def _shortest_depth(bound, tol: float):
@@ -429,22 +431,31 @@ def _shortest_depth(bound, tol: float):
     return hi * T / 64
 
 
-def _gram(rho: float, a, b) -> np.ndarray:
-    """Q with Re Q = <s_a, s_b> in L2(0, inf), elementwise over rates > 0.
-    By Plancherel, with theta = pi rho/2, e = 1 - 1/rho, L1 = log a - i theta
-    and L2 = log b + i theta, Q = (e^(e L2) - e^(e L1)) /
+def _gram(rho: float, a, b, ell=None, lw=0.0) -> np.ndarray:
+    """Q e^lw with Re Q = <s_a, s_b> in L2(0, inf), elementwise over rates
+    > 0.  By Plancherel, with theta = pi rho/2, e = 1 - 1/rho,
+    L1 = log a - i theta and L2 = log b + i theta, Q = (e^(e L2) - e^(e L1)) /
     (rho sin(pi e) (e^L2 - e^L1)) on 1/2 < rho < 2.  The numerator is taken
-    as e^(e L1) expm1(e log(b/a) + i pi (rho - 1)), whose ratio to sin(pi e)
-    is (L2 - L1)/pi at rho = 1."""
+    as e^(e L1) expm1(e ell + i pi (rho - 1)), ell = log(b/a), whose ratio to
+    sin(pi e) is (L2 - L1)/pi at rho = 1.  A caller may pass ell itself, so
+    that b may underflow, and a log weight lw, which enters the exponentials:
+    past e ell = _GRAM_EXP the numerator is formed from e^(e ell + lw)."""
     d, half = rho - 1.0, 0.5 * math.pi * (2.0 - rho)  # half = pi - theta
     den = (a - b) * math.cos(half) + 1j * (a + b) * math.sin(half)
-    ell = np.log(b / a)
+    ell = np.log(b / a) if ell is None else ell
+    w = np.exp(lw)
     if not d:
-        return (ell + 1j * math.pi) / (math.pi * den)
+        return (ell + 1j * math.pi) * w / (math.pi * den)
     e, y = d / rho, math.pi * d
-    em = np.expm1(e * ell)  # expm1(e ell + i y) from the real expm1
-    num = em * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2 + 1j * (em + 1.0) * math.sin(y)
-    return a**e * np.exp(-0.5j * y) * num / (rho * math.sin(math.pi * e) * den)
+    # expm1(e ell + i y) e^lw from the real expm1, or past _GRAM_EXP, where
+    # that overflows, from e^(e ell + lw)
+    far = e * ell > _GRAM_EXP
+    em = np.expm1(np.where(far, 0.0, e * ell))
+    top = np.where(far, np.exp(e * ell + lw), (em + 1.0) * w)  # e^(e ell + lw)
+    re = np.where(far, top * math.cos(y) - w,
+                  (em * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2) * w)
+    return (a**e * np.exp(-0.5j * y) * (re + 1j * top * math.sin(y))
+            / (rho * math.sin(math.pi * e) * den))
 
 
 @lru_cache(maxsize=None)
@@ -467,8 +478,8 @@ def _mean_norm(mk: MeanKernel):
 
     def ray(v, bound=False):
         lv = np.log(v)
-        r = np.exp(lv / p)
-        q = _gram(rho, 1.0, r) * np.exp(c + (mu / p - 1.0) * lv - top * np.log1p(r))
+        r = np.exp(lv / p)  # may underflow: _gram reads log r
+        q = _gram(rho, 1.0, r, lv / p, c + (mu / p - 1.0) * lv - top * np.log1p(r))
         if bound:
             return np.abs(q) * (rtol + (ulps + (mu / p - 1.0) * np.abs(lv)) * _EPS)
         return q.real
@@ -515,6 +526,15 @@ def _head_piece(kernel, a: float, b: float) -> float:
 _mean_piece = lru_cache(maxsize=None)(_head_piece)
 
 
+@lru_cache(maxsize=1)
+def _rate_terms(rho: float, rate_bytes: bytes):
+    """(_l2_norm, memoized _head_piece) of the f_n row of one rate set, kept
+    for the last set only: a depth search and the tail bound at the depth it
+    returns then read one Gram sum and one set of head integrals."""
+    kernel = (rho, np.frombuffer(rate_bytes))
+    return _l2_norm(kernel), lru_cache(maxsize=None)(partial(_head_piece, kernel))
+
+
 def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     """T -> an upper bound for the tail integral of K(u)^2 over [T, inf), K
     being G of a MeanKernel or f_n of a (rho, rates) pair, by subtraction:
@@ -525,14 +545,17 @@ def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     * r = _HEAD_RTOL, the error of I(T) relative to I(T) by _integrate's
       two-pass rule, the rule variance_integral rests on.
     I(T) is summed over [0, _TAIL_T0], the octaves past it below T and the
-    rest, each piece integrated once per callable, or once per MeanKernel.
+    rest, each piece integrated once per MeanKernel, or per rate set while
+    it is the last one asked for.
     TruncationError at once when e + r (||K||^2 + e) alone reaches tol."""
-    norm, err = _l2_norm(kernel)
+    if isinstance(kernel, MeanKernel):
+        (norm, err), piece = _l2_norm(kernel), partial(_mean_piece, kernel)
+    else:
+        (norm, err), piece = _rate_terms(float(FractionalOrder(kernel[0])),
+                                         _rates(kernel[1]).tobytes())
     if not err + _HEAD_RTOL * (norm + err) < tol:
         raise TruncationError(f"the allowances of ||K||^2 = {norm:g} alone "
                               f"reach tol={tol}")
-    piece = (partial(_mean_piece, kernel) if isinstance(kernel, MeanKernel)
-             else lru_cache(maxsize=None)(partial(_head_piece, kernel)))
 
     def tail(T: float) -> float:
         k = math.frexp(T / _TAIL_T0)[1] if T >= _TAIL_T0 else 0

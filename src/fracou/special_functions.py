@@ -25,14 +25,20 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   exp(cos(pi/rho) x^(1/rho)) and dominates far beyond the first few
   hundred x when rho is near 2.
 * in between: neither path certifies 1e-10 in double precision.  A per-rho
-  Chebyshev interpolant in log x, built from an adaptive-precision reference
-  summation, bridges the band with ~1e-12 certified error.  Each build
-  shares one sweep of the series coefficients among all its nodes.
+  Chebyshev interpolant in log x, built from exact fixed-point reference
+  sums, bridges the band.  Each build shares one sweep of the series
+  coefficients among all its nodes.
 
 The Gamma-mixing integral H is summed by its series where that certifies
 and read elsewhere from memoized Chebyshev panels in log scale; all scales
 of a panel share one quadrature rule in x = z w, which evaluates E_{rho,beta}
 once per node.  At rho = 1 it is the closed form (1 + w)^(-nu).
+
+Both tables are built by one rule (_ChebLog): fit at the n first-kind
+Chebyshev nodes, check against the reference at the n - 1 interior extrema
+of T_n, where the interpolation error peaks, and double n - 1 until the
+check error is within the table's tolerance; est = 10 x the check error +
+the reference's own error + a floor.
 """
 
 from __future__ import annotations
@@ -454,19 +460,29 @@ def _hp_values(rho: float, beta: float, xs: np.ndarray) -> np.ndarray:
 
 
 class _ChebLog:
-    """Chebyshev interpolant in log x over [e^lo, e^hi] and its certified error.
+    """Certified Chebyshev interpolant in log x over [e^lo, e^hi].
 
-    f maps an array of x to reference values; it is sampled at the n
-    first-kind Chebyshev nodes.  est is set by the builder once the fit has
-    been checked against the reference at nodes it was not fitted on.
+    f maps an array of x to reference rows, the value first.  From n on,
+    the fit at the n first-kind nodes is checked against f (kept as ref) at
+    the n - 1 interior extrema xc of T_n, where the leading interpolation
+    error peaks (Trefethen, ATAP, 2013); n - 1 doubles until the check error
+    err is within tol (or NaN) or n reaches _PANEL_MAX_NODES.  The caller
+    sets est = 10 err + the reference's own error + a floor.
     """
 
-    def __init__(self, f, lo: float, hi: float, n: int):
+    def __init__(self, f, lo: float, hi: float, n: int, tol: float):
         self.lo = lo
         self.hi = hi
-        nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
-        self.coef = np.polynomial.chebyshev.chebfit(nodes, f(self.points(nodes)), n - 1)
-        self.est = 0.0
+        while True:
+            nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+            self.coef = np.polynomial.chebyshev.chebfit(nodes, f(self.points(nodes))[:, 0], n - 1)
+            self.xc = self.points(np.cos(np.pi * np.arange(1, n) / n))
+            self.ref = f(self.xc)
+            self.err = float(np.max(np.abs(self(self.xc) - self.ref[:, 0])))
+            if not self.err > tol or n >= _PANEL_MAX_NODES:
+                break
+            n = 2 * n - 1
+        self.est = math.nan
 
     def points(self, u: np.ndarray) -> np.ndarray:
         """Map u in [-1, 1] to x."""
@@ -500,16 +516,9 @@ def _gap_interpolant(rho: float, beta: float) -> _ChebLog:
         raise AccuracyError(
             f"no certified large-x regime found for rho={rho}, beta={beta}")
     lo, hi = math.log(x_series * 0.995), math.log(x_asym * 1.005)
-
-    n = 65
-    while True:
-        interp = _ChebLog(lambda xs: _hp_values(rho, beta, xs), lo, hi, n)
-        xc = interp.points(np.cos(np.pi * (np.arange(2 * n) + 0.5) / (2 * n)))
-        err = float(np.max(np.abs(interp(xc) - _hp_values(rho, beta, xc))))
-        if err <= 3e-12 or n >= 513:
-            interp.est = 10.0 * err + 1e-13
-            return interp
-        n = 2 * n - 1
+    interp = _ChebLog(lambda xs: _hp_values(rho, beta, xs)[:, None], lo, hi, 65, 3e-12)
+    interp.est = 10.0 * interp.err + 1e-13
+    return interp
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +764,9 @@ class _MixingRule:
         w_lo = _PANEL_BASE * _PANEL_RATIO**k
         z_cut = mu + 50.0
         x_top = z_cut * w_lo * _PANEL_RATIO
+        if not x_top < math.inf:
+            raise DomainError(f"mixing panel {k} at mu={mu} reaches past the "
+                              "double range")
         self.x0 = x_b = 1e-4 * min(w_lo, 1.0)
         per_efold = 6 * refine
         parts = []
@@ -812,33 +824,24 @@ _PANEL_RATIO = 16.0
 _PANEL_FLOOR = -4
 _TAYLOR_TOP = _PANEL_BASE * _PANEL_RATIO**_PANEL_FLOOR
 _PANEL_TOL = 3e-11
-_PANEL_MAX_NODES = 513
+_PANEL_MAX_NODES = 513  # for every _ChebLog table
 
 
 @lru_cache(maxsize=None)
 def _mixing_panel(rho: float, mu: float, k: int, beta: float) -> _ChebLog:
     """Certified interpolant of the mixing integral over panel k.
 
-    Fitted to the refine-2 _MixingRule and checked at staggered nodes.  The
-    estimate adds the rule's own error, 3 |refine2 - refine1| plus its strip,
-    tail and E terms, to ten times the interpolation check error.
+    _ChebLog's table of the refine-2 _MixingRule rows.  The estimate adds
+    the rule's own error at the check points, 3 |refine2 - refine1| plus its
+    strip, tail and E terms, to ten times the check error.
     """
     lo = math.log(_PANEL_BASE) + k * math.log(_PANEL_RATIO)
     hi = lo + math.log(_PANEL_RATIO)
     rule = _MixingRule(rho, mu, k, 2, beta)
-    n = 17
-    while True:
-        panel = _ChebLog(lambda ws: rule(ws)[:, 0], lo, hi, n)
-        wc = panel.points(np.cos(np.pi * np.arange(1, n) / n))  # staggered
-        fine = rule(wc)
-        err = float(np.max(np.abs(panel(wc) - fine[:, 0])))
-        # a NaN error stops here too: the panel's estimate is then NaN
-        if not err > _PANEL_TOL or n >= _PANEL_MAX_NODES:
-            break
-        n = 2 * n - 1
-    coarse = _MixingRule(rho, mu, k, 1, beta)(wc)[:, 0]
-    node_err = float(np.max(3.0 * np.abs(fine[:, 0] - coarse) + fine[:, 1]))
-    panel.est = 10.0 * err + node_err + 1e-12
+    panel = _ChebLog(rule, lo, hi, 17, _PANEL_TOL)
+    coarse = _MixingRule(rho, mu, k, 1, beta)(panel.xc)[:, 0]
+    node_err = float(np.max(3.0 * np.abs(panel.ref[:, 0] - coarse) + panel.ref[:, 1]))
+    panel.est = 10.0 * panel.err + node_err + 1e-12
     return panel
 
 
@@ -889,11 +892,16 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
     the series serves the scales below _TAYLOR_TOP (the direct series for
     rho > 1, _taylor_many below 1) and, for rho > 1, those up to
     _g_series_range where it certifies 1e-9; the certified panels serve the
-    rest.  Raises AccuracyError when an estimate exceeds ACCURACY_FLOOR.
+    rest.  Raises AccuracyError when an estimate exceeds ACCURACY_FLOOR, and
+    DomainError for a scale, or a panel edge, past the double range.
     """
     t = np.asarray(t, dtype=float)
     rho = float(rho)
-    scale = t**rho / lam
+    with np.errstate(over="ignore"):
+        scale = t**rho / lam
+    if not np.all(scale < math.inf):
+        raise DomainError(f"t^rho/lam leaves the double range for rho={rho}, "
+                          f"lam={lam}, t up to {float(np.max(t)):g}")
     values = np.empty(t.shape)
     ests = np.zeros(t.shape)
     methods = np.full(t.shape, _METHODS.index("closed_form"), dtype=np.int8)

@@ -242,6 +242,39 @@ def stationary_variance_oracle():
     return oracle_stationary_variance
 
 
+def oracle_stationary_variance_ray(rho: float, mu: float, lam: float,
+                                   digits: int = 30) -> float:
+    """sigma^2 by its ray identity, at digits digits: with g(r) = <s_1, s_r>,
+    sigma^2 = 2 lam^(1/rho) Gamma(2 mu - 1/rho)/Gamma(mu)^2
+    int_0^1 g(r) r^(mu-1) (1 + r)^(1/rho - 2 mu) dr, and g(r) the Plancherel
+    closed form Re (e^(e L2) - e^(e L1)) / (rho sin(pi e) (e^L2 - e^L1)),
+    e = 1 - 1/rho, L1 = -i pi rho/2, L2 = log r + i pi rho/2 (rho != 1).
+    It takes r = v^(1/p), p = min(mu + min(e, 0), 1), where the integrand
+    is bounded, in multiprecision, so nothing underflows near r = 0.  It
+    referees the double-precision evaluation of the identity, whose closed
+    form the Plancherel oracles check."""
+    with mp.workdps(digits + 10):
+        r, m, L = mp.mpf(rho), mp.mpf(mu), mp.mpf(lam)
+        e = 1 - 1 / r
+        p = min(m + min(e, 0), 1)
+        L1 = mp.mpc(0, -mp.pi * r / 2)
+
+        def f(v):
+            x = v ** (1 / p)
+            L2 = mp.log(x) + mp.mpc(0, mp.pi * r / 2)
+            g = (mp.exp(e * L2) - mp.exp(e * L1)) / (r * mp.sin(mp.pi * e)
+                                                    * (mp.exp(L2) - mp.exp(L1)))
+            return mp.re(g) * v ** (m / p - 1) * (1 + x) ** (1 / r - 2 * m) / p
+
+        scale = 2 * L ** (1 / r) * mp.gamma(2 * m - 1 / r) / mp.gamma(m) ** 2
+        return float(scale * mp.quad(f, [0, mp.mpf(2) ** -p, 1]))
+
+
+@pytest.fixture(scope="session")
+def stationary_variance_ray_oracle():
+    return oracle_stationary_variance_ray
+
+
 def child_env(threads: str) -> dict:
     """The whole environment of a `python -m fracou.cli` child process.
 

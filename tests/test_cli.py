@@ -197,6 +197,24 @@ def test_cauchy_needs_two_distinct_positive_shift_times(capsys, times):
     assert "invalid parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, code", [
+    # t^rho/lam past the double range, at T = 1e300 and at the 2T = 2e300
+    # that cauchy's D(T) integrates to
+    (["simulate", "--process", "limit", "--rho", "1.9", "--mu", "4",
+      "--lambda", "1", "--T", "1e300", "--steps", "3", "--seed", "1"], 2),
+    (["diagnose", "cauchy", "--rho", "1.9", "--mu", "4", "--lambda", "1",
+      "--tmin", "1e-300", "--tmax", "1e300", "--tpoints", "3", "--seed", "1"], 2),
+    # Gamma(200) overflows a double, its log does not; 200 > 2/rho
+    (["diagnose", "mixing-remark", "--rho", "1.9", "--mu", "200",
+      "--lambda", "1", "--seed", "1"], 0)])
+def test_lines_past_the_double_range_exit_with_their_code(line, code, tmp_path,
+                                                          capsys):
+    assert cli.main(line + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert (err.startswith("invalid parameters:") and len(err.splitlines()) == 1
+            if code else err == "")
+
+
 def test_unknown_flag_exits_two_with_stderr(cli_env):
     r = run_cli(["eval", "ml", "--rho", "1", "--xmax", "5", "--frobnicate"],
                 env=cli_env("1"))

@@ -279,7 +279,7 @@ def test_certified_tail_covers_the_exact_tail_at_rho_one(mu, lam):
             exact = lam / (2.0 * mu - 1.0) * (1.0 + T / lam) ** (1.0 - 2.0 * mu)
             assert kn._tail_bound(mk, tol)(T) >= exact
     if mu == 4.0:
-        # the cell sum, not the envelope, is what was checked
+        # the subtraction bound is far below the envelope here
         assert kn._tail_bound(mk, 2e-3)(1.3) < 1e-2 * tail_variance_bound(mk, 1.3)
 
 
@@ -323,8 +323,8 @@ def test_stationary_variance():
                                           (1.9, 0.6, 1e-5)])
 def test_stationary_variance_is_the_plancherel_integral(
         rho, mu, tol, stationary_variance_oracle):
-    # the library's bracket is a depth search plus panel quadrature; the
-    # oracle integrates G's Laplace transform over the imaginary axis
+    # the library integrates the Gram form along rays (kernels._mean_norm);
+    # the oracle integrates G's Laplace transform over the imaginary axis
     v = stationary_variance(MeanKernel(rho, GammaMixing(mu, 1.0)), tol)
     assert abs(v - stationary_variance_oracle(rho, mu, 1.0)) <= tol / 2
 
@@ -336,6 +336,18 @@ def test_stationary_variance_is_the_25_digit_plancherel_integral(
     # Gram product grows like r^(1 - 1/rho) as r -> 0
     v = stationary_variance(MeanKernel(rho, GammaMixing(mu, lam)), 1e-9)
     assert abs(v - stationary_variance_oracle(rho, mu, lam, 25)) <= 5e-10
+
+
+def test_stationary_variance_next_to_the_admissibility_edge(
+        stationary_variance_ray_oracle):
+    # mu = 0.99 > 1/(2 rho) = 0.98: v = r^p with p = 0.029, so r underflows
+    # on the first panels and the Gram form reads log r
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = stationary_variance(MeanKernel(0.51, GammaMixing(0.99, 1.0)), 1e-6)
+        err = kn._l2_norm(MeanKernel(0.51, GammaMixing(0.99, 1.0)))[1]
+    assert math.isfinite(v) and v > 20246.63  # sigma^2 at mu = 1
+    assert abs(v - stationary_variance_ray_oracle(0.51, 0.99, 1.0)) <= err
 
 
 @pytest.mark.parametrize("rho", [1.0, 1.0 + 1e-7, 1.05, 1.5, 1.9, 1.98])
@@ -382,6 +394,7 @@ def test_head_integral_keeps_only_what_the_values_certify(monkeypatch):
 
     mk = MeanKernel(1.0, GammaMixing(4.0, 3.0))
     kn._mean_piece.cache_clear()
+    kn._rate_terms.cache_clear()
     monkeypatch.setattr(kn, "_g_quadrature_many", covered)
     monkeypatch.setattr(kn, "ACCURACY_FLOOR", 1.0)
     try:
@@ -390,6 +403,7 @@ def test_head_integral_keeps_only_what_the_values_certify(monkeypatch):
             assert kn._tail_bound(kernel, 1e-3)(4.0) == norm + err
     finally:
         kn._mean_piece.cache_clear()
+        kn._rate_terms.cache_clear()
 
 
 def test_tail_allowances_past_tol_refuse_before_any_head_integral(monkeypatch):

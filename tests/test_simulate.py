@@ -669,6 +669,27 @@ def test_certified_history_is_the_shortest_certified_64th():
         assert depth <= min(most, envelope_depth(envelope, tol))
 
 
+def test_stationary_mean_paths_certify_their_rates_once(monkeypatch):
+    # the depth search and meta's tail_bound read one Gram sum and one set
+    # of head integrals
+    alphas = sample_alphas(MIX, 40, 31)
+    g = sim.TimeGrid(0.0, 1.0, 100)
+    kn._rate_terms.cache_clear()
+    norms, pieces = [], []
+    l2_norm, head_piece = kn._l2_norm, kn._head_piece
+    monkeypatch.setattr(kn, "_l2_norm", lambda k: norms.append(k) or l2_norm(k))
+    monkeypatch.setattr(kn, "_head_piece",
+                        lambda k, a, b: pieces.append((a, b)) or head_piece(k, a, b))
+    ens = sim.simulate_stationary_mean_paths(alphas, 1.9, g, 5, 1e-2, n_paths=2)
+    assert len(norms) == 1
+    assert pieces and len(pieces) == len(set(pieces))
+    kn._rate_terms.cache_clear()
+    tail = kn._tail_bound((1.9, alphas), 1e-2)
+    assert ens.meta["tail_bound"] == tail(ens.meta["t_trunc"]) < 1e-2
+    assert len(norms) == 2
+    kn._rate_terms.cache_clear()  # holds the counting _head_piece
+
+
 @pytest.mark.parametrize("depth", [1, 2, 4])
 def test_coarse_tree_cells_are_sums_of_their_fine_cells(depth):
     # 300 coarse cells reach past four spans of tree nodes at every level

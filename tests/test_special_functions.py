@@ -375,11 +375,10 @@ def _cheb_nodes(n: int) -> np.ndarray:
 
 
 def test_bulk_reference_matches_oracle(ml_oracle):
-    # every 13th of the gap interpolant's fit and check nodes
+    # every 13th of the gap interpolant's fit nodes and check points
     for rho, beta in ((1.5, 1.0), (1.9, 1.9)):
         interp = sf._gap_interpolant(rho, beta)
-        n = interp.coef.size
-        xs = interp.points(np.concatenate([_cheb_nodes(n), _cheb_nodes(2 * n)]))[::13]
+        xs = np.concatenate([interp.points(_cheb_nodes(interp.coef.size)), interp.xc])[::13]
         want = [ml_oracle(rho, float(x), beta) for x in xs]
         assert np.array_equal(sf._hp_values(rho, beta, xs), want), (rho, beta)
 
@@ -394,6 +393,24 @@ def test_gap_build_computes_each_coefficient_once_per_sweep(monkeypatch):
     # one gamma call per term and sweep, not per term and node (over 10^4)
     assert 0 < len(calls) < 500
     assert _same_bits(rebuilt.coef, cached.coef) and rebuilt.est == cached.est
+
+
+def test_tables_are_checked_where_t_n_peaks(monkeypatch):
+    # one builder: a gap table sums its 65 fit nodes and 64 check points,
+    # and gap and panel tables check at the interior extrema of T_n
+    sizes = []
+    hp = sf._hp_values
+    monkeypatch.setattr(sf, "_hp_values", lambda *a: sizes.append(a[2].size) or hp(*a))
+    sf._gap_interpolant.cache_clear()
+    gap = sf._gap_interpolant(1.5, 1.5)
+    assert sizes == [65, 64]
+    for table in (gap, sf._mixing_panel(1.9, 4.0, 0, 1.0)):
+        n = table.coef.size
+        assert _same_bits(table.xc, table.points(np.cos(np.pi * np.arange(1, n) / n)))
+        assert table.err == np.max(np.abs(table(table.xc) - table.ref[:, 0]))
+    # a NaN check error stops the doubling, and the caller's estimate is NaN
+    nan = sf._ChebLog(lambda x: np.full((x.size, 1), np.nan), 0.0, 1.0, 17, 1e-12)
+    assert nan.coef.size == 17 and math.isnan(nan.err)
 
 
 def test_series_of_one_order_share_one_coefficient_row(monkeypatch):

@@ -4,8 +4,11 @@ a traced benchmark run; the library starts no thread, whatever the
 environment; and the README's scripts run from a plain checkout."""
 
 import os
+import runpy
 import subprocess
 import sys
+
+from fracou import cli
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -125,3 +128,21 @@ def test_figure_data_script_runs_from_a_plain_checkout(cli_env, tmp_path):
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in (tmp_path / "figure_data").iterdir()) == [
         "gml_mu4_rho19.csv", "gml_mu4_rho19.json", "ml_rho19.csv", "ml_rho19.json"]
+
+
+def test_cli_digests_run_from_a_plain_checkout_and_cover_the_readme(cli_env, tmp_path):
+    root = os.path.dirname(PERFBENCH)
+    script = os.path.join(root, "scripts", "cli_digests.py")
+    done = subprocess.run([sys.executable, script], env=cli_env("1"), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = runpy.run_path(script)["LINES"]
+    assert [row for row in done.stdout.splitlines() if not row.startswith(" ")] == [
+        f"{name}: exit 0" for name in lines]
+    # every command of the README's "Command line" block, flags in any order
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    readme = [row.split()[1:] for row in block.replace("\\\n", " ").splitlines() if row]
+    parse = cli.build_parser().parse_args
+    assert len(readme) == block.count("fracou ") > 0
+    assert all(parse(argv) in [parse(a) for a in lines.values()] for argv in readme), readme
