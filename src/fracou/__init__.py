@@ -28,7 +28,6 @@ from .simulate import (
     empirical_mean_path,
     simulate_component_paths,
     simulate_empirical_mean_paths,
-    simulate_exact_gaussian,
     simulate_limit_path,
     simulate_limit_paths,
     simulate_stationary_mean_paths,
@@ -81,7 +80,6 @@ __all__ = [
     "sample_alphas",
     "simulate_component_paths",
     "simulate_empirical_mean_paths",
-    "simulate_exact_gaussian",
     "simulate_limit_path",
     "simulate_limit_paths",
     "simulate_stationary_mean_paths",

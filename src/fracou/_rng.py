@@ -4,11 +4,12 @@ A namespace (seed, tags) is keyed once: its Philox key is a SHA-256 hash of
 the user seed and the string/int tags, and its draws are addressed by the
 Philox counter (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11).  Row r of a normal matrix starts at counter [0, 0, r, 0]; a
-uniform block or a single stream starts at counter 0 of a namespace of its
-own.  The Brownian driver lives in two namespace families, "w" (forward
-cells, one row per replication) and "wtilde" (backward cells, a Brownian-bridge
-tree: see tree_cells), the mixing rates in a third.  Outputs depend only on
-(seed, tags, index), never on work chunking.
+block of mixing rates or any other single stream starts at counter 0 of a
+namespace of its own.  The Brownian driver lives in two namespace families,
+"w" (forward cells, one row per replication) and "wtilde" (backward cells, a
+Brownian-bridge tree: see tree_cells), the mixing rates in a third ("alphas",
+mu, lam, "block", b).  Outputs depend only on (seed, tags, index), never on
+work chunking.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 
-# Uniforms are produced in fixed-size blocks keyed by (seed, tags, block
-# index), so any chunked producer reassembles bit-identical output.
+# Mixing rates (and uniforms) are drawn in fixed-size blocks keyed by (seed,
+# tags, block index), so any chunked producer reassembles bit-identical output.
 BLOCK = 4096
 # the backward driver's tree: cells of level TREE_TOP (2^TREE_TOP unit cells)
 # are drawn whole, finer ones by bridge splits; one Philox row holds the node
@@ -50,7 +51,9 @@ def uniforms(seed: int, tags: tuple, start: int, count: int) -> np.ndarray:
     """Open-interval uniforms u_{start}..u_{start+count-1} of a blocked stream.
 
     Identical results no matter how [start, start+count) is split across
-    calls: draw i always comes from block i // BLOCK.
+    calls: draw i always comes from block i // BLOCK.  No library function
+    calls it (the rates are standard_gamma draws, see mixing.sample_alphas);
+    the benchmark's tracer (perfbench/layertrace.py) wraps it by name.
     """
     if count < 0 or start < 0:
         raise DomainError("start and count must be nonnegative")
@@ -58,7 +61,7 @@ def uniforms(seed: int, tags: tuple, start: int, count: int) -> np.ndarray:
     blocks = [stream(seed, *tags, "block", b).random(BLOCK)
               for b in range(first, -(-(start + count) // BLOCK))]
     out = np.concatenate([np.empty(0), *blocks])[start % BLOCK:][:count]
-    # guard against exact zeros; inverse-CDF consumers need u in (0, 1)
+    # guard against exact zeros: the interval is open
     np.copyto(out, np.nextafter(0.0, 1.0), where=(out == 0.0))
     return out
 

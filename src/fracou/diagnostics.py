@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _rng, simulate
-from .errors import DomainError
+from .errors import DomainError, _count
 from .kernels import (
     MeanKernel,
     _rate_means,
@@ -63,7 +63,7 @@ class ConvergenceReport:
         # config, so the wall-clock field stays in memory only
         payload = asdict(self)
         payload.pop("runtime_seconds")
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_strict(payload), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = [f"check: {self.check_name}", f"verdict: {self.verdict}",
@@ -80,6 +80,18 @@ class ConvergenceReport:
         for n in self.notes:
             lines.append("note: " + n)
         return "\n".join(lines) + "\n"
+
+
+def _strict(value):
+    """value with every non-finite float, at any depth, written as None, so
+    that json.dumps emits strict JSON (null) rather than NaN or Infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 def _combine_verdicts(excesses) -> str:
@@ -109,7 +121,7 @@ def _grid_dict(grid: TimeGrid) -> dict:
 
 def _rate_draw(mu, lam, n_list, seed):
     """n_list sorted, every n an integer >= 1; the law; its max(n) rates."""
-    n_list = sorted(simulate._count("every n", n) for n in n_list)
+    n_list = sorted(_count("every n", n) for n in n_list)
     if not n_list:
         raise DomainError("n_list must hold at least one count")
     mix = GammaMixing(mu, lam)
@@ -125,7 +137,7 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
     four times the kernel-gap integral.
     """
     t_start = time.time()
-    n_mc = simulate._count("n_mc", n_mc)
+    n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     n_list, mix, alphas = _rate_draw(mu, lam, n_list, seed)
     lags = grid.times()
@@ -173,7 +185,7 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
     mixing-law limit.
     """
     t_start = time.time()
-    n_mc = simulate._count("n_mc", n_mc)
+    n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     if rho <= 1.0:
         raise DomainError("tightness constants need rho > 1")
@@ -295,7 +307,7 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
     shift times t_list must be finite and > 0, at least two of them distinct.
     """
     t_start = time.time()
-    n_mc = simulate._count("n_mc", n_mc)
+    n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     t_list = np.asarray(sorted(float(t) for t in t_list))
     if not (np.all(np.isfinite(t_list) & (t_list > 0.0))
@@ -399,7 +411,7 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
     kurtosis score is accurate.
     """
     t_start = time.time()
-    n_mc = simulate._count("n_mc", n_mc)
+    n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     mix = GammaMixing(mu, lam)
     if not check_condition(mix, rho):

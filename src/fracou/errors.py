@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that
+raises one."""
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -19,3 +23,11 @@ class AccuracyError(RuntimeError):
 
 class TruncationError(RuntimeError):
     """A requested history-truncation tolerance is unachievable within limits."""
+
+
+def _count(name: str, value) -> int:
+    """value as an int, once it is a whole number >= 1."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and value == int(value) >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

@@ -3,7 +3,9 @@
 The rate parameterization matches the density
 f(x | mu, lam) = lam exp(-lam x) (lam x)^(mu-1) / Gamma(mu), so the mean is
 mu/lam.  lam acts as a rate even where prose elsewhere calls it a scale; the
-density is what everything downstream integrates against.
+density is what everything downstream integrates against.  The draws are
+numpy's exact Gamma sampler run on counter-based streams (_rng), one stream
+per block of rates.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .errors import DomainError
+from .errors import DomainError, _count
 from .special_functions import FractionalOrder, pochhammer
 
 __all__ = [
@@ -43,19 +45,18 @@ class GammaMixing:
 def sample_alphas(params: GammaMixing, n: int, seed: int) -> np.ndarray:
     """n i.i.d. Gamma(mu, rate lam) draws, deterministic in (params, n, seed).
 
-    Inverse-CDF transform of blocked counter-based uniforms: draw i depends
-    only on (seed, i), so results are independent of chunking,
-    and the first k draws of a size-n sample equal a size-k sample.
-    scipy.special is imported at the first draw, not with the package.
+    Block b of _rng.BLOCK draws is numpy's exact standard_gamma(mu, BLOCK)
+    over lam, from the stream of (seed, "alphas", mu, lam, "block", b): draw
+    i depends only on (seed, i), so the first k draws of a size-n sample
+    equal a size-k sample.
     """
-    if n < 1 or n != int(n):
-        raise DomainError(f"n must be a positive integer, got {n}")
-    from scipy import special as sc
-
-    u = _rng.uniforms(seed, ("alphas", params.mu, params.lam), 0, int(n))
-    alphas = sc.gammaincinv(params.mu, u) / params.lam
-    # gammaincinv can round to 0 for subnormal-tail uniforms
-    return np.maximum(alphas, np.finfo(float).tiny)
+    n = _count("n", n)
+    blocks = [_rng.stream(seed, "alphas", params.mu, params.lam, "block", b)
+              .standard_gamma(params.mu, _rng.BLOCK)
+              for b in range(-(-n // _rng.BLOCK))]
+    # a shape below 1 can draw an exact 0, which no rate may be
+    return np.maximum(np.concatenate(blocks)[:n] / params.lam,
+                      np.finfo(float).tiny)
 
 
 def moment_int(params: GammaMixing, n: int) -> float:

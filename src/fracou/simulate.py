@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _rng
-from .errors import AccuracyError, DomainError, TruncationError
+from .errors import DomainError, TruncationError, _count
 from .kernels import (
     _TAIL_T_MAX,
     MeanKernel,
@@ -49,7 +48,6 @@ __all__ = [
     "simulate_empirical_mean_paths",
     "simulate_limit_path",
     "simulate_limit_paths",
-    "simulate_exact_gaussian",
     "y_minus_s_at_zero",
     "simulate_stationary_paths",
     "simulate_stationary_mean_paths",
@@ -70,14 +68,6 @@ _SHORTFALL = 0.05
 # amortize the numpy calls, few enough that the block's temporaries (about
 # 250 bytes a value) stay in cache; a block holds whole rows, at least one
 _CSV_ROWS = 1 << 14
-
-
-def _count(name: str, value) -> int:
-    """value as an int, once it is a whole number >= 1."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and value == int(value) >= 1):
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -117,7 +107,8 @@ class PathEnsemble:
     """Trajectories on a shared grid plus provenance.
 
     values has shape (n_paths, n_steps+1); labels carries one record per
-    path; method is "increment_quadrature" or "exact_covariance".
+    path; method names the scheme, "increment_quadrature" for every
+    simulator here.
     """
 
     grid: TimeGrid
@@ -493,6 +484,20 @@ def _driver_blocks(seed: int, n_reps: int, layout: HistoryLayout,
     return map(block, range(0, n_reps, step))
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, for n >= 1: the real-FFT lengths that
+    pocketfft factors into its fastest radices."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
                    start: int = 0) -> np.ndarray:
     """Row-wise causal convolutions sum_m kernels[., m+1] dw[., j-m], kept
@@ -501,9 +506,9 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
     kernels has shape (K, L) with lag-0 entry unused; dw has shape (R, N);
     either K == R, K == 1 or R == 1.  Returns the path columns start..N,
     shape (max(K, R), N+1-start); path column 0 is zero.  Direct below
-    _FFT_CUTOVER, FFT above (scipy.fft, imported at the first FFT); the FFT
-    is circular over just enough points that no kept output wraps
-    (overlap-save), so a late start shortens it.
+    _FFT_CUTOVER, numpy's real FFT above, at the 5-smooth length _fast_len
+    of just enough points that no kept output wraps (overlap-save), so a
+    late start shortens it.
     """
     kern = np.atleast_2d(np.asarray(kernels, dtype=float))[:, 1:]
     dw = np.atleast_2d(np.asarray(dw, dtype=float))
@@ -511,12 +516,9 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
     rows = max(kern.shape[0], dw.shape[0])
     lo = max(start, 1) - 1  # first kept index of the linear convolution
     if kern.shape[1] * n >= _FFT_CUTOVER:
-        from scipy import fft as sp_fft
-
-        size = sp_fft.next_fast_len(max(kern.shape[1] + n - 1 - lo, n),
-                                    real=True)
-        full = sp_fft.irfft(sp_fft.rfft(kern, size, axis=1)
-                            * sp_fft.rfft(dw, size, axis=1), size, axis=1)
+        size = _fast_len(max(kern.shape[1] + n - 1 - lo, n))
+        full = np.fft.irfft(np.fft.rfft(kern, size, axis=1)
+                            * np.fft.rfft(dw, size, axis=1), size, axis=1)
     else:
         full = np.empty((rows, kern.shape[1] + n - 1))
         for r in range(rows):
@@ -618,54 +620,6 @@ def simulate_limit_path(mk: MeanKernel, grid: TimeGrid, seed: int,
                         rep: int = 0) -> np.ndarray:
     """One aggregated-limit path, driven by replication rep."""
     return simulate_limit_paths(mk, grid, seed, 1, rep).values[0]
-
-
-def simulate_exact_gaussian(kernel, grid: TimeGrid, n_paths: int,
-                            seed: int) -> PathEnsemble:
-    """Exact sampler for the convolution process with the given kernel.
-
-    Builds the grid covariance C(s, t) = integral of K(t-u) K(s-u) over
-    [0, min(s, t)] by quadrature, takes a symmetric square root (diagonal
-    jitter escalated from 1e-12 on indefiniteness) and draws exact Gaussian
-    vectors.  The high-accuracy oracle against increment quadrature; cost is
-    quadratic in the grid, so keep grids short.  Its QUADPACK integrals are
-    kept on purpose, independent of the panel integrator of variance_integral.
-    """
-    if grid.t0 != 0.0:
-        raise DomainError("exact sampler assumes processes started at 0")
-    n_paths = _count("n_paths", n_paths)
-    from scipy import integrate
-
-    times = grid.times()
-    n = times.size
-    cov = np.zeros((n, n))
-    for i in range(1, n):
-        for j in range(i, n):
-            s, t = times[i], times[j]
-            val, _ = integrate.quad(lambda v: kernel(t - s + v) * kernel(v),
-                                    0.0, s, epsabs=1e-12, epsrel=1e-12,
-                                    limit=200)
-            cov[i, j] = cov[j, i] = val
-    scale = float(np.max(np.diag(cov)))
-    if scale == 0.0:
-        root = np.zeros((n, n))
-    else:
-        jitter = 1e-12
-        for _ in range(8):
-            w, vecs = np.linalg.eigh(cov + jitter * scale * np.eye(n))
-            if w.min() >= -1e-10 * scale:
-                break
-            jitter *= 10.0
-        else:
-            raise AccuracyError("covariance square root failed despite jitter")
-        root = vecs * np.sqrt(np.clip(w, 0.0, None))
-    z = _rng.normal_rows(seed, ("exact",), n_paths, n)
-    values = z @ root.T
-    values[:, 0] = 0.0
-    labels = [{"process": "exact", "rep": r} for r in range(n_paths)]
-    return PathEnsemble(grid, values, labels, "exact_covariance",
-                        {"process": "exact", "seed": seed,
-                         "marginal_variances": np.diag(cov).tolist()})
 
 
 def y_minus_s_at_zero(mk: MeanKernel, s: float, n_paths: int, seed: int,

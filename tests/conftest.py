@@ -275,6 +275,54 @@ def stationary_variance_ray_oracle():
     return oracle_stationary_variance_ray
 
 
+def oracle_exact_gaussian(kernel, times, n_paths: int, seed: int):
+    """Exact Gaussian samples of the convolution process X(t) = integral of
+    K(t - u) dW(u) over [0, t] at times (times[0] = 0): the oracle against
+    increment quadrature.  Returns (values, variances), values of shape
+    (n_paths, len(times)) with column 0 zero, and variances the diagonal of
+    the covariance.
+
+    The grid covariance C(s, t) = integral of K(t-u) K(s-u) over [0, min(s, t)]
+    is built by QUADPACK, independent of the library's panel integrator, and
+    its symmetric square root (diagonal jitter escalated from 1e-12 on
+    indefiniteness) maps the (seed, "exact") normal rows of fracou._rng.
+    Cost is quadratic in the grid, so keep grids short.
+    """
+    from scipy import integrate
+
+    from fracou import _rng
+
+    n = len(times)
+    cov = np.zeros((n, n))
+    for i in range(1, n):
+        for j in range(i, n):
+            s, t = times[i], times[j]
+            val, _ = integrate.quad(lambda v: kernel(t - s + v) * kernel(v),
+                                    0.0, s, epsabs=1e-12, epsrel=1e-12,
+                                    limit=200)
+            cov[i, j] = cov[j, i] = val
+    scale = float(np.max(np.diag(cov)))
+    root = np.zeros((n, n))
+    if scale > 0.0:
+        jitter = 1e-12
+        for _ in range(8):
+            w, vecs = np.linalg.eigh(cov + jitter * scale * np.eye(n))
+            if w.min() >= -1e-10 * scale:
+                break
+            jitter *= 10.0
+        else:
+            raise RuntimeError("covariance square root failed despite jitter")
+        root = vecs * np.sqrt(np.clip(w, 0.0, None))
+    values = _rng.normal_rows(seed, ("exact",), n_paths, n) @ root.T
+    values[:, 0] = 0.0
+    return values, np.diag(cov)
+
+
+@pytest.fixture(scope="session")
+def exact_gaussian_oracle():
+    return oracle_exact_gaussian
+
+
 def child_env(threads: str) -> dict:
     """The whole environment of a `python -m fracou.cli` child process.
 

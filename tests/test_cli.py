@@ -122,12 +122,27 @@ def test_simulate_component_and_xi(tmp_path):
                          "--out", str(tmp_path / "p.csv")]) == 2
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_diagnose_exit_codes(tmp_path):
     out = tmp_path / "rep.json"
     code = cli.main(["diagnose", "mixing-remark", "--rho", "1.9", "--mu",
                      "3", "--lam", "1", "--seed", "1", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["verdict"] == "pass"
+    # at mu = 1 the moment E[alpha^(-2/rho)] diverges: null, not NaN
+    code = cli.main(["diagnose", "mixing-remark", "--rho", "1.9", "--mu",
+                     "1", "--lam", "1", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    report = strict_json(out.read_text())
+    assert report["verdict"] == "pass"
+    assert [row["moment"] for row in report["estimates"]
+            if "moment" in row] == [None]
 
 
 @pytest.mark.parametrize("args", [["l2sup", "--mc", "1"],
@@ -142,7 +157,7 @@ def test_nan_standard_error_is_inconclusive(tmp_path, args):
     out = tmp_path / "rep.json"
     assert cli.main(["diagnose", *args, "--rho", "1.9", "--mu", "4",
                      "--lambda", "1", "--seed", "1", "--out", str(out)]) == 6
-    assert json.loads(out.read_text())["verdict"] == "inconclusive"
+    assert strict_json(out.read_text())["verdict"] == "inconclusive"
 
 
 def test_invalid_parameters_exit_two(tmp_path):

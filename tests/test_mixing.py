@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from fracou import _rng
 from fracou.errors import DomainError
@@ -51,24 +51,36 @@ def test_blocked_uniforms_chunk_invariance():
 
 
 def test_rate_draws_equal_the_per_block_reference():
-    # block b of a uniform namespace is counter 0 of the key of
-    # (seed, tags, "block", b); the rates are its inverse-CDF transform
-    from scipy import special
-
-    assert [float(u) for u in _rng.uniforms(1, ("alphas", 4.0, 1.0), 0, 3)] \
-        == [0.4284778791390583, 0.40594969137668335, 0.544844803771929]
+    # block b is numpy's standard_gamma(mu, BLOCK) / lam from counter 0 of the
+    # key of (seed, "alphas", mu, lam, "block", b), floored at tiny; the
+    # first bits are pinned, so a change of numpy's sampler shows here
+    assert [float(a) for a in sample_alphas(GammaMixing(4.0, 1.0), 3, 1)] \
+        == [2.5864008056997485, 3.098878359423633, 3.995962999266907]
     n = 10000
     for seed, mu, lam in ((1, 4.0, 1.0), (4, 0.4, 2.0)):
         tags = ("alphas", mu, lam)
-        u = np.concatenate([
+        want = np.maximum(np.concatenate([
             np.random.Generator(np.random.Philox(
-                key=_rng._key(seed, (*tags, "block", b)))).random(_rng.BLOCK)
-            for b in range(-(-n // _rng.BLOCK))])[:n]
-        u[u == 0.0] = np.nextafter(0.0, 1.0)
-        want = np.maximum(special.gammaincinv(mu, u) / lam,
-                          np.finfo(float).tiny)
+                key=_rng._key(seed, (*tags, "block", b))))
+            .standard_gamma(mu, _rng.BLOCK) / lam
+            for b in range(-(-n // _rng.BLOCK))])[:n], np.finfo(float).tiny)
         assert np.array_equal(sample_alphas(GammaMixing(mu, lam), n, seed),
                               want)
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.75, 4.0])
+def test_rate_draws_follow_the_gamma_law(mu):
+    # Kolmogorov-Smirnov against scipy's Gamma(mu, scale 1/lam) CDF; 0.3 is
+    # below the shapes of the moment tests and admissible for rho > 5/3
+    lam = 2.0
+    a = sample_alphas(GammaMixing(mu, lam), 10**5, 11)
+    assert stats.kstest(a, stats.gamma(mu, scale=1.0 / lam).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [math.inf, math.nan])
+def test_sample_count_must_be_a_positive_integer(n):
+    with pytest.raises(DomainError, match="positive integer"):
+        sample_alphas(GammaMixing(4.0, 1.0), n, 1)
 
 
 def test_sampling_thread_env_invariance(monkeypatch):

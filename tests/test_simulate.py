@@ -245,16 +245,16 @@ def test_vectorized_paths_match_per_replication_reference(n_steps):
     assert np.array_equal(later.values, lim.values[2:])
 
 
-def test_import_and_readme_eval_and_mixing_lines_load_no_scipy(cli_env,
-                                                               tmp_path):
-    # scipy loads only with the rate draws, the FFT branch of the
-    # convolution and the exact sampler
+def test_library_runs_with_scipy_blocked(cli_env, tmp_path):
+    # scipy is a test dependency only: with its import blocked, the package
+    # imports, the README eval, mixing and simulate lines run, and so does
+    # every integral of the library, each on the panel integrator
     code = """
 import sys
-scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))
+sys.modules['scipy'] = None
 import fracou
-from fracou import cli
-print(scipy())
+from fracou import cli, diagnostics as dg, kernels as kn
+from fracou.mixing import GammaMixing
 out = sys.argv[1]
 assert cli.main(['eval', 'ml', '--rho', '1.9', '--xmax', '60', '--points',
                  '600', '--out', out + '/ml.csv']) == 0
@@ -262,21 +262,13 @@ assert cli.main(['eval', 'gml', '--rho', '1.9', '--mu', '4', '--xmax', '30',
                  '--out', out + '/gml.csv']) == 0
 assert cli.main(['mixing', '--mu', '4', '--lam', '2', '--rho', '1.9',
                  '--frac', '0.5', '-1.0', '--out', out + '/mixing.json']) == 0
-print(scipy())
-"""
-    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                       capture_output=True, text=True, env=cli_env("1"))
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines() == ["[]", "[]"]
-
-
-def test_integrals_leave_quadpack_unloaded(cli_env):
-    # every integral of the library but the exact sampler's runs on the
-    # panel integrator
-    code = """
-import sys
-from fracou import diagnostics as dg, kernels as kn
-from fracou.mixing import GammaMixing
+assert cli.main(['simulate', '--process', 'limit', '--rho', '1', '--mu', '4',
+                 '--lambda', '1', '--T', '2', '--steps', '2000', '--paths',
+                 '100', '--seed', '7', '--out', out + '/paths.csv']) == 0
+assert cli.main(['simulate', '--process', 'stationary', '--rho', '1.9',
+                 '--mu', '4', '--lambda', '1', '--T', '2', '--steps', '2000',
+                 '--paths', '50', '--tol', '1e-4', '--seed', '7',
+                 '--out', out + '/eta.csv']) == 0
 mk = kn.MeanKernel(1.9, GammaMixing(4.0, 1.0))
 kn.variance_integral(mk, 3.0)
 kn.stationary_variance(mk, 1e-3)
@@ -284,32 +276,33 @@ kn.resolvent_l2_norm(kn.ResolventKernel(1.0, 1.5))
 kn.volterra_residual(kn.ResolventKernel(1.0, 1.9), 2.0)
 dg.check_cauchy_decay(1.9, 4.0, 1.0, [4.0, 8.0], 20, 1)
 dg.check_mixing_condition_remark(3.0, 1.0, 1.9)
-print('scipy.integrate' in sys.modules)
+# the blocking entry is the only scipy module
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
 """
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=cli_env("1"))
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       capture_output=True, text=True, env=cli_env("1"))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    assert r.stdout.splitlines() == ["['scipy']"]
 
 
-def test_exact_gaussian_sampler():
+def test_exact_gaussian_sampler(exact_gaussian_oracle):
     g = sim.TimeGrid(0.0, 1.0, 12)
-    ens = sim.simulate_exact_gaussian(lambda u: mean_kernel(MK19, u), g, 4000, 17)
+    values, variances = exact_gaussian_oracle(
+        lambda u: mean_kernel(MK19, u), g.times(), 4000, 17)
     # marginal variances from the covariance build match the quadrature
     # formula before any sampling noise enters
-    diag = np.array(ens.meta["marginal_variances"])
     for idx in (4, 8, 12):
-        assert diag[idx] == pytest.approx(
+        assert variances[idx] == pytest.approx(
             variance_integral(MK19, g.times()[idx]), abs=1e-8)
     # two-sample agreement with increment quadrature at t = T
     fine = sim.TimeGrid(0.0, 1.0, 1000)
     kern = mean_kernel_values(MK19, fine.times())
     inc = sim.marginal_samples(kern, [1000], 4000, 19, fine.dt)[:, 0]
-    ks = stats.ks_2samp(ens.values[:, -1], inc)
+    ks = stats.ks_2samp(values[:, -1], inc)
     assert ks.pvalue > 0.01
     # zero kernel gives identically zero paths
-    zero = sim.simulate_exact_gaussian(lambda u: 0.0, g, 5, 3)
-    assert np.all(zero.values == 0.0)
+    zero, _ = exact_gaussian_oracle(lambda u: 0.0, g.times(), 5, 3)
+    assert np.all(zero == 0.0)
 
 
 def test_y_minus_s_at_zero():
@@ -564,6 +557,14 @@ def test_unwindowed_fft_keeps_the_full_length_transform():
     got = sim._convolve_rows(kern, dw)  # 400 x 400 cells: the FFT branch
     assert np.all(got[:, 0] == 0.0)
     assert got[:, 1:].tobytes() == ref[:, :400].tobytes()
+
+
+def test_fft_lengths_are_those_of_scipy():
+    # the 5-smooth lengths scipy.fft.next_fast_len(real=True) picks, so the
+    # transforms keep their sizes and their bits
+    for n in [*range(1, 2**16 + 1), 10**6, 10**6 + 1, 1234567, 2**20 + 1,
+              3**13 + 2, 5**9 + 1]:
+        assert sim._fast_len(n) == sp_fft.next_fast_len(n, real=True), n
 
 
 def test_engine_bits_do_not_depend_on_threads(monkeypatch):

@@ -1,7 +1,8 @@
 """Tooling around the library: the benchmark's tracer patches library
 functions by name, so a renamed or deleted name must fail here, not only in
 a traced benchmark run; the library starts no thread, whatever the
-environment; and the README's scripts run from a plain checkout."""
+environment; and the README's scripts run from a plain checkout, the
+digest script with scipy blocked."""
 
 import os
 import runpy
@@ -133,8 +134,13 @@ def test_figure_data_script_runs_from_a_plain_checkout(cli_env, tmp_path):
 def test_cli_digests_run_from_a_plain_checkout_and_cover_the_readme(cli_env, tmp_path):
     root = os.path.dirname(PERFBENCH)
     script = os.path.join(root, "scripts", "cli_digests.py")
-    done = subprocess.run([sys.executable, script], env=cli_env("1"), cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
+    # with scipy blocked: every line runs on numpy and mpmath alone
+    blocked = ("import runpy, sys; sys.modules['scipy'] = None; "
+               "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], "
+               "run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", blocked, script],
+                          env=cli_env("1"), cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = runpy.run_path(script)["LINES"]
     assert [row for row in done.stdout.splitlines() if not row.startswith(" ")] == [
