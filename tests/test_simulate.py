@@ -245,16 +245,15 @@ def test_vectorized_paths_match_per_replication_reference(n_steps):
     assert np.array_equal(later.values, lim.values[2:])
 
 
-def test_library_runs_with_scipy_blocked(cli_env, tmp_path):
+def test_import_and_readme_eval_and_mixing_lines_load_no_scipy(cli_env,
+                                                               tmp_path):
     # scipy is a test dependency only: with its import blocked, the package
-    # imports, the README eval, mixing and simulate lines run, and so does
-    # every integral of the library, each on the panel integrator
+    # imports and the README eval, mixing and simulate lines run
     code = """
 import sys
 sys.modules['scipy'] = None
 import fracou
-from fracou import cli, diagnostics as dg, kernels as kn
-from fracou.mixing import GammaMixing
+from fracou import cli
 out = sys.argv[1]
 assert cli.main(['eval', 'ml', '--rho', '1.9', '--xmax', '60', '--points',
                  '600', '--out', out + '/ml.csv']) == 0
@@ -269,6 +268,23 @@ assert cli.main(['simulate', '--process', 'stationary', '--rho', '1.9',
                  '--mu', '4', '--lambda', '1', '--T', '2', '--steps', '2000',
                  '--paths', '50', '--tol', '1e-4', '--seed', '7',
                  '--out', out + '/eta.csv']) == 0
+# the blocking entry is the only scipy module
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
+"""
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       capture_output=True, text=True, env=cli_env("1"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["['scipy']"]
+
+
+def test_integrals_leave_quadpack_unloaded(cli_env):
+    # with scipy blocked, every integral of the library runs on the panel
+    # integrator
+    code = """
+import sys
+sys.modules['scipy'] = None
+from fracou import diagnostics as dg, kernels as kn
+from fracou.mixing import GammaMixing
 mk = kn.MeanKernel(1.9, GammaMixing(4.0, 1.0))
 kn.variance_integral(mk, 3.0)
 kn.stationary_variance(mk, 1e-3)
@@ -276,11 +292,10 @@ kn.resolvent_l2_norm(kn.ResolventKernel(1.0, 1.5))
 kn.volterra_residual(kn.ResolventKernel(1.0, 1.9), 2.0)
 dg.check_cauchy_decay(1.9, 4.0, 1.0, [4.0, 8.0], 20, 1)
 dg.check_mixing_condition_remark(3.0, 1.0, 1.9)
-# the blocking entry is the only scipy module
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
 """
-    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                       capture_output=True, text=True, env=cli_env("1"))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=cli_env("1"))
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["['scipy']"]
 
