@@ -24,8 +24,9 @@ SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
        "--seed", "7"]
 
 # the README lines, the eval table on standard output, the three simulate
-# processes the README does not show, and the two checks that read a
-# certified history, at a small --mc
+# processes the README does not show, a component table wide enough that its
+# evaluator, FFT and CSV writer each cross many blocks, and the two checks
+# that read a certified history, at a small --mc
 LINES = {
     "eval ml": ["eval", "ml", "--rho", "1.9", "--xmax", "60", "--points",
                 "600", "--out", "ml.csv"],
@@ -42,6 +43,9 @@ LINES = {
                          "--paths", "50", "--tol", "1e-4", "--out", "eta.csv"],
     "component": SIM + ["--process", "component", "--steps", "2000",
                         "--n-components", "100", "--out", "component.csv"],
+    "component wide": SIM + ["--process", "component", "--steps", "4000",
+                             "--n-components", "300",
+                             "--out", "component.csv"],
     "empirical": SIM + ["--process", "empirical", "--steps", "2000",
                         "--n-components", "100", "--paths", "5",
                         "--out", "empirical.csv"],

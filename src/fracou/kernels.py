@@ -29,6 +29,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, TruncationError
 from .mixing import GammaMixing, check_condition
 from .special_functions import (
+    _BLOCK,
     _EPS,
     ACCURACY_FLOOR,
     SERIES_TARGET,
@@ -210,11 +211,6 @@ def empirical_kernel(alphas, rho, t: float) -> float:
     return float(empirical_kernel_values(alphas, rho, [t])[0])
 
 
-# rate x lag cells per evaluator call of a table, which bounds the
-# evaluator's per-point arrays; only lags off the moment series go by cells
-_TABLE_CELLS = 1 << 18
-
-
 def _rates(alphas) -> np.ndarray:
     """Rates as a float array, once they are 1-d, nonempty, finite and >= 0."""
     alphas = np.asarray(alphas, dtype=float)
@@ -225,10 +221,10 @@ def _rates(alphas) -> np.ndarray:
 
 def _rate_lag_blocks(evaluate, alphas: np.ndarray, rho: float, lags: np.ndarray):
     """(lag slice, lags x rates block of evaluate(rho, alpha lag^rho)) pairs
-    of at most _TABLE_CELLS cells over the 1-d lags; evaluate is
-    ml_one_values or ml_two_values."""
+    of at most _BLOCK cells (at least one lag) over the 1-d lags; evaluate
+    is ml_one_values or ml_two_values."""
     lp = lags**rho
-    step = max(1, _TABLE_CELLS // max(alphas.size, 1))
+    step = max(1, _BLOCK // max(alphas.size, 1))
     for a in range(0, lp.size, step):
         args = lp[a : a + step, None] * alphas[None, :]
         yield slice(a, a + step), evaluate(rho, args.ravel()).reshape(args.shape)
@@ -263,9 +259,11 @@ def _rate_means(alphas, rho, ts, p: int) -> np.ndarray:
         for j in range(moments.size):
             moments[j] = math.fsum(power.tolist()) / alphas.size
             power *= r
-        v, e, _, guard = _alt_series(rho, beta, None, x[series], moments[p:])
-        cells[series] = ~(e <= SERIES_TARGET) | guard
-        out[series] = v * top if p else v
+        for a in range(0, series.size, _BLOCK):
+            lag = series[a : a + _BLOCK]
+            v, e, _, guard = _alt_series(rho, beta, None, x[lag], moments[p:])
+            cells[lag] = ~(e <= SERIES_TARGET) | guard
+            out[lag] = v * top if p else v
     rest = np.flatnonzero(cells)
     evaluate = ml_two_values if p else ml_one_values
     for rows, block in _rate_lag_blocks(evaluate, alphas, rho, lags[rest]):
@@ -491,9 +489,10 @@ def _mean_norm(mk: MeanKernel):
 
 def _l2_norm(kernel):
     """(||K||^2, its error bound) for G of a MeanKernel, or the f_n of a
-    (rho, rates) pair: n^-2 sum_k sum_l Re _gram(rho, a_k, a_l) in blocks of
-    _TABLE_CELLS pairs.  DomainError unless 1/2 < rho < 2 and mu > 1/(2 rho)
-    or all rates > 0: elsewhere the norm is infinite or the forms fail."""
+    (rho, rates) pair: n^-2 sum_k sum_l Re _gram(rho, a_k, a_l), summed over
+    blocks of rows of at most 16 _BLOCK pairs.  DomainError unless
+    1/2 < rho < 2 and mu > 1/(2 rho) or all rates > 0: elsewhere the norm is
+    infinite or the forms fail."""
     mean = isinstance(kernel, MeanKernel)
     rho = kernel.rho if mean else float(FractionalOrder(kernel[0]))
     alphas = None if mean else _rates(kernel[1])
@@ -503,7 +502,8 @@ def _l2_norm(kernel):
                           f"or rates > 0; got {kernel}")
     if mean:
         return _mean_norm(kernel)
-    n, step = alphas.size, max(1, _TABLE_CELLS // alphas.size)
+    # the blocks group the sum, so they fix its bits
+    n, step = alphas.size, max(1, 16 * _BLOCK // alphas.size)
     blocks = (_gram(rho, alphas[a : a + step, None], alphas) for a in range(0, n, step))
     total, mods = np.sum([(np.sum(q.real), np.sum(np.abs(q))) for q in blocks], axis=0)
     return float(total) / n**2, _GRAM_ULPS * _EPS * float(mods) / n**2

@@ -37,7 +37,7 @@ from .kernels import (
     empirical_kernel_values,
     mean_kernel_values,
 )
-from .special_functions import FractionalOrder, ml_one_values
+from .special_functions import _BLOCK, FractionalOrder, ml_one_values
 
 __all__ = [
     "TimeGrid",
@@ -64,10 +64,6 @@ _DRIVER_CELLS = 1 << 22
 # cells, in units of dt: a tenth of the dt/2 by which the left-endpoint
 # scheme itself is off
 _SHORTFALL = 0.05
-# values (rows x columns) of a CSV table formatted in one block: enough to
-# amortize the numpy calls, few enough that the block's temporaries (about
-# 250 bytes a value) stay in cache; a block holds whole rows, at least one
-_CSV_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,10 @@ class PathEnsemble:
 def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
     """CSV rows first[i], columns[0, i], columns[1, i], ... with each float
     written exactly as repr writes it, in blocks of whole rows holding at
-    most _CSV_ROWS values (at least one row).
+    most _BLOCK values (at least one row).  A block's text is built in
+    frames of _FRAME bytes and their masks, next to a dozen int64 and float
+    arrays: about 400 bytes a value at the peak (6.2 MiB traced for 2^14
+    values), which the writer holds besides the table.
 
     numpy computes a block's text with no Python call per value.  A finite
     v with 1e-6 < |v| < 1e16 that is not a power of two has a decimal
@@ -165,7 +164,7 @@ def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
     ".0" after an integer, and d.ddde-0X below.  Zeros, nan, infinities,
     powers of two and magnitudes <= 1e-6 or >= 1e16 are written by repr.
     """
-    rows = max(1, _CSV_ROWS // (1 + columns.shape[0]))
+    rows = max(1, _BLOCK // (1 + columns.shape[0]))
     for i in range(0, first.size, rows):
         block = np.column_stack((first[i : i + rows],
                                  columns[:, i : i + rows].T))
@@ -368,9 +367,11 @@ def _history_layout(kernel_lags: np.ndarray, t_lo: int, t_hi: int,
     # worst[l][a >> l]: largest V over the rows and output times of the
     # aligned cell of level l that starts at history cell a
     worst = [None] * (top + 1)
-    chunk = max(1, _DRIVER_CELLS // rows.shape[1])
+    peaks = []  # max |K| of each chunk of rows
+    chunk = max(1, _BLOCK // rows.shape[1])
     for r0 in range(0, rows.shape[0], chunk):
         mean = rows[r0 : r0 + chunk]
+        peaks.append(np.max(np.abs(mean)))
         var = np.zeros_like(mean)
         for l in range(1, top + 1):
             h = 1 << (l - 1)
@@ -387,7 +388,7 @@ def _history_layout(kernel_lags: np.ndarray, t_lo: int, t_hi: int,
                               np.arange(0, n_hist - 2 * h + 1, 2 * h), span)
             worst[l] = got if worst[l] is None else np.maximum(worst[l], got)
     eps = float(np.finfo(float).eps)
-    kmax2 = float(np.max(np.abs(rows))) ** 2
+    kmax2 = float(np.max(peaks)) ** 2
     share = _SHORTFALL / n_hist
     # candidates: the aligned cells of the binary decomposition of n_hist
     cand = [[] for _ in range(top + 1)]
@@ -508,25 +509,32 @@ def _convolve_rows(kernels: np.ndarray, dw: np.ndarray,
     shape (max(K, R), N+1-start); path column 0 is zero.  Direct below
     _FFT_CUTOVER, numpy's real FFT above, at the 5-smooth length _fast_len
     of just enough points that no kept output wraps (overlap-save), so a
-    late start shortens it.
+    late start shortens it.  Either branch writes each row, or block of
+    rows, straight into the output, so a call holds its inputs and output
+    plus one block.
     """
     kern = np.atleast_2d(np.asarray(kernels, dtype=float))[:, 1:]
     dw = np.atleast_2d(np.asarray(dw, dtype=float))
     n = dw.shape[1]
     rows = max(kern.shape[0], dw.shape[0])
     lo = max(start, 1) - 1  # first kept index of the linear convolution
+    out = np.zeros((rows, n + 1 - start))
+    kept = out[:, int(start == 0):]
     if kern.shape[1] * n >= _FFT_CUTOVER:
         size = _fast_len(max(kern.shape[1] + n - 1 - lo, n))
-        full = np.fft.irfft(np.fft.rfft(kern, size, axis=1)
-                            * np.fft.rfft(dw, size, axis=1), size, axis=1)
+        # blocks of rows of about _BLOCK spectrum cells; a side with one row
+        # is transformed once
+        step = max(1, _BLOCK // (size // 2 + 1))
+        once = [np.fft.rfft(a, size, axis=1) if a.shape[0] == 1 else None
+                for a in (kern, dw)]
+        for r in range(0, rows, step):
+            a, b = (f if f is not None else np.fft.rfft(side[r : r + step], size, axis=1)
+                    for f, side in zip(once, (kern, dw)))
+            kept[r : r + step] = np.fft.irfft(a * b, size, axis=1)[:, lo:n]
     else:
-        full = np.empty((rows, kern.shape[1] + n - 1))
         for r in range(rows):
-            a = kern[min(r, kern.shape[0] - 1)]
-            b = dw[min(r, dw.shape[0] - 1)]
-            full[r] = np.convolve(a, b)
-    out = np.zeros((rows, n + 1 - start))
-    out[:, int(start == 0):] = full[:, lo:n]
+            kept[r] = np.convolve(kern[min(r, kern.shape[0] - 1)],
+                                  dw[min(r, dw.shape[0] - 1)])[lo:n]
     return out
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
@@ -126,9 +126,12 @@ def pochhammer(mu: float, k: int) -> float:
 # the first term past the hump below e^_LOG_TERM_FLOOR sets the term count
 _LOG_TERM_FLOOR = -42.0
 _MAX_TERMS = 1 << 17
-# points per pass of the Horner loop; a band with fewer than _SCALAR_POINTS
-# points of a batch runs it in Python floats, one point at a time
-_SERIES_BLOCK = 16384
+# points of a batch evaluated at once: every batch path (the evaluators,
+# rate x lag tables, FFT row blocks, CSV text) holds its per-point
+# temporaries for at most this many values
+_BLOCK = 1 << 14
+# a band with fewer points of a batch runs the Horner loop in Python floats,
+# one point at a time
 _SCALAR_POINTS = 32
 # terms per memoized piece of a coefficient row: a longer request extends
 # the row without recomputing it
@@ -233,8 +236,8 @@ def _alt_series(rho: float, beta: float, nu, x: np.ndarray, weights=None):
     covers the coefficients' own rounding, eps/2 sum_k |a_k| u^k, since
     |a_k| <= (1 + eps)(|s_k| + u |s_(k+1)|).  Weights (kernels._rate_means)
     scale each a_k once, and add eps sum_k (2k + 4) |a_k w_k| u^k to the
-    estimate.  Each band's points are worked through in blocks of
-    _SERIES_BLOCK with elementwise operations only.
+    estimate.  Each band's points are summed with elementwise operations
+    only; callers hand over at most _BLOCK points at a time.
     """
     x = np.asarray(x, dtype=float)
     u, values, mu, top = (np.empty(x.size) for _ in range(4))
@@ -260,17 +263,15 @@ def _alt_series(rho: float, beta: float, nu, x: np.ndarray, weights=None):
             for i, ui in enumerate(u[lo:hi].tolist(), lo):
                 values[i], mu[i] = _horner(a, ui)
             continue
-        for start in range(lo, hi, _SERIES_BLOCK):
-            rows = slice(start, min(start + _SERIES_BLOCK, hi))
-            ub, s, m = u[rows], values[rows], mu[rows]
-            s[:] = a[K - 1]
-            np.abs(s, out=m)
-            size = np.empty(s.size)
-            for c in a[K - 2::-1]:
-                s *= ub
-                s += c
-                m *= ub
-                m += np.abs(s, out=size)
+        ub, s, m = u[lo:hi], values[lo:hi], mu[lo:hi]
+        s[:] = a[K - 1]
+        np.abs(s, out=m)
+        size = np.empty(s.size)
+        for c in a[K - 2::-1]:
+            s *= ub
+            s += c
+            m *= ub
+            m += np.abs(s, out=size)
     ests = TRUNC_SAFETY * np.abs(top) * u**terms + _EPS * (3.0 * mu - np.abs(values) + rnd)
     terms[x == 0.0] = 1
     # written so that overflowed (inf or NaN) sums trip the guard too
@@ -489,8 +490,20 @@ class _ChebLog:
         return np.exp(0.5 * (u * (self.hi - self.lo) + self.hi + self.lo))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """numpy's chebval at the mapped x: its Clenshaw steps, the same
+        operations in the same order, run in place in three buffers (c0, c1
+        and the next c1) instead of new arrays for every coefficient."""
         xi = (2.0 * np.log(x) - (self.lo + self.hi)) / (self.hi - self.lo)
-        return np.polynomial.chebyshev.chebval(xi, self.coef)
+        x2, c = 2.0 * xi, self.coef
+        c0, c1, t = np.full(xi.shape, c[-2]), np.full(xi.shape, c[-1]), np.empty(xi.shape)
+        for ck in c[-3::-1]:
+            np.multiply(c1, x2, out=t)
+            t += c0  # the next c1
+            np.subtract(ck, c1, out=c0)
+            c1, t = t, c1
+        c1 *= xi
+        c1 += c0
+        return c1
 
 
 @lru_cache(maxsize=None)
@@ -540,11 +553,25 @@ def _closed_form_many(rho: float, beta: float, x: np.ndarray):
     return out
 
 
+def _by_blocks(evaluate, x: np.ndarray):
+    """(values, ests, method codes, terms_used), shaped like x, filled by
+    evaluate(x, values, ests, methods, terms) on views of at most _BLOCK
+    points of them at a time, so a batch holds its outputs plus the
+    temporaries of one block.  ests, methods and terms start at zero."""
+    out = (np.empty(x.shape), np.zeros(x.shape), np.zeros(x.shape, dtype=np.int8),
+           np.zeros(x.shape, dtype=int))
+    flat = [a.reshape(-1) for a in (x, *out)]
+    for a in range(0, x.size, _BLOCK):
+        evaluate(*(f[a : a + _BLOCK] for f in flat))
+    return out
+
+
 def _evaluate_many(rho: float, beta: float, x: np.ndarray):
     """Full-regime batch evaluation.
 
     Returns (values, ests, method codes, terms_used); method codes index
-    _METHODS.
+    _METHODS.  The whole batch is checked before any block is evaluated,
+    and AccuracyError reports the worst estimate of the whole batch.
     """
     rho = FractionalOrder(rho)
     x = np.asarray(x, dtype=float)
@@ -552,18 +579,22 @@ def _evaluate_many(rho: float, beta: float, x: np.ndarray):
         x = x.reshape(1)
     if np.any(~np.isfinite(x)) or np.any(x < 0.0):
         raise DomainError("arguments must be finite and satisfy x >= 0")
-    values = np.empty(x.shape)
-    ests = np.zeros(x.shape)
-    methods = np.zeros(x.shape, dtype=np.int8)
-    terms = np.zeros(x.shape, dtype=int)
-    if x.size == 0:
-        return values, ests, methods, terms
+    out = _by_blocks(partial(_evaluate_block, rho, beta), x)
+    worst = float(out[1].max(initial=0.0))
+    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
+        raise AccuracyError(
+            f"no path certifies {ACCURACY_FLOOR:g} (best {worst:.2e}) "
+            f"for rho={float(rho)}", est_abs_error=worst)
+    return out
 
+
+def _evaluate_block(rho: float, beta: float, x, values, ests, methods, terms):
+    """_evaluate_many's regimes over one block, written into its views."""
     if rho in (1.0, 2.0):
         values[:] = _closed_form_many(rho, beta, x)
         ests[:] = 4.0 * _EPS * (1.0 + np.abs(values)) * (1.0 + np.sqrt(np.abs(x)))
         methods[:] = _METHODS.index("closed_form")
-        return values, ests, methods, terms
+        return
 
     x_series, x_asym = _regime_thresholds(rho, beta)
     small = x <= x_series
@@ -584,13 +615,6 @@ def _evaluate_many(rho: float, beta: float, x: np.ndarray):
         ests[mid] = interp.est
         terms[mid] = interp.coef.size
         methods[mid] = _METHODS.index("interpolant")
-
-    worst = float(ests.max())
-    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
-        raise AccuracyError(
-            f"no path certifies {ACCURACY_FLOOR:g} (best {worst:.2e}) "
-            f"for rho={float(rho)}", est_abs_error=worst)
-    return values, ests, methods, terms
 
 
 def ml_one_values(rho, x: np.ndarray) -> np.ndarray:
@@ -902,15 +926,25 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
     if not np.all(scale < math.inf):
         raise DomainError(f"t^rho/lam leaves the double range for rho={rho}, "
                           f"lam={lam}, t up to {float(np.max(t)):g}")
-    values = np.empty(t.shape)
-    ests = np.zeros(t.shape)
-    methods = np.full(t.shape, _METHODS.index("closed_form"), dtype=np.int8)
-    terms = np.zeros(t.shape, dtype=int)
+    out = _by_blocks(partial(_g_quadrature_block, rho, mu, beta), scale)
+    worst = float(out[1].max(initial=0.0))
+    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
+        raise AccuracyError(
+            f"mixing integral estimate {worst:.2e} exceeds {ACCURACY_FLOOR:g} "
+            f"for rho={rho}, mu={mu}, beta={beta}", est_abs_error=worst)
+    return out
+
+
+def _g_quadrature_block(rho: float, mu: float, beta: float, scale, values,
+                        ests, methods, terms):
+    """_g_quadrature_many's paths over one block of scales t^rho/lam,
+    written into its views."""
+    methods[:] = _METHODS.index("closed_form")
     if rho == 1.0 and beta == 1.0:
         values[:] = (1.0 + scale) ** -mu
         # 1 + w rounds by eps, which the power raises to mu eps
         ests[:] = (mu + 4.0) * _EPS * values
-        return values, ests, methods, terms
+        return
     done = scale == 0.0
     values[done] = 1.0 / math.gamma(beta)
 
@@ -942,13 +976,6 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
         values[big], methods[big] = v, _METHODS.index("interpolant")
         ests[big] = np.array([p.est for p in panels])[panel_of]
         terms[big] = np.array([p.coef.size for p in panels])[panel_of]
-
-    worst = float(ests.max(initial=0.0))
-    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
-        raise AccuracyError(
-            f"mixing integral estimate {worst:.2e} exceeds {ACCURACY_FLOOR:g} "
-            f"for rho={rho}, mu={mu}, beta={beta}", est_abs_error=worst)
-    return values, ests, methods, terms
 
 
 def g_rho_quadrature(rho, mu: float, lam: float, t: float) -> EvalResult:

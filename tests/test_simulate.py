@@ -14,6 +14,7 @@ from fracou import _rng
 from fracou import diagnostics as dg
 from fracou import kernels as kn
 from fracou import simulate as sim
+from fracou import special_functions as sf
 from fracou.errors import DomainError, TruncationError
 from fracou.kernels import (
     MeanKernel,
@@ -172,7 +173,7 @@ def test_single_path_mean_identity():
 def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
     alphas = sample_alphas(MIX, 40, seed=2)
     lags = np.linspace(0.0, 30.0, 301)  # series, gap and asymptotic regimes
-    assert alphas.size * lags.size <= kn._TABLE_CELLS
+    assert alphas.size * lags.size <= kn._BLOCK
     grid = sim.TimeGrid(0.0, 2.0, 300)
 
     def tables():
@@ -183,9 +184,72 @@ def test_kernel_tables_do_not_depend_on_their_chunks(monkeypatch):
                           for r in pathwise.estimates[:2]]))
 
     whole = tables()
-    monkeypatch.setattr(kn, "_TABLE_CELLS", 7 * alphas.size + 3)  # 7 lags a block
+    monkeypatch.setattr(kn, "_BLOCK", 7 * alphas.size + 3)  # 7 lags a block
     for a, b in zip(whole, tables()):
         assert a.tobytes() == b.tobytes()
+
+
+def test_batch_paths_do_not_depend_on_the_block_size(monkeypatch):
+    # every path that works through _BLOCK points (or cells, or values) at a
+    # time, at its own size and at 7: the same bytes
+    x = np.linspace(0.0, 300.0, 200)  # series, gap and asymptotic at rho 1.5
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 2000.0, 120)])
+    alphas = sample_alphas(MIX, 30, seed=5)
+    lags = np.linspace(0.0, 3.0, 80)
+    # rho 1.2: the largest rate sends some lags past the series to their cells
+    assert np.any(alphas.max() * lags**1.2 > sf._regime_thresholds(1.2, 1.0)[0])
+    g = sim.TimeGrid(0.0, 2.0, 300)  # 300 x 300 cells: the FFT branch
+    rows = sim._resolvent_lag_rows(alphas[:5], 1.9, g.times())
+    dws = sim._increment_matrix(3, 5, g.n_steps, g.dt)
+    hist = sim._resolvent_lag_rows(alphas[:5], 1.9, np.arange(401) * 0.01)
+
+    def outputs():
+        csv = io.StringIO()
+        sim.write_csv_rows(csv, g.times()[:50], rows[:3, :50])
+        layout = sim._history_layout(hist, 0, 100, 300, 0.01)
+        return (sf.ml_one_values(1.5, x), sf.ml_two_values(1.5, x),
+                sf.ml_one_values(1.5, x.reshape(20, 10)),
+                sf.ml_two_values(1.9, x.reshape(20, 10)),
+                kn.mean_kernel_values(MK19, ts),
+                kn.mean_kernel_deriv_values(MK19, ts[1:]),
+                sim._resolvent_lag_rows(alphas, 1.9, lags),
+                kn.empirical_kernel_values(alphas, 1.2, lags),
+                sim._convolve_rows(rows, dws[:1]),
+                sim._convolve_rows(rows[:1], dws, start=40),
+                np.frombuffer(csv.getvalue().encode(), np.uint8),
+                layout.levels, layout.starts, np.array(layout.disc_var_bound))
+
+    whole = outputs()
+    for module in (sf, kn, sim):
+        monkeypatch.setattr(module, "_BLOCK", 7)
+    for a, b in zip(whole, outputs(), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_paths_hold_their_output_plus_one_block():
+    # a call holds its inputs, its kernel table and its output, plus one
+    # block: not one temporary per point of the batch
+    alphas = sample_alphas(MIX, 400, seed=3)
+    g = sim.TimeGrid(0.0, 2.0, 4000)
+    x = np.linspace(0.0, 600.0, 10**6)
+    calls = [lambda: sim.simulate_component_paths(alphas, 1.9, g, 1).values,
+             lambda: sim.simulate_limit_paths(MK19, g, 1, 1000).values,
+             lambda: sf.ml_one_values(1.5, x)]
+    sim.simulate_component_paths(alphas[:2], 1.9, g, 1)  # cached tables first
+    sim.simulate_limit_paths(MK19, g, 1, 2)
+    sf.ml_one_values(1.5, x[::1000])
+    for call, bound in zip(calls, (2.5, 2.5, 3.5)):
+        peak, out = _peak_bytes(call)
+        assert peak <= bound * out.nbytes, (peak / out.nbytes, bound)
 
 
 def test_fft_matches_direct(monkeypatch):
@@ -831,9 +895,9 @@ def test_csv_rows_are_the_per_value_reprs(monkeypatch, tmp_path):
 
     vals = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1 + 0.2, 1.0])
     # a strided block, as a path ensemble's columns are, over three blocks:
-    # _CSV_ROWS counts values, so 12 of them make 3-row blocks of 4 columns
+    # _BLOCK counts values, so 12 of them make 3-row blocks of 4 columns
     columns = np.vstack([vals, -vals[::-1], vals * 3.0])[:, ::-1]
-    monkeypatch.setattr(sim, "_CSV_ROWS", 12)
+    monkeypatch.setattr(sim, "_BLOCK", 12)
     out = io.StringIO()
     sim.write_csv_rows(out, vals, columns)
     want = "".join(",".join([repr(float(t))] + [repr(float(v))
@@ -910,7 +974,7 @@ def test_csv_text_is_the_per_value_repr():
 
 def test_wide_ensemble_is_written_in_bounded_blocks(tmp_path):
     # 1000 paths x 2001 rows: 38 MB of text from 16 MB of values, while one
-    # block of _CSV_ROWS values holds a few MB
+    # block of _BLOCK values holds a few MB
     g = sim.TimeGrid(0.0, 2.0, 2000)
     ens = sim.simulate_limit_paths(MeanKernel(1.0, MIX), g, 7, 1000)
     path = tmp_path / "wide.csv"

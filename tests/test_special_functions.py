@@ -701,14 +701,15 @@ def test_osc_branch_pair_within_its_rounding_bound(rho, beta):
 
 
 def test_series_loops_agree_bit_for_bit(monkeypatch):
-    # about 100 points per band run the blocked numpy loop, a lone point the
-    # Python-float one; 64-point blocks split every band
+    # about 100 points per band run the numpy loop, a lone point the
+    # Python-float one; a 64-point _BLOCK changes nothing here, since the
+    # evaluators, not _alt_series, cut a batch into blocks
     x = 2.0 ** np.random.default_rng(4).uniform(-2.0, 6.5, 850)
     batches = [(_series_many, 1.9, 1.0, x), (_series_many, 1.5, 1.5, x[x < 23.0]),
                (_g_series_many, 1.9, 4.0, -x[x < 14.0])]
     for fn, r, p, pts in batches:
         whole = fn(r, p, pts)
-        monkeypatch.setattr(sf, "_SERIES_BLOCK", 64)
+        monkeypatch.setattr(sf, "_BLOCK", 64)
         assert all(_same_bits(f, g) for f, g in zip(whole, fn(r, p, pts))), fn
         monkeypatch.undo()
         for i in range(0, pts.size, 37):
