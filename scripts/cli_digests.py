@@ -23,7 +23,8 @@ from fracou.cli import main as cli_main
 SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
        "--seed", "7"]
 
-# the README lines, the eval table on standard output, the three simulate
+# the README lines, the eval table on standard output, an eval table whose
+# tail takes the exponent form and leading zeros, the three simulate
 # processes the README does not show, a component table wide enough that its
 # evaluator, FFT and CSV writer each cross many blocks, and the two checks
 # that read a certified history, at a small --mc
@@ -32,6 +33,8 @@ LINES = {
                 "600", "--out", "ml.csv"],
     "eval ml stdout": ["eval", "ml", "--rho", "1.9", "--xmax", "60",
                        "--points", "600", "--out", "-"],
+    "eval ml tail": ["eval", "ml", "--rho", "1.2", "--xmax", "2000",
+                     "--points", "600", "--out", "ml.csv"],
     "eval gml": ["eval", "gml", "--rho", "1.9", "--mu", "4", "--xmax", "30",
                  "--out", "gml.csv"],
     "mixing": ["mixing", "--mu", "4", "--lam", "2", "--rho", "1.9", "--frac",

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,6 +175,7 @@ def cmd_diagnose(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fracou",
@@ -195,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("mixing", help="moments and admissibility checks")
     pm.add_argument("--mu", type=float, required=True)
     pm.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    pm.add_argument("--rho", type=float, nargs="+", default=[1.0])
+    pm.add_argument("--rho", type=float, nargs="+", default=(1.0,))
     pm.add_argument("--moments", type=int, default=4)
     pm.add_argument("--frac", type=float, nargs="*")
     pm.add_argument("--out", default="-")

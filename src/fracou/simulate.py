@@ -136,9 +136,9 @@ class PathEnsemble:
 def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
     """CSV rows first[i], columns[0, i], columns[1, i], ... with each float
     written exactly as repr writes it, in blocks of whole rows holding at
-    most _BLOCK values (at least one row).  A block's text is built in
-    frames of _FRAME bytes and their masks, next to a dozen int64 and float
-    arrays: about 400 bytes a value at the peak (6.2 MiB traced for 2^14
+    most _BLOCK values (at least one row).  A block's text is built in one
+    record of _RECORD bytes a value, next to a dozen int64 and float
+    arrays: about 220 bytes a value at the peak (3.4 MiB traced for 2^14
     values), which the writer holds besides the table.
 
     numpy computes a block's text with no Python call per value.  A finite
@@ -171,40 +171,52 @@ def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
         fh.write(_csv_text(block))
 
 
-# one value's text sits in a 52-byte frame of 4-byte words, and a per-value
-# mask keeps its bytes: the sign at byte 3, the integer digits right-aligned
-# in words 1-4, "." at byte 23, the fraction digits in words 6-10 (20 digits
-# of which the first shown is at byte 27 + decpt, decpt = e + 1 or 1 in
-# exponent form), "e-0X" in word 11 and the separator at byte 51
-_FRAME = 52
+# one value's text is a record of 32 bytes, four little-endian words: its 17
+# digits at bytes 7-23, those from a decimal point on shifted up one byte,
+# the sign, "0." and leading zeros before them, "e-0X" after, and the
+# separator at byte 31; the zero bytes left between are dropped
+_RECORD = 32
 
 
 @lru_cache(maxsize=None)
 def _csv_tables():
-    """Powers of ten, the ASCII words of 0000..9999, their trailing-zero
-    counts (4 for 0000), the frame template and the frame masks by
-    ((layout, fraction digits shown), negative), layout decpt + 3 for fixed
-    notation and 20 for exponent form."""
+    """Powers of ten, the digit groups and the record tables.
+
+    groups[k, g] is the ASCII word of g = 0000..9999 as group k of the 16
+    digits after the first and, in its high half, the trailing zeros of the
+    16 if k is their last nonzero group (16 for 0000): the least over the
+    four groups is the count.  layout[i, w, code] is word w of the digit
+    bytes kept in place (i = 0), of those kept shifted up a byte (i = 1,
+    the ones after a point) and of the text OR-ed in (i = 2), by code
+    ((e + 6) 17 + digits - 1) 2 + negative, e the decimal exponent."""
     p10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
-    j = np.arange(10000, dtype=np.uint32)
-    words = (0x30303030 + (j // 1000 | j // 100 % 10 << 8
-                           | j // 10 % 10 << 16 | j % 10 << 24)).astype("<u4")
-    zeros = ((j % 10 == 0).astype(np.int64) + (j % 100 == 0)
-             + (j % 1000 == 0) + (j == 0))
-    template = np.zeros(_FRAME, np.uint8)
-    template[[3, 23, 44, 45, 46, 51]] = list(b"-.e-0,")
-    lay = np.arange(21)[:, None, None, None]
-    shown = np.arange(21)[None, :, None, None]
-    neg = np.arange(2)[None, None, :, None]
-    c = np.arange(_FRAME)
-    decpt = np.where(lay == 20, 1, lay - 3)
-    first = 27 + decpt
-    masks = ((c == 3) & (neg == 1)
-             | (c >= 20 - np.maximum(decpt, 1)) & (c < 20)
-             | (c == 23) & (shown > 0)
-             | (c >= first) & (c < first + shown)
-             | (c >= 44) & (c < 48) & (lay == 20) | (c == 51))
-    return p10, words, zeros, template, masks.reshape(-1, _FRAME)
+    d = np.arange(10)
+    words, zeros = d + 48, d == 0
+    for k in (8, 16, 24):
+        words = (words[:, None] | d + 48 << k).ravel()
+        zeros = ((d == 0) * (1 + zeros[:, None])).ravel()
+    groups = ((zeros + 12) << 32 | words) - (np.arange(4)[:, None] << 34)
+    groups[:, 0] = 16 << 32 | words[0]
+    # by code: the point's byte (none: _RECORD), the end of the digits and
+    # the start of "0.000"
+    code = np.arange(22 * 17 * 2, dtype=np.int16)
+    e, n, neg = code // 34 - 6, code // 2 % 17 + 1, code % 2
+    c = np.arange(_RECORD, dtype=np.int16)[:, None]
+    sci, lead = e < -4, (e < 0) & (e >= -4)
+    dot = np.where(sci & (n > 1) | (e >= 0), np.where(sci, 8, 8 + e), _RECORD)
+    end = np.where(e >= 0, np.maximum(8 + n, 10 + e), 7 + n + (sci & (n > 1)))
+    start = np.where(lead, 6 + e, 7)
+    text = np.select(
+        [lead & (c == start + 1), lead & (c >= start) & (c < 7), c == dot,
+         sci & (c == end), sci & (c == end + 1), sci & (c == end + 2),
+         sci & (c == end + 3), c == _RECORD - 1],
+        [46, 48, 46, 101, 45, 48, 48 - e, 44]) + (c == start - 1) * neg * 45
+    layout = np.stack([(c >= 7) & (c < np.minimum(dot, end)),
+                      (c > dot) & (c < end), text]).astype(np.uint8)
+    layout[:2] *= 255
+    layout = layout.reshape(3, 4, 8, -1).transpose(0, 1, 3, 2)
+    layout = np.ascontiguousarray(layout).view("<u8")[..., 0]
+    return p10, groups.view(np.uint64), layout
 
 
 def _two_product(a: np.ndarray, b: np.ndarray):
@@ -250,22 +262,9 @@ def _shortest_digits(a: np.ndarray):
     return digits, e + carry
 
 
-def _put_words(words: np.ndarray, col: int, x: np.ndarray):
-    """x < 1e16 as 16 ASCII digits in frame words col..col+3; returns the
-    four 4-digit groups."""
-    ascii4 = _csv_tables()[1]
-    hi = x // 100000000
-    lo = (x - hi * 100000000).astype(np.uint32)
-    hi = hi.astype(np.uint32)
-    groups = (hi // 10000, hi % 10000, lo // 10000, lo % 10000)
-    for j, g in enumerate(groups):
-        words[:, col + j] = np.take(ascii4, g)
-    return groups
-
-
 def _csv_text(block: np.ndarray) -> str:
     """The CSV text of a 2-d block of floats; see write_csv_rows."""
-    _, ascii4, zeros, template, masks = _csv_tables()
+    _, groups, (keep, shift, text) = _csv_tables()
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
     bits = x.view(np.int64)
     a = np.abs(x)
@@ -273,34 +272,36 @@ def _csv_text(block: np.ndarray) -> str:
                             & (bits & 0xFFFFFFFFFFFFF != 0)))
     a[slow] = 1.5
     digits, e = _shortest_digits(a)
-    sci = e < -4
-    decpt = np.where(sci, 1, e + 1)
-    div = 10 ** np.minimum(17 - decpt, 17)
-    whole = digits // div
-    frac = digits - whole * div
-    top = frac // 10 ** 16
-    frame = np.empty((x.size, _FRAME), np.uint8)
-    frame[:] = template
-    words = frame.view("<u4")
-    _put_words(words, 1, whole)
-    words[:, 6] = np.take(ascii4, top)
-    groups = _put_words(words, 7, frac - top * 10 ** 16)
-    # trailing zeros of the 20 fraction digits: the last nonzero group's
-    tz = 16 + np.take(zeros, top)
-    for j, g in enumerate(groups):
-        tz = np.where(g, 12 - 4 * j + np.take(zeros, g), tz)
-    shown = np.maximum(17 - decpt - tz, ~sci)
-    frame[:, 47] = 48 - e
-    code = ((np.where(sci, 20, decpt + 3) * 21 + shown) << 1) | (bits < 0)
-    mask = np.take(masks, code, axis=0)
+    hi = digits // 10 ** 8
+    lo = digits - hi * 10 ** 8
+    first = hi // 10 ** 8
+    hi -= first * 10 ** 8
+    q, r = hi // 10000, lo // 10000
+    g = [np.take(groups[k], d)
+         for k, d in enumerate((q, hi - q * 10000, r, lo - r * 10000))]
+    tz = np.minimum(np.minimum(g[0], g[1]), np.minimum(g[2], g[3])) >> 32
+    # the tables' code, with 17 - tz significant digits
+    code = (((e * 17 + 118).view(np.uint64) - tz) << 1) | (bits < 0)
+    w1 = g[0] & 0xFFFFFFFF | g[1] << 32
+    w2 = g[2] & 0xFFFFFFFF | g[3] << 32
+    digit0 = first.view(np.uint64) + 48  # its ASCII byte
+    # the bytes from the point on come from the record shifted up by 8 bits
+    out = bytearray(x.size * _RECORD)
+    words = np.frombuffer(out, np.uint64).reshape(-1, 4)
+    words[:, 0] = digit0 << 56 | np.take(text[0], code)
+    words[:, 1] = (w1 & np.take(keep[1], code) | np.take(text[1], code)
+                   | (w1 << 8 | digit0) & np.take(shift[1], code))
+    words[:, 2] = (w2 & np.take(keep[2], code) | np.take(text[2], code)
+                   | (w2 << 8 | w1 >> 56) & np.take(shift[2], code))
+    words[:, 3] = w2 >> 56 & np.take(shift[3], code) | np.take(text[3], code)
+    record = words.view(np.uint8)
     if slow.size:
-        text = "".join(repr(v).ljust(24) for v in x[slow].tolist())
-        chars = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
-        frame[slow, :24] = chars
-        mask[slow, :_FRAME - 1] = False
-        mask[slow, :24] = chars != 32
-    frame[block.shape[1] - 1 :: block.shape[1], _FRAME - 1] = 10
-    return np.compress(mask.ravel(), frame.ravel()).tobytes().decode("ascii")
+        reprs = "".join(repr(v).ljust(_RECORD - 1, "\0") + ","
+                        for v in x[slow].tolist())
+        record[slow] = np.frombuffer(reprs.encode(), np.uint8).reshape(
+            -1, _RECORD)
+    record[block.shape[1] - 1 :: block.shape[1], _RECORD - 1] = 10
+    return out.translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)

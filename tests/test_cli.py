@@ -279,6 +279,20 @@ def test_eval_on_stdout_is_the_file(function, flags, tmp_path, capsys):
     assert shown.encode() == (tmp_path / "t.csv").read_bytes()
 
 
+def test_a_line_after_another_writes_what_it_writes_alone(tmp_path, capsys):
+    # one parser serves every line of a process
+    line = ["eval", "ml", "--rho", "1.9", "--xmax", "3", "--points", "8",
+            "--out", "-"]
+    assert cli.main(line) == 0
+    alone = capsys.readouterr().out
+    assert cli.main(["simulate", "--process", "limit", "--rho", "1", "--mu",
+                     "4", "--lambda", "1", "--T", "0.5", "--steps", "10",
+                     "--seed", "7", "--out", str(tmp_path / "p.csv")]) == 0
+    assert cli.main(line) == 0
+    assert capsys.readouterr().out == alone
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_truncation_maps_to_exit_four(tmp_path):
     # mu close to the admissibility boundary: the certified tail decays so
     # slowly that no history below the cap reaches the tolerance

@@ -1,3 +1,4 @@
+import decimal
 import io
 import json
 import math
@@ -970,6 +971,48 @@ def test_csv_text_is_the_per_value_repr():
         out = io.StringIO()
         sim.write_csv_rows(out, block[:, 0], block[:, 1:].T)
         assert out.getvalue() == _repr_rows(block[:, 0], block[:, 1:].T)
+
+
+def _repr_shape(v):
+    """The decimal exponent and significant digits of repr(v)."""
+    d = decimal.Decimal(repr(v))
+    return d.adjusted(), len(d.normalize().as_tuple().digits)
+
+
+def test_every_text_layout_is_repr():
+    # a value of each shape the numpy path lays out: decimal exponent -6..15,
+    # 1..17 significant digits (the digits of pi, or a neighbour with that
+    # many), either sign
+    pi = "31415926535897932"
+    values = [1e-05, -1.5e-06, 0.0001, 1234567890123456.0, 9999999999999998.0]
+    for e in range(-6, 16):
+        for n in range(1, 18):
+            v = float(f"{pi[:n]}e{e - n + 1}")
+            for _ in range(4):
+                if _repr_shape(v) == (e, n):
+                    break
+                v = float(np.nextafter(v, np.inf))
+            assert _repr_shape(v) == (e, n), v
+            values += [v, -v]
+    x = np.array(values)
+    out = io.StringIO()
+    sim.write_csv_rows(out, x, x[None, ::-1])
+    assert out.getvalue() == _repr_rows(x, x[None, ::-1])
+
+
+def test_csv_block_holds_at_most_300_bytes_a_value():
+    # one 2^14-value block of path values, after a warm-up call has built
+    # the tables
+    rng = np.random.default_rng(5)
+    block = np.cumsum(rng.standard_normal((128, 128)), axis=0) * 0.01
+    sim._csv_text(block)
+    tracemalloc.start()
+    try:
+        sim._csv_text(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * block.size
 
 
 def test_wide_ensemble_is_written_in_bounded_blocks(tmp_path):
