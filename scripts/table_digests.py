@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Build every cold special-function table over a fixed grid and print a
+digest of each.
+
+The tables are the regime thresholds, the series band terms (bands -1 to 8,
+without and with a Pochhammer factor), the gap interpolant's coefficients and
+estimate, the asymptotic coefficients, the direct G series range and the
+mixing panels' coefficients and estimates, at every rho of the grid and
+beta in {1, rho}.  Each line names a table and prints the first 16 hex
+digits of the sha256 of its bits, or the name of the error its build
+raised.  Two checkouts build bit-identical tables exactly when they print
+the same lines:
+
+    PYTHONPATH=src python scripts/table_digests.py [rho ...]
+
+The optional orders replace the default grid.
+"""
+
+import hashlib
+import sys
+
+import numpy as np
+
+from fracou import special_functions as sf
+from fracou.errors import AccuracyError, DomainError
+
+RHOS = (0.5, 0.8, 1.05, 1.2, 1.5, 1.9, 1.95, 2.0)
+BANDS = range(-1, 9)
+NUS = (None, 4.0)
+MUS = (4.0, 0.4)
+PANELS = (-1, 0, 1)
+
+
+def digest(build) -> str:
+    """sha256 prefix of the floats build() returns, or its error's name."""
+    try:
+        parts = build()
+    except (AccuracyError, DomainError) as exc:
+        return type(exc).__name__
+    data = b"".join(np.asarray(p, dtype=float).tobytes() for p in parts)
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def cheb(table) -> tuple:
+    """A Chebyshev table's coefficients and estimate."""
+    return table.coef, [table.est]
+
+
+def tables(rho: float, beta: float):
+    """(name, builder) of every table at one (rho, beta); each builder reads
+    the loop variables, so it is called before the next item is drawn."""
+    yield "thresholds", lambda: sf._regime_thresholds(rho, beta)
+    for nu in NUS:
+        for band in BANDS:
+            yield f"band_terms nu={nu} band={band}", lambda: sf._band_terms(rho, beta, nu, band)
+    yield "gap", lambda: cheb(sf._gap_interpolant(rho, beta))
+    yield "asym_coeffs", lambda: sf._asym_coeffs(rho, beta, 50)
+    for mu in MUS:
+        if rho > 1.0:
+            yield f"g_series_range mu={mu}", lambda: [sf._g_series_range(rho, mu, beta)]
+        for k in PANELS:
+            yield f"panel mu={mu} k={k}", lambda: cheb(sf._mixing_panel(rho, mu, k, beta))
+
+
+def main(argv: list) -> int:
+    for rho in [float(a) for a in argv] or RHOS:
+        for beta in dict.fromkeys((1.0, rho)):
+            for name, build in tables(rho, beta):
+                print(f"rho={rho} beta={beta} {name}: {digest(build)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

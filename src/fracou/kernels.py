@@ -509,18 +509,36 @@ def _l2_norm(kernel):
     return float(total) / n**2, _GRAM_ULPS * _EPS * float(mods) / n**2
 
 
-def _head_piece(kernel, a: float, b: float) -> float:
-    """Integral over [a, b] of L^2, L = max(|K| - d, 0) of the computed K and
-    its certified error d (G's own estimate; ACCURACY_FLOOR for f_n)."""
-    def lower(u):
-        if isinstance(kernel, MeanKernel):
-            mix = kernel.mixing
-            k, d = _g_quadrature_many(kernel.rho, mix.mu, mix.lam, u)[:2]
-        else:
-            k, d = empirical_kernel_values(kernel[1], kernel[0], u), ACCURACY_FLOOR
-        return np.maximum(np.abs(k) - d, 0.0)
+def _lower(kernel, u: np.ndarray):
+    """(L, d) at u: L = max(|K| - d, 0) of the computed K and its certified
+    error d (G's own estimate; ACCURACY_FLOOR for f_n)."""
+    if isinstance(kernel, MeanKernel):
+        mix = kernel.mixing
+        k, d = _g_quadrature_many(kernel.rho, mix.mu, mix.lam, u)[:2]
+    else:
+        k, d = empirical_kernel_values(kernel[1], kernel[0], u), ACCURACY_FLOOR
+    return np.maximum(np.abs(k) - d, 0.0), d
 
-    return _square_integral(lower, a, b, _HEAD_RTOL)
+
+def _head_piece(kernel, a: float, b: float) -> float:
+    """Integral over [a, b] of L^2 (_lower)."""
+    return _square_integral(lambda u: _lower(kernel, u)[0], a, b, _HEAD_RTOL)
+
+
+def _floor(kernel, edges: list) -> float:
+    """2 int d L (_lower) over the pieces between edges, each to rtol 1e-3
+    in v = log1p(u); NaN where that fails.  K^2 >= L^2 + 2 d L, so with the
+    computed K as close to K as its rounding, the subtraction bound of
+    _tail_bound stays above this at every depth."""
+    def weight(v):
+        low, d = _lower(kernel, np.expm1(v))
+        return 2.0 * np.exp(v) * d * low
+
+    try:
+        return math.fsum(_integrate(weight, math.log1p(a), math.log1p(b), 1e-3)
+                         for a, b in zip(edges, edges[1:]) if a < b)
+    except AccuracyError:
+        return math.nan
 
 
 _mean_piece = lru_cache(maxsize=None)(_head_piece)
@@ -547,7 +565,9 @@ def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     I(T) is summed over [0, _TAIL_T0], the octaves past it below T and the
     rest, each piece integrated once per MeanKernel, or per rate set while
     it is the last one asked for.
-    TruncationError at once when e + r (||K||^2 + e) alone reaches tol."""
+    TruncationError at once when e + r (||K||^2 + e) alone reaches tol, and
+    when a piece of I(T) fails to converge (L^2 has a kink wherever |K|
+    crosses d) while the floor 2 int_0^T d L alone reaches tol (_floor)."""
     if isinstance(kernel, MeanKernel):
         (norm, err), piece = _l2_norm(kernel), partial(_mean_piece, kernel)
     else:
@@ -560,7 +580,15 @@ def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     def tail(T: float) -> float:
         k = math.frexp(T / _TAIL_T0)[1] if T >= _TAIL_T0 else 0
         edges = [0.0, *(math.ldexp(_TAIL_T0, j) for j in range(k)), T]
-        head = math.fsum(piece(a, b) for a, b in zip(edges, edges[1:]) if a < b)
+        try:
+            head = math.fsum(piece(a, b) for a, b in zip(edges, edges[1:]) if a < b)
+        except AccuracyError:
+            floor = _floor(kernel, edges)
+            if not floor >= tol:
+                raise
+            raise TruncationError(f"tol={tol} is out of reach: the tail bound "
+                                  f"stays above 2 int d L = {floor:.3g} over "
+                                  f"[0, {T:g}]") from None
         return norm + err - head * (1.0 - _HEAD_RTOL)
 
     return tail

@@ -165,10 +165,12 @@ def write_csv_rows(fh, first: np.ndarray, columns: np.ndarray) -> None:
     powers of two and magnitudes <= 1e-6 or >= 1e16 are written by repr.
     """
     rows = max(1, _BLOCK // (1 + columns.shape[0]))
+    # one record buffer serves every block of the call
+    out = bytearray(min(rows, first.size) * (1 + columns.shape[0]) * _RECORD)
     for i in range(0, first.size, rows):
         block = np.column_stack((first[i : i + rows],
                                  columns[:, i : i + rows].T))
-        fh.write(_csv_text(block))
+        fh.write(_csv_text(block, out))
 
 
 # one value's text is a record of 32 bytes, four little-endian words: its 17
@@ -262,8 +264,10 @@ def _shortest_digits(a: np.ndarray):
     return digits, e + carry
 
 
-def _csv_text(block: np.ndarray) -> str:
-    """The CSV text of a 2-d block of floats; see write_csv_rows."""
+def _csv_text(block: np.ndarray, out: bytearray | None = None) -> str:
+    """The CSV text of a 2-d block of floats; see write_csv_rows.  Its
+    records are laid out in out, a buffer of at least one record a value
+    (a new one by default), whose bytes past them are zeroed."""
     _, groups, (keep, shift, text) = _csv_tables()
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
     bits = x.view(np.int64)
@@ -286,8 +290,11 @@ def _csv_text(block: np.ndarray) -> str:
     w2 = g[2] & 0xFFFFFFFF | g[3] << 32
     digit0 = first.view(np.uint64) + 48  # its ASCII byte
     # the bytes from the point on come from the record shifted up by 8 bits
-    out = bytearray(x.size * _RECORD)
+    if out is None:
+        out = bytearray(x.size * _RECORD)
     words = np.frombuffer(out, np.uint64).reshape(-1, 4)
+    words[x.size :] = 0  # zero bytes, which the translate drops
+    words = words[: x.size]
     words[:, 0] = digit0 << 56 | np.take(text[0], code)
     words[:, 1] = (w1 & np.take(keep[1], code) | np.take(text[1], code)
                    | (w1 << 8 | digit0) & np.take(shift[1], code))

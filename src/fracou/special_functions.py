@@ -10,13 +10,15 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
 
 * small x: Horner sum in x/2^band with a running rounding bound, in double
   precision, over coefficients (nu)_k / Gamma(rho k + beta) rounded once
-  from 30 digits.  E (no Pochhammer factor) and every nu of one (rho, beta)
-  read one memoized row of 30-digit reciprocal gammas.  Certification fails
-  once the bound exceeds 1e-10 or the Horner partial sums reach 1e6 times
-  the value; the crossover is calibrated once per rho and cached.  The term
-  count and the scaled coefficients are fixed per power-of-two band of x
-  (all x < 1 share one), so a value never depends on the batch it is
-  evaluated in.
+  from 30 digits.  E_rho, E_{rho,rho} and every nu of one rho read one
+  memoized row of 30-digit reciprocal gammas 1/Gamma(rho k + rho), since
+  1/Gamma(rho k + 1) = 1/(rho k Gamma(rho (k - 1) + rho)).  Certification
+  fails once the bound exceeds 1e-10 or the Horner partial sums reach 1e6
+  times the value; the crossover is calibrated once per rho and cached, by
+  probing one power-of-two band at a time up to the first band that fails.
+  The term count and the scaled coefficients are fixed per power-of-two
+  band of x (all x < 1 share one), so a value never depends on the batch
+  it is evaluated in.
 * large x: complete asymptotics = exponentially damped oscillatory branch
   pair (present for 1 < rho < 2) plus the reciprocal-gamma power tail,
   cut before its smallest envelope term (a breakpoint search in x) and
@@ -25,9 +27,11 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   exp(cos(pi/rho) x^(1/rho)) and dominates far beyond the first few
   hundred x when rho is near 2.
 * in between: neither path certifies 1e-10 in double precision.  A per-rho
-  Chebyshev interpolant in log x, built from exact fixed-point reference
-  sums, bridges the band.  Each build shares one sweep of the series
-  coefficients among all its nodes.
+  Chebyshev interpolant in log x bridges the band.  Its reference sums run
+  Horner's rule in Python-integer fixed point, with enough fractional bits
+  that its truncations total at most 2^-(prec + 64) at a working precision
+  of prec bits, over one memoized row of reciprocal gammas per rho and
+  precision, which every node of both beta reads.
 
 The Gamma-mixing integral H is summed by its series where that certifies
 and read elsewhere from memoized Chebyshev panels in log scale; all scales
@@ -67,6 +71,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)
 
 # certified target inside the series regime; flagged failure threshold
 SERIES_TARGET = 1e-10
@@ -134,29 +139,46 @@ _BLOCK = 1 << 14
 # one point at a time
 _SCALAR_POINTS = 32
 # terms per memoized piece of a coefficient row: a longer request extends
-# the row without recomputing it
-_ROW_PIECE = 64
-
-# a private 30-digit context: no caller's working precision reaches the
-# series coefficients
-_mpc = mp.MPContext()
-_mpc.dps = 30
+# the row without recomputing it, and a row holds fewer than _ROW_PIECE
+# terms past the longest request
+_ROW_PIECE = 16
 
 
 @lru_cache(maxsize=None)
-def _rgamma_piece(rho: float, beta: float, j: int) -> tuple:
+def _context(dps: int) -> mp.MPContext:
+    """A private mpmath context at dps digits: no caller's working precision
+    reaches the coefficients."""
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    return ctx
+
+
+# the series coefficients' digits
+_DIGITS = 30
+_mpc = _context(_DIGITS)
+
+
+@lru_cache(maxsize=None)
+def _rgamma_piece(rho: float, beta: float, j: int, dps: int) -> tuple:
     """1/Gamma(rho k + beta) for _ROW_PIECE j <= k < _ROW_PIECE (j + 1), to
-    30 digits."""
-    r = _mpc.mpf(rho)
-    return tuple(_mpc.rgamma(r * k + beta)
-                 for k in range(_ROW_PIECE * j, _ROW_PIECE * (j + 1)))
+    dps digits.  beta = 1 reads the row R_k = 1/Gamma(rho k + rho) of
+    beta = rho, as 1/Gamma(rho k + 1) = R_(k-1) / (rho k), so E_rho,
+    E_{rho,rho} and every G of one rho share one row of gammas."""
+    ctx = _context(dps)
+    r, ks = ctx.mpf(rho), range(_ROW_PIECE * j, _ROW_PIECE * (j + 1))
+    if beta == 1.0 != rho:
+        row = _rgamma_piece(rho, rho, j - 1, dps)[-1:] if j else (ctx.one,)
+        row += _rgamma_piece(rho, rho, j, dps)[:-1]
+        return tuple(c / (r * k) if k else c for k, c in zip(ks, row))
+    return tuple(ctx.rgamma(r * k + beta) for k in ks)
 
 
 def _coeffs(rho: float, beta: float, nu, n: int) -> list:
     """c_k = (nu)_k / Gamma(rho k + beta) for k < n, to 30 digits; nu None
     drops the Pochhammer factor.  Every nu of one (rho, beta) reads the same
     memoized row of reciprocal gammas."""
-    row = [c for j in range(-(-n // _ROW_PIECE)) for c in _rgamma_piece(rho, beta, j)][:n]
+    row = [c for j in range(-(-n // _ROW_PIECE))
+           for c in _rgamma_piece(rho, beta, j, _DIGITS)][:n]
     if nu is not None:
         m, poch = _mpc.mpf(nu), _mpc.mpf(1)
         for k in range(n):
@@ -214,8 +236,17 @@ def _band_terms(rho: float, beta: float, nu, band: int) -> tuple:
     value never depends on the other points of its batch.
     """
     exact = _coeffs(rho, beta, nu, _term_count(rho, beta, nu, band))
-    return tuple(float(_mpc.ldexp(-c if k % 2 else c, band * k))
-                 for k, c in enumerate(exact))
+    return tuple(_scaled(-c if k % 2 else c, band * k) for k, c in enumerate(exact))
+
+
+def _scaled(c, e: int) -> float:
+    """c 2^e rounded once to double: c rounded to 53 bits, then shifted
+    exactly by math.ldexp while both stay normal doubles, by mpmath
+    otherwise (an overflow gives inf)."""
+    f = float(c)
+    if abs(f) > _TINY and -1021 <= math.frexp(f)[1] + e <= 1024:
+        return math.ldexp(f, e)
+    return float(_mpc.ldexp(c, e))
 
 
 def _alt_series(rho: float, beta: float, nu, x: np.ndarray, weights=None):
@@ -400,63 +431,55 @@ def _asym_many(rho: float, beta: float, x: np.ndarray):
 def _hp_values(rho: float, beta: float, xs: np.ndarray) -> np.ndarray:
     """Reference summations of sum_k (-x)^k / Gamma(rho k + beta) at each x.
 
-    An x with term hump X = x^(1/rho) needs 30 + 0.45 X digits.  The
-    coefficients c_k = 1/Gamma(rho k + beta) are shared by every x, so they
-    are computed once, by mpmath at the precision (prec bits) of the largest
-    x, and read out exactly as integer mantissa and exponent.  Each x then
-    sums in Python-integer fixed point with F = prec + 64 fractional bits:
+    An x with term hump X = x^(1/rho) needs d = 30 + 0.45 X digits.  The
+    coefficients c_k come from the memoized _rgamma_piece row at the batch's
+    largest d rounded up to a multiple of 5 (prec bits), so the fit and
+    check batches of a gap table, and both of its beta, read one row.  Each
+    x sums its first K terms, K from _log_coeffs: the first k at which the
+    term is below 10^-d / e and the next term at most half of it.  The ratio
+    of consecutive terms decreases in k for every rho (log Gamma is
+    convex), so the tail past K is below 10^-d.
 
-    * x = m 2^-e is exact as a double, and |x|^k is carried as an integer
-      mantissa truncated to W = prec + 128 bits with its own exponent;
-    * the term c_k |x|^k is the exact product of the two mantissas,
-      truncated to F fractional bits, and the partial sum S of the signed
-      terms is an exact integer;
-    * the value is S / 2^F, Python's correctly rounded integer division, the
-      only rounding to double.
-
-    Each x stops by its own rule: k > X and |t| below 10^-(digits - 4) of
-    max(1, |S| 2^-F), with that threshold rounded down to a multiple of
-    2^-F.  Each truncation of the power loses less than 2^(1 - W) of it, so
-    over K terms the sum is off from the series of the rounded c_k by at
-    most K 2^-F + K 2^(1 - W) sum_k |t_k|, far below the 2^-prec relative
-    rounding that every mpmath operation would add.
+    The sum runs by Horner's rule in Python-integer fixed point with F
+    fractional bits: x = m 2^-e is exact as a double, each c_k and each
+    product s x is truncated to a multiple of 2^-F, and the value is
+    S / 2^F, Python's correctly rounded integer division, the only rounding
+    to double.  Each of the 2K truncations is amplified by at most
+    max(1, x)^K, and F makes their total at most 2^-(prec + 64), far below
+    the 2^-prec relative rounding of the coefficients.
     """
-    humps = [float(x) ** (1.0 / rho) for x in xs]
-    out = np.empty(len(humps))
-    if not humps:
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(xs.size)
+    if not xs.size:
         return out
-    with mp.workdps(30 + int(0.45 * max(humps))):
-        r, b = mp.mpf(rho), mp.mpf(beta)
-        frac = mp.mp.prec + 64
-        width = mp.mp.prec + 128
-        one = 1 << frac
-        coef = []  # (mantissa, exponent) of each c_k > 0
-        for i, (x, X) in enumerate(zip(xs, humps)):
-            xm, xd = float(x).as_integer_ratio()
-            xe = xd.bit_length() - 1  # x = xm 2^-xe
-            tiny = one // 10 ** (30 + int(0.45 * X) - 4)
-            s, pm, pe, kk = 0, 1, 0, 0  # |x|^kk ~ pm 2^pe
-            while True:
-                if kk == len(coef):
-                    coef.append((1 / mp.gamma(r * kk + b)).man_exp)
-                cm, ce = coef[kk]
-                shift = ce + pe + frac
-                t = cm * pm << shift if shift >= 0 else cm * pm >> -shift
-                if kk % 2:
-                    t = -t
-                s += t
-                if kk > X and abs(t) < (tiny * max(one, abs(s))) >> frac:
-                    break
-                kk += 1
-                if kk > 200000:
-                    raise AccuracyError("reference series did not converge")
-                pm *= xm
-                pe -= xe
-                excess = pm.bit_length() - width
-                if excess > 0:
-                    pm >>= excess
-                    pe += excess
-            out[i] = s / one
+    digits = 30 + np.array([int(0.45 * x ** (1.0 / rho)) for x in xs.tolist()])
+    log_x = np.log(np.maximum(xs, 1e-300))[:, None]
+    n = 64
+    while True:
+        k = np.arange(n + 1)
+        log_t = _log_coeffs(rho, beta, None, k) + k * log_x
+        stop = ((np.diff(log_t) <= -math.log(2.0))
+                & (log_t[:, :-1] <= -math.log(10.0) * digits[:, None] - 1.0))
+        if stop.any(axis=1).all():
+            break
+        if n >= _MAX_TERMS:
+            raise AccuracyError("reference series did not converge")
+        n *= 2
+    terms = np.maximum(stop.argmax(axis=1), 1).tolist()
+    dps = -(-int(digits.max()) // 5) * 5
+    xme = [(m, d.bit_length() - 1) for m, d in map(float.as_integer_ratio, xs.tolist())]
+    amp = max(K * max(0, m.bit_length() - e) for (m, e), K in zip(xme, terms))
+    frac = _context(dps).prec + 64 + amp + (2 * max(terms)).bit_length()
+    fixed = []
+    for j in range(-(-max(terms) // _ROW_PIECE)):
+        for c in _rgamma_piece(rho, beta, j, dps):
+            cm, ce = c.man_exp
+            fixed.append(cm << ce + frac if ce + frac >= 0 else cm >> -ce - frac)
+    for i, ((m, e), K) in enumerate(zip(xme, terms)):
+        s = fixed[K - 1]
+        for c in reversed(fixed[:K - 1]):
+            s = c - (s * m >> e)
+        out[i] = s / (1 << frac)
     return out
 
 
@@ -511,9 +534,16 @@ def _regime_thresholds(rho: float, beta: float):
     """(largest series-certified x, smallest asymptotic-certified x)."""
     X = np.geomspace(0.5, 60.0, 200)
     xs = X**rho
-    _, s_est, _, s_guard = _series_many(rho, beta, xs)
-    ok = (s_est <= SERIES_TARGET) & ~s_guard
-    bad = np.nonzero(~ok)[0]
+    # the series is probed one power-of-two band at a time, up to the first
+    # band with an uncertified point: a value never depends on its batch
+    band = np.maximum(np.frexp(xs)[1], 0)
+    bad = np.empty(0, dtype=int)
+    for b in np.unique(band):
+        at = np.flatnonzero(band == b)
+        _, s_est, _, s_guard = _series_many(rho, beta, xs[at])
+        bad = at[~((s_est <= SERIES_TARGET) & ~s_guard)]
+        if bad.size:
+            break
     x_series = float(xs[-1] * 1e6) if bad.size == 0 else float(xs[bad[0] - 1]) if bad[0] > 0 else 1.0
     # the asymptotic regime starts past the last point it does not certify
     bad = np.flatnonzero(~(_asym_many(rho, beta, xs)[1] <= SERIES_TARGET))
@@ -894,14 +924,18 @@ def _g_series_range(rho: float, mu: float, beta: float) -> float:
     there."""
     zmax = 0.0
     probes = np.concatenate([0.5 ** np.arange(13, 1, -1), np.geomspace(0.5, 1e5, 80)])
-    for z in probes:
+    # one call per power-of-two band of the probes, which share its terms
+    band = np.maximum(np.frexp(probes)[1], 0)
+    for b in np.unique(band):
+        zs = probes[band == b]
         try:
-            _, est, _, guard = _g_series_many(rho, mu, np.array([-z]), beta)
+            _, est, _, guard = _g_series_many(rho, mu, -zs, beta)
         except AccuracyError:
             break
-        if guard[0] or est[0] > 1e-9:
-            break
-        zmax = float(z)
+        bad = np.flatnonzero(guard | (est > 1e-9))
+        if bad.size:
+            return float(zs[bad[0] - 1]) if bad[0] else zmax
+        zmax = float(zs[-1])
     return zmax
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -353,6 +354,21 @@ def test_xi_table_past_the_cap_is_refused_before_a_row_is_built(
     out = tmp_path / "xi.csv"
     assert cli.main(line + ["--n-components", "10", "--out", str(out)]) == 0
     assert read_table(out).shape == (2001, 11)
+
+
+def test_xi_tolerance_below_the_floor_exits_four(tmp_path):
+    # the slowest of three rates: past T = 64 its |s_a| nears d = 1e-8, where
+    # L^2 has kinks that the head integral cannot resolve to rtol 1e-10; the
+    # bound levels off near 2 int d L = 9.8e-8 there, out of reach of 5e-8
+    line = ["simulate", "--process", "xi", "--rho", "1.9", "--mu", "4",
+            "--lambda", "1", "--T", "2", "--steps", "200", "--n-components",
+            "3", "--seed", "1", "--out"]
+    out = tmp_path / "xi.csv"
+    assert cli.main(line + [str(out), "--tol", "5e-8"]) == 4
+    assert not out.exists()
+    # a reachable tolerance never reads the floor: the same bytes as before
+    assert cli.main(line + [str(out), "--tol", "1e-6"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "01cefcf93111ea90"
 
 
 def test_rerun_bit_identical_across_thread_counts(tmp_path, cli_env):

@@ -384,15 +384,20 @@ def test_bulk_reference_matches_oracle(ml_oracle):
 
 
 def test_gap_build_computes_each_coefficient_once_per_sweep(monkeypatch):
-    cached = sf._gap_interpolant(1.9, 1.0)
+    cached = [sf._gap_interpolant(1.9, beta) for beta in (1.0, 1.9)]
     calls = []
-    gamma = mp.gamma
-    monkeypatch.setattr(mp, "gamma", lambda *a: calls.append(a) or gamma(*a))
-    sf._gap_interpolant.cache_clear()
-    rebuilt = sf._gap_interpolant(1.9, 1.0)
-    # one gamma call per term and sweep, not per term and node (over 10^4)
+    for dps in range(30, 100, 5):  # every precision a gap row can take here
+        ctx = sf._context(dps)
+        monkeypatch.setattr(ctx, "rgamma", lambda a, f=ctx.rgamma: calls.append(a) or f(a))
+    for memo in (sf._gap_interpolant, sf._rgamma_piece, sf._band_terms):
+        memo.cache_clear()  # the row, and the tables that read it
+    rebuilt = [sf._gap_interpolant(1.9, beta) for beta in (1.0, 1.9)]
+    # one gamma call per term of one row, 1/Gamma(1.9 k + 1.9), which serves
+    # both beta and both sweeps, not one per term and node (over 10^4)
     assert 0 < len(calls) < 500
-    assert _same_bits(rebuilt.coef, cached.coef) and rebuilt.est == cached.est
+    assert [a / mp.mpf(1.9) for a in calls] == list(range(1, len(calls) + 1))
+    for new, old in zip(rebuilt, cached):
+        assert _same_bits(new.coef, old.coef) and new.est == old.est
 
 
 def test_tables_are_checked_where_t_n_peaks(monkeypatch):
@@ -449,6 +454,60 @@ def test_reference_sums_match_oracle_inside_gaps(ml_oracle):
         assert _same_bits(wider[:-1], got), (rho, beta)
         alone = [sf._hp_values(rho, beta, xs[i:i + 1])[0] for i in range(xs.size)]
         assert _same_bits(alone, got), (rho, beta)
+
+
+def test_horner_references_match_the_oracle_for_both_beta(ml_oracle):
+    # beta = 1 reads the row of beta = rho; the gap's check points and its
+    # top, where the hump and the amplification max(1, x)^K are largest
+    for rho in (0.5, 0.8, 1.05, 1.95):
+        for beta in (1.0, rho):
+            interp = sf._gap_interpolant(rho, beta)
+            xs = np.append(interp.xc[::9], interp.points(np.array([1.0])))
+            want = [ml_oracle(rho, float(x), beta) for x in xs]
+            assert _same_bits(sf._hp_values(rho, beta, xs), want), (rho, beta)
+
+
+def test_scaled_terms_match_the_mpmath_route():
+    # 53-bit rounding then math.ldexp, or mpmath past the normal range
+    mpc = sf._mpc
+    for c in (mpc.mpf(1) / 3, mpc.rgamma(mpc.mpf(1.9) * 300 + 1),
+              mpc.mpf(2) ** -1030 / 3, mpc.mpf(2) ** 1000 / 3):
+        for e in (-1100, -1074, -1050, -1022, -1021, -60, 0, 60, 1000, 1023,
+                  1024, 1025, 2100):
+            for v in (c, -c):
+                assert _same_bits([sf._scaled(v, e)], [float(mpc.ldexp(v, e))]), (v, e)
+
+
+def test_regime_thresholds_match_the_full_probe():
+    # the series is probed band by band up to the first band that fails;
+    # the 200-point probe of every band gives the same thresholds
+    for rho in (0.5, 0.8, 1.05, 1.2, 1.5, 1.9, 1.95):
+        for beta in (1.0, rho):
+            xs = np.geomspace(0.5, 60.0, 200) ** rho
+            _, est, _, guard = _series_many(rho, beta, xs)
+            bad = np.flatnonzero(~((est <= sf.SERIES_TARGET) & ~guard))
+            x_series = (float(xs[-1] * 1e6) if bad.size == 0
+                        else float(xs[bad[0] - 1]) if bad[0] > 0 else 1.0)
+            bad = np.flatnonzero(~(_asym_many(rho, beta, xs)[1] <= sf.SERIES_TARGET))
+            start = bad[-1] + 1 if bad.size else 0
+            x_asym = float(xs[start]) if start < xs.size else math.inf
+            assert _regime_thresholds(rho, beta) == (x_series, x_asym), (rho, beta)
+
+
+def test_g_series_range_matches_the_probe_by_probe_scan():
+    probes = np.concatenate([0.5 ** np.arange(13, 1, -1), np.geomspace(0.5, 1e5, 80)])
+    for rho, mu, beta in ((1.05, 4.0, 1.0), (1.2, 0.4, 1.2), (1.5, 5.0, 1.0),
+                          (1.9, 1.4, 1.9), (1.9, 4.0, 1.0), (1.95, 0.4, 1.0)):
+        zmax = 0.0
+        for z in probes:
+            try:
+                _, est, _, guard = _g_series_many(rho, mu, np.array([-z]), beta)
+            except AccuracyError:
+                break
+            if guard[0] or est[0] > 1e-9:
+                break
+            zmax = float(z)
+        assert sf._g_series_range.__wrapped__(rho, mu, beta) == zmax, (rho, mu, beta)
 
 
 def test_empty_batches_give_empty_results():

@@ -5,6 +5,7 @@ environment; and the README's scripts run from a plain checkout, the
 digest script with scipy blocked."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -152,3 +153,20 @@ def test_cli_digests_run_from_a_plain_checkout_and_cover_the_readme(cli_env, tmp
     parse = cli.build_parser().parse_args
     assert len(readme) == block.count("fracou ") > 0
     assert all(parse(argv) in [parse(a) for a in lines.values()] for argv in readme), readme
+
+
+def test_table_digests_run_from_a_plain_checkout(cli_env, tmp_path):
+    script = os.path.join(os.path.dirname(PERFBENCH), "scripts", "table_digests.py")
+    done = subprocess.run([sys.executable, script, "1.9"], env=cli_env("1"),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    names = runpy.run_path(script)
+    tables = (1 + len(names["NUS"]) * len(names["BANDS"]) + 2
+              + len(names["MUS"]) * (1 + len(names["PANELS"])))
+    lines = done.stdout.splitlines()
+    # both beta, every table of each, a digest or an error's name per line
+    assert len(lines) == 2 * tables
+    assert [row.split()[1] for row in lines[::tables]] == ["beta=1.0", "beta=1.9"]
+    assert all(row.startswith("rho=1.9 ") for row in lines)
+    digests = [row.rsplit(": ", 1)[1] for row in lines]
+    assert all(re.fullmatch(r"[0-9a-f]{16}|\w+Error", d) for d in digests), digests
