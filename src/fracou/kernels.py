@@ -509,36 +509,63 @@ def _l2_norm(kernel):
     return float(total) / n**2, _GRAM_ULPS * _EPS * float(mods) / n**2
 
 
-def _lower(kernel, u: np.ndarray):
-    """(L, d) at u: L = max(|K| - d, 0) of the computed K and its certified
-    error d (G's own estimate; ACCURACY_FLOOR for f_n)."""
+def _values(kernel, u: np.ndarray):
+    """(K, d) at u: the computed K and its certified error d (G's own
+    estimate; ACCURACY_FLOOR for f_n)."""
     if isinstance(kernel, MeanKernel):
         mix = kernel.mixing
-        k, d = _g_quadrature_many(kernel.rho, mix.mu, mix.lam, u)[:2]
-    else:
-        k, d = empirical_kernel_values(kernel[1], kernel[0], u), ACCURACY_FLOOR
+        return _g_quadrature_many(kernel.rho, mix.mu, mix.lam, u)[:2]
+    return empirical_kernel_values(kernel[1], kernel[0], u), ACCURACY_FLOOR
+
+
+def _lower(kernel, u: np.ndarray):
+    """(L, d) at u, L = max(|K| - d, 0) (_values)."""
+    k, d = _values(kernel, u)
     return np.maximum(np.abs(k) - d, 0.0), d
 
 
 def _head_piece(kernel, a: float, b: float) -> float:
-    """Integral over [a, b] of L^2 (_lower)."""
-    return _square_integral(lambda u: _lower(kernel, u)[0], a, b, _HEAD_RTOL)
-
-
-def _floor(kernel, edges: list) -> float:
-    """2 int d L (_lower) over the pieces between edges, each to rtol 1e-3
-    in v = log1p(u); NaN where that fails.  K^2 >= L^2 + 2 d L, so with the
-    computed K as close to K as its rounding, the subtraction bound of
-    _tail_bound stays above this at every depth."""
-    def weight(v):
-        low, d = _lower(kernel, np.expm1(v))
-        return 2.0 * np.exp(v) * d * low
+    """Integral over [a, b] of L^2 (_lower).  L^2 has a kink wherever |K|
+    crosses d; when the whole piece does not converge, it is split there
+    (_crossings) and each part integrated alone."""
+    def square(u):
+        return _lower(kernel, u)[0]
 
     try:
-        return math.fsum(_integrate(weight, math.log1p(a), math.log1p(b), 1e-3)
-                         for a, b in zip(edges, edges[1:]) if a < b)
+        return _square_integral(square, a, b, _HEAD_RTOL)
     except AccuracyError:
-        return math.nan
+        edges = _crossings(kernel, a, b)
+        return math.fsum(_square_integral(square, lo, hi, _HEAD_RTOL)
+                         for lo, hi in zip(edges, edges[1:]))
+
+
+def _crossings(kernel, a: float, b: float) -> list:
+    """a, the kinks of L^2 in (a, b), and b.  The state sign(K) [|K| > d]
+    is read at 2^14 equal steps in log1p(u); each step where it changes is
+    bisected to adjacent doubles, on the sign of K where K changes sign
+    (the two kinks around its zero lie within 2 d / |K'| of it) and on
+    |K| > d elsewhere."""
+    u = np.expm1(np.linspace(math.log1p(a), math.log1p(b), (1 << 14) + 1))
+    u[0], u[-1] = a, b
+    k, d = _values(kernel, u)
+    state = np.sign(k) * (np.abs(k) > d)
+    cut = np.flatnonzero(state[1:] != state[:-1])
+    lo, hi = u[cut], u[cut + 1]
+    zero = state[cut] * state[cut + 1] < 0
+
+    def side(w):
+        k, d = _values(kernel, w)
+        return np.where(zero, k > 0.0, np.abs(k) > d)
+
+    at_lo = side(lo)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        inside = (mid > lo) & (mid < hi)
+        if not inside.any():
+            break
+        same = side(mid) == at_lo
+        lo, hi = np.where(same & inside, mid, lo), np.where(~same & inside, mid, hi)
+    return [a, *hi.tolist(), b]
 
 
 _mean_piece = lru_cache(maxsize=None)(_head_piece)
@@ -565,9 +592,7 @@ def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     I(T) is summed over [0, _TAIL_T0], the octaves past it below T and the
     rest, each piece integrated once per MeanKernel, or per rate set while
     it is the last one asked for.
-    TruncationError at once when e + r (||K||^2 + e) alone reaches tol, and
-    when a piece of I(T) fails to converge (L^2 has a kink wherever |K|
-    crosses d) while the floor 2 int_0^T d L alone reaches tol (_floor)."""
+    TruncationError at once when e + r (||K||^2 + e) alone reaches tol."""
     if isinstance(kernel, MeanKernel):
         (norm, err), piece = _l2_norm(kernel), partial(_mean_piece, kernel)
     else:
@@ -580,15 +605,7 @@ def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     def tail(T: float) -> float:
         k = math.frexp(T / _TAIL_T0)[1] if T >= _TAIL_T0 else 0
         edges = [0.0, *(math.ldexp(_TAIL_T0, j) for j in range(k)), T]
-        try:
-            head = math.fsum(piece(a, b) for a, b in zip(edges, edges[1:]) if a < b)
-        except AccuracyError:
-            floor = _floor(kernel, edges)
-            if not floor >= tol:
-                raise
-            raise TruncationError(f"tol={tol} is out of reach: the tail bound "
-                                  f"stays above 2 int d L = {floor:.3g} over "
-                                  f"[0, {T:g}]") from None
+        head = math.fsum(piece(a, b) for a, b in zip(edges, edges[1:]) if a < b)
         return norm + err - head * (1.0 - _HEAD_RTOL)
 
     return tail

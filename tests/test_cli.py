@@ -356,17 +356,23 @@ def test_xi_table_past_the_cap_is_refused_before_a_row_is_built(
     assert read_table(out).shape == (2001, 11)
 
 
-def test_xi_tolerance_below_the_floor_exits_four(tmp_path):
-    # the slowest of three rates: past T = 64 its |s_a| nears d = 1e-8, where
-    # L^2 has kinks that the head integral cannot resolve to rtol 1e-10; the
-    # bound levels off near 2 int d L = 9.8e-8 there, out of reach of 5e-8
+def test_xi_head_integral_is_split_at_the_kinks_of_l_squared(tmp_path):
+    # the slowest of three rates: past T = 64 its s_a oscillates about a
+    # power tail, and L^2 = max(|K| - d, 0)^2 has a kink near each zero, so
+    # the piece [64, 128] converges only split there; tol 1e-7 is then
+    # certified (a dense rule puts the bound at 9.9e-8 at T = 128)
     line = ["simulate", "--process", "xi", "--rho", "1.9", "--mu", "4",
             "--lambda", "1", "--T", "2", "--steps", "200", "--n-components",
             "3", "--seed", "1", "--out"]
     out = tmp_path / "xi.csv"
+    assert cli.main(line + [str(out), "--tol", "1e-7"]) == 0
+    config = json.loads((tmp_path / "xi.json").read_text())["meta"]["config"]
+    assert 64.0 < config["t_trunc"] <= 128.0 and config["tail_bound"] < 1e-7
+    # the bound levels off near 2 int d L = 9.8e-8, so 5e-8 is out of reach
+    out.unlink()
     assert cli.main(line + [str(out), "--tol", "5e-8"]) == 4
     assert not out.exists()
-    # a reachable tolerance never reads the floor: the same bytes as before
+    # a tolerance whose pieces converge whole: the same bytes as before
     assert cli.main(line + [str(out), "--tol", "1e-6"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "01cefcf93111ea90"
 
