@@ -4,8 +4,8 @@ digest of each.
 
 The tables are the regime thresholds, the series band terms (bands -1 to 8,
 without and with a Pochhammer factor), the gap interpolant's coefficients and
-estimate, the asymptotic coefficients, the direct G series range and the
-mixing panels' coefficients and estimates, at every rho of the grid and
+estimate, the asymptotic coefficients and the mixing panels' coefficients and
+estimates (panels -4 to 1, scales 2^-13 to 128), at every rho of the grid and
 beta in {1, rho}.  Each line names a table and prints the first 16 hex
 digits of the sha256 of its bits, or the name of the error its build
 raised.  Two checkouts build bit-identical tables exactly when they print
@@ -28,7 +28,7 @@ RHOS = (0.5, 0.8, 1.05, 1.2, 1.5, 1.9, 1.95, 2.0)
 BANDS = range(-1, 9)
 NUS = (None, 4.0)
 MUS = (4.0, 0.4)
-PANELS = (-1, 0, 1)
+PANELS = range(-4, 2)
 
 
 def digest(build) -> str:
@@ -56,8 +56,6 @@ def tables(rho: float, beta: float):
     yield "gap", lambda: cheb(sf._gap_interpolant(rho, beta))
     yield "asym_coeffs", lambda: sf._asym_coeffs(rho, beta, 50)
     for mu in MUS:
-        if rho > 1.0:
-            yield f"g_series_range mu={mu}", lambda: [sf._g_series_range(rho, mu, beta)]
         for k in PANELS:
             yield f"panel mu={mu} k={k}", lambda: cheb(sf._mixing_panel(rho, mu, k, beta))
 

@@ -490,7 +490,8 @@ def _mean_norm(mk: MeanKernel):
 def _l2_norm(kernel):
     """(||K||^2, its error bound) for G of a MeanKernel, or the f_n of a
     (rho, rates) pair: n^-2 sum_k sum_l Re _gram(rho, a_k, a_l), summed over
-    blocks of rows of at most 16 _BLOCK pairs.  DomainError unless
+    blocks of rows of at most _BLOCK pairs (at least one row), whose sums
+    math.fsum adds.  DomainError unless
     1/2 < rho < 2 and mu > 1/(2 rho) or all rates > 0: elsewhere the norm is
     infinite or the forms fail."""
     mean = isinstance(kernel, MeanKernel)
@@ -503,10 +504,10 @@ def _l2_norm(kernel):
     if mean:
         return _mean_norm(kernel)
     # the blocks group the sum, so they fix its bits
-    n, step = alphas.size, max(1, 16 * _BLOCK // alphas.size)
+    n, step = alphas.size, max(1, _BLOCK // alphas.size)
     blocks = (_gram(rho, alphas[a : a + step, None], alphas) for a in range(0, n, step))
-    total, mods = np.sum([(np.sum(q.real), np.sum(np.abs(q))) for q in blocks], axis=0)
-    return float(total) / n**2, _GRAM_ULPS * _EPS * float(mods) / n**2
+    total, mods = map(math.fsum, zip(*((np.sum(q.real), np.sum(np.abs(q))) for q in blocks)))
+    return total / n**2, _GRAM_ULPS * _EPS * mods / n**2
 
 
 def _values(kernel, u: np.ndarray):

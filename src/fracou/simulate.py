@@ -264,10 +264,10 @@ def _shortest_digits(a: np.ndarray):
     return digits, e + carry
 
 
-def _csv_text(block: np.ndarray, out: bytearray | None = None) -> str:
+def _csv_text(block: np.ndarray, out: bytearray) -> str:
     """The CSV text of a 2-d block of floats; see write_csv_rows.  Its
-    records are laid out in out, a buffer of at least one record a value
-    (a new one by default), whose bytes past them are zeroed."""
+    records are laid out in out, a buffer of at least one record a value,
+    whose bytes past them are zeroed."""
     _, groups, (keep, shift, text) = _csv_tables()
     x = np.ascontiguousarray(block, dtype=np.float64).ravel()
     bits = x.view(np.int64)
@@ -290,8 +290,6 @@ def _csv_text(block: np.ndarray, out: bytearray | None = None) -> str:
     w2 = g[2] & 0xFFFFFFFF | g[3] << 32
     digit0 = first.view(np.uint64) + 48  # its ASCII byte
     # the bytes from the point on come from the record shifted up by 8 bits
-    if out is None:
-        out = bytearray(x.size * _RECORD)
     words = np.frombuffer(out, np.uint64).reshape(-1, 4)
     words[x.size :] = 0  # zero bytes, which the translate drops
     words = words[: x.size]

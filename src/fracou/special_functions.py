@@ -33,10 +33,11 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   of prec bits, over one memoized row of reciprocal gammas per rho and
   precision, which every node of both beta reads.
 
-The Gamma-mixing integral H is summed by its series where that certifies
-and read elsewhere from memoized Chebyshev panels in log scale; all scales
-of a panel share one quadrature rule in x = z w, which evaluates E_{rho,beta}
-once per node.  At rho = 1 it is the closed form (1 + w)^(-nu).
+The Gamma-mixing integral H is summed by a few series terms at scales up
+to 2^-13 and read above from memoized Chebyshev panels in log scale, for
+every rho; all scales of a panel share one quadrature rule in x = z w, which
+evaluates E_{rho,beta} once per node.  At rho = 1 it is the closed form
+(1 + w)^(-nu).
 
 Both tables are built by one rule (_ChebLog): fit at the n first-kind
 Chebyshev nodes, check against the reference at the n - 1 interior extrema
@@ -728,9 +729,9 @@ def g_rho_series(rho: float, mu: float, z: float) -> EvalResult:
     return EvalResult(float(values[0]), "series", int(terms[0]), float(ests[0]))
 
 
-@lru_cache(maxsize=8)
-def _legendre_rule(order: int = 8):
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=None)
+def _legendre_rule():
+    return np.polynomial.legendre.leggauss(8)
 
 
 def _panel_nodes(edges: np.ndarray):
@@ -917,28 +918,6 @@ def _taylor_many(rho: float, mu: float, w: np.ndarray, beta: float):
     return s, c[K] * w**K + (2 * K + 1) * _EPS * m, np.full(w.shape, K)
 
 
-@lru_cache(maxsize=256)
-def _g_series_range(rho: float, mu: float, beta: float) -> float:
-    """Largest probe |z| up to which the direct series self-certifies 1e-9
-    at every probe, probing up from _TAYLOR_TOP = 2^-13; 0 when it fails
-    there."""
-    zmax = 0.0
-    probes = np.concatenate([0.5 ** np.arange(13, 1, -1), np.geomspace(0.5, 1e5, 80)])
-    # one call per power-of-two band of the probes, which share its terms
-    band = np.maximum(np.frexp(probes)[1], 0)
-    for b in np.unique(band):
-        zs = probes[band == b]
-        try:
-            _, est, _, guard = _g_series_many(rho, mu, -zs, beta)
-        except AccuracyError:
-            break
-        bad = np.flatnonzero(guard | (est > 1e-9))
-        if bad.size:
-            return float(zs[bad[0] - 1]) if bad[0] else zmax
-        zmax = float(zs[-1])
-    return zmax
-
-
 def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
                        beta: float = 1.0):
     """Gamma-mixing integral of E_{rho,beta}(-y t^rho) against the
@@ -947,9 +926,8 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
 
     Returns (values, ests, method codes, terms_used) as _evaluate_many does.
     At rho = 1 = beta, H = (1 + w)^(-mu), since E_{1,1} = exp.  Otherwise
-    the series serves the scales below _TAYLOR_TOP (the direct series for
-    rho > 1, _taylor_many below 1) and, for rho > 1, those up to
-    _g_series_range where it certifies 1e-9; the certified panels serve the
+    the series serves the scales up to _TAYLOR_TOP (the direct series for
+    rho > 1, _taylor_many for rho <= 1) and the certified panels serve the
     rest.  Raises AccuracyError when an estimate exceeds ACCURACY_FLOOR, and
     DomainError for a scale, or a panel edge, past the double range.
     """
@@ -982,15 +960,11 @@ def _g_quadrature_block(rho: float, mu: float, beta: float, scale, values,
     done = scale == 0.0
     values[done] = 1.0 / math.gamma(beta)
 
-    top = max(_g_series_range(rho, mu, beta), _TAYLOR_TOP) if rho > 1.0 else _TAYLOR_TOP
-    near = ~done & (scale <= top)
+    near = ~done & (scale <= _TAYLOR_TOP)
     if near.any():
         if rho > 1.0:
             v, e, n, guard = _g_series_many(rho, mu, -scale[near], beta)
             e[guard] = np.inf
-            ok = (e <= 1e-9) | (scale[near] < _TAYLOR_TOP)
-            near[near] = ok
-            v, e, n = v[ok], e[ok], n[ok]
         else:
             v, e, n = _taylor_many(rho, mu, scale[near], beta)
         values[near], ests[near], terms[near] = v, e, n

@@ -77,9 +77,9 @@ def test_criterion_01_special_function_identities():
 
 def test_criterion_02_triple_agreement():
     b = Budget(2, "series/asymptotic/quadrature agreement", 10.0)
-    # direct series vs mixing quadrature on [0, 10] wherever the series
-    # certifies; past its certified range it must raise, and the quadrature
-    # path carries on alone
+    # direct series vs the mixing panels on [0, 10] wherever the series
+    # certifies; past its certified range it must raise, and the panels
+    # carry on alone
     t_cert = 0.0
     for t in np.linspace(0.0, 10.0, 101):
         try:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -175,24 +176,26 @@ def test_mean_kernel_deriv_estimates_hold_against_oracles(gml_oracle):
 
 
 def test_mixing_evaluator_holds_on_every_scale(gml_oracle, gml_integral_oracle):
-    # scales from below the panel floor 2^-13, across the panels below 8 and
-    # the series crossover, to past 8: H for G (beta = 1, shape mu) at
-    # rho < 1, and for G and G' (beta = rho, shape mu + 1) above 1
+    # scales from below the panel floor 2^-13, across the panels below 8, to
+    # past 8: H for G (beta = 1, shape mu) at rho < 1, and for G and G'
+    # (beta = rho, shape mu + 1) above 1, with the sets the benchmark reads
     cases = [(0.6, 1.0, 1.0), (0.8, 4.0, 1.0)]
-    for rho, mu in ((1.05, 20.0), (1.2, 4.0), (1.5, 4.0)):
+    for rho, mu in ((1.05, 20.0), (1.2, 4.0), (1.5, 4.0), (1.9, 4.0)):
         cases += [(rho, mu, 1.0), (rho, mu + 1.0, rho)]
     for rho, nu, beta in cases:
         ws = np.geomspace(3e-5, 12.0, 6)  # below 2^-13, then panels -4 to 0
-        edge = sf._g_series_range(rho, nu, beta) if rho > 1.0 else 0.0
-        ts = np.append(ws, [edge, 1.1 * edge] if edge else []) ** (1.0 / rho)
+        ts = ws ** (1.0 / rho)
         ws = ts**rho
         # the series oracle diverges below rho = 1 and needs about
         # (w/1.24)^5 terms at rho = 1.2
         ref = np.array([gml_oracle(rho, nu, w, beta) if rho >= 1.5 or 1.0 < rho and w < 1.0
                         else gml_integral_oracle(rho, nu, w, beta) for w in ws])
-        values, ests = _g_quadrature_many(rho, nu, 1.0, ts, beta)[:2]
+        values, ests, methods = _g_quadrature_many(rho, nu, 1.0, ts, beta)[:3]
         assert ests.max() <= 1e-8, (rho, nu)
         assert np.all(np.abs(values - ref) <= ests), (rho, nu)
+        # one evaluator per scale: the panels above 2^-13 at every rho
+        panel = methods == sf._METHODS.index("interpolant")
+        assert np.array_equal(panel, ws > 2.0**-13), (rho, nu)
     # the mixing evaluator used to give up here (order-doubling gap 2.7e-6)
     mk = MeanKernel(0.6, GammaMixing(1.0, 1.0))
     assert np.isfinite(mean_kernel_values(mk, np.linspace(0.0, 40.0, 401))).all()
@@ -239,6 +242,25 @@ def test_resolvent_l2_norm():
     with pytest.raises(DomainError):
         resolvent_l2_norm(ResolventKernel(1.0, 2.0))
     assert 318.0 < resolvent_l2_norm(ResolventKernel(1.0, 1.999)) < 319.0
+
+
+def test_rate_gram_sum_holds_one_block_of_pairs_at_a_time(monkeypatch):
+    # 2,000 rates make 4e6 Gram pairs, 64 MB as one complex matrix
+    rates = sample_alphas(GammaMixing(4.0, 1.0), 2000, 5)
+    tracemalloc.start()
+    try:
+        kn._l2_norm((1.9, rates))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # across blocks of a few rows, the sum of the whole matrix
+    rates = rates[:300]
+    q = kn._gram(1.9, rates[:, None], rates)
+    monkeypatch.setattr(kn, "_BLOCK", 1000)
+    norm, err = kn._l2_norm((1.9, rates))
+    assert norm == pytest.approx(np.sum(q.real) / 300**2, rel=1e-14)
+    assert err == pytest.approx(kn._GRAM_ULPS * EPS * np.sum(np.abs(q)) / 300**2, rel=1e-14)
 
 
 @pytest.mark.parametrize("rho", [0.8, 1.2, 1.5, 1.9, 1.98, 1.99])

@@ -1002,13 +1002,13 @@ def test_every_text_layout_is_repr():
 
 def test_csv_block_holds_at_most_300_bytes_a_value():
     # one 2^14-value block of path values, after a warm-up call has built
-    # the tables
+    # the tables; the record buffer is counted
     rng = np.random.default_rng(5)
     block = np.cumsum(rng.standard_normal((128, 128)), axis=0) * 0.01
-    sim._csv_text(block)
+    sim._csv_text(block, bytearray(block.size * sim._RECORD))
     tracemalloc.start()
     try:
-        sim._csv_text(block)
+        sim._csv_text(block, bytearray(block.size * sim._RECORD))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

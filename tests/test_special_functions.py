@@ -243,6 +243,11 @@ def _band_probe_points(top: float) -> np.ndarray:
                            np.geomspace(1e-3, top, 24)])
 
 
+# probe points up to which the direct G series certifies 1e-9 at (rho, mu)
+_G_SERIES_TOPS = {(2.0, 4.0): 20.38, (1.9, 0.4): 32.41, (1.9, 4.0): 14.96,
+                  (1.5, 4.0): 4.349, (1.2, 4.0): 1.721, (1.05, 20.0): 0.25}
+
+
 def test_series_estimates_hold_at_band_edges(ml_oracle, gml_oracle):
     for rho in (1.1, 1.2, 1.5, 1.9):
         for beta in (1.0, rho):
@@ -251,9 +256,10 @@ def test_series_estimates_hold_at_band_edges(ml_oracle, gml_oracle):
             ref = np.array([ml_oracle(rho, float(x), beta) for x in xs])
             assert np.all(np.abs(values - ref) <= ests), (rho, beta)
             assert ests.max() <= 1e-10, (rho, beta)
-    # at (1.05, 20) the series first fails below 0.5
-    for rho, mu in ((1.9, 0.4), (1.9, 4.0), (1.5, 4.0), (1.05, 20.0)):
-        zs = _band_probe_points(sf._g_series_range(rho, mu, 1.0))
+    # up to where the direct G series certifies 1e-9 (at (1.05, 20) it first
+    # fails below 0.5); it serves g_rho_series and the scales up to 2^-13
+    for (rho, mu), top in _G_SERIES_TOPS.items():
+        zs = _band_probe_points(top)
         values, ests, _, guard = _g_series_many(rho, mu, -zs)
         ref = np.array([gml_oracle(rho, mu, float(z)) for z in zs])
         assert np.all(np.abs(values - ref) <= ests), (rho, mu)
@@ -306,17 +312,16 @@ def test_mixing_values_do_not_depend_on_call_history():
 
 
 def test_evaluator_and_direct_calls_share_one_cache_key():
-    # scale 40^1.9 lies in panel 1, past the series range at (1.9, 4)
+    # scale 40^1.9 lies in panel 1
     method = _g_quadrature_many(1.9, 4.0, 1.0, [40.0])[2][0]
     assert sf._METHODS[method] == "interpolant"
-    for memo, args in ((sf._mixing_panel, (1.9, 4.0, 1, 1.0)),
-                       (sf._g_series_range, (1.9, 4.0, 1.0))):
-        misses = memo.cache_info().misses
-        memo(*args)
-        assert memo.cache_info().misses == misses, memo.__name__
-        # no defaulted beta, so no second key for the same table
-        with pytest.raises(TypeError):
-            memo(*args[:-1])
+    args = (1.9, 4.0, 1, 1.0)
+    misses = sf._mixing_panel.cache_info().misses
+    sf._mixing_panel(*args)
+    assert sf._mixing_panel.cache_info().misses == misses
+    # no defaulted beta, so no second key for the same table
+    with pytest.raises(TypeError):
+        sf._mixing_panel(*args[:-1])
 
 
 def test_mixing_estimates_hold_against_oracles(gml_oracle):
@@ -343,7 +348,7 @@ def test_mixing_estimates_hold_against_oracles(gml_oracle):
             if rho == 1.0:
                 assert one.method == "closed_form", (mu, t)
             elif one.method == "series":
-                assert w < 2.0**-13 or w <= sf._g_series_range(rho, mu, 1.0), (rho, mu, t)
+                assert w <= 2.0**-13, (rho, mu, t)
                 assert one.terms_used > 1
             else:
                 k = max(math.floor(math.log(w / 8.0, 16.0)), -4)
@@ -492,22 +497,6 @@ def test_regime_thresholds_match_the_full_probe():
             start = bad[-1] + 1 if bad.size else 0
             x_asym = float(xs[start]) if start < xs.size else math.inf
             assert _regime_thresholds(rho, beta) == (x_series, x_asym), (rho, beta)
-
-
-def test_g_series_range_matches_the_probe_by_probe_scan():
-    probes = np.concatenate([0.5 ** np.arange(13, 1, -1), np.geomspace(0.5, 1e5, 80)])
-    for rho, mu, beta in ((1.05, 4.0, 1.0), (1.2, 0.4, 1.2), (1.5, 5.0, 1.0),
-                          (1.9, 1.4, 1.9), (1.9, 4.0, 1.0), (1.95, 0.4, 1.0)):
-        zmax = 0.0
-        for z in probes:
-            try:
-                _, est, _, guard = _g_series_many(rho, mu, np.array([-z]), beta)
-            except AccuracyError:
-                break
-            if guard[0] or est[0] > 1e-9:
-                break
-            zmax = float(z)
-        assert sf._g_series_range.__wrapped__(rho, mu, beta) == zmax, (rho, mu, beta)
 
 
 def test_empty_batches_give_empty_results():
@@ -789,7 +778,7 @@ def test_one_point_calls_return_their_batch_bits(rho, logs):
     near = xs[xs <= 100.0]
     batches = [(_series_many, rho, 1.0, near), (_series_many, rho, rho, near)]
     if rho > 1.0:
-        zs = -xs[xs <= sf._g_series_range(rho, 4.0, 1.0)]
+        zs = -xs[xs <= _G_SERIES_TOPS[rho, 4.0]]
         batches.append((_g_series_many, rho, 4.0, zs))
     for fn, r, p, pts in batches:
         whole = fn(r, p, pts)
