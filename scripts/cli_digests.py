@@ -26,8 +26,9 @@ SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
 # the README lines, the eval table on standard output, an eval table whose
 # tail takes the exponent form and leading zeros, the three simulate
 # processes the README does not show, a component table wide enough that its
-# evaluator, FFT and CSV writer each cross many blocks, and the two checks
-# that read a certified history, at a small --mc
+# evaluator, FFT and CSV writer each cross many blocks, the two checks that
+# read a certified history, at a small --mc, a mixing table near zero at an
+# order near 1 and one of a Gamma law with a wide spread
 LINES = {
     "eval ml": ["eval", "ml", "--rho", "1.9", "--xmax", "60", "--points",
                 "600", "--out", "ml.csv"],
@@ -63,6 +64,10 @@ LINES = {
     "diagnose cauchy": ["diagnose", "cauchy", "--rho", "1.9", "--mu", "4",
                         "--lambda", "1", "--mc", "200", "--seed", "1",
                         "--out", "report.json"],
+    "eval gml near": ["eval", "gml", "--rho", "1.01", "--mu", "40", "--xmax",
+                      "1e-3", "--out", "gml.csv"],
+    "eval gml wide": ["eval", "gml", "--rho", "1.9", "--mu", "100", "--xmax",
+                      "30", "--out", "gml.csv"],
 }
 
 

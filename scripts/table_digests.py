@@ -5,11 +5,12 @@ digest of each.
 The tables are the regime thresholds, the series band terms (bands -1 to 8,
 without and with a Pochhammer factor), the gap interpolant's coefficients and
 estimate, the asymptotic coefficients and the mixing panels' coefficients and
-estimates (panels -4 to 1, scales 2^-13 to 128), at every rho of the grid and
-beta in {1, rho}.  Each line names a table and prints the first 16 hex
-digits of the sha256 of its bits, or the name of the error its build
-raised.  Two checkouts build bit-identical tables exactly when they print
-the same lines:
+estimates (panels -4 to 1, scales 2^-13 to 128), and the near-zero mixing
+integral's values, estimates, methods and term counts at 8 scales from 1e-12
+to 2^-13, at every rho of the grid and beta in {1, rho}.  Each line names a
+table and prints the first 16 hex digits of the sha256 of its bits, or the
+name of the error its build raised.  Two checkouts build bit-identical
+tables exactly when they print the same lines:
 
     PYTHONPATH=src python scripts/table_digests.py [rho ...]
 
@@ -29,6 +30,7 @@ BANDS = range(-1, 9)
 NUS = (None, 4.0)
 MUS = (4.0, 0.4)
 PANELS = range(-4, 2)
+NEAR = np.geomspace(1e-12, 2.0**-13, 8)
 
 
 def digest(build) -> str:
@@ -58,6 +60,8 @@ def tables(rho: float, beta: float):
     for mu in MUS:
         for k in PANELS:
             yield f"panel mu={mu} k={k}", lambda: cheb(sf._mixing_panel(rho, mu, k, beta))
+    for mu in MUS:
+        yield f"near mu={mu}", lambda: sf._g_quadrature_many(rho, mu, 1.0, NEAR ** (1.0 / rho), beta)
 
 
 def main(argv: list) -> int:

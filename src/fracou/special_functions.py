@@ -33,11 +33,11 @@ Evaluation regimes per order rho (closed forms short-circuit rho = 1, 2):
   of prec bits, over one memoized row of reciprocal gammas per rho and
   precision, which every node of both beta reads.
 
-The Gamma-mixing integral H is summed by a few series terms at scales up
-to 2^-13 and read above from memoized Chebyshev panels in log scale, for
-every rho; all scales of a panel share one quadrature rule in x = z w, which
-evaluates E_{rho,beta} once per node.  At rho = 1 it is the closed form
-(1 + w)^(-nu).
+The Gamma-mixing integral H is one Taylor sum of a few terms at scales up
+to 2^-13 for every rho (_taylor_many bounds its remainder), and is read
+above from memoized Chebyshev panels in log scale; all scales of a panel
+share one quadrature rule in x = z w, which evaluates E_{rho,beta} once per
+node.  At rho = 1 it is the closed form (1 + w)^(-nu).
 
 Both tables are built by one rule (_ChebLog): fit at the n first-kind
 Chebyshev nodes, check against the reference at the n - 1 interior extrema
@@ -810,14 +810,15 @@ class _MixingRule:
       the log grid of 6 refine panels per e-fold of x that resolves the
       density of the smallest scales;
     * log-spaced panels in x, as many per e-fold, up to z_cut w_hi,
-      z_cut = mu + 50, so that every scale integrates at least to z_cut;
-      the estimate adds 1.3 Q(mu, z_cut), the memoized 30-digit _gamma_q.
+      z_cut = mu + max(50, 10 sqrt(mu)) (ten standard deviations of the
+      law from mu = 25 on), so that every scale integrates at least to
+      z_cut; the estimate adds 1.3 Q(mu, z_cut) <= 1.3 Q(25, 75) = 8.2e-12.
     """
 
     def __init__(self, rho: float, mu: float, k: int, refine: int, beta: float):
         self.gm = _gamma_of_mu(mu)  # refuses mu past the double range first
         w_lo = _PANEL_BASE * _PANEL_RATIO**k
-        z_cut = mu + 50.0
+        z_cut = mu + max(50.0, 10.0 * math.sqrt(mu))
         x_top = z_cut * w_lo * _PANEL_RATIO
         if not x_top < math.inf:
             raise DomainError(f"mixing panel {k} at mu={mu} reaches past the "
@@ -902,12 +903,17 @@ def _mixing_panel(rho: float, mu: float, k: int, beta: float) -> _ChebLog:
 
 def _taylor_many(rho: float, mu: float, w: np.ndarray, beta: float):
     """K-term Taylor sum of H_{rho,beta,mu}(w) = sum_k c_k (-w)^k for
-    rho <= 1, beta >= rho and w < _TAYLOR_TOP.  E_{rho,beta}(-x) is then
-    completely monotone (Schneider, Expo. Math. 14, 1996), so its K-term
-    Taylor remainder is at most x^K / Gamma(rho K + beta) in size, and
-    H's at most c_K w^K; K >= 2 is the first count that puts this below
-    e^-39 at _TAYLOR_TOP.  (2K + 1) eps sum_k c_k w^k covers the rounding.
-    """
+    beta in {1, rho} and 0 <= w <= _TAYLOR_TOP; its remainder is at most
+    c_K w^K in size.  For rho <= 1, E_{rho,beta}(-x) is completely monotone
+    (Schneider, Expo. Math. 14, 1996), so its K-term Taylor remainder is at
+    most x^K / Gamma(rho K + beta).  For rho > 1 and k >= 1, a = rho k + beta
+    >= k + 1 >= 2 lies past Gamma's minimum, so Gamma(a + rho) >= a Gamma(a)
+    and c_(k+1) w / c_k = w (mu + k) Gamma(a) / Gamma(a + rho) <= w max(mu, 1):
+    where w max(mu, 1) <= 1 (every mu <= 8192 at _TAYLOR_TOP) the terms
+    alternate and do not increase from k = 1 on; elsewhere the estimate is
+    inf, which refuses the point.  K >= 2 is the first count that puts
+    c_K w^K below e^-39 at _TAYLOR_TOP; (2K + 1) eps sum_k c_k w^k bounds
+    the rounding."""
     K = next((k for k in range(2, 64) if math.lgamma(mu + k) - math.lgamma(mu)
               - math.lgamma(rho * k + beta) + k * math.log(_TAYLOR_TOP) < -39.0), 64)
     c = [float(x) for x in _coeffs(rho, beta, mu, K + 1)]
@@ -915,7 +921,10 @@ def _taylor_many(rho: float, mu: float, w: np.ndarray, beta: float):
     for ck in c[K - 2::-1]:
         s = s * -w + ck
         m = m * w + ck
-    return s, c[K] * w**K + (2 * K + 1) * _EPS * m, np.full(w.shape, K)
+    est = c[K] * w**K + (2 * K + 1) * _EPS * m
+    if rho > 1.0:
+        est[w * max(mu, 1.0) > 1.0] = np.inf
+    return s, est, np.full(w.shape, K)
 
 
 def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
@@ -926,10 +935,10 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
 
     Returns (values, ests, method codes, terms_used) as _evaluate_many does.
     At rho = 1 = beta, H = (1 + w)^(-mu), since E_{1,1} = exp.  Otherwise
-    the series serves the scales up to _TAYLOR_TOP (the direct series for
-    rho > 1, _taylor_many for rho <= 1) and the certified panels serve the
-    rest.  Raises AccuracyError when an estimate exceeds ACCURACY_FLOOR, and
-    DomainError for a scale, or a panel edge, past the double range.
+    _taylor_many serves the scales up to _TAYLOR_TOP, zero included, and the
+    certified panels serve the rest.  Raises AccuracyError when an estimate
+    exceeds ACCURACY_FLOOR, and DomainError for a scale, or a panel edge,
+    past the double range.
     """
     t = np.asarray(t, dtype=float)
     rho = float(rho)
@@ -957,21 +966,11 @@ def _g_quadrature_block(rho: float, mu: float, beta: float, scale, values,
         # 1 + w rounds by eps, which the power raises to mu eps
         ests[:] = (mu + 4.0) * _EPS * values
         return
-    done = scale == 0.0
-    values[done] = 1.0 / math.gamma(beta)
-
-    near = ~done & (scale <= _TAYLOR_TOP)
+    near = scale <= _TAYLOR_TOP
     if near.any():
-        if rho > 1.0:
-            v, e, n, guard = _g_series_many(rho, mu, -scale[near], beta)
-            e[guard] = np.inf
-        else:
-            v, e, n = _taylor_many(rho, mu, scale[near], beta)
-        values[near], ests[near], terms[near] = v, e, n
+        values[near], ests[near], terms[near] = _taylor_many(rho, mu, scale[near], beta)
         methods[near] = _METHODS.index("series")
-        done |= near
-
-    big = ~done
+    big = ~near
     if big.any():
         s = scale[big]
         k_of = np.floor(np.log(s / _PANEL_BASE) / math.log(_PANEL_RATIO))

@@ -257,16 +257,25 @@ def test_accuracy_error_maps_to_exit_three(monkeypatch):
                      "--out", "-"]) == 3
 
 
-@pytest.mark.parametrize("mu", ["170", "200"])
+@pytest.mark.parametrize("mu", ["200"])
 def test_gml_past_the_gamma_range_exits_three_naming_mu(mu, cli_env):
-    # at mu = 170 the mixing integrand z^(mu-1) overflows and every x > 0
-    # printed nan with exit 0; at 200 Gamma(mu) itself overflows
+    # Gamma(mu) overflows a double past mu = 171.62
     r = run_cli(["eval", "gml", "--rho", "1.9", "--mu", mu, "--xmax", "30",
                  "--points", "5", "--out", "-"], env=cli_env("1"))
     assert r.returncode == 3
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1
     assert "Traceback" not in r.stderr and f"mu={mu}.0" in r.stderr
+
+
+@pytest.mark.parametrize("mu", ["100", "171.6"])
+def test_gml_of_a_wide_gamma_law_exits_zero(mu, capsys):
+    # the mixing cut grows with the law's spread: mu + 10 sqrt(mu) past 25
+    assert cli.main(["eval", "gml", "--rho", "1.9", "--mu", mu, "--xmax", "30",
+                     "--points", "5", "--out", "-"]) == 0
+    rows = capsys.readouterr().out.split()[1:]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
 
 @pytest.mark.parametrize("function, flags", [

@@ -207,10 +207,6 @@ def test_g_rho_series_basics():
 def test_nan_estimates_are_refused(monkeypatch):
     # NaN > ACCURACY_FLOOR is False: both batch guards must refuse it
     t = np.array([30.0 ** (1.0 / 1.9)])  # scale 30, served by the panels
-    with pytest.raises(AccuracyError, match="mu=170") as err:
-        sf._g_quadrature_many(1.9, 170.0, 1.0, t)
-    # the density is formed from its log: an uncertified but finite estimate
-    assert np.isfinite(err.value.est_abs_error)
     with pytest.raises(AccuracyError, match="mu=200"):
         sf._g_quadrature_many(1.9, 200.0, 1.0, t)  # Gamma(mu) overflows
 
@@ -369,6 +365,45 @@ def test_panels_past_scale_128_hold_against_the_integral_oracle(gml_integral_ora
     w = 8e5
     value, est = (float(a[0]) for a in _g_quadrature_many(1.9, 0.4, 1.0, [w ** (1.0 / 1.9)])[:2])
     assert abs(value - gml_integral_oracle(1.9, 0.4, w, digits=22)) <= est
+
+
+def test_one_taylor_rule_serves_every_order_near_zero(gml_oracle):
+    # scale 0 and scales up to 2^-13 take at most 8 Taylor terms at every
+    # rho > 1, down to rho = 1.001
+    ws = np.concatenate([[0.0], np.geomspace(1e-300, 0.999 * 2.0**-13, 8)])
+    for rho in (1.001, 1.01, 1.2, 1.9, 2.0):
+        for beta in (1.0, rho):
+            for mu in (0.05, 4.0, 40.0, 170.0):
+                ts = ws ** (1.0 / rho)
+                values, ests, methods, terms = _g_quadrature_many(rho, mu, 1.0, ts, beta)
+                assert np.all(methods == sf._METHODS.index("series")), (rho, beta, mu)
+                assert terms.max() <= 8, (rho, beta, mu)
+                ref = [gml_oracle(rho, mu, w, beta) if w else 1.0 / math.gamma(beta)
+                       for w in ts**rho]
+                assert np.all(np.abs(values - ref) <= ests), (rho, beta, mu)
+    # the terms may grow from k = 1 where w max(mu, 1) > 1: refused for
+    # rho > 1, while complete monotonicity still bounds rho <= 1
+    mu, ws = 2e4, np.array([2.5e-5, 1e-4])
+    for rho in (1.001, 1.9):
+        values, ests, _ = sf._taylor_many(rho, mu, ws, 1.0)
+        assert abs(values[0] - gml_oracle(rho, mu, ws[0])) <= ests[0] <= 1e-8
+        assert ests[1] == np.inf
+        with pytest.raises(AccuracyError):
+            _g_quadrature_many(rho, mu, 1.0, ws[1:] ** (1.0 / rho))
+    assert np.all(sf._taylor_many(0.8, mu, ws, 1.0)[1] <= 1e-8)
+
+
+def test_wide_gamma_laws_certify_at_every_scale(gml_oracle):
+    # the mixing cut mu + max(50, 10 sqrt(mu)) drops at most 1.3 Q(25, 75)
+    # of the law's mass
+    ws = np.array([1.01 * 2.0**-13, 0.05, 1.0, 20.0, 200.0])
+    for mu in (50.0, 100.0, 171.0):
+        for beta in (1.0, 1.9):
+            ts = ws ** (1.0 / 1.9)
+            values, ests = _g_quadrature_many(1.9, mu, 1.0, ts, beta)[:2]
+            assert ests.max() <= 1e-9, (mu, beta)
+            ref = [gml_oracle(1.9, mu, w, beta) for w in ts**1.9]
+            assert np.all(np.abs(values - ref) <= ests), (mu, beta)
 
 
 def _same_bits(a, b) -> bool:
