@@ -23,17 +23,20 @@ from fracou.cli import main as cli_main
 SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
        "--seed", "7"]
 
-# the README lines, the eval table on standard output, an eval table whose
-# tail takes the exponent form and leading zeros, the three simulate
-# processes the README does not show, a component table wide enough that its
-# evaluator, FFT and CSV writer each cross many blocks, the two checks that
-# read a certified history, at a small --mc, a mixing table near zero at an
-# order near 1 and one of a Gamma law with a wide spread
+# the README lines, the eval table on standard output, an eval table across
+# the gap interpolant's band at rho 1.9, an eval table whose tail takes the
+# exponent form and leading zeros, the three simulate processes the README
+# does not show, a component table wide enough that its evaluator, FFT and
+# CSV writer each cross many blocks, the two checks that read a certified
+# history, at a small --mc, a mixing table near zero at an order near 1 and
+# one of a Gamma law with a wide spread
 LINES = {
     "eval ml": ["eval", "ml", "--rho", "1.9", "--xmax", "60", "--points",
                 "600", "--out", "ml.csv"],
     "eval ml stdout": ["eval", "ml", "--rho", "1.9", "--xmax", "60",
                        "--points", "600", "--out", "-"],
+    "eval ml gap": ["eval", "ml", "--rho", "1.9", "--xmin", "120", "--xmax",
+                    "400", "--points", "600", "--out", "ml.csv"],
     "eval ml tail": ["eval", "ml", "--rho", "1.2", "--xmax", "2000",
                      "--points", "600", "--out", "ml.csv"],
     "eval gml": ["eval", "gml", "--rho", "1.9", "--mu", "4", "--xmax", "30",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -48,8 +49,11 @@ def _emit(path: str, body: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    if args.xmin < 0 or args.xmax <= args.xmin or args.points < 2:
-        raise DomainError("eval requires 0 <= xmin < xmax and points >= 2")
+    if not (math.isfinite(args.xmin) and math.isfinite(args.xmax)
+            and 0 <= args.xmin < args.xmax and args.points >= 2):
+        raise DomainError(f"eval requires finite --xmin and --xmax with "
+                          f"0 <= xmin < xmax (got {args.xmin}, {args.xmax}) "
+                          f"and --points >= 2")
     side = None if args.out == "-" else sim.sidecar_path(args.out)
     rho = float(FractionalOrder(args.rho))
     xs = np.linspace(args.xmin, args.xmax, args.points)

@@ -441,14 +441,14 @@ def test_gap_build_computes_each_coefficient_once_per_sweep(monkeypatch):
 
 
 def test_tables_are_checked_where_t_n_peaks(monkeypatch):
-    # one builder: a gap table sums its 65 fit nodes and 64 check points,
+    # one builder: a gap table sums its 33 fit nodes and 32 check points,
     # and gap and panel tables check at the interior extrema of T_n
     sizes = []
     hp = sf._hp_values
     monkeypatch.setattr(sf, "_hp_values", lambda *a: sizes.append(a[2].size) or hp(*a))
     sf._gap_interpolant.cache_clear()
     gap = sf._gap_interpolant(1.5, 1.5)
-    assert sizes == [65, 64]
+    assert sizes == [33, 32]
     for table in (gap, sf._mixing_panel(1.9, 4.0, 0, 1.0)):
         n = table.coef.size
         assert _same_bits(table.xc, table.points(np.cos(np.pi * np.arange(1, n) / n)))
@@ -479,6 +479,19 @@ def test_coefficients_are_pochhammer_times_reciprocal_gamma():
     assert sf._coeffs(1.9, 1.9, 4.5, 70) == want
     assert sf._coeffs(1.9, 1.9, None, 70) == [mpc.rgamma(mpc.mpf(1.9) * k + 1.9)
                                              for k in range(70)]
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.8, 1.05, 1.2, 1.5, 1.9, 1.95, 1.99])
+def test_gap_tables_certify_at_33_nodes(rho, ml_oracle):
+    # Chebyshev coefficients in log x decay geometrically across every gap,
+    # so the first fit already checks within tol and no table doubles
+    rng = np.random.default_rng(34)
+    for beta in (1.0, rho):
+        interp = sf._gap_interpolant(rho, beta)
+        assert interp.coef.size == 33 and interp.est <= 2e-13, (rho, beta)
+        xs = interp.points(np.append(rng.uniform(-1.0, 1.0, 12), [-1.0, 1.0]))
+        want = [ml_oracle(rho, float(x), beta) for x in xs]
+        assert np.max(np.abs(interp(xs) - want)) <= interp.est, (rho, beta)
 
 
 def test_reference_sums_match_oracle_inside_gaps(ml_oracle):
