@@ -27,7 +27,9 @@ SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
 # the gap interpolant's band at rho 1.9, an eval table whose tail takes the
 # exponent form and leading zeros, the three simulate processes the README
 # does not show, a component table wide enough that its evaluator, FFT and
-# CSV writer each cross many blocks, the two checks that read a certified
+# CSV writer each cross many blocks, an xi table at a tolerance whose head
+# integrals take many panel passes, so that the sidecar's tail_bound shows
+# a change of the panel rule, the two checks that read a certified
 # history, at a small --mc, a mixing table near zero at an order near 1 and
 # one of a Gamma law with a wide spread
 LINES = {
@@ -58,6 +60,10 @@ LINES = {
                         "--out", "empirical.csv"],
     "xi": SIM + ["--process", "xi", "--steps", "500", "--n-components", "5",
                  "--tol", "1e-2", "--out", "xi.csv"],
+    "xi tight": ["simulate", "--process", "xi", "--rho", "1.9", "--mu", "4",
+                 "--lambda", "1", "--T", "2", "--steps", "200",
+                 "--n-components", "3", "--seed", "1", "--tol", "1e-7",
+                 "--out", "xi.csv"],
     "diagnose l2sup": ["diagnose", "l2sup", "--rho", "1.9", "--mu", "4",
                        "--lambda", "1", "--n", "10,100,1000", "--mc", "2000",
                        "--seed", "1", "--out", "report.json"],

@@ -49,11 +49,9 @@ def _emit(path: str, body: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    if not (math.isfinite(args.xmin) and math.isfinite(args.xmax)
-            and 0 <= args.xmin < args.xmax and args.points >= 2):
-        raise DomainError(f"eval requires finite --xmin and --xmax with "
-                          f"0 <= xmin < xmax (got {args.xmin}, {args.xmax}) "
-                          f"and --points >= 2")
+    if not (0 <= args.xmin < args.xmax and args.points >= 2):
+        raise DomainError(f"eval requires 0 <= xmin < xmax (got {args.xmin}, "
+                          f"{args.xmax}) and --points >= 2")
     side = None if args.out == "-" else sim.sidecar_path(args.out)
     rho = float(FractionalOrder(args.rho))
     xs = np.linspace(args.xmin, args.xmax, args.points)
@@ -245,10 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_finite(args) -> None:
+    """DomainError naming the first float flag, lists included, that is nan
+    or infinite: no such value is meaningful, and JSON has none."""
+    for name, value in vars(args).items():
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except DomainError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

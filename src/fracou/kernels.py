@@ -510,63 +510,21 @@ def _l2_norm(kernel):
     return total / n**2, _GRAM_ULPS * _EPS * mods / n**2
 
 
-def _values(kernel, u: np.ndarray):
-    """(K, d) at u: the computed K and its certified error d (G's own
-    estimate; ACCURACY_FLOOR for f_n)."""
+def _lower(kernel, u: np.ndarray) -> np.ndarray:
+    """L = max(|K| - d, 0) at u: the computed K less its certified error d
+    (G's own estimate; ACCURACY_FLOOR for f_n)."""
     if isinstance(kernel, MeanKernel):
         mix = kernel.mixing
-        return _g_quadrature_many(kernel.rho, mix.mu, mix.lam, u)[:2]
-    return empirical_kernel_values(kernel[1], kernel[0], u), ACCURACY_FLOOR
-
-
-def _lower(kernel, u: np.ndarray):
-    """(L, d) at u, L = max(|K| - d, 0) (_values)."""
-    k, d = _values(kernel, u)
-    return np.maximum(np.abs(k) - d, 0.0), d
+        k, d = _g_quadrature_many(kernel.rho, mix.mu, mix.lam, u)[:2]
+    else:
+        k, d = empirical_kernel_values(kernel[1], kernel[0], u), ACCURACY_FLOOR
+    return np.maximum(np.abs(k) - d, 0.0)
 
 
 def _head_piece(kernel, a: float, b: float) -> float:
     """Integral over [a, b] of L^2 (_lower).  L^2 has a kink wherever |K|
-    crosses d; when the whole piece does not converge, it is split there
-    (_crossings) and each part integrated alone."""
-    def square(u):
-        return _lower(kernel, u)[0]
-
-    try:
-        return _square_integral(square, a, b, _HEAD_RTOL)
-    except AccuracyError:
-        edges = _crossings(kernel, a, b)
-        return math.fsum(_square_integral(square, lo, hi, _HEAD_RTOL)
-                         for lo, hi in zip(edges, edges[1:]))
-
-
-def _crossings(kernel, a: float, b: float) -> list:
-    """a, the kinks of L^2 in (a, b), and b.  The state sign(K) [|K| > d]
-    is read at 2^14 equal steps in log1p(u); each step where it changes is
-    bisected to adjacent doubles, on the sign of K where K changes sign
-    (the two kinks around its zero lie within 2 d / |K'| of it) and on
-    |K| > d elsewhere."""
-    u = np.expm1(np.linspace(math.log1p(a), math.log1p(b), (1 << 14) + 1))
-    u[0], u[-1] = a, b
-    k, d = _values(kernel, u)
-    state = np.sign(k) * (np.abs(k) > d)
-    cut = np.flatnonzero(state[1:] != state[:-1])
-    lo, hi = u[cut], u[cut + 1]
-    zero = state[cut] * state[cut + 1] < 0
-
-    def side(w):
-        k, d = _values(kernel, w)
-        return np.where(zero, k > 0.0, np.abs(k) > d)
-
-    at_lo = side(lo)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        inside = (mid > lo) & (mid < hi)
-        if not inside.any():
-            break
-        same = side(mid) == at_lo
-        lo, hi = np.where(same & inside, mid, lo), np.where(~same & inside, mid, hi)
-    return [a, *hi.tolist(), b]
+    crosses d; _integrate halves the panels around each until they resolve."""
+    return _square_integral(partial(_lower, kernel), a, b, _HEAD_RTOL)
 
 
 _mean_piece = lru_cache(maxsize=None)(_head_piece)
@@ -589,7 +547,7 @@ def _tail_bound(kernel, tol: float) -> Callable[[float], float]:
     * I(T), the integral over [0, T] of L^2 <= K^2, L being each computed
       value of |K| less its certified error (_head_piece);
     * r = _HEAD_RTOL, the error of I(T) relative to I(T) by _integrate's
-      two-pass rule, the rule variance_integral rests on.
+      per-panel rule, the rule variance_integral rests on.
     I(T) is summed over [0, _TAIL_T0], the octaves past it below T and the
     rest, each piece integrated once per MeanKernel, or per rate set while
     it is the last one asked for.

@@ -738,44 +738,65 @@ def _legendre_rule():
     return np.polynomial.legendre.leggauss(8)
 
 
-def _panel_nodes(edges: np.ndarray):
-    """Composite Gauss-Legendre nodes/weights over consecutive panel edges."""
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray):
+    """Composite Gauss-Legendre nodes/weights on the panels [lo, hi], panel
+    after panel."""
     xg, wg = _legendre_rule()
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
     return nodes, weights
 
 
-# panels of one _integrate pass, past which it gives up
-_MAX_PANELS = 1 << 14
+# halves and calls of f of one _integrate, past which it gives up
+_MAX_PANELS, _MAX_PASSES = 1 << 14, 64
 
 
 def _integrate(f, a: float, b: float, rtol: float) -> float:
     """Integral of the vectorized f over [a, b] on composite 8-node
     Gauss-Legendre panels (Trefethen, SIAM Review 50, 2008), graded
     geometrically toward both ends down to 2^-30 of the length, so that
-    integrable endpoint singularities need no substitution.  Each pass calls
-    f once on all nodes, then halves every panel.  A pass is returned once
-    3 |change from the previous pass| <= rtol sum |w f|; past _MAX_PANELS
-    panels AccuracyError carries that estimate."""
+    integrable endpoint singularities need no substitution.  The value is
+    the sum over every panel's two halves, in position order, and a panel's
+    estimate is 3 |its halves - itself|.  Each pass calls f once, on the
+    halves just formed, and returns once the estimates total at most
+    rtol sum |w f|; else the panels whose estimate is above an even share of
+    that give way to their halves (local refinement: Gander & Gautschi,
+    BIT 40, 2000).  A panel is halved only if the midpoints of its halves
+    lie strictly inside them.  AccuracyError, carrying the total estimate,
+    on a non-finite sum, when no panel can be halved, past _MAX_PANELS
+    halves or after _MAX_PASSES calls of f."""
     grade = 0.5 ** np.arange(30, 1, -1) * (b - a)
     edges = np.concatenate([[a], a + grade, [0.5 * (a + b)], b - grade[::-1], [b]])
-    prev = est = math.inf
-    while edges.size - 1 <= _MAX_PANELS:
-        nodes, weights = _panel_nodes(edges)
-        terms = weights * f(nodes)
-        total = float(np.sum(terms))
-        est = 3.0 * abs(total - prev)
-        if est <= rtol * float(np.sum(np.abs(terms))):
+    nodes, weights = _panel_nodes(edges[:-1], edges[1:])
+    whole = np.sum((weights * f(nodes)).reshape(-1, 8), axis=1)  # per panel
+    edges = np.insert(edges, np.arange(1, edges.size), 0.5 * (edges[1:] + edges[:-1]))
+    terms, new = np.empty((edges.size - 1, 8)), slice(None)
+    for _ in range(1, _MAX_PASSES):  # terms[new]: the halves just formed
+        nodes, weights = _panel_nodes(edges[:-1][new], edges[1:][new])
+        terms[new] = (weights * f(nodes)).reshape(-1, 8)
+        err = 3.0 * np.abs(np.sum(terms.reshape(-1, 16), axis=1) - whole)
+        total, target = float(np.sum(terms)), rtol * float(np.sum(np.abs(terms)))
+        est = float(np.sum(err))
+        if not math.isfinite(total + target):
+            break
+        if est <= target:
             return total
-        prev = total
-        edges = np.insert(edges, np.arange(1, edges.size),
-                          0.5 * (edges[1:] + edges[:-1]))
+        mid = 0.5 * (edges[:-1] + edges[1:])  # strictly inside unless an end
+        inside = ((mid != edges[:-1]) & (mid != edges[1:])).reshape(-1, 2).all(axis=1)
+        at = np.flatnonzero(~(err <= target / err.size) & inside)
+        if not at.size or terms.shape[0] + 2 * at.size > _MAX_PANELS:
+            break
+        # panel at gives way to its halves, whose own sums are known
+        half = (2 * at[:, None] + [0, 1]).ravel()
+        whole[at] = np.sum(terms[2 * at], axis=1)
+        whole = np.insert(whole, at + 1, np.sum(terms[2 * at + 1], axis=1))
+        edges = np.insert(edges, half + 1, mid[half])
+        terms = np.insert(terms, half + 1, 0.0, axis=0)
+        new = ((half + np.arange(half.size))[:, None] + [0, 1]).ravel()
     raise AccuracyError(
         f"panel quadrature over [{a:g}, {b:g}] did not reach rtol {rtol:g} "
-        f"within {_MAX_PANELS} panels", est_abs_error=est)
+        f"(estimate {est:.3g})", est_abs_error=est)
 
 
 def _gamma_of_mu(mu: float) -> float:
@@ -838,12 +859,13 @@ class _MixingRule:
             if s_top > 1.0:
                 n_ph = max(4, math.ceil(math.sin(math.pi / rho) * (s_top - 1.0) / 1.5))
                 edges = np.union1d(edges, np.linspace(1.0, s_top, n_ph * refine + 1))
-            s, q = _panel_nodes(edges)
+            s, q = _panel_nodes(edges[:-1], edges[1:])
             parts.append((s**rho, q * rho * s ** (rho - 1.0)))
             x_b = s_top**rho
         if x_b < x_top:
             n_log = max(1, math.ceil(per_efold * math.log(x_top / x_b)))
-            parts.append(_panel_nodes(np.geomspace(x_b, x_top, n_log + 1)))
+            edges = np.geomspace(x_b, x_top, n_log + 1)
+            parts.append(_panel_nodes(edges[:-1], edges[1:]))
         x = np.concatenate([p[0] for p in parts])
         self.q = np.concatenate([p[1] for p in parts])
         self.e, self.d = _evaluate_many(rho, beta, x)[:2]

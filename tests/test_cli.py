@@ -381,11 +381,12 @@ def test_xi_table_past_the_cap_is_refused_before_a_row_is_built(
     assert read_table(out).shape == (2001, 11)
 
 
-def test_xi_head_integral_is_split_at_the_kinks_of_l_squared(tmp_path):
+def test_xi_head_integral_converges_across_the_kinks_of_l_squared(tmp_path):
     # the slowest of three rates: past T = 64 its s_a oscillates about a
     # power tail, and L^2 = max(|K| - d, 0)^2 has a kink near each zero, so
-    # the piece [64, 128] converges only split there; tol 1e-7 is then
-    # certified (a dense rule puts the bound at 9.9e-8 at T = 128)
+    # the piece [64, 128] converges only once the panels around the kinks
+    # are halved; tol 1e-7 is then certified (a dense rule puts the bound at
+    # 9.9e-8 at T = 128)
     line = ["simulate", "--process", "xi", "--rho", "1.9", "--mu", "4",
             "--lambda", "1", "--T", "2", "--steps", "200", "--n-components",
             "3", "--seed", "1", "--out"]
@@ -451,6 +452,45 @@ def test_sidecar_next_to_data_file_in_dotted_directory(tmp_path, sub):
             else side["meta"]["config"]["command"]) == sub
     assert out.read_text().count("\n") > 5
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.b"]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("sub", sorted(SIDECAR_RUNS))
+def test_sidecar_is_strict_json(tmp_path, sub):
+    out = tmp_path / "t.csv"
+    assert cli.main(SIDECAR_RUNS[sub] + ["--out", str(out)]) == 0
+    json.loads((tmp_path / "t.json").read_text(), parse_constant=_no_constant)
+
+
+NONFINITE_RUNS = {
+    "eval": ["eval", "ml", "--rho", "1.9", "--xmax", "10", "--points", "5",
+             "--mu", "4"],
+    "simulate": ["simulate", "--process", "limit", "--rho", "1.9", "--mu",
+                 "4", "--lambda", "1", "--T", "1", "--steps", "10", "--seed",
+                 "1"],
+    "diagnose": ["diagnose", "mixing-remark", "--rho", "1.9", "--mu", "4",
+                 "--lambda", "1", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("sub, flag", [
+    ("eval", "--mu"), ("eval", "--lam"), ("simulate", "--mu"),
+    ("simulate", "--lam"), ("simulate", "--tol"), ("diagnose", "--mu"),
+    ("diagnose", "--lam"), ("diagnose", "--tol"), ("mixing", "--frac")])
+def test_float_flags_must_be_finite(tmp_path, capsys, sub, flag, value):
+    # a sidecar or report would carry the value, and JSON has no NaN or
+    # Infinity: refused naming the flag, with nothing written
+    line = (["mixing", "--mu", "4", "--lambda", "1", "--frac", "1", value]
+            if sub == "mixing" else NONFINITE_RUNS[sub] + [flag, value])
+    assert cli.main(line + ["--out", str(tmp_path / "t.csv")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith("invalid parameters:") and flag in out.err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("sub", sorted(SIDECAR_RUNS))

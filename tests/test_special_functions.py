@@ -606,10 +606,38 @@ def test_panel_estimate_carries_the_error_of_e(monkeypatch):
 def test_panel_integrator():
     # the endpoint grading resolves the square-root singularity at 0
     assert abs(sf._integrate(np.sqrt, 0.0, 1.0, 1e-12) - 2.0 / 3.0) <= 1e-14
-    # a jump off every panel edge never meets the rule: an error, not a value
-    with pytest.raises(AccuracyError) as err:
-        sf._integrate(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, 1e-14)
+    # a jump off every panel edge: only the panels around it are halved
+    value = sf._integrate(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, 1e-14)
+    assert abs(value - 1.0 / 3.0) <= 1e-14
+    # a pole inside never meets the rule: an error, not a value
+    with pytest.raises(AccuracyError) as err, np.errstate(divide="ignore"):
+        sf._integrate(lambda x: 1.0 / np.abs(x - 1.0 / 3.0), 0.0, 1.0, 1e-14)
     assert err.value.est_abs_error > 1e-14
+
+
+def test_panel_integrator_resolves_an_interior_kink():
+    # the kink at 1/3 never falls on a panel edge
+    value = sf._integrate(lambda x: np.maximum(x - 1.0 / 3.0, 0.0) ** 2, 0.0, 1.0, 1e-14)
+    assert abs(value - 8.0 / 81.0) <= 1e-15
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0 / np.abs(x - 1.0 / 3.0),
+                               lambda x: np.abs(x - 1.0 / 3.0) ** -0.5,
+                               lambda x: 1.0 / x,
+                               lambda x: np.where(x < 0.7, 1.0, np.nan)],
+                         ids=["pole", "root-pole", "end-pole", "nan"])
+def test_panel_integrator_refusals_are_bounded(f):
+    # refused within the pass bound, with no non-finite value returned: a
+    # pole refined down to adjacent doubles may put a node on it
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    with pytest.raises(AccuracyError), np.errstate(divide="ignore"):
+        sf._integrate(counted, 0.0, 1.0, 1e-10)
+    assert 2 <= len(calls) <= sf._MAX_PASSES
 
 
 def test_asym_many_does_not_depend_on_its_block():
