@@ -13,7 +13,6 @@ from .kernels import (
     mean_kernel,
     mean_kernel_deriv,
     resolvent,
-    resolvent_deriv,
     resolvent_l2_norm,
     stationary_variance,
     tail_variance_bound,
@@ -39,9 +38,7 @@ from .special_functions import (
     FractionalOrder,
     g_rho_quadrature,
     g_rho_series,
-    ml_asymptotic,
     ml_one,
-    ml_one_deriv,
     ml_two,
     pochhammer,
 )
@@ -67,15 +64,12 @@ __all__ = [
     "g_rho_series",
     "mean_kernel",
     "mean_kernel_deriv",
-    "ml_asymptotic",
     "ml_one",
-    "ml_one_deriv",
     "ml_two",
     "moment_frac",
     "moment_int",
     "pochhammer",
     "resolvent",
-    "resolvent_deriv",
     "resolvent_l2_norm",
     "sample_alphas",
     "simulate_component_paths",

@@ -49,9 +49,9 @@ def _emit(path: str, body: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    if not (0 <= args.xmin < args.xmax and args.points >= 2):
-        raise DomainError(f"eval requires 0 <= xmin < xmax (got {args.xmin}, "
-                          f"{args.xmax}) and --points >= 2")
+    if not (0 <= args.xmin < args.xmax and 2 <= args.points <= 16 * sim._DRIVER_CELLS):
+        raise DomainError(f"eval requires 0 <= xmin < xmax (got {args.xmin}, {args.xmax}) "
+                          f"and --points in [2, {16 * sim._DRIVER_CELLS}] (got {args.points})")
     side = None if args.out == "-" else sim.sidecar_path(args.out)
     rho = float(FractionalOrder(args.rho))
     xs = np.linspace(args.xmin, args.xmax, args.points)
@@ -104,6 +104,14 @@ def cmd_simulate(args) -> int:
     if args.paths < 1 or args.paths > 1 and args.process in ("component", "xi"):
         raise DomainError("--paths must be >= 1, and 1 for component and xi; "
                           f"got {args.paths}")
+    # before any allocation: a kernel row, the rates, the output table
+    rows, table = args.steps + 1, 16 * sim._DRIVER_CELLS
+    cols = "n_components" if args.process == "component" else "paths"
+    for flag, size, cap in (("steps", rows, sim._DRIVER_CELLS),
+                            ("n_components", args.n_components, table),
+                            (cols, getattr(args, cols) * rows, table)):
+        if size > cap:
+            raise DomainError(f"--{flag.replace('_', '-')} asks for {size} values, over {cap}")
     grid = sim.TimeGrid(0.0, args.T, args.steps)
     mix = GammaMixing(args.mu, args.lam)
     mk = MeanKernel(args.rho, mix)

@@ -40,7 +40,6 @@ from .special_functions import (
     _integrate,
     _regime_thresholds,
     ml_one_values,
-    ml_two,
     ml_two_values,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "resolvent",
     "resolvent_values",
     "volterra_residual",
-    "resolvent_deriv",
     "empirical_kernel",
     "empirical_kernel_values",
     "mean_kernel",
@@ -190,15 +188,6 @@ def volterra_residual(k: ResolventKernel, t: float) -> float:
                      0.0, t**rho, 1e-11)
     conv = val / math.gamma(rho + 1.0)
     return resolvent(k, t) + k.alpha * conv - 1.0
-
-
-def resolvent_deriv(k: ResolventKernel, t: float) -> float:
-    """d/dt s_alpha(t) = -alpha t^(rho-1) E_{rho,rho}(-alpha t^rho)."""
-    if not t > 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
-    if k.alpha == 0.0:
-        return 0.0
-    return -k.alpha * t ** (k.rho - 1.0) * ml_two(k.rho, k.alpha * t**k.rho).value
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,6 @@ __all__ = [
     "pochhammer",
     "ml_one",
     "ml_two",
-    "ml_one_deriv",
-    "ml_asymptotic",
     "g_rho_series",
     "g_rho_quadrature",
     "ml_one_values",
@@ -136,9 +134,6 @@ _MAX_TERMS = 1 << 17
 # rate x lag tables, FFT row blocks, CSV text) holds its per-point
 # temporaries for at most this many values
 _BLOCK = 1 << 14
-# a band with fewer points of a batch runs the Horner loop in Python floats,
-# one point at a time
-_SCALAR_POINTS = 32
 # terms per memoized piece of a coefficient row: a longer request extends
 # the row without recomputing it, and a row holds fewer than _ROW_PIECE
 # terms past the longest request
@@ -291,10 +286,6 @@ def _alt_series(rho: float, beta: float, nu, x: np.ndarray, weights=None):
             a = a.tolist()
         K = len(a) - 1
         terms[lo:hi], top[lo:hi] = K, a[K]
-        if hi - lo < _SCALAR_POINTS:
-            for i, ui in enumerate(u[lo:hi].tolist(), lo):
-                values[i], mu[i] = _horner(a, ui)
-            continue
         ub, s, m = u[lo:hi], values[lo:hi], mu[lo:hi]
         s[:] = a[K - 1]
         np.abs(s, out=m)
@@ -314,12 +305,8 @@ def _alt_series(rho: float, beta: float, nu, x: np.ndarray, weights=None):
     return out
 
 
-def _horner(a: tuple, u: float):
-    """(s, mu) of _alt_series's Horner loop at one point, in Python floats.
-
-    The same IEEE double operations in the same order, so the same bits,
-    without numpy's fixed cost per call on a few points; u may be an array.
-    """
+def _horner(a: np.ndarray, u: np.ndarray):
+    """(s, mu) of _alt_series's Horner loop over the points u."""
     s = a[-2]
     m = abs(s)
     for c in a[-3::-1]:
@@ -359,16 +346,7 @@ def _power_tail(coeff: np.ndarray, x: np.ndarray, cut: np.ndarray):
     """(sum_k c_k x^-k, sum_k |c_k| x^-k) over k = 1 .. cut of each point,
     by Horner's rule in y = fl(1/x).  The points are sorted by cut, and the
     step of c_k updates in place only the suffix with cut >= k: sum(cut)
-    multiply-adds, each point's in the same order whatever its batch (in
-    Python floats below _SCALAR_POINTS points)."""
-    if x.size < _SCALAR_POINTS:
-        c, y, out = coeff.tolist(), 1.0 / x, np.empty((2, x.size))
-        for i, (yi, k) in enumerate(zip(y.tolist(), cut.tolist())):
-            p = m = 0.0
-            for ck in reversed(c[:k]):
-                p, m = p * yi + ck, m * yi + abs(ck)
-            out[:, i] = p, m
-        return out[0] * y, out[1] * y
+    multiply-adds, each point's in the same order whatever its batch."""
     order = np.argsort(cut, kind="stable")
     y = 1.0 / x[order]
     starts = np.searchsorted(cut[order], np.arange(1, cut.max(initial=0) + 1))
@@ -588,16 +566,21 @@ def _closed_form_many(rho: float, beta: float, x: np.ndarray):
     return out
 
 
-def _by_blocks(evaluate, x: np.ndarray):
+def _by_blocks(evaluate, x: np.ndarray, what: str):
     """(values, ests, method codes, terms_used), shaped like x, filled by
     evaluate(x, values, ests, methods, terms) on views of at most _BLOCK
     points of them at a time, so a batch holds its outputs plus the
-    temporaries of one block.  ests, methods and terms start at zero."""
+    temporaries of one block.  ests, methods and terms start at zero;
+    AccuracyError, naming what, unless every estimate is within ACCURACY_FLOOR."""
     out = (np.empty(x.shape), np.zeros(x.shape), np.zeros(x.shape, dtype=np.int8),
            np.zeros(x.shape, dtype=int))
     flat = [a.reshape(-1) for a in (x, *out)]
     for a in range(0, x.size, _BLOCK):
         evaluate(*(f[a : a + _BLOCK] for f in flat))
+    worst = float(out[1].max(initial=0.0))
+    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
+        raise AccuracyError(f"{what}: no path certifies {ACCURACY_FLOOR:g} "
+                            f"(best {worst:.2e})", est_abs_error=worst)
     return out
 
 
@@ -614,13 +597,8 @@ def _evaluate_many(rho: float, beta: float, x: np.ndarray):
         x = x.reshape(1)
     if np.any(~np.isfinite(x)) or np.any(x < 0.0):
         raise DomainError("arguments must be finite and satisfy x >= 0")
-    out = _by_blocks(partial(_evaluate_block, rho, beta), x)
-    worst = float(out[1].max(initial=0.0))
-    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
-        raise AccuracyError(
-            f"no path certifies {ACCURACY_FLOOR:g} (best {worst:.2e}) "
-            f"for rho={float(rho)}", est_abs_error=worst)
-    return out
+    return _by_blocks(partial(_evaluate_block, rho, beta), x,
+                      f"E_rho,beta at rho={float(rho)}, beta={beta}")
 
 
 def _evaluate_block(rho: float, beta: float, x, values, ests, methods, terms):
@@ -676,30 +654,6 @@ def ml_one(rho, x: float) -> EvalResult:
 def ml_two(rho, x: float) -> EvalResult:
     """E_{rho,rho}(-x) for x >= 0, 0 < rho <= 2: ml_two_values at one point."""
     return _eval_scalar(rho, float(FractionalOrder(rho)), x)
-
-
-def ml_one_deriv(rho, x: float) -> float:
-    """d/dx E_rho(-x) = -(1/rho) E_{rho,rho}(-x)."""
-    rho = FractionalOrder(rho)
-    return -ml_two(rho, x).value / rho
-
-
-def ml_asymptotic(rho: float, x: float, m: int) -> float:
-    """m-term reciprocal-gamma power tail of E_rho(-x), summed by the Horner
-    core of ml_one's large-x path (_power_tail) with cut = m.
-
-    This is only the algebraic part of the complete expansion: for
-    1 < rho < 2 the damped branch pair can dominate it over a wide range of x.
-    """
-    rho = float(rho)
-    if not 0.0 < rho < 2.0:
-        raise DomainError(f"asymptotic tail requires 0 < rho < 2, got {rho}")
-    if not x > 0.0:
-        raise DomainError(f"asymptotic tail requires x > 0, got {x}")
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be a positive integer, got {m}")
-    m = int(m)
-    return float(_power_tail(_asym_coeffs(rho, 1.0, m)[0], np.array([x]), np.array([m]))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -973,13 +927,8 @@ def _g_quadrature_many(rho, mu: float, lam: float, t: np.ndarray,
     if not np.all(scale < math.inf):
         raise DomainError(f"t^rho/lam leaves the double range for rho={rho}, "
                           f"lam={lam}, t up to {float(np.max(t)):g}")
-    out = _by_blocks(partial(_g_quadrature_block, rho, mu, beta), scale)
-    worst = float(out[1].max(initial=0.0))
-    if not worst <= ACCURACY_FLOOR:  # a NaN estimate certifies nothing
-        raise AccuracyError(
-            f"mixing integral estimate {worst:.2e} exceeds {ACCURACY_FLOOR:g} "
-            f"for rho={rho}, mu={mu}, beta={beta}", est_abs_error=worst)
-    return out
+    return _by_blocks(partial(_g_quadrature_block, rho, mu, beta), scale,
+                      f"mixing integral at rho={rho}, mu={mu}, beta={beta}")
 
 
 def _g_quadrature_block(rho: float, mu: float, beta: float, scale, values,

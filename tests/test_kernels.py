@@ -25,7 +25,6 @@ from fracou.kernels import (
     mean_kernel_deriv_values,
     mean_kernel_values,
     resolvent,
-    resolvent_deriv,
     resolvent_l2_norm,
     resolvent_values,
     stationary_variance,
@@ -34,7 +33,7 @@ from fracou.kernels import (
     volterra_residual,
 )
 from fracou.mixing import GammaMixing, sample_alphas
-from fracou.special_functions import _g_quadrature_many
+from fracou.special_functions import _g_quadrature_many, ml_two_values
 
 E_19_AT_1 = 0.5064595543685906536309  # frozen oracle: E_1.9(-1)
 EPS = np.finfo(float).eps
@@ -62,16 +61,25 @@ def test_volterra_residual():
     assert abs(volterra_residual(ResolventKernel(3.0, 1.9), 2.0)) < 1e-6
 
 
+def _resolvent_slope(k: ResolventKernel, ts: np.ndarray) -> np.ndarray:
+    """d/dt s_alpha(t) = -alpha t^(rho-1) E_{rho,rho}(-alpha t^rho)."""
+    return -k.alpha * ts ** (k.rho - 1.0) * ml_two_values(k.rho, k.alpha * ts**k.rho)
+
+
 def test_resolvent_deriv():
-    k = ResolventKernel(1.5, 1.0)
-    assert resolvent_deriv(k, 0.7) == pytest.approx(
+    t = np.array([0.7])
+    assert _resolvent_slope(ResolventKernel(1.5, 1.0), t)[0] == pytest.approx(
         -1.5 * math.exp(-1.5 * 0.7), rel=1e-12)
     # vanishing slope at the origin for rho > 1
-    assert abs(resolvent_deriv(ResolventKernel(1.0, 1.9), 1e-8)) < 1e-6
-    k = ResolventKernel(2.0, 1.9)
-    h = 1e-5
-    fd = (resolvent(k, 1.0 + h) - resolvent(k, 1.0 - h)) / (2 * h)
-    assert abs(resolvent_deriv(k, 1.0) - fd) < 1e-6
+    k, h = ResolventKernel(1.0, 1.9), 1e-8
+    assert abs(_resolvent_slope(k, np.array([h]))[0]) < 1e-6
+    assert abs((resolvent_values(k, np.array([h]))[0] - 1.0) / h) < 1e-6
+    # central differences of resolvent_values, across the series, gap and
+    # asymptotic regimes at rho 1.9
+    h, ts = 1e-5, np.geomspace(0.2, 16.0, 24)
+    for k in (ResolventKernel(1.5, 1.0), ResolventKernel(2.0, 1.9), ResolventKernel(0.7, 1.5)):
+        fd = (resolvent_values(k, ts + h) - resolvent_values(k, ts - h)) / (2 * h)
+        assert np.max(np.abs(fd - _resolvent_slope(k, ts))) < 1e-6, k
 
 
 def test_empirical_kernel():

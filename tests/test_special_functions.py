@@ -21,9 +21,7 @@ from fracou.special_functions import (
     _series_many,
     g_rho_quadrature,
     g_rho_series,
-    ml_asymptotic,
     ml_one,
-    ml_one_deriv,
     ml_one_values,
     ml_two,
     ml_two_values,
@@ -111,38 +109,28 @@ def test_ml_two_values(ml_oracle):
         assert abs(r.value - ml_oracle(1.9, x, beta=1.9)) <= max(r.est_abs_error, 1e-13)
 
 
-def test_ml_one_deriv_identity():
-    xs = np.linspace(0.1, 20.0, 41)
-    for x in xs:
-        assert ml_one_deriv(1.0, x) == pytest.approx(-math.exp(-x), rel=1e-10)
-    for rho in (1.2, 1.5, 1.9):
-        assert ml_one_deriv(rho, 0.0) == pytest.approx(
-            -1.0 / math.gamma(rho + 1.0), rel=1e-14)
-        h = 1e-5
-        for x in xs[::4]:
-            fd = (ml_one(rho, x + h).value - ml_one(rho, x - h).value) / (2 * h)
-            assert abs(fd - ml_one_deriv(rho, x)) < 1e-6
+def _power_tail_of_e(rho: float, x: float, m: int) -> float:
+    """The m-term reciprocal-gamma power tail of E_rho(-x), summed by the
+    Horner core of the large-x path with cut = m."""
+    coeff = sf._asym_coeffs(rho, 1.0, m)[0]
+    return float(sf._power_tail(coeff, np.array([x]), np.array([m]))[0][0])
 
 
-def test_ml_asymptotic_power_tail_only():
+def test_power_tail_alone():
     # all reciprocal-gamma coefficients vanish at rho = 1
-    assert ml_asymptotic(1.0, 7.0, 5) == 0.0
+    assert _power_tail_of_e(1.0, 7.0, 5) == 0.0
     # one-term value is elementary arithmetic
     expected = sc.rgamma(1.0 - 1.9) / 50.0
-    assert ml_asymptotic(1.9, 50.0, 1) == pytest.approx(expected, rel=1e-13)
+    assert _power_tail_of_e(1.9, 50.0, 1) == pytest.approx(expected, rel=1e-13)
     assert expected == pytest.approx(-1.892e-3, rel=1e-3)
     # for 1 < rho < 2 the power tail alone misses the damped oscillation,
     # which still dominates at x = 50; the full evaluation does not
-    assert abs(ml_asymptotic(1.9, 50.0, 4) - E_19_AT_50) > 1e-2
+    assert abs(_power_tail_of_e(1.9, 50.0, 4) - E_19_AT_50) > 1e-2
     assert abs(ml_one(1.9, 50.0).value - E_19_AT_50) < 1e-10
-    with pytest.raises(DomainError):
-        ml_asymptotic(2.0, 10.0, 3)
-    with pytest.raises(DomainError):
-        ml_asymptotic(1.5, -1.0, 3)
 
 
-def test_ml_asymptotic_positive_for_completely_monotone_order():
-    assert ml_asymptotic(0.5, 100.0, 2) > 0.0
+def test_power_tail_positive_for_completely_monotone_order():
+    assert _power_tail_of_e(0.5, 100.0, 2) > 0.0
 
 
 def test_complete_monotonicity_rho_half():
@@ -825,9 +813,9 @@ def test_osc_branch_pair_within_its_rounding_bound(rho, beta):
 
 
 def test_series_loops_agree_bit_for_bit(monkeypatch):
-    # about 100 points per band run the numpy loop, a lone point the
-    # Python-float one; a 64-point _BLOCK changes nothing here, since the
-    # evaluators, not _alt_series, cut a batch into blocks
+    # about 100 points per band and a lone point run the same numpy loop; a
+    # 64-point _BLOCK changes nothing here, since the evaluators, not
+    # _alt_series, cut a batch into blocks
     x = 2.0 ** np.random.default_rng(4).uniform(-2.0, 6.5, 850)
     batches = [(_series_many, 1.9, 1.0, x), (_series_many, 1.5, 1.5, x[x < 23.0]),
                (_g_series_many, 1.9, 4.0, -x[x < 14.0])]
