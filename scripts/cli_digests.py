@@ -30,8 +30,10 @@ SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
 # CSV writer each cross many blocks, an xi table at a tolerance whose head
 # integrals take many panel passes, so that the sidecar's tail_bound shows
 # a change of the panel rule, the two checks that read a certified
-# history, at a small --mc, a mixing table near zero at an order near 1 and
-# one of a Gamma law with a wide spread
+# history, at a small --mc, both again at --mc 37, which ends their draws in
+# a partial row block of the bridge tree, on the mu < 1 and rho = 1 kernels,
+# a mixing table near zero at an order near 1 and one of a Gamma law with a
+# wide spread
 LINES = {
     "eval ml": ["eval", "ml", "--rho", "1.9", "--xmax", "60", "--points",
                 "600", "--out", "ml.csv"],
@@ -73,6 +75,12 @@ LINES = {
     "diagnose cauchy": ["diagnose", "cauchy", "--rho", "1.9", "--mu", "4",
                         "--lambda", "1", "--mc", "200", "--seed", "1",
                         "--out", "report.json"],
+    "diagnose cauchy mu 0.4": ["diagnose", "cauchy", "--rho", "1.9", "--mu",
+                               "0.4", "--lam", "1", "--mc", "37", "--seed",
+                               "1", "--out", "report.json"],
+    "diagnose stationarity rho 1": ["diagnose", "stationarity", "--rho", "1",
+                                    "--mu", "4", "--lam", "1", "--mc", "37",
+                                    "--seed", "1", "--out", "report.json"],
     "eval gml near": ["eval", "gml", "--rho", "1.01", "--mu", "40", "--xmax",
                       "1e-3", "--out", "gml.csv"],
     "eval gml wide": ["eval", "gml", "--rho", "1.9", "--mu", "100", "--xmax",

@@ -6,8 +6,8 @@ for seeds 1-40, at the size the benchmark's diagnostic battery uses
 (stationarity on 400 rows; cauchy on 200 draws and 4 shift times) and at
 the size of run_all_checks.py (5000 rows; 2000 draws and 8 shift times),
 and prints the fail and inconclusive counts with the seeds behind them.
-Both checks read coarse history cells, through stationary_marginal_samples
-and y_minus_s_at_zero.  Exits 1 when any run fails.
+Both checks read coarse history cells, all marginals of one check from one
+draw of the driver (simulate._marginal_draws).  Exits 1 when any run fails.
 
 Usage: PYTHONPATH=src python scripts/sweep_stationarity.py
 """

@@ -153,10 +153,20 @@ def tree_cells(seed: int, tags: tuple, n_rows: int, levels, indices,
         np.subtract(half, z, out=pair[:, 1])
         pair_nodes = (2 * parents[:, None] + np.arange(2)).ravel()
         sums[l - 1] = take(pair.reshape(-1, n_reps), pair_nodes, kids)
-    out = np.empty((levels.size, n_reps))
+    out = tree_block(n_rows, levels.size, row_offset)
+    lo = row_offset - b0 * TREE_REPS
     for l in np.unique(levels):
         cols = np.nonzero(levels == l)[0]
-        out[cols] = take(sums[l], need[l], indices[cols])
-    out = out.T
+        cells = take(sums[l], need[l], indices[cols])
+        out.T[cols] = cells[:, lo : lo + n_rows]
+    return out
+
+
+def tree_block(n_rows: int, n_cells: int, row_offset: int = 0) -> np.ndarray:
+    """An empty (n_rows, n_cells) array laid out as tree_cells lays out the
+    cells of replications row_offset .. row_offset + n_rows - 1: a slice of
+    the replications of whole tree rows, cell-major."""
+    b0 = row_offset // TREE_REPS
+    n_reps = (-(-(row_offset + n_rows) // TREE_REPS) - b0) * TREE_REPS
     lo = row_offset - b0 * TREE_REPS
-    return out[lo : lo + n_rows]
+    return np.empty((n_cells, n_reps)).T[lo : lo + n_rows]

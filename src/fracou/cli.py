@@ -161,6 +161,11 @@ def cmd_diagnose(args) -> int:
         rep = diag.check_pathwise_conditions(args.rho, args.mu, args.lam,
                                              n_list, grid, args.seed)
     elif args.check == "cauchy":
+        # one certified integral per shift time, so 2^12 of them take a few
+        # seconds; more are refused before any is laid out
+        if args.tpoints > 1 << 12:
+            raise DomainError(f"--tpoints asks for {args.tpoints} shift "
+                              f"times, over {1 << 12}")
         # geometric spacing needs finite ends > 0; the check rejects the rest
         ends = np.array([args.tmin, args.tmax])
         t_list = (np.geomspace(*ends, max(args.tpoints, 0))

@@ -60,7 +60,7 @@ class ConvergenceReport:
 
     def to_json(self) -> str:
         # serialized artifacts must be bit-identical across reruns of one
-        # config, so the wall-clock field stays in memory only
+        # config, so the runtime field stays in memory only
         payload = asdict(self)
         payload.pop("runtime_seconds")
         return json.dumps(_strict(payload), indent=2, sort_keys=True) + "\n"
@@ -136,7 +136,7 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
     each n and checks (a) paired decrease along n_list and (b) domination by
     four times the kernel-gap integral.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     n_list, mix, alphas = _rate_draw(mu, lam, n_list, seed)
@@ -171,7 +171,7 @@ def check_l2_sup_convergence(rho, mu, lam, n_list, grid: TimeGrid,
         _params(rho=rho, mu=mu, lam=lam, n_list=n_list, grid=_grid_dict(grid),
                 n_mc=n_mc, seed=seed),
         rows, [r["bound"] for r in rows], _combine_verdicts(excesses),
-        time.time() - t_start,
+        time.perf_counter() - t_start,
         ["statistic = mean over drivers of sup_t |Y_n(t)-Y(t)|^2",
          "bound = 4 * integral of (f_n - G)^2 on [0, T]"])
 
@@ -184,7 +184,7 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
     by Monte Carlo over random grid pairs, and K_n is compared with its
     mixing-law limit.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     if rho <= 1.0:
@@ -233,7 +233,7 @@ def check_tightness(rho, mu, lam, grid: TimeGrid, n_list, n_mc: int,
         _params(rho=rho, mu=mu, lam=lam, n_list=n_list, grid=_grid_dict(grid),
                 n_mc=n_mc, seed=seed),
         rows + k_rows + [{"K_bar": k_bar, "se_K": se_k}],
-        k_n_big, _combine_verdicts(excesses), time.time() - t_start,
+        k_n_big, _combine_verdicts(excesses), time.perf_counter() - t_start,
         [f"K_n at n={n_big} vs limit {k_bar:.4f} within 4 se = {4 * se_k:.4f}"])
 
 
@@ -245,7 +245,7 @@ def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
     shrinks along n; and the uniform derivative bound holds with the
     envelope constant times the empirical (1/rho)-moment.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     rho = float(FractionalOrder(rho))
     if rho <= 1.0:
         raise DomainError("pathwise conditions need rho > 1")
@@ -286,7 +286,7 @@ def check_pathwise_conditions(rho, mu, lam, n_list, grid: TimeGrid,
         _params(rho=rho, mu=mu, lam=lam, n_list=n_list, grid=_grid_dict(grid),
                 seed=seed),
         rows + [{"emp_moment": emp_moment, "moment": mom, "se": se_mom}],
-        None, _combine_verdicts(excesses), time.time() - t_start,
+        None, _combine_verdicts(excesses), time.perf_counter() - t_start,
         [f"f_n(0) exactly 1 for all n: {exact_at_zero}",
          "derivative bound constant = M2 sup x^(rho-1)/(1+x^rho) "
          f"= {bconst:.4f}"])
@@ -301,12 +301,13 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
     bound is compared with the (2+log T)^2/T envelope, which presumes
     rho = 1 scaling.  At small shifts a < b, Var(Y_{-b}(0) - Y_{-a}(0)) of
     y_minus_s_at_zero on cells of 2e-3 must match the integral of G^2 over
-    [a, b]: all shifts read one bridge tree of backward cells, so a
-    difference draws on the cells in [a, b], and on the cells near a only as
-    far as the two shifts' coarse layouts project them differently.  The
-    shift times t_list must be finite and > 0, at least two of them distinct.
+    [a, b]: all shifts read one draw of the bridge tree of backward cells,
+    so a difference draws on the cells in [a, b], and on the cells near a
+    only as far as the two shifts' coarse layouts project them differently.
+    The shift times t_list must be finite and > 0, at least two of them
+    distinct.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     t_list = np.asarray(sorted(float(t) for t in t_list))
@@ -341,10 +342,16 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
         excesses.append((0.5 - min(ratios), 0.0))
         notes.append("mu = 1 envelope (2+log T)^2/T assumes rho = 1 scaling")
 
-    # Monte Carlo confirmation at small shifts, on cells of 2e-3
+    # Monte Carlo confirmation at small shifts, on cells of 2e-3: the
+    # y_minus_s_at_zero of each shift, from one draw of the driver.  Every
+    # dv = s / round(s / 2e-3) is the same double, so each shift's kernel
+    # row is a prefix of the longest one
     s_mc = [1.0, 2.0, 4.0]
-    samp = {s: simulate.y_minus_s_at_zero(mk, s, n_mc, seed, round(s / 2e-3))
-            for s in s_mc}
+    steps = [round(s / 2e-3) for s in s_mc]
+    kern, _, _, dv = simulate._shift_request(mk, s_mc[-1], steps[-1])
+    samp = simulate._marginal_draws([(kern[: n + 1], [0], n, dv)
+                                     for n in steps], n_mc, seed)
+    samp = {s: x[:, 0] for s, x in zip(s_mc, samp)}
     for a, b in zip(s_mc[:-1], s_mc[1:]):
         d = samp[b] - samp[a]
         est = float(np.mean(d**2))
@@ -358,7 +365,8 @@ def check_cauchy_decay(rho, mu, lam, t_list, n_mc: int,
         "cauchy_decay",
         _params(rho=rho, mu=mu, lam=lam, t_list=list(map(float, t_list)),
                 n_mc=n_mc, seed=seed),
-        rows, target, _combine_verdicts(excesses), time.time() - t_start,
+        rows, target, _combine_verdicts(excesses),
+        time.perf_counter() - t_start,
         notes + ["slope fitted on log D(T, 2T) vs log T"])
 
 
@@ -399,7 +407,9 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
     moments of the marginals.
 
     Var Y(t) is taken at t = max(T, 20) on cells of about 2e-3, from
-    y_minus_s_at_zero (Y_{-t}(0) has the law of Y(t)), whose coarse history
+    y_minus_s_at_zero (Y_{-t}(0) has the law of Y(t)), drawn with the flat-
+    variance marginals from one draw of the driver; a t over 2^22 cells
+    raises DomainError before any kernel row is built.  Its coarse history
     cells lose at most their meta["disc_var_bound"] of variance, itself at
     most 1e-4 on these cells; that bound is added back to the sample
     variance, which is then held to the limit variance within tol / 2.
@@ -410,7 +420,7 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
     call, the two together at most 1.3e-4.  Needs n_mc >= 20, where the
     kurtosis score is accurate.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     n_mc = _count("n_mc", n_mc)
     rho = float(FractionalOrder(rho))
     mix = GammaMixing(mu, lam)
@@ -422,14 +432,19 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
     sigma2 = stationary_variance(mk, tol)
 
     rows, excesses = [], []
-    # (a) flat variance across 10 grid times
+    # (a) flat variance across 10 grid times and (b) Var Y(t_big), from one
+    # draw of the driver; (b)'s kernel row is refused past _DRIVER_CELLS
+    # lags before (a)'s is built
     t_hist = simulate._certified_history(mk, grid, tol)
     n_hist = int(math.ceil(t_hist / grid.dt))
+    t_big = max(grid.T, 20.0)
+    n_big = max(int(round(t_big / 2e-3)), 1000)
+    shifted = simulate._shift_request(mk, t_big, n_big)
     lag_idx = np.linspace(0, grid.n_steps, 10).astype(int)
     kern = mean_kernel_values(
         mk, np.arange(n_hist + grid.n_steps + 1) * grid.dt)
-    eta = simulate.stationary_marginal_samples(kern, lag_idx, n_hist, n_mc,
-                                               seed, grid.dt)
+    eta, y_big = simulate._marginal_draws(
+        [(kern, lag_idx, n_hist, grid.dt), shifted], n_mc, seed)
     variances = eta.var(axis=0, ddof=1)
     vbar = float(np.mean(variances))
     se_v = _var_se(vbar, n_mc)
@@ -439,9 +454,7 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
 
     # (b) Var Y(t_big) of the one-sided process, read as Y_{-t_big}(0), which
     # has its law; the variance its coarse cells lose is added back
-    t_big = max(grid.T, 20.0)
-    n_big = max(int(round(t_big / 2e-3)), 1000)
-    y_big = simulate.y_minus_s_at_zero(mk, t_big, n_mc, seed, n_big)
+    y_big = y_big[:, 0]
     v_big = float(y_big.var(ddof=1)) + y_big.meta["disc_var_bound"]
     rows.append({"t": t_big, "y_var": v_big, "sigma2": sigma2})
     excesses.append((abs(v_big - sigma2) - 0.5 * tol, _var_se(sigma2, n_mc)))
@@ -460,7 +473,8 @@ def check_stationarity(rho, mu, lam, grid: TimeGrid, n_mc: int, seed: int,
         "stationarity",
         _params(rho=rho, mu=mu, lam=lam, grid=_grid_dict(grid), n_mc=n_mc,
                 seed=seed, tol=tol),
-        rows, sigma2, _combine_verdicts(excesses), time.time() - t_start,
+        rows, sigma2, _combine_verdicts(excesses),
+        time.perf_counter() - t_start,
         [f"limit variance {sigma2:.6f} certified to half-width {tol / 2:.1e}",
          "moments fail at |normal score| > 4 (D'Agostino skewness, "
          "Anscombe-Glynn kurtosis): false-fail level 6.3e-5 per moment per "
@@ -477,7 +491,7 @@ def check_mixing_condition_remark(mu, lam, rho) -> ConvergenceReport:
     truncated moment integral confirms the boundary.  The report never
     asserts any of the candidates as an invariant, it reports the match.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     rho = float(FractionalOrder(rho))
     mix = GammaMixing(mu, lam)
     p = -2.0 / rho
@@ -522,7 +536,7 @@ def check_mixing_condition_remark(mu, lam, rho) -> ConvergenceReport:
     return ConvergenceReport(
         "mixing_condition_remark",
         _params(rho=rho, mu=mu, lam=lam),
-        rows, None, "pass" if ok else "fail", time.time() - t_start,
+        rows, None, "pass" if ok else "fail", time.perf_counter() - t_start,
         ["finiteness boundary computed from the Gamma-argument sign: "
          "E[alpha^(-2/rho)] finite iff mu > 2/rho",
          "candidate inequalities are reported, not asserted"])

@@ -473,9 +473,7 @@ def _driver_blocks(seed: int, n_reps: int, layout: HistoryLayout,
     DomainError before any draw."""
     n_reps = _count("n_paths", n_reps)
     n_cells = layout.levels.size
-    step = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
-    if step > _rng.TREE_REPS:  # whole rows of the tree
-        step -= step % _rng.TREE_REPS
+    step = _row_step(n_cells, n_steps)
     nodes = layout.starts >> layout.levels
 
     def block(r0):
@@ -489,6 +487,16 @@ def _driver_blocks(seed: int, n_reps: int, layout: HistoryLayout,
         return r0, r1, back, fwd
 
     return map(block, range(0, n_reps, step))
+
+
+def _row_step(n_cells: int, n_steps: int) -> int:
+    """Replications per block of _driver_blocks for n_cells history and
+    n_steps forward cells: at most _DRIVER_CELLS normals, in whole rows of
+    the tree when that allows more than one."""
+    step = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
+    if step > _rng.TREE_REPS:
+        step -= step % _rng.TREE_REPS
+    return step
 
 
 def _fast_len(n: int) -> int:
@@ -646,17 +654,34 @@ def y_minus_s_at_zero(mk: MeanKernel, s: float, n_paths: int, seed: int,
     cells of their layout; meta["disc_var_bound"] bounds the variance that
     loses against the fine cells.  Every cell comes from one bridge tree, so
     at one cell width Y_{-b}(0) - Y_{-a}(0) draws on the cells beyond a only,
-    up to the two layouts' projections of the cells near a.
+    up to the two layouts' projections of the cells near a.  More than
+    _DRIVER_CELLS - 1 steps raise DomainError before the kernel row is built.
     """
+    return _marginal_draws([_shift_request(mk, s, n_steps)], n_paths,
+                           seed)[0][:, 0]
+
+
+def _shift_request(mk: MeanKernel, s: float, n_steps: int | None):
+    """The _marginal_draws request of y_minus_s_at_zero(mk, s, ., ., n_steps):
+    the kernel row over lags 0 .. n_steps of width dv = s / n_steps, time 0,
+    n_steps history cells, dv."""
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"shift s must be finite and > 0, got {s}")
     if n_steps is None:
         n_steps = min(max(int(math.ceil(s / 2e-3)), 200), 20000)
     n_steps = _count("n_steps", n_steps)
+    _check_lags(n_steps + 1)
     dv = s / n_steps
     kern = mean_kernel_values(mk, np.arange(n_steps + 1) * dv)
-    return stationary_marginal_samples(kern, [0], n_steps, n_paths, seed,
-                                       dv)[:, 0]
+    return kern, [0], n_steps, dv
+
+
+def _check_lags(lags: int) -> None:
+    """DomainError for a marginal sampler's kernel row over _DRIVER_CELLS
+    lags."""
+    if lags > _DRIVER_CELLS:
+        raise DomainError(f"a marginal sample needs a kernel row of {lags} "
+                          f"lags, over {_DRIVER_CELLS}")
 
 
 def _certified_history(kernel, grid: TimeGrid, tol: float) -> float:
@@ -814,21 +839,103 @@ def stationary_marginal_samples(kernel_lags: np.ndarray, t_indices,
     kernel weights of the requested times in one GEMM,
     back @ W_back + fwd @ W_fwd; only the result is scaled by sqrt(dt).  A
     weight block, and the lag windows gathered for it, hold at most
-    _DRIVER_CELLS cells.
+    _DRIVER_CELLS cells, and a kernel row read over more than _DRIVER_CELLS
+    lags (n_hist + max(t_indices) + 1) raises DomainError before any draw.
+    This is _marginal_draws of the one request.
     """
-    kern = np.asarray(kernel_lags, dtype=float)
-    t_indices = np.asarray(t_indices, dtype=int)
-    n_steps = int(t_indices.max())
-    layout = _history_layout(kern, int(t_indices.min()), n_steps, n_hist, dt)
-    n_cells = layout.levels.size
-    cols = max(1, _DRIVER_CELLS // max(n_cells + n_steps, n_hist, 1))
-    blocks = _driver_blocks(seed, n_paths, layout, n_steps, rep0)
-    out = np.empty((n_paths, t_indices.size))
-    for r0, r1, back, fwd in blocks:
-        for c0 in range(0, t_indices.size, cols):
-            w_back, w_fwd = _lag_weights(kern, t_indices[c0 : c0 + cols],
-                                         layout, n_steps)
-            out[r0:r1, c0 : c0 + cols] = back @ w_back + fwd @ w_fwd
-    out = (out * math.sqrt(dt)).view(MarginalSamples)
-    out.meta = {"disc_var_bound": layout.disc_var_bound}
-    return out
+    return _marginal_draws([(kernel_lags, t_indices, n_hist, dt)], n_paths,
+                           seed, rep0)[0]
+
+
+def _marginal_draws(requests, n_paths: int, seed: int,
+                    rep0: int = 0) -> list:
+    """stationary_marginal_samples(kernel_lags, t_indices, n_hist, n_paths,
+    seed, dt, rep0) of every request (kernel_lags, t_indices, n_hist, dt),
+    bit for bit, from one draw of the driver.
+
+    Each block of _driver_blocks draws the union of the requests' history
+    cells in one tree_cells call, and the forward cells of the longest
+    request in one normal_rows fill: a tree cell does not depend on which
+    other cells are drawn with it, and the first n cells of a forward row
+    are those of an n-cell row.  A request meets its weights in the row
+    blocks of its lone call, on its cells laid out as tree_cells lays them
+    out, because BLAS sums a product in an order that depends on the rows
+    it is given and on their strides.  Where a driver block is not that of
+    the lone call, the request's block is gathered whole first, so a call
+    holds one driver block plus at most one gathered block per request,
+    each of at most _DRIVER_CELLS cells.  A request whose kernel row is
+    read over more than _DRIVER_CELLS lags raises DomainError before any
+    draw.
+    """
+    n_paths = _count("n_paths", n_paths)
+    plans = []
+    for kern, t, n_hist, dt in requests:
+        kern, t = np.asarray(kern, dtype=float), np.asarray(t, dtype=int)
+        n_steps = int(t.max())
+        _check_lags(n_hist + n_steps + 1)
+        layout = _history_layout(kern, int(t.min()), n_steps, n_hist, dt)
+        n_cells = layout.levels.size
+        plans.append(_Marginals(
+            kern, t, n_steps, dt, layout, _row_step(n_cells, n_steps),
+            max(1, _DRIVER_CELLS // max(n_cells + n_steps, n_hist, 1)),
+            np.empty((n_paths, t.size))))
+    # the union of the layouts' cells, keyed by start and level: cells[i]
+    # are the union's columns of request i
+    keys = [p.layout.starts << 4 | p.layout.levels for p in plans]
+    union, cells = np.unique(np.concatenate(keys), return_inverse=True)
+    cells = np.split(cells, np.cumsum([k.size for k in keys])[:-1])
+    n_steps = max(p.n_steps for p in plans)
+    own = [np.array_equal(c, np.arange(union.size)) and p.n_steps == n_steps
+           for p, c in zip(plans, cells)]
+    pending = [None] * len(plans)
+    for r0, r1, back, fwd in _driver_blocks(
+            seed, n_paths, HistoryLayout(union & 15, union >> 4), n_steps,
+            rep0):
+        for i, (p, c) in enumerate(zip(plans, cells)):
+            for lo in range(r0 - r0 % p.step, r1, p.step):
+                hi = min(lo + p.step, n_paths)
+                if own[i] and (lo, hi) == (r0, r1):
+                    p.weigh(lo, back, fwd)
+                    continue
+                a, b = max(lo, r0), min(hi, r1)
+                if a == lo:
+                    pending[i] = (_rng.tree_block(hi - lo, c.size, rep0 + lo),
+                                  np.empty((hi - lo, p.n_steps)))
+                pending[i][0][a - lo : b - lo] = back[a - r0 : b - r0, c]
+                pending[i][1][a - lo : b - lo] = fwd[a - r0 : b - r0,
+                                                     : p.n_steps]
+                if b == hi:
+                    p.weigh(lo, *pending[i])
+                    pending[i] = None
+    samples = []
+    for p in plans:
+        out = (p.out * math.sqrt(p.dt)).view(MarginalSamples)
+        out.meta = {"disc_var_bound": p.layout.disc_var_bound}
+        samples.append(out)
+    return samples
+
+
+@dataclass(frozen=True)
+class _Marginals:
+    """One request of _marginal_draws: its kernel row, output times, forward
+    cells, cell width and layout, the replications of its lone call's driver
+    blocks, the times per weight block, and the unscaled samples."""
+
+    kern: np.ndarray
+    t: np.ndarray
+    n_steps: int
+    dt: float
+    layout: HistoryLayout
+    step: int
+    cols: int
+    out: np.ndarray
+
+    def weigh(self, r0: int, back: np.ndarray, fwd: np.ndarray) -> None:
+        """Rows r0 .. r0 + len(back) - 1 of out: the driver block meets the
+        kernel weights of the times, back @ W_back + fwd @ W_fwd."""
+        for c0 in range(0, self.t.size, self.cols):
+            times = self.t[c0 : c0 + self.cols]
+            w_back, w_fwd = _lag_weights(self.kern, times, self.layout,
+                                         self.n_steps)
+            self.out[r0 : r0 + len(back), c0 : c0 + self.cols] = (
+                back @ w_back + fwd @ w_fwd)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -355,6 +356,26 @@ def test_kernel_row_past_the_cap_is_refused_before_it_is_built(
                      "--mu", "4", "--lambda", "1", "--T", "2", "--steps",
                      "2000", "--paths", "50", "--tol", "1e-4", "--seed", "7",
                      "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    # Y_{-T}(0) on cells of 2e-3: a kernel row of 5e8 lags (3.7 GiB)
+    ["stationarity", "--T", "1e6"],
+    # 10^8 certified integrals, and the first count past the cap
+    ["cauchy", "--tpoints", "100000000"],
+    ["cauchy", "--tpoints", "4097"],
+])
+def test_oversized_checks_exit_2_before_anything_is_built(line, tmp_path,
+                                                          capsys):
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    code = cli.main(["diagnose", *line[:1], "--rho", "1.9", "--mu", "4",
+                     "--lambda", "1", "--mc", "20", "--seed", "1",
+                     *line[1:], "--out", str(out)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters:") and len(err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -127,6 +127,25 @@ def test_rate_counts_are_integers_from_one(n_list):
             check()
 
 
+def test_cauchy_draws_each_tree_span_once(monkeypatch):
+    # the three shifts read one draw of the driver: no namespace is keyed
+    # twice for the same rows, and the reports keep their bits
+    from fracou import _rng
+
+    keyed, normal_rows = [], _rng.normal_rows
+
+    def counted(seed, tags, n_rows, n_cols, row_offset=0):
+        keyed.append((seed, tags, row_offset))
+        return normal_rows(seed, tags, n_rows, n_cols, row_offset)
+
+    args = (1.9, 4.0, 1.0, [10.0, 100.0], 40, 5)
+    want = dg.check_cauchy_decay(*args).to_json()
+    monkeypatch.setattr(_rng, "normal_rows", counted)
+    assert dg.check_cauchy_decay(*args).to_json() == want
+    assert keyed and len(set(keyed)) == len(keyed)
+    assert {tags[0] for _, tags, _ in keyed} == {"wtilde"}
+
+
 def test_cauchy_mu_one_envelope():
     rep = dg.check_cauchy_decay(1.0, 1.0, 1.0, np.geomspace(10, 1000, 6),
                                 400, 7)

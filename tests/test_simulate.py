@@ -718,6 +718,75 @@ def test_many_index_marginals_stay_inside_the_cell_bound(monkeypatch):
     assert np.max(np.abs(chunked - whole)) < 1e-13 * np.max(np.abs(whole))
 
 
+def _shared_draw_requests():
+    """Requests of _marginal_draws: three shifts whose layouts overlap, as
+    the cauchy check draws them; a flat row whose one coarse cell no other
+    request has beside a rough row of fine cells only; and a request with
+    forward cells beside history-only ones."""
+    dv = 2e-3
+    kern = mean_kernel_values(MK19, np.arange(2001) * dv)
+    shifts = [(kern[: n + 1], [0], n, dv) for n in (500, 1000, 2000)]
+    flat = (np.ones(65), [0], 64, 0.01)
+    rough = (np.r_[0.0, np.tile([1.0, -1.0], 8)], [0], 8, 0.01)
+    g = sim.TimeGrid(0.0, 1.0, 100)
+    fwd = (mean_kernel_values(MK19, np.arange(401) * g.dt),
+           [0, 17, 50, 100], 300, g.dt)
+    return {"overlapping": shifts, "disjoint": [flat, rough],
+            "forward": [fwd] + shifts[:2]}
+
+
+@pytest.mark.parametrize("case,cap", [
+    ("overlapping", None), ("disjoint", None), ("forward", None),
+    ("overlapping", 3000), ("disjoint", 100), ("forward", 3000)])
+def test_a_shared_draw_gives_each_request_its_lone_bits(case, cap,
+                                                        monkeypatch):
+    requests = _shared_draw_requests()[case]
+    layouts = [sim._history_layout(np.asarray(k), min(t), max(t), n, dt)
+               for k, t, n, dt in requests]
+    cells = [set(zip(l.starts.tolist(), l.levels.tolist())) for l in layouts]
+    if case == "overlapping":
+        assert cells[0] & cells[1] and cells[1] & cells[2]
+    if case == "disjoint":
+        assert not cells[0] & cells[1]
+    if cap is not None:
+        # the union's rows split into blocks shorter than every lone
+        # call's, so that the lone calls' blocks straddle them
+        monkeypatch.setattr(sim, "_DRIVER_CELLS", cap)
+        union = set().union(*cells)
+        steps = [sim._row_step(len(c), max(t))
+                 for c, (_, t, _, _) in zip(cells, requests)]
+        most = max(max(t) for _, t, _, _ in requests)
+        assert sim._row_step(len(union), most) < min(min(steps), 37)
+    for n_paths, rep0 in ((37, 5), (1, 3)):
+        shared = sim._marginal_draws(requests, n_paths, 19, rep0)
+        for (kern, t, n_hist, dt), got in zip(requests, shared):
+            lone = sim.stationary_marginal_samples(kern, t, n_hist, n_paths,
+                                                   19, dt, rep0)
+            assert got.tobytes() == lone.tobytes()
+            assert got.meta == lone.meta
+
+
+def test_marginal_kernel_rows_past_the_cap_are_refused_before_a_draw(
+        monkeypatch):
+    monkeypatch.setattr(sim, "_DRIVER_CELLS", 300)
+    n = sim._DRIVER_CELLS - 1
+    y = sim.y_minus_s_at_zero(MK19, 1.0, 5, 2, n)
+    kern = mean_kernel_values(MK19, np.arange(n + 1) * (1.0 / n))
+    want = sim.stationary_marginal_samples(kern, [0], n, 5, 2, 1.0 / n)
+    assert y.tobytes() == want[:, 0].tobytes()
+
+    def nothing(*args):
+        raise AssertionError("no kernel row or draw past the cap")
+
+    monkeypatch.setattr(sim, "mean_kernel_values", nothing)
+    monkeypatch.setattr(sim, "_driver_blocks", nothing)
+    with pytest.raises(DomainError, match="301 lags"):
+        sim.y_minus_s_at_zero(MK19, 1.0, 5, 2, n + 1)
+    # history, output times and lag 0 count; the row may be longer
+    with pytest.raises(DomainError, match="301 lags"):
+        sim.stationary_marginal_samples(np.ones(400), [0, 50], 250, 5, 2, 0.1)
+
+
 def test_certified_history_is_the_shortest_certified_64th():
     g = sim.TimeGrid(0.0, 2.0, 200)
     m = kn.bound_m(1.9)
