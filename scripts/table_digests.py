@@ -5,9 +5,10 @@ digest of each.
 The tables are the regime thresholds, the series band terms (bands -1 to 8,
 without and with a Pochhammer factor), the gap interpolant's coefficients and
 estimate, the asymptotic coefficients and the mixing panels' coefficients and
-estimates (panels -4 to 1, scales 2^-13 to 128), and the near-zero mixing
-integral's values, estimates, methods and term counts at 8 scales from 1e-12
-to 2^-13, at every rho of the grid and beta in {1, rho}.  A last line per
+estimates (panels -4 to 4, scales 2^-13 to 8 16^5, which covers the cauchy
+checks' 1000^1.9), and the near-zero mixing integral's values, estimates,
+methods and term counts at 8 scales from 1e-12 to 2^-13, at every rho of the
+grid and beta in {1, rho}.  A last line per
 (rho, beta) digests one-point calls: E_{rho,beta}(-x) at each x of a grid
 from 0 to 1e4 (series, gap and asymptotic regimes) evaluated alone, and the
 rate means of the empirical kernel that read E_{rho,beta} (p = 0 reads
@@ -36,7 +37,7 @@ RHOS = (0.5, 0.8, 1.05, 1.2, 1.5, 1.9, 1.95, 2.0)
 BANDS = range(-1, 9)
 NUS = (None, 4.0)
 MUS = (4.0, 0.4)
-PANELS = range(-4, 2)
+PANELS = range(-4, 5)
 NEAR = np.geomspace(1e-12, 2.0**-13, 8)
 ONE_POINT = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 57)])
 RATES = np.array([0.3, 1.0, 2.5, 7.0])

@@ -770,61 +770,78 @@ def _gamma_q(mu: float, z: float) -> float:
     return float(_mpc.gammainc(mu, z, regularized=True))
 
 
+_ROW_EFOLDS = 4  # e-folds of x per memoized chunk of an anchored grid
+
+
+@lru_cache(maxsize=None)
+def _e_row(rho: float, beta: float, refine: int, c: int) -> tuple:
+    """Chunk c, x in [e^(4c), e^(4c+4)], of the anchored grid that the
+    mixing rules of (rho, beta, refine) slice: its (edges, nodes x, weights,
+    E_{rho,beta}(-x), E's certified error), a function of the key alone.
+    The log edges e^(j / (6 refine)) resolve the Gamma density at every
+    scale, the boundary layer z ~ 1/w of mu < 1 included, up to half the
+    largest double (every panel midpoint is finite).  For rho > 1, E
+    oscillates with phase sin(pi/rho) s, s = x^(1/rho): the panels are in s,
+    with the phase edges s = 1 + i 1.5 / (sin(pi/rho) refine) merged in up
+    to s_damp = 30 / |cos(pi/rho)|, where exp(cos(pi/rho) s) has damped it."""
+    n = _ROW_EFOLDS * 6 * refine
+    with np.errstate(over="ignore"):
+        edges = np.exp(np.arange(c * n, c * n + n + 1) / (6 * refine))
+    edges = edges[edges <= 0.5 * np.finfo(float).max]
+    if rho > 1.0:
+        edges = edges ** (1.0 / rho)
+        step = 1.5 / (math.sin(math.pi / rho) * refine)
+        top = min(edges[-1], 30.0 / abs(math.cos(math.pi / rho)))
+        if edges[0] < top:
+            phase = 1.0 + step * np.arange((max(edges[0], 1.0) - 1.0) // step,
+                                           (top - 1.0) // step + 1.0)
+            edges = np.union1d(edges, phase[(phase > edges[0]) & (phase < edges[-1])])
+    s, q = _panel_nodes(edges[:-1], edges[1:])
+    if rho > 1.0:
+        s, q, edges = s**rho, q * rho * s ** (rho - 1.0), edges**rho
+    return (edges, s, q, *_evaluate_many(rho, beta, s)[:2])
+
+
 class _MixingRule:
     """One composite Gauss-Legendre rule in x = z w for every scale w of
-    mixing panel k, [8 16^k, 8 16^(k+1)), at one refinement.
+    mixing panel k, [w_lo, 16 w_lo) with w_lo = 8 16^k, at one refinement.
 
     With x = z w, H(w) = int x^(mu-1) e^(-x/w) E_{rho,beta}(-x) dx
-    / (w^mu Gamma(mu)), so every scale reads the same E_{rho,beta}(-x):
-    the builder evaluates it once per node, and a scale's row is the sum of
-    its density weights exp((mu-1) log x - x/w - mu log w - lgamma mu)
-    times E (and, for its estimate, times E's certified error).  For
-    1 < rho < 2, E oscillates with phase sin(pi/rho) x^(1/rho), and for
-    mu < 1 the mass sits in a boundary layer z ~ 1/w, so the nodes are:
-
-    * an analytic two-term strip over x in [0, x0], x0 = 1e-4 min(w_lo, 1);
-    * for rho > 1, panels in s = x^(1/rho) up to s_top, where the
-      exp(cos(pi/rho) s) damping has killed the oscillation or every scale
-      is past z_cut; their edges merge a fixed phase step from s = 1 with
-      the log grid of 6 refine panels per e-fold of x that resolves the
-      density of the smallest scales;
-    * log-spaced panels in x, as many per e-fold, up to z_cut w_hi,
-      z_cut = mu + max(50, 10 sqrt(mu)) (ten standard deviations of the
-      law from mu = 25 on), so that every scale integrates at least to
-      z_cut; the estimate adds 1.3 Q(mu, z_cut) <= 1.3 Q(25, 75) = 8.2e-12.
+    / (w^mu Gamma(mu)): every scale, panel and mu reads the same E, so the
+    rule is a slice of the anchored grid of (rho, beta, refine), _e_row,
+    from the last refine-1 edge x0 <= 1e-4 min(w_lo, 1) (both refinements
+    share the analytic two-term strip over [0, x0]) to the first edge at or
+    above z_cut 16 w_lo, z_cut = mu + max(50, 10 sqrt(mu)) (ten standard
+    deviations of the law from mu = 25 on): every scale integrates at least
+    to z_cut, and the estimate adds 1.3 Q(mu, z_cut) <= 1.3 Q(25, 75)
+    = 8.2e-12.  A scale's row is one exp per node of the log weight
+    (mu-1) log x + log q - lgamma mu - mu log w_lo minus x/w, times the
+    stacked (E, E's error) rows, then times (w_lo/w)^mu: w_lo keeps both
+    factors inside the double range.
     """
 
     def __init__(self, rho: float, mu: float, k: int, refine: int, beta: float):
         self.gm = _gamma_of_mu(mu)  # refuses mu past the double range first
-        w_lo = _PANEL_BASE * _PANEL_RATIO**k
+        self.w_lo = w_lo = _PANEL_BASE * _PANEL_RATIO**k
         z_cut = mu + max(50.0, 10.0 * math.sqrt(mu))
-        x_top = z_cut * w_lo * _PANEL_RATIO
+        x_lo, x_top = 1e-4 * min(w_lo, 1.0), z_cut * w_lo * _PANEL_RATIO
+        past = DomainError(f"mixing panel {k} at mu={mu} reaches past the double range")
         if not x_top < math.inf:
-            raise DomainError(f"mixing panel {k} at mu={mu} reaches past the "
-                              "double range")
-        self.x0 = x_b = 1e-4 * min(w_lo, 1.0)
-        per_efold = 6 * refine
-        parts = []
-        if rho > 1.0:
-            s_damp = 30.0 / abs(math.cos(math.pi / rho))
-            s_top = min(s_damp, x_top ** (1.0 / rho))
-            n_log = max(1, math.ceil(per_efold * math.log(s_top**rho / x_b)))
-            edges = np.geomspace(x_b ** (1.0 / rho), s_top, n_log + 1)
-            if s_top > 1.0:
-                n_ph = max(4, math.ceil(math.sin(math.pi / rho) * (s_top - 1.0) / 1.5))
-                edges = np.union1d(edges, np.linspace(1.0, s_top, n_ph * refine + 1))
-            s, q = _panel_nodes(edges[:-1], edges[1:])
-            parts.append((s**rho, q * rho * s ** (rho - 1.0)))
-            x_b = s_top**rho
-        if x_b < x_top:
-            n_log = max(1, math.ceil(per_efold * math.log(x_top / x_b)))
-            edges = np.geomspace(x_b, x_top, n_log + 1)
-            parts.append(_panel_nodes(edges[:-1], edges[1:]))
-        x = np.concatenate([p[0] for p in parts])
-        self.q = np.concatenate([p[1] for p in parts])
-        self.e, self.d = _evaluate_many(rho, beta, x)[:2]
-        self.x, self.log_pow = x, (mu - 1.0) * np.log(x)  # log x^(mu-1)
-        self.mu, self.lgm = mu, math.lgamma(mu)
+            raise past
+        # the chunks that hold x_lo and x_top, with a margin for rounding
+        rows = [_e_row(rho, beta, refine, c) for c in range(
+            math.floor(math.log(x_lo) / _ROW_EFOLDS - 1e-9),
+            math.floor(math.log(x_top) / _ROW_EFOLDS + 1e-9) + 1)]
+        edges = np.concatenate([rows[0][0]] + [r[0][1:] for r in rows[1:]])
+        a = np.searchsorted(edges, x_lo, "right") - 1
+        a -= a % refine  # x0 on the refine-1 grid, which refine 2 halves
+        b = np.searchsorted(edges, x_top)
+        if b == edges.size:
+            raise past
+        x, q, e, d = (np.concatenate([r[i] for r in rows])[8 * a:8 * b] for i in range(1, 5))
+        self.x, self.x0, self.ed, self.mu = x, edges[a], np.stack([e, d]), mu
+        self.log_wt = ((mu - 1.0) * np.log(x) + np.log(q) - math.lgamma(mu)
+                       - mu * math.log(w_lo))
         # strip: E(-x) = a - x/Gamma(rho+beta) + O(x^2) with a = 1/Gamma(beta),
         # e^-z = 1 - z + O(z^2); a is exactly 1 for beta = 1.  Truncated far
         # tail: needs |E_{rho,beta}| <= 1.3 on the half line: |E_rho| <= 1 for
@@ -834,17 +851,13 @@ class _MixingRule:
         self.tail = 1.3 * _gamma_q(mu, z_cut)
 
     def __call__(self, ws) -> np.ndarray:
-        """(value, est) rows at the scales ws, each summed over the nodes in
-        a fixed order, so a row has the same bits alone or in any batch."""
+        """(value, est) rows at the scales ws, summed one row at a time, so
+        a row has the same bits alone or in any batch."""
         ws = np.asarray(ws, dtype=float)
-        mu, out = self.mu, np.empty((ws.size, 2))
-        step = max(1, (1 << 20) // self.x.size)  # weight block <= 2^20 doubles
-        for i in range(0, ws.size, step):
-            w = ws[i:i + step, None]
-            wt = self.q * np.exp(self.log_pow - self.x / w - mu * np.log(w) - self.lgm)
-            out[i:i + step, 0] = np.sum(wt * self.e, axis=1)
-            out[i:i + step, 1] = np.sum(wt * self.d, axis=1)  # wt > 0
-        z0, a = self.x0 / ws, self.a
+        mu, z0, a = self.mu, self.x0 / ws, self.a
+        out = np.array([self.ed @ np.exp(self.log_wt - self.x * (1.0 / w))
+                        for w in ws.tolist()]).reshape(-1, 2)
+        out *= ((self.w_lo / ws) ** mu)[:, None]
         out[:, 0] += (a * z0**mu / mu - (ws / self.gamma_rb + a)
                       * z0 ** (mu + 1.0) / (mu + 1.0)) / self.gm
         out[:, 1] += z0**mu * 2e-8 / self.gm + self.tail

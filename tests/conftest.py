@@ -327,14 +327,19 @@ def child_env(threads: str) -> dict:
     """The whole environment of a `python -m fracou.cli` child process.
 
     Only PATH, FRACOU_THREADS and the directory that holds the imported
-    fracou package are set, so reruns that differ in FRACOU_THREADS differ in
-    nothing else.  The import path comes from the package itself, which works
-    for a source checkout (``PYTHONPATH=src``) and an installed copy alike.
+    fracou package are set, plus PYTHONDONTWRITEBYTECODE when the caller
+    set it (so that the children leave no bytecode in a checkout that asked
+    for none), so reruns that differ in FRACOU_THREADS differ in nothing
+    else.  The import path comes from the package itself, which works for a
+    source checkout (``PYTHONPATH=src``) and an installed copy alike.
     """
     import fracou
 
-    return {"PATH": "/usr/bin:/bin", "FRACOU_THREADS": threads,
-            "PYTHONPATH": os.path.dirname(os.path.dirname(fracou.__file__))}
+    env = {"PATH": "/usr/bin:/bin", "FRACOU_THREADS": threads,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(fracou.__file__))}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 @pytest.fixture(scope="session")

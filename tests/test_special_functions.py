@@ -279,8 +279,13 @@ def test_g_rho_quadrature_rho_one_closed_form():
         assert (r.method, r.terms_used) == ("closed_form", 0)
 
 
+def _clear_panels():
+    for memo in (sf._mixing_panel, sf._e_row):
+        memo.cache_clear()  # the panels, and the E rows their rules slice
+
+
 def test_mixing_values_do_not_depend_on_call_history():
-    sf._mixing_panel.cache_clear()
+    _clear_panels()
     rho, mu = 1.9, 4.0
     mk = MeanKernel(rho, GammaMixing(mu, 1.0))
     lags = np.linspace(0.0, 30.0, 301)
@@ -562,18 +567,28 @@ def test_mixing_integrals_do_not_depend_on_their_batch():
 
 
 def test_a_panel_build_evaluates_e_once_per_refinement(monkeypatch):
-    # panel 0 at (1.9, 4) doubles its Chebyshev order from 17 to 33, and
-    # every fit, check and coarse row reads the two rules' node values
-    calls = []
-    evaluate = sf._evaluate_many
-    monkeypatch.setattr(sf, "_evaluate_many",
-                        lambda *a: calls.append(a) or evaluate(*a))
-    sf._mixing_panel.cache_clear()
+    # every fit, check and coarse row of a panel, and every panel and mu of
+    # one (rho, beta), read one E row per refinement: the nodes each
+    # _evaluate_many call gets, by mu and by the refinement of its chunk
+    keys, nodes = [], {mu: {1: [], 2: []} for mu in (4.0, 0.4)}
+    row, evaluate = sf._e_row, sf._evaluate_many
+    _clear_panels()
+    monkeypatch.setattr(sf, "_e_row", lambda *key: keys.append(key) or row(*key))
     try:
-        assert sf._mixing_panel(1.9, 4.0, 0, 1.0).coef.size == 33
+        for mu, by_refine in nodes.items():
+            monkeypatch.setattr(sf, "_evaluate_many", lambda *a, got=by_refine:
+                                got[keys[-1][2]].append(a[2]) or evaluate(*a))
+            for k in range(-4, 5):
+                sf._mixing_panel(1.9, mu, k, 1.0)
     finally:
         sf._mixing_panel.cache_clear()
-    assert len(calls) <= 2
+        row.cache_clear()
+    for refine in (1, 2):
+        x = np.concatenate(nodes[4.0][refine] + nodes[0.4][refine])
+        assert x.size and np.unique(x).size == x.size, refine
+    # so the mu = 0.4 builds evaluate only nodes the mu = 4 builds did not
+    # cover: here none, since their rules end below those of mu = 4
+    assert not nodes[0.4][1] + nodes[0.4][2]
 
 
 def test_panel_estimate_carries_the_error_of_e(monkeypatch):
@@ -584,11 +599,34 @@ def test_panel_estimate_carries_the_error_of_e(monkeypatch):
         return values, np.maximum(ests, 1e-9), methods, terms
 
     monkeypatch.setattr(sf, "_evaluate_many", loose)
-    sf._mixing_panel.cache_clear()
+    _clear_panels()
     try:
         assert sf._mixing_panel(1.9, 4.0, 2, 1.0).est >= 5e-10
     finally:
-        sf._mixing_panel.cache_clear()
+        _clear_panels()
+
+
+def test_a_panel_does_not_depend_on_which_rows_exist():
+    # the rows other panels, mu and beta built first overlap this panel's
+    _clear_panels()
+    alone = sf._mixing_panel(1.9, 0.4, 2, 1.0)
+    _clear_panels()
+    for args in ((1.9, 4.0, 4, 1.0), (1.9, 171.0, -4, 1.0), (1.9, 0.4, -1, 1.9)):
+        sf._mixing_panel(*args)
+    after = sf._mixing_panel(1.9, 0.4, 2, 1.0)
+    assert _same_bits(after.coef, alone.coef) and after.est == alone.est
+
+
+def test_panels_stop_at_the_double_range():
+    # t^1.9 = 1e305 lies in panel 252, whose rule ends below the largest
+    # double; the rule of panel 254 would end past it and is refused before
+    # any E row is built
+    values, ests = _g_quadrature_many(1.9, 4.0, 1.0, [1e305 ** (1.0 / 1.9)])[:2]
+    assert np.isfinite(values[0]) and ests[0] <= sf.ACCURACY_FLOOR
+    rows = sf._e_row.cache_info().currsize
+    with pytest.raises(DomainError, match="mixing panel 254 "):
+        _g_quadrature_many(1.9, 4.0, 1.0, [1e307 ** (1.0 / 1.9)])
+    assert sf._e_row.cache_info().currsize == rows
 
 
 def test_panel_integrator():
