@@ -5,7 +5,8 @@ Each line runs through `fracou.cli.main` in a fresh temporary directory that
 is removed afterwards; the script prints, per line, its exit code and the
 first 16 hex digits of the sha256 of every file it wrote and of its standard
 output.  Two checkouts write byte-identical outputs exactly when they print
-the same lines:
+the same lines.  It exits 1 when a line exits with another code than its
+EXIT entry (0 if it has none):
 
     PYTHONPATH=src python scripts/cli_digests.py
 """
@@ -32,8 +33,9 @@ SIM = ["simulate", "--rho", "1.9", "--mu", "4", "--lambda", "1", "--T", "2",
 # a change of the panel rule, the two checks that read a certified
 # history, at a small --mc, both again at --mc 37, which ends their draws in
 # a partial row block of the bridge tree, on the mu < 1 and rho = 1 kernels,
-# a mixing table near zero at an order near 1 and one of a Gamma law with a
-# wide spread
+# a mixing table near zero at an order near 1, one of a Gamma law with a
+# wide spread, and one at rho 2 whose panels would pass the E-node bound of a
+# mixing rule, which exits 2
 LINES = {
     "eval ml": ["eval", "ml", "--rho", "1.9", "--xmax", "60", "--points",
                 "600", "--out", "ml.csv"],
@@ -85,7 +87,11 @@ LINES = {
                       "1e-3", "--out", "gml.csv"],
     "eval gml wide": ["eval", "gml", "--rho", "1.9", "--mu", "100", "--xmax",
                       "30", "--out", "gml.csv"],
+    "eval gml rho 2": ["eval", "gml", "--rho", "2", "--mu", "4", "--xmax",
+                       "1e10", "--points", "50", "--out", "gml.csv"],
 }
+# the lines that must exit with another code than 0
+EXIT = {"eval gml rho 2": 2}
 
 
 def sha16(data: bytes) -> str:
@@ -110,8 +116,9 @@ def run(name: str, argv: list) -> int:
 
 
 def main() -> int:
-    codes = [run(name, argv) for name, argv in LINES.items()]
-    return max(codes)
+    wrong = [run(name, argv) != EXIT.get(name, 0)
+             for name, argv in LINES.items()]
+    return int(any(wrong))
 
 
 if __name__ == "__main__":

@@ -473,7 +473,10 @@ def _driver_blocks(seed: int, n_reps: int, layout: HistoryLayout,
     DomainError before any draw."""
     n_reps = _count("n_paths", n_reps)
     n_cells = layout.levels.size
-    step = _row_step(n_cells, n_steps)
+    # whole rows of the tree when a block holds more than one
+    step = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
+    if step > _rng.TREE_REPS:
+        step -= step % _rng.TREE_REPS
     nodes = layout.starts >> layout.levels
 
     def block(r0):
@@ -487,16 +490,6 @@ def _driver_blocks(seed: int, n_reps: int, layout: HistoryLayout,
         return r0, r1, back, fwd
 
     return map(block, range(0, n_reps, step))
-
-
-def _row_step(n_cells: int, n_steps: int) -> int:
-    """Replications per block of _driver_blocks for n_cells history and
-    n_steps forward cells: at most _DRIVER_CELLS normals, in whole rows of
-    the tree when that allows more than one."""
-    step = max(1, _DRIVER_CELLS // max(n_cells + n_steps, 1))
-    if step > _rng.TREE_REPS:
-        step -= step % _rng.TREE_REPS
-    return step
 
 
 def _fast_len(n: int) -> int:
@@ -851,21 +844,21 @@ def _marginal_draws(requests, n_paths: int, seed: int,
                     rep0: int = 0) -> list:
     """stationary_marginal_samples(kernel_lags, t_indices, n_hist, n_paths,
     seed, dt, rep0) of every request (kernel_lags, t_indices, n_hist, dt),
-    bit for bit, from one draw of the driver.
+    from one draw of the driver.
 
     Each block of _driver_blocks draws the union of the requests' history
     cells in one tree_cells call, and the forward cells of the longest
     request in one normal_rows fill: a tree cell does not depend on which
     other cells are drawn with it, and the first n cells of a forward row
-    are those of an n-cell row.  A request meets its weights in the row
-    blocks of its lone call, on its cells laid out as tree_cells lays them
-    out, because BLAS sums a product in an order that depends on the rows
-    it is given and on their strides.  Where a driver block is not that of
-    the lone call, the request's block is gathered whole first, so a call
-    holds one driver block plus at most one gathered block per request,
-    each of at most _DRIVER_CELLS cells.  A request whose kernel row is
-    read over more than _DRIVER_CELLS lags raises DomainError before any
-    draw.
+    are those of an n-cell row.  Each request meets its weights in that
+    block, on its cells gathered as tree_cells lays them out and a
+    contiguous copy of its forward cells, since BLAS bits depend on the
+    strides of the rows it is given.  Within one driver block a request
+    has its lone call's bits; past one block its samples differ from them
+    by rounding only, as the GEMMs sum other row blocks.  A call holds one
+    driver block plus one gathered block, each of at most _DRIVER_CELLS
+    cells.  A request whose kernel row is read over more than _DRIVER_CELLS
+    lags raises DomainError before any draw.
     """
     n_paths = _count("n_paths", n_paths)
     plans = []
@@ -874,39 +867,28 @@ def _marginal_draws(requests, n_paths: int, seed: int,
         n_steps = int(t.max())
         _check_lags(n_hist + n_steps + 1)
         layout = _history_layout(kern, int(t.min()), n_steps, n_hist, dt)
-        n_cells = layout.levels.size
         plans.append(_Marginals(
-            kern, t, n_steps, dt, layout, _row_step(n_cells, n_steps),
-            max(1, _DRIVER_CELLS // max(n_cells + n_steps, n_hist, 1)),
+            kern, t, n_steps, dt, layout,
+            max(1, _DRIVER_CELLS // max(layout.levels.size + n_steps,
+                                        n_hist, 1)),
             np.empty((n_paths, t.size))))
     # the union of the layouts' cells, keyed by start and level: cells[i]
-    # are the union's columns of request i
+    # are the union's columns of request i, in the order of its layout
     keys = [p.layout.starts << 4 | p.layout.levels for p in plans]
     union, cells = np.unique(np.concatenate(keys), return_inverse=True)
     cells = np.split(cells, np.cumsum([k.size for k in keys])[:-1])
     n_steps = max(p.n_steps for p in plans)
-    own = [np.array_equal(c, np.arange(union.size)) and p.n_steps == n_steps
-           for p, c in zip(plans, cells)]
-    pending = [None] * len(plans)
     for r0, r1, back, fwd in _driver_blocks(
             seed, n_paths, HistoryLayout(union & 15, union >> 4), n_steps,
             rep0):
-        for i, (p, c) in enumerate(zip(plans, cells)):
-            for lo in range(r0 - r0 % p.step, r1, p.step):
-                hi = min(lo + p.step, n_paths)
-                if own[i] and (lo, hi) == (r0, r1):
-                    p.weigh(lo, back, fwd)
-                    continue
-                a, b = max(lo, r0), min(hi, r1)
-                if a == lo:
-                    pending[i] = (_rng.tree_block(hi - lo, c.size, rep0 + lo),
-                                  np.empty((hi - lo, p.n_steps)))
-                pending[i][0][a - lo : b - lo] = back[a - r0 : b - r0, c]
-                pending[i][1][a - lo : b - lo] = fwd[a - r0 : b - r0,
-                                                     : p.n_steps]
-                if b == hi:
-                    p.weigh(lo, *pending[i])
-                    pending[i] = None
+        for p, c in zip(plans, cells):
+            if c.size == union.size and p.n_steps == n_steps:
+                p.weigh(r0, back, fwd)
+                continue
+            mine = _rng.tree_block(r1 - r0, c.size, rep0 + r0)
+            mine[:] = back[:, c]
+            p.weigh(r0, mine, fwd[:, : p.n_steps].copy())
+            del mine  # before the next request's block is gathered
     samples = []
     for p in plans:
         out = (p.out * math.sqrt(p.dt)).view(MarginalSamples)
@@ -917,16 +899,14 @@ def _marginal_draws(requests, n_paths: int, seed: int,
 
 @dataclass(frozen=True)
 class _Marginals:
-    """One request of _marginal_draws: its kernel row, output times, forward
-    cells, cell width and layout, the replications of its lone call's driver
-    blocks, the times per weight block, and the unscaled samples."""
+    """One request of _marginal_draws: kernel row, output times, forward
+    cells, cell width, layout, times per weight block and unscaled samples."""
 
     kern: np.ndarray
     t: np.ndarray
     n_steps: int
     dt: float
     layout: HistoryLayout
-    step: int
     cols: int
     out: np.ndarray
 

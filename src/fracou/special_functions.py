@@ -771,6 +771,13 @@ def _gamma_q(mu: float, z: float) -> float:
 
 
 _ROW_EFOLDS = 4  # e-folds of x per memoized chunk of an anchored grid
+_ROW_NODES = 1 << 21  # E nodes the chunks of one mixing rule may hold
+
+
+def _phase(rho: float, refine: int) -> tuple:
+    """(step, s_damp) of the phase edges of _e_row, for rho > 1."""
+    return (1.5 / (math.sin(math.pi / rho) * refine),
+            30.0 / abs(math.cos(math.pi / rho)))
 
 
 @lru_cache(maxsize=None)
@@ -790,8 +797,8 @@ def _e_row(rho: float, beta: float, refine: int, c: int) -> tuple:
     edges = edges[edges <= 0.5 * np.finfo(float).max]
     if rho > 1.0:
         edges = edges ** (1.0 / rho)
-        step = 1.5 / (math.sin(math.pi / rho) * refine)
-        top = min(edges[-1], 30.0 / abs(math.cos(math.pi / rho)))
+        step, damp = _phase(rho, refine)
+        top = min(edges[-1], damp)
         if edges[0] < top:
             phase = 1.0 + step * np.arange((max(edges[0], 1.0) - 1.0) // step,
                                            (top - 1.0) // step + 1.0)
@@ -817,7 +824,9 @@ class _MixingRule:
     = 8.2e-12.  A scale's row is one exp per node of the log weight
     (mu-1) log x + log q - lgamma mu - mu log w_lo minus x/w, times the
     stacked (E, E's error) rows, then times (w_lo/w)^mu: w_lo keeps both
-    factors inside the double range.
+    factors inside the double range.  The phase edges run to s_damp, which
+    has no real bound as rho -> 2, so a rule whose chunks would hold more
+    than _ROW_NODES E nodes raises DomainError before any is built.
     """
 
     def __init__(self, rho: float, mu: float, k: int, refine: int, beta: float):
@@ -829,9 +838,18 @@ class _MixingRule:
         if not x_top < math.inf:
             raise past
         # the chunks that hold x_lo and x_top, with a margin for rounding
-        rows = [_e_row(rho, beta, refine, c) for c in range(
-            math.floor(math.log(x_lo) / _ROW_EFOLDS - 1e-9),
-            math.floor(math.log(x_top) / _ROW_EFOLDS + 1e-9) + 1)]
+        chunks = range(math.floor(math.log(x_lo) / _ROW_EFOLDS - 1e-9),
+                       math.floor(math.log(x_top) / _ROW_EFOLDS + 1e-9) + 1)
+        # 8 nodes per panel: at most 24 refine + 1 log panels per chunk and,
+        # for rho > 1, one phase panel per step up to s_damp
+        panels = len(chunks) * (_ROW_EFOLDS * 6 * refine + 1)
+        if rho > 1.0:
+            step, damp = _phase(rho, refine)
+            panels += math.exp(min(_ROW_EFOLDS * chunks.stop / rho, math.log(damp))) / step
+        if 8 * panels > _ROW_NODES:
+            raise DomainError(f"mixing panel {k} at mu={mu} needs more than "
+                              f"{_ROW_NODES} E nodes")
+        rows = [_e_row(rho, beta, refine, c) for c in chunks]
         edges = np.concatenate([rows[0][0]] + [r[0][1:] for r in rows[1:]])
         a = np.searchsorted(edges, x_lo, "right") - 1
         a -= a % refine  # x0 on the refine-1 grid, which refine 2 halves

@@ -379,6 +379,19 @@ def test_oversized_checks_exit_2_before_anything_is_built(line, tmp_path,
     assert not out.exists()
 
 
+def test_a_mixing_table_past_the_node_bound_exits_2(tmp_path, capsys):
+    # G(-x) at rho 2 up to x = 1e10 reads panels 6 and 7, whose rules would
+    # need 12.8 and 95 million E nodes
+    out = tmp_path / "gml.csv"
+    start = time.perf_counter()
+    code = cli.main(["eval", "gml", "--rho", "2", "--mu", "4", "--xmax",
+                     "1e10", "--points", "50", "--out", str(out)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters: mixing panel 6 ")
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 def test_xi_table_past_the_cap_is_refused_before_a_row_is_built(
         tmp_path, monkeypatch):
     # the README grid at tol 1e-3: 20,000 rates certify 150,001 lags, a table

@@ -146,6 +146,33 @@ def test_cauchy_draws_each_tree_span_once(monkeypatch):
     assert {tags[0] for _, tags, _ in keyed} == {"wtilde"}
 
 
+# the run_all_checks.py sizes (mc 2000, stationarity 5000 rows) and the
+# benchmark battery's 400 rows, on the battery's kernels
+@pytest.mark.parametrize("check,rho,mu,tol,n_mc", [
+    ("cauchy", 1.9, 4.0, None, 2000), ("cauchy", 1.9, 0.4, None, 2000),
+    ("cauchy", 1.0, 1.0, None, 2000), ("stationarity", 1.9, 4.0, 5e-3, 5000),
+    ("stationarity", 1.0, 4.0, 2e-3, 5000),
+    ("stationarity", 1.9, 4.0, 5e-3, 400)])
+def test_a_check_draws_its_marginals_in_one_driver_block(check, rho, mu, tol,
+                                                        n_mc, monkeypatch):
+    # within one driver block each marginal has the bits of its lone call
+    calls, driver_blocks = [], sim._driver_blocks
+
+    def counted(*args):
+        calls.append([])
+        for block in driver_blocks(*args):
+            calls[-1].append(block[:2])
+            yield block
+
+    monkeypatch.setattr(sim, "_driver_blocks", counted)
+    if check == "cauchy":
+        dg.check_cauchy_decay(rho, mu, 1.0, [10.0, 20.0], n_mc, 1)
+    else:
+        dg.check_stationarity(rho, mu, 1.0, TimeGrid(0.0, 2.0, 200), n_mc, 1,
+                              tol)
+    assert calls == [[(0, n_mc)]]
+
+
 def test_cauchy_mu_one_envelope():
     rep = dg.check_cauchy_decay(1.0, 1.0, 1.0, np.geomspace(10, 1000, 6),
                                 400, 7)

@@ -554,11 +554,10 @@ def test_mixing_integrals_do_not_depend_on_their_batch():
     ws = panel.points(np.concatenate([_cheb_nodes(n),
                                       np.cos(np.pi * np.arange(1, n) / n)]))
     assert ws.size == 33
-    # 513 scales, the most a fit reads, span more than one weight block
+    # 513 scales, the most a fit reads
     many = panel.points(_cheb_nodes(sf._PANEL_MAX_NODES))
     for refine in (1, 2):
         rule = sf._MixingRule(rho, mu, 2, refine, 1.0)
-        assert many.size * rule.x.size > 1 << 20
         whole = rule(ws)
         alone = [rule([w])[0] for w in ws]
         assert _same_bits(whole, alone), refine
@@ -626,6 +625,16 @@ def test_panels_stop_at_the_double_range():
     rows = sf._e_row.cache_info().currsize
     with pytest.raises(DomainError, match="mixing panel 254 "):
         _g_quadrature_many(1.9, 4.0, 1.0, [1e307 ** (1.0 / 1.9)])
+    assert sf._e_row.cache_info().currsize == rows
+
+
+def test_panels_stop_at_the_node_bound():
+    # at rho = 2 the phase edges run to s_damp = 4.9e17: the rule of panel 6
+    # would read 12.8 million E nodes and is refused before any E row is
+    # built
+    rows = sf._e_row.cache_info().currsize
+    with pytest.raises(DomainError, match="mixing panel 6 "):
+        _g_quadrature_many(2.0, 4.0, 1.0, [(8.0 * 16.0**6) ** 0.5])
     assert sf._e_row.cache_info().currsize == rows
 
 

@@ -143,9 +143,11 @@ def test_cli_digests_run_from_a_plain_checkout_and_cover_the_readme(cli_env, tmp
                           env=cli_env("1"), cwd=tmp_path, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    lines = runpy.run_path(script)["LINES"]
+    names = runpy.run_path(script)
+    lines = names["LINES"]
     assert [row for row in done.stdout.splitlines() if not row.startswith(" ")] == [
-        f"{name}: exit 0" for name in lines]
+        f"{name}: exit {names['EXIT'].get(name, 0)}" for name in lines]
+    assert set(names["EXIT"]) <= set(lines)
     # every command of the README's "Command line" block, flags in any order
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
         block = fh.read().split("## Command line", 1)[1].split("```")[1]
